@@ -16,16 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import construction, loadsharing, montecarlo, permdist, ranking, signature, voting
-from .core import rational_format, rational_parse
+from .core import RATIONAL_RE, rational_format, rational_parse
 from .errors import PrecedenceError
-
-_RATIONAL_TEXT = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 @dataclass
@@ -70,7 +67,7 @@ def _decimalize(node):
         return {k: _decimalize(v) for k, v in node.items()}
     if isinstance(node, list):
         return [_decimalize(v) for v in node]
-    if isinstance(node, str) and _RATIONAL_TEXT.match(node):
+    if isinstance(node, str) and RATIONAL_RE.match(node):
         try:
             approx = float(f"{float(Fraction(node)):.12g}")
         except OverflowError:
@@ -105,6 +102,8 @@ def _cmd_pattern_induce(args) -> CommandResult:
 
 
 def _cmd_pattern_gen(args) -> CommandResult:
+    if args.count < 1:
+        raise PrecedenceError(f"--count must be >= 1, got {args.count}")
     if args.kind == "very-paradox":
         return CommandResult(0, ranking.pattern_very_paradox(args.m).to_json_dict())
     if args.kind == "cyclic":

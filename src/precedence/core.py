@@ -36,12 +36,12 @@ ONE = Fraction(1)
 
 # Grammar: "<int>" or "<int>/<posint>". Stricter than Fraction(str), which
 # would also accept decimals and exponents.
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def rational_parse(text: str) -> Fraction:
     """Parse ``"n"`` or ``"n/d"`` into an exact rational in lowest terms."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not RATIONAL_RE.match(text):
         raise RationalParseError(f"not a rational literal: {text!r}")
     if "/" in text and text.split("/")[1].lstrip("0") == "":
         raise RationalParseError(f"zero denominator: {text!r}")
@@ -164,7 +164,7 @@ def subsets_of_size_at_least(m: int, k: int) -> list[SubsetMask]:
 
 def validate_permutation(m: int, seq: Iterable[int]) -> tuple[int, ...]:
     perm = tuple(seq)
-    if sorted(perm) != list(range(1, m + 1)):
+    if any(type(x) is not int for x in perm) or sorted(perm) != list(range(1, m + 1)):
         raise DomainError(f"{perm} is not a permutation of [{m}]")
     return perm
 

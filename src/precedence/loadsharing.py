@@ -23,10 +23,12 @@ Two representations are provided:
   order-independent by construction. These embed losslessly into the
   order-dependent representation via :func:`as_order_dependent`.
 
-Winning probabilities are computed directly from the rate table
-(:func:`alpha_family_ls`) and must agree exactly with the two-step route
-through :func:`distribution_of`; the set-invariant path memoizes partial
-prefix sums by failed-set, which collapses the k! orderings of each set.
+:func:`distribution_of`, :func:`alpha_family_ls` and :func:`beta_gamma_split`
+are reductions over one walker of the reachable failure prefixes. Winning
+probabilities sum the failed-set table of :mod:`precedence.permdist`, which
+set-invariant models build by a DP that expands each failed set once, not
+each of its k! orderings; they must agree exactly with the two-step route
+through :func:`distribution_of`.
 
 For models built from an epsilon schedule the total rate of h survivors
 closes to h - h*(h-1)/2 * eps(h) when the subset's ranking is tie-free:
@@ -41,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .core import (
     ONE,
@@ -55,7 +57,9 @@ from .core import (
     validate_prefix,
 )
 from .errors import DomainError, InputFormatError, InvalidModelError, ScheduleError
-from .permdist import PermutationDistribution, WinningProbabilityFamily
+from .permdist import (
+    PermutationDistribution, WinningProbabilityFamily, failed_set_table, winner_sums
+)
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,7 @@ class OrderDependentLSModel:
             prefix = validate_prefix(self.m, prefix)
             if len(prefix) > self.m - 1:
                 raise DomainError(f"prefix {prefix} too long for m={self.m}")
-            if not 1 <= j <= self.m or j in prefix:
+            if type(j) is not int or not 1 <= j <= self.m or j in prefix:
                 raise DomainError(f"invalid survivor {j} for prefix {prefix}")
             q = Fraction(value)
             if q < 0:
@@ -179,8 +183,8 @@ class OrderDependentLSModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "OrderDependentLSModel":
-        if not isinstance(doc, dict) or "m" not in doc or "rates" not in doc:
-            raise InputFormatError("model document needs fields 'm' and 'rates'")
+        if not isinstance(doc, dict) or "m" not in doc or not isinstance(doc.get("rates"), list):
+            raise InputFormatError("model document needs fields 'm' and 'rates' (a list)")
         rates: dict[tuple[tuple[int, ...], int], Fraction] = {}
         for idx, entry in enumerate(doc["rates"]):
             where = f"rates[{idx}]"
@@ -220,8 +224,8 @@ class SetInvariantLSModel:
         clean: dict[tuple[tuple[int, ...], int], Fraction] = {}
         for (survivors, j), value in self.mu_by_survivors.items():
             members = subset_members(self.m, survivors)
-            if j not in members:
-                raise DomainError(f"survivor {j} not in survivor set {members}")
+            if type(j) is not int or j not in members:
+                raise DomainError(f"survivor {j!r} not in survivor set {members}")
             q = Fraction(value)
             if q < 0:
                 raise DomainError(f"negative rate {q} for mu_{j} with survivors {members}")
@@ -273,8 +277,8 @@ class SetInvariantLSModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SetInvariantLSModel":
-        if not isinstance(doc, dict) or "m" not in doc or "rates" not in doc:
-            raise InputFormatError("model document needs fields 'm' and 'rates'")
+        if not isinstance(doc, dict) or "m" not in doc or not isinstance(doc.get("rates"), list):
+            raise InputFormatError("model document needs fields 'm' and 'rates' (a list)")
         mu: dict[tuple[tuple[int, ...], int], Fraction] = {}
         for idx, entry in enumerate(doc["rates"]):
             where = f"rates[{idx}]"
@@ -337,6 +341,50 @@ def prefix_probability(model: LoadSharingModel, prefix: Iterable[int]) -> Fracti
     return prob
 
 
+def _walk(
+    model: LoadSharingModel, pool: Iterable[int], depth: int
+) -> Iterator[tuple[tuple[int, ...], Fraction, Fraction]]:
+    """(prefix, probability, total rate) of each reachable prefix drawn from ``pool``.
+
+    Depth first, up to length ``depth``; prefixes with total rate 0 are
+    skipped. The stack holds ``depth`` levels of siblings, never the tree.
+    """
+    pool = tuple(pool)
+    stack = [((), ONE)]
+    while stack:
+        prefix, prob = stack.pop()
+        total = total_rate(model, prefix)
+        if total == 0:
+            continue
+        yield prefix, prob, total
+        if len(prefix) < depth:
+            children = [
+                (prefix + (j,), prob * mu / total)
+                for j in pool
+                if j not in prefix and (mu := model.rate(prefix, j))
+            ]
+            stack.extend(reversed(children))
+
+
+def _failure_orders(model: LoadSharingModel) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """(permutation, probability) of each reachable failure order.
+
+    A permutation's probability is that of its (m-1)-prefix: the last
+    survivor fails with certainty, so its rate is never read.
+    """
+    m = model.m
+    if m == 1:
+        yield (1,), ONE
+        return
+    for prefix, prob, total in _walk(model, range(1, m + 1), m - 2):
+        if len(prefix) == m - 2:
+            a, b = (j for j in range(1, m + 1) if j not in prefix)
+            for j, last in ((a, b), (b, a)):
+                mu = model.rate(prefix, j)
+                if mu:
+                    yield prefix + (j, last), prob * mu / total
+
+
 def distribution_of(model: LoadSharingModel) -> PermutationDistribution:
     """The exact failure-order law induced by the rate table.
 
@@ -345,131 +393,52 @@ def distribution_of(model: LoadSharingModel) -> PermutationDistribution:
     InvalidModelError when a reachable prefix has zero total rate, since
     the collected weights then sum below 1.
     """
-    m = model.m
-    weights: dict[tuple[int, ...], Fraction] = {}
-
-    def walk(prefix: tuple[int, ...], prob: Fraction) -> None:
-        if len(prefix) == m - 1:
-            (last,) = (j for j in range(1, m + 1) if j not in prefix)
-            weights[prefix + (last,)] = prob
-            return
-        total = total_rate(model, prefix)
-        if total == 0:
-            return
-        failed = set(prefix)
-        for j in range(1, m + 1):
-            if j in failed:
-                continue
-            mu = model.rate(prefix, j)
-            if mu:
-                walk(prefix + (j,), prob * mu / total)
-
-    walk((), ONE)
+    weights = dict(_failure_orders(model))
     mass = sum(weights.values(), ZERO)
     if mass != 1:
         raise InvalidModelError(
             f"reachable total rate vanished before exhaustion: mass {mass} != 1"
         )
-    return PermutationDistribution(m, weights)
+    return PermutationDistribution(model.m, weights)
 
 
-def _alpha_terms_direct(
-    model: LoadSharingModel, outside: tuple[int, ...], j: int, max_depth: int
-) -> Fraction:
-    """Sum of prefix_probability(prefix + (j,)) over prefixes from ``outside``.
+def _set_invariant_table(model: SetInvariantLSModel) -> dict[tuple[int, int], Fraction]:
+    """The failed-set table of a set-invariant model, expanding each failed set once.
 
-    Walks every ordered sample of the complement up to ``max_depth`` with a
-    running product, adding the step-to-j term at each node (depth 0
-    contributes mu_j(empty)/M(empty)).
-    """
-    total = ZERO
-
-    def walk(prefix: tuple[int, ...], prob: Fraction, remaining: tuple[int, ...]) -> None:
-        nonlocal total
-        m_here = total_rate(model, prefix)
-        if m_here == 0 or prob == 0:
-            return
-        total += prob * model.rate(prefix, j) / m_here
-        if len(prefix) == max_depth:
-            return
-        for pos, nxt in enumerate(remaining):
-            mu = model.rate(prefix, nxt)
-            if mu:
-                walk(prefix + (nxt,), prob * mu / m_here, remaining[:pos] + remaining[pos + 1 :])
-
-    walk((), ONE, outside)
-    return total
-
-
-def _failed_set_weights(model: SetInvariantLSModel, max_size: int) -> dict[int, Fraction]:
-    """g[S] = P(the first |S| failures are exactly the set S), keyed by mask.
-
-    Valid for set-invariant models only: the product along a prefix then
-    depends on the sequence solely through its intermediate sets, so the
-    orderings of S can be summed with one pass over submasks.
+    h[(S, j)] = P(S fails first) * mu_j(S) / M(S), and P(S + j) sums them.
     """
     m = model.m
-    g: dict[int, Fraction] = {0: ONE}
-    by_size: dict[int, list[int]] = {0: [0]}
-    for size in range(1, max_size + 1):
-        by_size[size] = []
-        for smaller in by_size[size - 1]:
-            for bit in range(m):
-                if smaller >> bit & 1:
-                    continue
-                mask = smaller | (1 << bit)
-                if mask in g:
-                    continue
-                prefix_set = tuple(i for i in range(1, m + 1) if mask >> (i - 1) & 1)
-                total = ZERO
-                for i in prefix_set:
-                    prev_mask = mask ^ (1 << (i - 1))
-                    prev_set = tuple(x for x in prefix_set if x != i)
-                    m_prev = total_rate(model, prev_set)
-                    if m_prev == 0:
-                        continue
-                    total += g[prev_mask] * model.rate(prev_set, i) / m_prev
-                g[mask] = total
-                by_size[size].append(mask)
-    return g
+    h: dict[tuple[int, int], Fraction] = {}
+    level = {0: ONE}
+    for _ in range(m - 1):
+        reached: dict[int, Fraction] = {}
+        for mask, prob in level.items():
+            failed = tuple(i for i in range(1, m + 1) if mask >> (i - 1) & 1)
+            total = total_rate(model, failed)
+            for j in range(1, m + 1):
+                if not mask >> (j - 1) & 1:
+                    mu = model.rate(failed, j)
+                    if mu:
+                        step = prob * mu / total
+                        h[(mask, j)] = step
+                        grown = mask | 1 << (j - 1)
+                        reached[grown] = reached.get(grown, ZERO) + step
+        level = reached
+    return h
 
 
 def alpha_family_ls(model: LoadSharingModel) -> WinningProbabilityFamily:
     """Winning probabilities straight from the rates, no distribution detour.
 
-    alpha_j(A) accumulates, over every ordered sample (i_1, ..., i_k) of
-    A-complement elements (k = 0..m-|A|), the product of rate ratios along
-    the sample times mu_j / M at its end. Equals
+    The failed-set table comes from a DP over failed sets for set-invariant
+    models and from the reachable failure orders otherwise. Equals
     ``alpha_family(distribution_of(model))`` exactly.
     """
-    m = model.m
-    alphas: dict[tuple[tuple[int, ...], int], Fraction] = {}
     if isinstance(model, SetInvariantLSModel):
-        g = _failed_set_weights(model, max_size=max(m - 2, 0))
-        for subset in subsets_of_size_at_least(m, 2):
-            members = subset.members()
-            comp_mask = subset.complement().mask
-            for j in members:
-                total = ZERO
-                s = comp_mask
-                while True:
-                    failed = tuple(i for i in range(1, m + 1) if s >> (i - 1) & 1)
-                    m_here = total_rate(model, failed)
-                    if m_here != 0:
-                        total += g[s] * model.rate(failed, j) / m_here
-                    if s == 0:
-                        break
-                    s = (s - 1) & comp_mask
-                alphas[(members, j)] = total
+        h = _set_invariant_table(model)
     else:
-        for subset in subsets_of_size_at_least(m, 2):
-            members = subset.members()
-            outside = subset.complement().members()
-            for j in members:
-                alphas[(members, j)] = _alpha_terms_direct(
-                    model, outside, j, max_depth=m - len(members)
-                )
-    return WinningProbabilityFamily(m, alphas)
+        h = failed_set_table(_failure_orders(model))
+    return WinningProbabilityFamily(model.m, winner_sums(model.m, h))
 
 
 def beta_gamma_split(
@@ -492,26 +461,13 @@ def beta_gamma_split(
         )
     outside = tuple(x for x in range(1, model.m + 1) if x not in members)
     depth = model.m - ell
-
-    beta = ZERO
-    gamma = ZERO
-
-    def walk(prefix: tuple[int, ...], prob: Fraction, remaining: tuple[int, ...]) -> None:
-        nonlocal beta, gamma
-        m_here = total_rate(model, prefix)
-        if m_here == 0 or prob == 0:
-            return
-        term = prob * model.rate(prefix, i) / m_here
+    beta = gamma = ZERO
+    for prefix, prob, total in _walk(model, outside, depth):
+        term = prob * model.rate(prefix, i) / total
         if len(prefix) == depth:
             gamma += term
-            return
-        beta += term
-        for pos, nxt in enumerate(remaining):
-            mu = model.rate(prefix, nxt)
-            if mu:
-                walk(prefix + (nxt,), prob * mu / m_here, remaining[:pos] + remaining[pos + 1 :])
-
-    walk((), ONE, outside)
+        else:
+            beta += term
     return beta, gamma
 
 

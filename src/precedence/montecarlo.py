@@ -18,6 +18,7 @@ floating point only inside the sampler.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,10 +26,10 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .core import rational_format, subsets_of_size_at_least
+from .core import rational_format
 from .errors import DomainError, SimulationError
 from .loadsharing import LoadSharingModel, total_rate
-from .permdist import WinningProbabilityFamily
+from .permdist import WinningProbabilityFamily, failed_set_table, winner_sums
 
 CHUNK_TRAJECTORIES = 4096
 
@@ -199,12 +200,16 @@ def estimate_alphas(
     """Empirical failure-order frequencies and winning-probability estimates.
 
     Deterministic for a fixed seed: trajectory i always comes from the
-    same substream block, so the counts do not depend on ``workers``.
+    same substream block, so the counts do not depend on ``workers``, which
+    the CPU count caps (the pool starts every worker at its first submit).
     """
     if n_samples < 1:
         raise DomainError(f"need at least one sample, got {n_samples}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
+    cpus = os.cpu_count() or 1
+    if workers > cpus:
+        raise DomainError(f"workers must be <= the CPU count {cpus}, got {workers}")
     chunks = []
     produced = 0
     index = 0
@@ -230,26 +235,16 @@ def estimate_alphas(
             for future in futures:
                 counts.update(future.result())
 
-    m = model.m
     empirical_rho = {perm: c / n_samples for perm, c in counts.items()}
-    empirical_alpha: dict[tuple[tuple[int, ...], int], float] = {}
-    for subset in subsets_of_size_at_least(m, 2):
-        members = subset.members()
-        inside = set(members)
-        wins = {j: 0 for j in members}
-        for perm, c in counts.items():
-            winner = next(x for x in perm if x in inside)
-            wins[winner] += c
-        for j in members:
-            empirical_alpha[(members, j)] = wins[j] / n_samples
+    wins = winner_sums(model.m, failed_set_table(counts.items()))
     return SimulationSummary(
-        m=m,
+        m=model.m,
         samples=n_samples,
         seed=seed,
         workers=workers,
         order_counts=dict(counts),
         empirical_rho=empirical_rho,
-        empirical_alpha=empirical_alpha,
+        empirical_alpha={key: c / n_samples for key, c in wins.items()},
     )
 
 
@@ -270,14 +265,5 @@ def empirical_alpha_from_times(
         )
         counts[order_from_times] += 1
         n += 1
-    out: dict[tuple[tuple[int, ...], int], float] = {}
-    for subset in subsets_of_size_at_least(m, 2):
-        members = subset.members()
-        inside = set(members)
-        wins = {j: 0 for j in members}
-        for perm, c in counts.items():
-            winner = next(x for x in perm if x in inside)
-            wins[winner] += c
-        for j in members:
-            out[(members, j)] = wins[j] / n
-    return out
+    wins = winner_sums(m, failed_set_table(counts.items()))
+    return {key: c / n for key, c in wins.items()}

@@ -10,18 +10,21 @@ component i is the r-th to fail. From it everything else follows exactly:
   first among A), for every subset A with |A| >= 2,
 * the majority digraph of pairwise precedence.
 
-``alpha_family`` computes the winning probabilities by summing prefix
-marginals over orderings of A-complement elements;
-``alpha_family_bruteforce`` scans every support permutation directly. The
-two take genuinely different routes and must agree bit-for-bit; the brute
-force scanner is kept as the cross-checking oracle (CLI ``oracle``).
+Every winner count in the package (laws, voter counts, Monte Carlo counts,
+load-sharing rates) sums one failed-set table: h[(S, j)] is the weight of
+the orders that fail exactly the set S first and j next, and alpha_j(A)
+sums h[(S, j)] over the subsets S of [m] \\ A. ``alpha_family_bruteforce``
+instead scans every support permutation directly. The two take genuinely
+different routes and must agree bit-for-bit; the brute-force scanner is
+kept as the cross-checking oracle (CLI ``oracle``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, TypeVar
 
 from .core import (
     ONE,
@@ -29,7 +32,6 @@ from .core import (
     SubsetMask,
     all_permutations,
     check_dimension,
-    enumerate_d,
     rational_format,
     rational_parse,
     subset_members,
@@ -38,6 +40,8 @@ from .core import (
     validate_prefix,
 )
 from .errors import DomainError, InputFormatError
+
+W = TypeVar("W", int, Fraction)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,24 +246,63 @@ def conditional_next(
     return pk_marginal(rho, prefix + (j,)) / denom
 
 
-def alpha_family(rho: PermutationDistribution) -> WinningProbabilityFamily:
-    """All winning probabilities of ``rho``, via prefix-marginal summation.
+def integer_weights(
+    weights: Mapping[tuple[int, ...], Fraction]
+) -> tuple[dict[tuple[int, ...], int], int]:
+    """Numerators of ``weights`` over the lcm of their denominators, and that lcm."""
+    scale = math.lcm(*(w.denominator for w in weights.values()))
+    return {k: w.numerator * (scale // w.denominator) for k, w in weights.items()}, scale
 
-    alpha_j(A) = P(J_1 = j) + sum over k = 1..m-|A| and over ordered
-    samples (i_1, ..., i_k) from outside A of p_{k+1}(i_1, ..., i_k, j).
+
+def failed_set_table(
+    orders: Iterable[tuple[tuple[int, ...], W]]
+) -> dict[tuple[int, int], W]:
+    """h[(S, j)]: total weight of the orders that fail exactly S first and j next.
+
+    S is a bit mask (bit i-1 for component i). Only the first m-1 positions
+    of an order are read: a set S of m-1 failures leaves no subset of two
+    members to win, so :func:`winner_sums` never asks for it.
     """
-    m = rho.m
-    table = rho.prefix_marginals()
-    alphas: dict[tuple[tuple[int, ...], int], Fraction] = {}
+    h: dict[tuple[int, int], W] = {}
+    for perm, w in orders:
+        failed = 0
+        for j in perm[:-1]:
+            h[(failed, j)] = h.get((failed, j), 0) + w
+            failed |= 1 << (j - 1)
+    return h
+
+
+def winner_sums(m: int, h: Mapping[tuple[int, int], W]) -> dict[tuple[tuple[int, ...], int], W]:
+    """Sum h[(S, j)] over the subsets S of [m] \\ A, for every |A| >= 2 and j in A.
+
+    With h from :func:`failed_set_table` this is the weight of the orders in
+    which j fails first among A; an entry no order reaches is int 0.
+    """
+    out: dict[tuple[tuple[int, ...], int], W] = {}
     for subset in subsets_of_size_at_least(m, 2):
         members = subset.members()
+        outside = subset.complement().mask
         for j in members:
-            total = table.get((j,), ZERO)
-            for k in range(1, m - len(members) + 1):
-                for outside in enumerate_d(subset, k):
-                    total += table.get(outside + (j,), ZERO)
-            alphas[(members, j)] = total
-    return WinningProbabilityFamily(m, alphas)
+            total = 0
+            s = outside
+            while True:
+                total += h.get((s, j), 0)
+                if s == 0:
+                    break
+                s = (s - 1) & outside
+            out[(members, j)] = total
+    return out
+
+
+def alpha_family(rho: PermutationDistribution) -> WinningProbabilityFamily:
+    """All winning probabilities of ``rho``, from its failed-set table.
+
+    Integer numerators over the lcm of the weight denominators throughout;
+    each entry becomes a Fraction only at the end.
+    """
+    numerators, scale = integer_weights(rho.weights)
+    sums = winner_sums(rho.m, failed_set_table(numerators.items()))
+    return WinningProbabilityFamily(rho.m, {key: Fraction(n, scale) for key, n in sums.items()})
 
 
 def alpha_family_bruteforce(rho: PermutationDistribution) -> WinningProbabilityFamily:

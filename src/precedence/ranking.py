@@ -147,9 +147,12 @@ class RankingPattern:
             where = f"functions[{idx}]"
             if not isinstance(entry, dict) or "set" not in entry or "ranks" not in entry:
                 raise InputFormatError(f"{where} needs fields 'set' and 'ranks'")
+            ranks = entry["ranks"]
+            if not isinstance(ranks, dict) or any(type(r) is not int for r in ranks.values()):
+                raise InputFormatError(f"{where}.ranks: {ranks!r} is not an object of integers")
             try:
                 members = tuple(sorted(entry["set"]))
-                ranks = {int(k): int(v) for k, v in entry["ranks"].items()}
+                ranks = {int(k): r for k, r in ranks.items()}
                 fns.append(RankingFunction.of(members, ranks))
             except (DomainError, KeyError, TypeError, ValueError) as ex:
                 raise InputFormatError(f"{where}: {ex}") from ex

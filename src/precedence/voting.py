@@ -4,9 +4,10 @@ A voting situation counts, for each permutation of the m candidates, how
 many voters hold exactly that preference ranking. In any election among a
 subset A of candidates every voter supports their top-ranked member of A
 (plurality with sincere voting), so the tallies n_i(A) are the
-integer-valued analogue of winning probabilities, and dividing the counts
-by the electorate size turns the situation into a permutation
-distribution with n_i(A) = n * alpha_i(A) exactly.
+integer-valued analogue of winning probabilities: :func:`tally` sums the
+failed-set table of the voter counts, the kernel behind ``alpha_family``,
+and dividing the counts by the electorate size turns the situation into a
+permutation distribution with n_i(A) = n * alpha_i(A) exactly.
 
 A ranking pattern is N-concordant with a situation when lower rank means
 strictly more votes, ties matching tied tallies, on every subset.
@@ -19,15 +20,14 @@ astronomically with m, and minimizing the electorate is out of scope.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .core import check_dimension, subsets_of_size_at_least, validate_permutation
+from .core import check_dimension, validate_permutation
 from .errors import DomainError, InputFormatError
 from .loadsharing import EpsilonSchedule, distribution_of
-from .permdist import PermutationDistribution
+from .permdist import PermutationDistribution, failed_set_table, integer_weights, winner_sums
 from .ranking import ConcordanceReport, RankingPattern, score_concordance
 
 
@@ -74,8 +74,8 @@ class VotingSituation:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "VotingSituation":
-        if not isinstance(doc, dict) or "m" not in doc or "counts" not in doc:
-            raise InputFormatError("voting document needs fields 'm' and 'counts'")
+        if not isinstance(doc, dict) or "m" not in doc or not isinstance(doc.get("counts"), list):
+            raise InputFormatError("voting document needs fields 'm' and 'counts' (a list)")
         counts: dict[tuple[int, ...], int] = {}
         for idx, entry in enumerate(doc["counts"]):
             where = f"counts[{idx}]"
@@ -85,6 +85,8 @@ class VotingSituation:
                 perm = validate_permutation(doc["m"], entry["perm"])
                 if perm in counts:
                     raise InputFormatError(f"{where}.perm: duplicate permutation")
+                if type(entry["n"]) not in (int, str):
+                    raise InputFormatError(f"{where}.n: {entry['n']!r} is not an integer")
                 counts[perm] = int(entry["n"])
             except InputFormatError:
                 raise
@@ -139,20 +141,12 @@ def rho_from_voting(vs: VotingSituation) -> PermutationDistribution:
 def tally(vs: VotingSituation) -> TallyTable:
     """Count, per election subset, each candidate's plurality support.
 
-    A voter supports the earliest member of A in their ranking; integer
-    arithmetic throughout, and the votes over A always sum to n.
+    A voter supports the earliest member of A in their ranking, so n_i(A)
+    is a submask sum of the failed-set table over the voter counts;
+    integer arithmetic throughout, and the votes over A always sum to n.
     """
-    tallies: dict[tuple[tuple[int, ...], int], int] = {}
-    subsets = [s.members() for s in subsets_of_size_at_least(vs.m, 2)]
-    for members in subsets:
-        for i in members:
-            tallies[(members, i)] = 0
-    for perm, count in vs.counts.items():
-        for members in subsets:
-            inside = set(members)
-            winner = next(x for x in perm if x in inside)
-            tallies[(members, winner)] += count
-    return TallyTable(vs.m, vs.n, tallies)
+    table = failed_set_table(vs.counts.items())
+    return TallyTable(vs.m, vs.n, winner_sums(vs.m, table))
 
 
 def check_n_concordance(tau: RankingPattern, vs: VotingSituation) -> ConcordanceReport:
@@ -176,9 +170,5 @@ def synthesize_voting_situation(
     if eps is None:
         eps = epsilon_schedule(sigma.m)
     model = build_ls_epsilon(sigma, eps)
-    rho = distribution_of(model)
-    scale = math.lcm(*(w.denominator for w in rho.weights.values()))
-    counts = {
-        perm: w.numerator * (scale // w.denominator) for perm, w in rho.weights.items()
-    }
+    counts, _ = integer_weights(distribution_of(model).weights)
     return VotingSituation(sigma.m, counts)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -74,6 +75,12 @@ class TestPatternCommands:
         assert a == b
         for doc in a["patterns"]:
             RankingPattern.from_json_dict(doc)
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_gen_count_below_one_is_input_error(self, count):
+        result = run(["pattern", "gen", "--kind", "random", "--m", "3", "--count", count])
+        assert result.exit_code == 2
+        assert "--count" in result.diagnostics[0]
 
 
 class TestModelCommands:
@@ -208,6 +215,16 @@ class TestSimulateCommand:
         )
         assert rerun.payload == doc
 
+    def test_workers_above_cpu_count_is_input_error(self, law_file, tmp_path):
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps(run(["ls", "invert", "--dist", law_file]).payload))
+        result = run(
+            ["simulate", "--model", str(model_file), "--samples", "10",
+             "--workers", str(os.cpu_count() + 1)]
+        )
+        assert result.exit_code == 2
+        assert "workers" in result.diagnostics[0]
+
 
 class TestErrorPaths:
     def test_missing_file_exits_two(self):
@@ -226,6 +243,52 @@ class TestErrorPaths:
         result = run(["alpha", "--dist", str(bad)])
         assert result.exit_code == 2
         assert "weights[0]" in result.diagnostics[0]
+
+    @pytest.mark.parametrize(
+        "command, doc, field",
+        [
+            (["simulate", "--samples", "10", "--model"], {"m": 3, "rates": 5}, "rates"),
+            (["vote", "tally", "--votes"], {"m": 3, "counts": 3}, "counts"),
+            (
+                ["concord", "certify", "--pattern"],
+                {"m": 2, "functions": [{"set": [1, 2], "ranks": [1, 2]}]},
+                "functions[0].ranks",
+            ),
+            (
+                ["vote", "tally", "--votes"],
+                {"m": 2, "counts": [{"perm": [1, 2], "n": 1.5}]},
+                "counts[0].n",
+            ),
+            (
+                ["vote", "tally", "--votes"],
+                {"m": 2, "counts": [{"perm": [1, 2], "n": True}]},
+                "counts[0].n",
+            ),
+            (
+                ["concord", "certify", "--pattern"],
+                {"m": 2, "functions": [{"set": [1, 2], "ranks": {"1": 1.9, "2": 2}}]},
+                "functions[0].ranks",
+            ),
+            (
+                ["vote", "tally", "--votes"],
+                {"m": 2, "counts": [{"perm": [1.0, 2], "n": "3"}]},
+                "counts[0]",
+            ),
+            (
+                ["simulate", "--samples", "10", "--model"],
+                {"m": 2, "rates": [{"prefix": [], "j": 1.5, "mu": "1"}], "default": "1"},
+                "1.5",
+            ),
+        ],
+        ids=["rates-not-list", "counts-not-list", "ranks-not-object", "float-count",
+             "bool-count", "float-rank", "float-perm", "float-survivor"],
+    )
+    def test_wrongly_typed_field_exits_two(self, tmp_path, command, doc, field):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        result = run(command + [str(path)])
+        assert result.exit_code == 2
+        assert field in result.diagnostics[0]
 
     def test_unknown_flag_exits_two(self, capsys):
         assert run(["alpha", "--nope"]).exit_code == 2

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precedence import (
     DomainError,
@@ -39,6 +41,19 @@ def random_model(m: int, rng: random.Random) -> OrderDependentLSModel:
                 if j not in prefix:
                     rates[(prefix, j)] = Fraction(rng.randint(1, 12), rng.randint(1, 12))
     return OrderDependentLSModel(m, rates)
+
+
+@st.composite
+def sparse_laws(draw, min_m=5, max_m=6):
+    """A law on a few permutations of [m], with small integer weight ratios."""
+    m = draw(st.integers(min_m, max_m))
+    perms = draw(
+        st.lists(st.permutations(range(1, m + 1)), min_size=1, max_size=8, unique_by=tuple)
+    )
+    raw = draw(st.lists(st.integers(1, 20), min_size=len(perms), max_size=len(perms)))
+    return PermutationDistribution(
+        m, {tuple(p): Fraction(w, sum(raw)) for p, w in zip(perms, raw)}
+    )
 
 
 class TestRateTables:
@@ -125,7 +140,22 @@ class TestAlphaFamilyLS:
         rng = random.Random(99)
         for m in (2, 3, 4, 5, 6):
             model = random_model(m, rng)
-            assert alpha_family_ls(model) == alpha_family(distribution_of(model))
+            fam = alpha_family_ls(model)
+            assert fam == alpha_family(distribution_of(model))
+            assert fam == alpha_family_bruteforce(distribution_of(model))
+
+    @settings(max_examples=25, deadline=None)
+    @given(rho=sparse_laws())
+    def test_every_route_matches_the_oracle_on_sparse_laws(self, rho):
+        oracle = alpha_family_bruteforce(rho)
+        assert alpha_family(rho) == oracle
+        model = invert_to_ls(rho)
+        assert alpha_family_ls(model) == oracle
+        for members in oracle.sets():
+            if len(members) < rho.m:
+                for i in members:
+                    beta, gamma = beta_gamma_split(model, members, i)
+                    assert beta + gamma == oracle.alpha(members, i)
 
     def test_set_invariant_memoized_path_equals_oracles(self):
         for seed in range(5):

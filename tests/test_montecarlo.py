@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -122,6 +123,13 @@ class TestEstimateAlphas:
             sample_trajectories(example_model, n, seed=9), 3
         )
         assert summary.empirical_alpha == from_times
+        # and both match a plain winner scan of the order counts
+        subsets = [s for size in (2, 3) for s in itertools.combinations((1, 2, 3), size)]
+        wins = {(members, j): 0 for members in subsets for j in members}
+        for perm, c in summary.order_counts.items():
+            for members in subsets:
+                wins[(members, next(x for x in perm if x in members))] += c
+        assert summary.empirical_alpha == {key: w / n for key, w in wins.items()}
 
     def test_json_includes_exact_targets_when_asked(self, example_model):
         summary = estimate_alphas(example_model, 100, seed=0)

@@ -12,6 +12,7 @@ from precedence import (
     RankingPattern,
     VotingSituation,
     alpha_family,
+    alpha_family_bruteforce,
     check_n_concordance,
     enumerate_patterns,
     induced_pattern,
@@ -103,10 +104,12 @@ class TestTally:
         for m in (2, 3, 4, 5):
             vs = random_situation(m, rng)
             fam = alpha_family(rho_from_voting(vs))
+            oracle = alpha_family_bruteforce(rho_from_voting(vs))
             table = tally(vs)
             for members in fam.sets():
                 for j in members:
                     assert table.votes(members, j) == vs.n * fam.alpha(members, j)
+                    assert table.votes(members, j) == vs.n * oracle.alpha(members, j)
 
 
 class TestNConcordance:
