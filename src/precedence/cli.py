@@ -186,9 +186,7 @@ def _cmd_signature_invert(args) -> CommandResult:
 
 def _cmd_simulate(args) -> CommandResult:
     model = _load_model(args.model)
-    summary = montecarlo.estimate_alphas(
-        model, n_samples=args.samples, seed=args.seed, workers=args.workers
-    )
+    summary = montecarlo.estimate_alphas(model, n_samples=args.samples, seed=args.seed)
     exact = None
     if args.reference:
         exact = loadsharing.alpha_family_ls(_load_model(args.reference))
@@ -268,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--reference", help="model file whose exact alphas are shown side-by-side")
 
     return parser

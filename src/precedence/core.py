@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import DomainError, RationalParseError
+from .errors import DomainError, InputFormatError, RationalParseError
 
 Rational = Fraction
 
@@ -34,9 +34,10 @@ DEFAULT_MAX_M = 8
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Grammar: "<int>" or "<int>/<posint>". Stricter than Fraction(str), which
-# would also accept decimals and exponents.
-RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# Grammar: "<int>" or "<int>/<posint>" in ASCII digits. Stricter than
+# Fraction(str), which would also accept decimals, exponents, underscores,
+# surrounding whitespace and non-ASCII digits.
+RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?\Z")
 
 
 def rational_parse(text: str) -> Fraction:
@@ -46,6 +47,15 @@ def rational_parse(text: str) -> Fraction:
     if "/" in text and text.split("/")[1].lstrip("0") == "":
         raise RationalParseError(f"zero denominator: {text!r}")
     return Fraction(text)
+
+
+def decimal_int(value: object, where: str) -> int:
+    """An int, or the int that an ASCII decimal string ``[0-9]+`` spells."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    raise InputFormatError(f"{where}: {value!r} is not an integer or a decimal string")
 
 
 def rational_format(value: Fraction | int) -> str:

@@ -366,40 +366,34 @@ def _walk(
             stack.extend(reversed(children))
 
 
-def _failure_orders(model: LoadSharingModel) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """(permutation, probability) of each reachable failure order.
+def _failure_law(model: LoadSharingModel) -> dict[tuple[int, ...], Fraction]:
+    """The probability of each reachable failure order.
 
     A permutation's probability is that of its (m-1)-prefix: the last
-    survivor fails with certainty, so its rate is never read.
+    survivor fails with certainty, so its rate is never read. Raises
+    InvalidModelError when a reachable prefix has zero total rate, since
+    the collected weights then sum below 1.
     """
     m = model.m
-    if m == 1:
-        yield (1,), ONE
-        return
+    weights = {(1,): ONE} if m == 1 else {}  # at m = 1 no prefix has length m - 2
     for prefix, prob, total in _walk(model, range(1, m + 1), m - 2):
         if len(prefix) == m - 2:
             a, b = (j for j in range(1, m + 1) if j not in prefix)
             for j, last in ((a, b), (b, a)):
                 mu = model.rate(prefix, j)
                 if mu:
-                    yield prefix + (j, last), prob * mu / total
-
-
-def distribution_of(model: LoadSharingModel) -> PermutationDistribution:
-    """The exact failure-order law induced by the rate table.
-
-    Each permutation's weight is the probability of its (m-1)-prefix; the
-    last surviving component fails with certainty. Raises
-    InvalidModelError when a reachable prefix has zero total rate, since
-    the collected weights then sum below 1.
-    """
-    weights = dict(_failure_orders(model))
+                    weights[prefix + (j, last)] = prob * mu / total
     mass = sum(weights.values(), ZERO)
     if mass != 1:
         raise InvalidModelError(
             f"reachable total rate vanished before exhaustion: mass {mass} != 1"
         )
-    return PermutationDistribution(model.m, weights)
+    return weights
+
+
+def distribution_of(model: LoadSharingModel) -> PermutationDistribution:
+    """The exact failure-order law induced by the rate table (see :func:`_failure_law`)."""
+    return PermutationDistribution(model.m, _failure_law(model))
 
 
 def _set_invariant_table(model: SetInvariantLSModel) -> dict[tuple[int, int], Fraction]:
@@ -432,12 +426,13 @@ def alpha_family_ls(model: LoadSharingModel) -> WinningProbabilityFamily:
 
     The failed-set table comes from a DP over failed sets for set-invariant
     models and from the reachable failure orders otherwise. Equals
-    ``alpha_family(distribution_of(model))`` exactly.
+    ``alpha_family(distribution_of(model))`` exactly, and raises the same
+    InvalidModelError on a model whose reachable rates vanish.
     """
     if isinstance(model, SetInvariantLSModel):
         h = _set_invariant_table(model)
     else:
-        h = failed_set_table(_failure_orders(model))
+        h = failed_set_table(_failure_law(model).items())
     return WinningProbabilityFamily(model.m, winner_sums(model.m, h))
 
 

@@ -8,27 +8,30 @@ here follows the model's exact permutation law; the empirical statistics
 exist to cross-check the exact machinery, with explicit statistical
 tolerances (exact targets are never replaced).
 
+Sampling is level-synchronous: each block of ``CHUNK_TRAJECTORIES``
+samples takes one numpy step per failure, every sample reading the float
+CDF row of its current prefix. Rows are built once per reached prefix, so
+a prefix with zero total rate raises only when a sample reaches it.
+
 Reproducibility: a counter-based generator (Philox) is keyed once from
-the seed, and trajectories are laid out in fixed blocks of
-``CHUNK_TRAJECTORIES`` regardless of how many workers consume them.
-Reductions sum integer counts only. Summaries are therefore bit-identical
-for a fixed seed, whatever the worker count; rates are converted to
-floating point only inside the sampler.
+the seed, and block i always draws from counter i, its uniforms before
+its exponentials. Reductions sum integer counts only, so summaries are
+bit-identical for a fixed seed; rates are converted to floating point
+only inside the sampler.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from .core import rational_format
+from .core import ZERO, rational_format
 from .errors import DomainError, SimulationError
-from .loadsharing import LoadSharingModel, total_rate
+from .loadsharing import LoadSharingModel
 from .permdist import WinningProbabilityFamily, failed_set_table, winner_sums
 
 CHUNK_TRAJECTORIES = 4096
@@ -42,27 +45,20 @@ class Trajectory:
     times: tuple[float, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SimulationSummary:
-    """Empirical failure-order statistics from ``samples`` trajectories."""
+    """Empirical failure-order statistics from ``samples`` trajectories.
+
+    The estimates derive from the order counts alone, so two summaries of
+    the same counts are equal.
+    """
 
     m: int
     samples: int
     seed: int
-    workers: int
     order_counts: Mapping[tuple[int, ...], int]
     empirical_rho: Mapping[tuple[int, ...], float]
     empirical_alpha: Mapping[tuple[tuple[int, ...], int], float]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SimulationSummary):
-            return NotImplemented
-        return (
-            self.m == other.m
-            and self.samples == other.samples
-            and self.seed == other.seed
-            and dict(self.order_counts) == dict(other.order_counts)
-        )
 
     def to_json_dict(self, exact: WinningProbabilityFamily | None = None) -> dict:
         alpha_rows = []
@@ -80,7 +76,6 @@ class SimulationSummary:
             "m": self.m,
             "samples": self.samples,
             "seed": self.seed,
-            "workers": self.workers,
             "orders": [
                 {
                     "perm": list(perm),
@@ -93,157 +88,157 @@ class SimulationSummary:
         }
 
 
+class _Level:
+    """The reached prefixes of one length, one row each.
+
+    A row holds the prefix's survivors, the float CDF of the next victim,
+    the float total rate, and each child's row in the next level (-1 until
+    a sample takes that branch).
+    """
+
+    def __init__(self, k: int):
+        self.prefixes: list[tuple[int, ...]] = []
+        self.survivors = np.empty((0, k), np.intp)
+        self.cum = np.empty((0, k))
+        self.total = np.empty(0)
+        self.child = np.empty((0, k), np.intp)
+
+
 class _SamplerTables:
-    """Float transition tables, built lazily per visited prefix."""
+    """Float transition tables, built lazily per reached prefix, one level per step."""
 
     def __init__(self, model: LoadSharingModel):
         self.model = model
         self.m = model.m
-        self._cache: dict[tuple[int, ...], tuple[tuple[int, ...], np.ndarray, float]] = {}
+        self.levels = [_Level(self.m - r) for r in range(self.m)]
+        self._extend(0, [()])
 
-    def at(self, prefix: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray, float]:
-        hit = self._cache.get(prefix)
-        if hit is not None:
-            return hit
-        total = total_rate(self.model, prefix)
+    def _row(self, prefix: tuple[int, ...]) -> tuple[list[int], np.ndarray, float]:
+        failed = set(prefix)
+        survivors = [j for j in range(1, self.m + 1) if j not in failed]
+        rates = [self.model.rate(prefix, j) for j in survivors]
+        total = sum(rates, ZERO)
         if total <= 0:
             raise SimulationError(
                 f"zero total rate at reached prefix {prefix}; model invalid on support"
             )
-        failed = set(prefix)
-        survivors = tuple(j for j in range(1, self.m + 1) if j not in failed)
-        cum = np.cumsum(
-            [float(self.model.rate(prefix, j) / total) for j in survivors]
-        )
+        # int true division rounds correctly, so this is float(mu / total)
+        cum = np.cumsum([
+            mu.numerator * total.denominator / (mu.denominator * total.numerator)
+            for mu in rates
+        ])
         cum[-1] = 1.0  # guard against float round-off in the last bin
-        entry = (survivors, cum, float(total))
-        self._cache[prefix] = entry
-        return entry
+        return survivors, cum, float(total)
 
+    def _extend(self, r: int, prefixes: list[tuple[int, ...]]) -> None:
+        survivors, cum, total = zip(*(self._row(prefix) for prefix in prefixes))
+        level = self.levels[r]
+        level.prefixes += prefixes
+        level.survivors = np.vstack([level.survivors, survivors])
+        level.cum = np.vstack([level.cum, cum])
+        level.total = np.concatenate([level.total, total])
+        level.child = np.vstack([level.child, np.full((len(prefixes), self.m - r), -1)])
 
-def _walk(
-    tables: _SamplerTables, uniforms: np.ndarray, exponentials: np.ndarray
-) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    prefix: tuple[int, ...] = ()
-    t = 0.0
-    times = []
-    for step in range(tables.m):
-        survivors, cum, total = tables.at(prefix)
-        # side="right" keeps zero-probability survivors unreachable even
-        # when the uniform lands exactly on a bin boundary
-        idx = int(np.searchsorted(cum, uniforms[step], side="right"))
-        victim = survivors[min(idx, len(survivors) - 1)]
-        t += exponentials[step] / total
-        times.append(t)
-        prefix = prefix + (victim,)
-    return prefix, tuple(times)
+    def walk(
+        self, uniforms: np.ndarray, exponentials: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Walk every sample of a block at once, one failure step at a time.
+
+        Returns each sample's row in the last level, whose prefix and lone
+        survivor spell its failure order, and the failure times when
+        ``exponentials`` are given.
+        """
+        node = np.zeros(len(uniforms), np.intp)
+        sojourns = []
+        for r, level in enumerate(self.levels):
+            if exponentials is not None:
+                sojourns.append(exponentials[:, r] / level.total[node])
+            if r == self.m - 1:
+                break
+            # the count of CDF entries <= u is searchsorted(side="right"): it
+            # keeps zero-probability survivors unreachable even when u lands
+            # exactly on a bin boundary
+            idx = np.count_nonzero(level.cum[node] <= uniforms[:, r, None], axis=1)
+            np.minimum(idx, self.m - r - 1, out=idx)
+            new = level.child[node, idx] < 0
+            if new.any():
+                branches = np.unique(node[new] * (self.m - r) + idx[new])
+                parents, picks = np.divmod(branches, self.m - r)
+                start = len(self.levels[r + 1].prefixes)
+                self._extend(r + 1, [
+                    level.prefixes[p] + (int(level.survivors[p, c]),)
+                    for p, c in zip(parents.tolist(), picks.tolist())
+                ])
+                level.child[parents, picks] = np.arange(start, start + len(branches))
+            node = level.child[node, idx]
+        # add.accumulate sums left to right, as a running clock would
+        return node, np.cumsum(sojourns, axis=0).T if sojourns else None
+
+    def order(self, leaf: int) -> tuple[int, ...]:
+        last = self.levels[-1]
+        return last.prefixes[leaf] + (int(last.survivors[leaf, 0]),)
 
 
 def sample_trajectory(model: LoadSharingModel, rng: np.random.Generator) -> Trajectory:
-    """Draw one failure history from ``rng`` (two draws per failure)."""
+    """Draw one failure history from ``rng``: m uniforms, then m exponentials."""
     tables = _SamplerTables(model)
-    uniforms = rng.random(model.m)
-    exponentials = rng.standard_exponential(model.m)
-    order, times = _walk(tables, uniforms, exponentials)
-    return Trajectory(order, times)
+    leaf, times = tables.walk(rng.random((1, model.m)), rng.standard_exponential((1, model.m)))
+    return Trajectory(tables.order(int(leaf[0])), tuple(times[0].tolist()))
 
 
-def _philox_key(seed: int) -> int:
+def _blocks(
+    n_samples: int, seed: int, m: int, times: bool
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """The uniforms, then the exponentials if ``times``, of each sample block."""
+    if n_samples < 1:
+        raise DomainError(f"need at least one sample, got {n_samples}")
     words = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    return int(words[0]) | (int(words[1]) << 64)
-
-
-def _chunk_generator(key: int, chunk_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=key, counter=chunk_index << 128))
-
-
-def _iter_chunk(
-    tables: _SamplerTables, key: int, chunk_index: int, size: int
-) -> Iterator[tuple[tuple[int, ...], tuple[float, ...]]]:
-    rng = _chunk_generator(key, chunk_index)
-    uniforms = rng.random((size, tables.m))
-    exponentials = rng.standard_exponential((size, tables.m))
-    for row in range(size):
-        yield _walk(tables, uniforms[row], exponentials[row])
+    key = int(words[0]) | (int(words[1]) << 64)
+    starts = range(0, n_samples, CHUNK_TRAJECTORIES)
+    rngs = (np.random.Generator(np.random.Philox(key=key, counter=i << 128)) for i in count())
+    sizes = (min(CHUNK_TRAJECTORIES, n_samples - start) for start in starts)
+    return (
+        (rng.random((size, m)), rng.standard_exponential((size, m)) if times else None)
+        for size, rng in zip(sizes, rngs)
+    )
 
 
 def sample_trajectories(
     model: LoadSharingModel, n_samples: int, seed: int
 ) -> Iterator[Trajectory]:
     """The exact trajectory stream :func:`estimate_alphas` consumes."""
+    blocks = _blocks(n_samples, seed, model.m, times=True)
     tables = _SamplerTables(model)
-    key = _philox_key(seed)
-    produced = 0
-    chunk_index = 0
-    while produced < n_samples:
-        size = min(CHUNK_TRAJECTORIES, n_samples - produced)
-        for order, times in _iter_chunk(tables, key, chunk_index, size):
-            yield Trajectory(order, times)
-        produced += size
-        chunk_index += 1
-
-
-def _chunk_order_counts(
-    model: LoadSharingModel, seed: int, chunk_index: int, size: int
-) -> Counter:
-    tables = _SamplerTables(model)
-    key = _philox_key(seed)
-    counts: Counter = Counter()
-    for order, _ in _iter_chunk(tables, key, chunk_index, size):
-        counts[order] += 1
-    return counts
+    return (
+        Trajectory(tables.order(leaf), tuple(row))
+        for leaves, times in (tables.walk(*block) for block in blocks)
+        for leaf, row in zip(leaves.tolist(), times.tolist())
+    )
 
 
 def estimate_alphas(
-    model: LoadSharingModel, n_samples: int, seed: int = 0, workers: int = 1
+    model: LoadSharingModel, n_samples: int, seed: int = 0
 ) -> SimulationSummary:
     """Empirical failure-order frequencies and winning-probability estimates.
 
     Deterministic for a fixed seed: trajectory i always comes from the
-    same substream block, so the counts do not depend on ``workers``, which
-    the CPU count caps (the pool starts every worker at its first submit).
+    same substream block. The exponentials are not drawn; they come after
+    the uniforms in each block, so the counts are those of
+    :func:`sample_trajectories`.
     """
-    if n_samples < 1:
-        raise DomainError(f"need at least one sample, got {n_samples}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
-    cpus = os.cpu_count() or 1
-    if workers > cpus:
-        raise DomainError(f"workers must be <= the CPU count {cpus}, got {workers}")
-    chunks = []
-    produced = 0
-    index = 0
-    while produced < n_samples:
-        size = min(CHUNK_TRAJECTORIES, n_samples - produced)
-        chunks.append((index, size))
-        produced += size
-        index += 1
-
-    counts: Counter = Counter()
-    if workers == 1:
-        tables = _SamplerTables(model)
-        key = _philox_key(seed)
-        for chunk_index, size in chunks:
-            for order, _ in _iter_chunk(tables, key, chunk_index, size):
-                counts[order] += 1
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_chunk_order_counts, model, seed, chunk_index, size)
-                for chunk_index, size in chunks
-            ]
-            for future in futures:
-                counts.update(future.result())
-
-    empirical_rho = {perm: c / n_samples for perm, c in counts.items()}
+    blocks = _blocks(n_samples, seed, model.m, times=False)
+    tables = _SamplerTables(model)
+    hits: Counter = Counter()  # samples per row of the last level
+    for uniforms, _ in blocks:
+        hits.update(tables.walk(uniforms)[0].tolist())
+    counts = {tables.order(leaf): c for leaf, c in hits.items()}
     wins = winner_sums(model.m, failed_set_table(counts.items()))
     return SimulationSummary(
         m=model.m,
         samples=n_samples,
         seed=seed,
-        workers=workers,
-        order_counts=dict(counts),
-        empirical_rho=empirical_rho,
+        order_counts=counts,
+        empirical_rho={perm: c / n_samples for perm, c in counts.items()},
         empirical_alpha={key: c / n_samples for key, c in wins.items()},
     )
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import SubsetMask, check_dimension, subset_members, subsets_of_size_at_least
+from .core import decimal_int
 from .errors import DomainError, InputFormatError
 from .permdist import WinningProbabilityFamily
 
@@ -150,9 +151,12 @@ class RankingPattern:
             ranks = entry["ranks"]
             if not isinstance(ranks, dict) or any(type(r) is not int for r in ranks.values()):
                 raise InputFormatError(f"{where}.ranks: {ranks!r} is not an object of integers")
+            keys = [decimal_int(k, f"{where}.ranks") for k in ranks]
+            if len(set(keys)) < len(keys):
+                raise InputFormatError(f"{where}.ranks: {list(ranks)} name an index twice")
             try:
                 members = tuple(sorted(entry["set"]))
-                ranks = {int(k): r for k, r in ranks.items()}
+                ranks = dict(zip(keys, ranks.values()))
                 fns.append(RankingFunction.of(members, ranks))
             except (DomainError, KeyError, TypeError, ValueError) as ex:
                 raise InputFormatError(f"{where}: {ex}") from ex

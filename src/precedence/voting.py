@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .core import check_dimension, validate_permutation
+from .core import check_dimension, decimal_int, validate_permutation
 from .errors import DomainError, InputFormatError
 from .loadsharing import EpsilonSchedule, distribution_of
 from .permdist import PermutationDistribution, failed_set_table, integer_weights, winner_sums
@@ -85,9 +85,7 @@ class VotingSituation:
                 perm = validate_permutation(doc["m"], entry["perm"])
                 if perm in counts:
                     raise InputFormatError(f"{where}.perm: duplicate permutation")
-                if type(entry["n"]) not in (int, str):
-                    raise InputFormatError(f"{where}.n: {entry['n']!r} is not an integer")
-                counts[perm] = int(entry["n"])
+                counts[perm] = decimal_int(entry["n"], f"{where}.n")
             except InputFormatError:
                 raise
             except (DomainError, TypeError, ValueError) as ex:

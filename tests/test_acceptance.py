@@ -237,13 +237,13 @@ def test_criterion_11_monte_carlo_consistency(example_law):
     with report(11, "Monte Carlo at N=200000: 4-sigma agreement, reproducible", 30.0):
         model = invert_to_ls(example_law)
         n = 200_000
-        summary = estimate_alphas(model, n, seed=7, workers=1)
+        summary = estimate_alphas(model, n, seed=7)
         exact = alpha_family_ls(model)
         for (members, j), freq in summary.empirical_alpha.items():
             target = float(exact.alpha(members, j))
             tolerance = 4 * math.sqrt(target * (1 - target) / n)
             assert abs(freq - target) < tolerance, (members, j)
-        rerun = estimate_alphas(model, n, seed=7, workers=1)
+        rerun = estimate_alphas(model, n, seed=7)
         assert rerun == summary
         assert rerun.empirical_alpha == summary.empirical_alpha
         assert rerun.empirical_rho == summary.empirical_rho

@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -207,6 +206,7 @@ class TestSimulateCommand:
         assert result.exit_code == 0
         doc = result.payload
         assert doc["samples"] == 2000 and doc["seed"] == 3
+        assert set(doc) == {"m", "samples", "seed", "orders", "alpha"}
         by_set = {tuple(r["set"]): r for r in doc["alpha"]}
         assert by_set[(2, 3)]["exact"]["3"] == "2/3"
         rerun = run(
@@ -215,15 +215,6 @@ class TestSimulateCommand:
         )
         assert rerun.payload == doc
 
-    def test_workers_above_cpu_count_is_input_error(self, law_file, tmp_path):
-        model_file = tmp_path / "model.json"
-        model_file.write_text(json.dumps(run(["ls", "invert", "--dist", law_file]).payload))
-        result = run(
-            ["simulate", "--model", str(model_file), "--samples", "10",
-             "--workers", str(os.cpu_count() + 1)]
-        )
-        assert result.exit_code == 2
-        assert "workers" in result.diagnostics[0]
 
 
 class TestErrorPaths:
@@ -289,6 +280,42 @@ class TestErrorPaths:
         result = run(command + [str(path)])
         assert result.exit_code == 2
         assert field in result.diagnostics[0]
+
+    @pytest.mark.parametrize(
+        "command, doc, field",
+        [
+            *(
+                (["vote", "tally", "--votes"],
+                 {"m": 2, "counts": [{"perm": [1, 2], "n": n}]},
+                 "counts[0].n")
+                for n in ("1_000", " 5", "+5", "\u0663")
+            ),
+            *(
+                (["concord", "certify", "--pattern"],
+                 {"m": 2, "functions": [{"set": [1, 2], "ranks": {key: 1, "2": 2}}]},
+                 "functions[0].ranks")
+                for key in (" 1", "+1", "\u0661")
+            ),
+            (
+                ["concord", "certify", "--pattern"],
+                {"m": 2, "functions": [{"set": [1, 2], "ranks": {"1": 1, "01": 2, "2": 2}}]},
+                "functions[0].ranks",
+            ),
+        ],
+        ids=["count-underscore", "count-space", "count-plus", "count-arabic-digit",
+             "rank-key-space", "rank-key-plus", "rank-key-arabic-digit", "rank-key-twice"],
+    )
+    def test_non_decimal_integer_exits_two(self, tmp_path, command, doc, field):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        result = run(command + [str(path)])
+        assert result.exit_code == 2
+        assert field in result.diagnostics[0]
+
+    def test_workers_flag_is_gone(self, capsys):
+        result = run(["simulate", "--model", "m.json", "--samples", "1", "--workers", "2"])
+        assert result.diagnostics == ["argument parsing failed"]
+        assert "--workers" in capsys.readouterr().err
 
     def test_unknown_flag_exits_two(self, capsys):
         assert run(["alpha", "--nope"]).exit_code == 2

@@ -26,7 +26,11 @@ class TestRationalParsing:
     def test_parse(self, text, expected):
         assert rational_parse(text) == expected
 
-    @pytest.mark.parametrize("bad", ["1/0", "3/00", "1.5", "1e3", "a", "1/-2", "", "1/2/3"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["1/0", "3/00", "1.5", "1e3", "a", "1/-2", "", "1/2/3",
+         "1_000", " 5", "5\n", "\u0663", "1/\u0662"],
+    )
     def test_rejects(self, bad):
         with pytest.raises(RationalParseError):
             rational_parse(bad)

@@ -130,6 +130,16 @@ class TestAlphaFamilyLS:
         assert fam.alpha((1, 3), 3) == Fraction(5, 9)
         assert fam.alpha((2, 3), 2) == Fraction(1, 3)
 
+    def test_vanishing_reachable_total_is_invalid(self):
+        # 1 fails first, then 2, then no survivor of (1, 2) has a rate
+        model = OrderDependentLSModel(
+            4, {((), 1): Fraction(1), ((1,), 2): Fraction(1)}, default=Fraction(0)
+        )
+        with pytest.raises(InvalidModelError):
+            distribution_of(model)
+        with pytest.raises(InvalidModelError):
+            alpha_family_ls(model)
+
     def test_constant_model_exchangeable(self):
         fam = alpha_family_ls(OrderDependentLSModel.constant(4))
         for members in fam.sets():

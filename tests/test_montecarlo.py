@@ -1,25 +1,58 @@
 import itertools
 import math
+import random
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from precedence import (
+    DomainError,
     OrderDependentLSModel,
     PermutationDistribution,
     SimulationError,
+    Trajectory,
     alpha_family_ls,
+    build_ls_epsilon,
     distribution_of,
+    enumerate_patterns,
+    epsilon_schedule,
     estimate_alphas,
     invert_to_ls,
     sample_trajectories,
     sample_trajectory,
+    total_rate,
 )
-from precedence.montecarlo import empirical_alpha_from_times
+from precedence.montecarlo import CHUNK_TRAJECTORIES, empirical_alpha_from_times
+from tests.conftest import random_distribution
 
 
 def four_sigma(p: float, n: int) -> float:
     return 4 * math.sqrt(p * (1 - p) / n)
+
+
+def loop_trajectories(model, n_samples, seed):
+    """Reference: the same Philox blocks, walked one sample and one failure at a time."""
+    words = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    key = int(words[0]) | (int(words[1]) << 64)
+    for index, start in enumerate(range(0, n_samples, CHUNK_TRAJECTORIES)):
+        rng = np.random.Generator(np.random.Philox(key=key, counter=index << 128))
+        size = min(CHUNK_TRAJECTORIES, n_samples - start)
+        uniforms = rng.random((size, model.m))
+        exponentials = rng.standard_exponential((size, model.m))
+        for u, e in zip(uniforms, exponentials):
+            prefix, t, times = (), 0.0, []
+            for step in range(model.m):
+                survivors = [j for j in range(1, model.m + 1) if j not in prefix]
+                total = total_rate(model, prefix)
+                cum = np.cumsum([float(model.rate(prefix, j) / total) for j in survivors])
+                cum[-1] = 1.0
+                idx = int(np.searchsorted(cum, u[step], side="right"))
+                t += e[step] / float(total)
+                times.append(t)
+                prefix += (survivors[min(idx, len(survivors) - 1)],)
+            yield Trajectory(prefix, tuple(times))
 
 
 class TestSampleTrajectory:
@@ -29,6 +62,36 @@ class TestSampleTrajectory:
         assert sorted(tr.order) == [1, 2, 3]
         assert list(tr.times) == sorted(tr.times)
         assert all(t > 0 for t in tr.times)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_block_walk_equals_the_per_sample_loop(self, m):
+        rng = random.Random(m)
+        models = [OrderDependentLSModel.constant(1)]
+        if m >= 2:  # dense and sparse order-dependent, and set-invariant
+            sigma = next(enumerate_patterns(m, non_weak_only=True, seed=m, limit=1))
+            models = [invert_to_ls(random_distribution(m, rng, sparse=s)) for s in (False, True)]
+            models.append(build_ls_epsilon(sigma, epsilon_schedule(m)))
+        n = CHUNK_TRAJECTORIES + 50 if m == 3 else 300  # m = 3 spans two blocks
+        for model in models:
+            expected = list(loop_trajectories(model, n, seed=m))
+            assert list(sample_trajectories(model, n, seed=m)) == expected
+            assert estimate_alphas(model, n, seed=m).order_counts == Counter(
+                t.order for t in expected
+            )
+
+    @pytest.mark.parametrize("u, first", [(0.0, 2), (0.5, 3)])
+    def test_uniform_on_a_bin_boundary_skips_zero_rate_survivors(self, u, first):
+        class FixedDraws:  # a uniform exactly on a CDF entry, which Philox rarely hits
+            def random(self, size):
+                return np.full(size, u)
+
+            def standard_exponential(self, size):
+                return np.ones(size)
+
+        # first-step CDFs: (0, 1/2, 1) with 1 dead, (1/2, 1/2, 1) with 2 dead
+        dead = 1 if u == 0.0 else 2
+        model = OrderDependentLSModel(3, {((), dead): Fraction(0)}, default=1)
+        assert sample_trajectory(model, FixedDraws()).order[0] == first
 
     def test_point_mass_model_is_deterministic(self):
         model = invert_to_ls(PermutationDistribution.point_mass((2, 3, 1)))
@@ -54,11 +117,44 @@ class TestEstimateAlphas:
         b = estimate_alphas(example_model, 5000, seed=2)
         assert a.order_counts != b.order_counts
 
-    def test_worker_count_does_not_change_counts(self, example_model):
-        serial = estimate_alphas(example_model, 6000, seed=5, workers=1)
-        parallel = estimate_alphas(example_model, 6000, seed=5, workers=2)
-        assert serial.order_counts == parallel.order_counts
-        assert parallel.workers == 2
+    def test_draws_are_pinned(self, example_model):
+        # a seed fixes the Philox block layout, hence every order and time
+        summary = estimate_alphas(example_model, 5000, seed=42)
+        assert summary.order_counts == {
+            (1, 2, 3): 575, (1, 3, 2): 1100, (2, 1, 3): 552,
+            (2, 3, 1): 534, (3, 1, 2): 820, (3, 2, 1): 1419,
+        }
+        first, second = sample_trajectories(example_model, 2, seed=9)
+        assert first == Trajectory(
+            (2, 1, 3), (0.18081636404909973, 1.2691386814461914, 1.9537022829376902)
+        )
+        assert second == Trajectory(
+            (3, 2, 1), (0.34211484032489553, 0.5857789015050255, 0.855849978600272)
+        )
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_sample_count_below_one_is_domain_error(self, example_model, n):
+        with pytest.raises(DomainError):
+            estimate_alphas(example_model, n, seed=0)
+        with pytest.raises(DomainError):
+            sample_trajectories(example_model, n, seed=0)
+
+    def test_zero_total_rate_at_a_reached_prefix_raises(self):
+        # every sample fails 1 first, and nothing survives prefix (1,)
+        model = OrderDependentLSModel(3, {((), 1): Fraction(1)}, default=0)
+        with pytest.raises(SimulationError):
+            estimate_alphas(model, 5000, seed=0)
+        with pytest.raises(SimulationError):
+            list(sample_trajectories(model, 5000, seed=0))
+
+    def test_zero_total_rate_at_an_unreached_prefix_is_fine(self):
+        # component 3 never fails first, so the dead prefix (3,) is never reached
+        model = OrderDependentLSModel(
+            3, {((), 3): Fraction(0), ((3,), 1): Fraction(0), ((3,), 2): Fraction(0)},
+            default=1,
+        )
+        summary = estimate_alphas(model, 5000, seed=0)
+        assert all(perm[0] != 3 for perm in summary.order_counts)
 
     def test_single_sample_is_indicator_valued(self, example_model):
         summary = estimate_alphas(example_model, 1, seed=3)
