@@ -15,6 +15,7 @@ variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -36,8 +37,10 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise PrecedenceError(f"cannot read {path}: no such file")
+    except OSError as ex:  # missing, unreadable, a directory, ...
+        raise PrecedenceError(f"cannot read {path}: {ex.strerror or ex}")
+    except UnicodeDecodeError as ex:
+        raise PrecedenceError(f"{path} is not UTF-8 text: {ex}")
     except json.JSONDecodeError as ex:
         raise PrecedenceError(f"{path} is not valid JSON: {ex}")
 
@@ -193,7 +196,12 @@ def _cmd_simulate(args) -> CommandResult:
     return CommandResult(0, summary.to_json_dict(exact))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call.
+
+    Parsing never mutates it: each ``parse_args`` call fills a fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="precedence",
         description="Exact stochastic-precedence toolkit: winning probabilities, "

@@ -28,7 +28,9 @@ are reductions over one walker of the reachable failure prefixes. Winning
 probabilities sum the failed-set table of :mod:`precedence.permdist`, which
 set-invariant models build by a DP that expands each failed set once, not
 each of its k! orderings; they must agree exactly with the two-step route
-through :func:`distribution_of`.
+through :func:`distribution_of`. On both routes the table is turned into
+integer numerators over one scale before the subset sums, so it holds ints
+only and each alpha becomes a Fraction once, as in ``alpha_family``.
 
 For models built from an epsilon schedule the total rate of h survivors
 closes to h - h*(h-1)/2 * eps(h) when the subset's ranking is tie-free:
@@ -58,7 +60,11 @@ from .core import (
 )
 from .errors import DomainError, InputFormatError, InvalidModelError, ScheduleError
 from .permdist import (
-    PermutationDistribution, WinningProbabilityFamily, failed_set_table, winner_sums
+    PermutationDistribution,
+    WinningProbabilityFamily,
+    failed_set_table,
+    family_from_table,
+    integer_weights,
 )
 
 
@@ -400,23 +406,24 @@ def _set_invariant_table(model: SetInvariantLSModel) -> dict[tuple[int, int], Fr
     """The failed-set table of a set-invariant model, expanding each failed set once.
 
     h[(S, j)] = P(S fails first) * mu_j(S) / M(S), and P(S + j) sums them.
+    The rates of each survivor set are read once, and M(S) is their sum.
     """
     m = model.m
+    rates = model.mu_by_survivors
     h: dict[tuple[int, int], Fraction] = {}
     level = {0: ONE}
     for _ in range(m - 1):
         reached: dict[int, Fraction] = {}
         for mask, prob in level.items():
-            failed = tuple(i for i in range(1, m + 1) if mask >> (i - 1) & 1)
-            total = total_rate(model, failed)
-            for j in range(1, m + 1):
-                if not mask >> (j - 1) & 1:
-                    mu = model.rate(failed, j)
-                    if mu:
-                        step = prob * mu / total
-                        h[(mask, j)] = step
-                        grown = mask | 1 << (j - 1)
-                        reached[grown] = reached.get(grown, ZERO) + step
+            survivors = tuple(i for i in range(1, m + 1) if not mask >> (i - 1) & 1)
+            mus = [rates[(survivors, j)] for j in survivors]
+            share = prob / sum(mus, ZERO)  # the model guarantees a positive total
+            for j, mu in zip(survivors, mus):
+                if mu:
+                    step = share * mu
+                    h[(mask, j)] = step
+                    grown = mask | 1 << (j - 1)
+                    reached[grown] = reached.get(grown, ZERO) + step
         level = reached
     return h
 
@@ -425,15 +432,17 @@ def alpha_family_ls(model: LoadSharingModel) -> WinningProbabilityFamily:
     """Winning probabilities straight from the rates, no distribution detour.
 
     The failed-set table comes from a DP over failed sets for set-invariant
-    models and from the reachable failure orders otherwise. Equals
+    models and from the reachable failure orders otherwise; either way its
+    subset sums run on integer numerators over one scale. Equals
     ``alpha_family(distribution_of(model))`` exactly, and raises the same
     InvalidModelError on a model whose reachable rates vanish.
     """
     if isinstance(model, SetInvariantLSModel):
-        h = _set_invariant_table(model)
+        h, scale = integer_weights(_set_invariant_table(model))
     else:
-        h = failed_set_table(_failure_law(model).items())
-    return WinningProbabilityFamily(model.m, winner_sums(model.m, h))
+        numerators, scale = integer_weights(_failure_law(model))
+        h = failed_set_table(numerators.items())
+    return family_from_table(model.m, h, scale)
 
 
 def beta_gamma_split(

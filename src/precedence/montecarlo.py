@@ -11,7 +11,9 @@ tolerances (exact targets are never replaced).
 Sampling is level-synchronous: each block of ``CHUNK_TRAJECTORIES``
 samples takes one numpy step per failure, every sample reading the float
 CDF row of its current prefix. Rows are built once per reached prefix, so
-a prefix with zero total rate raises only when a sample reaches it.
+a prefix with zero total rate raises only when a sample reaches it. A lone
+last survivor fails last whatever its rate, as in the exact law; its rate
+of 0 raises only when a failure time is drawn for it.
 
 Reproducibility: a counter-based generator (Philox) is keyed once from
 the seed, and block i always draws from counter i, its uniforms before
@@ -118,6 +120,9 @@ class _SamplerTables:
         survivors = [j for j in range(1, self.m + 1) if j not in failed]
         rates = [self.model.rate(prefix, j) for j in survivors]
         total = sum(rates, ZERO)
+        if len(survivors) == 1:
+            # the lone survivor fails last at any rate; only its failure time reads the total
+            return survivors, np.ones(1), float(total)
         if total <= 0:
             raise SimulationError(
                 f"zero total rate at reached prefix {prefix}; model invalid on support"
@@ -152,7 +157,13 @@ class _SamplerTables:
         sojourns = []
         for r, level in enumerate(self.levels):
             if exponentials is not None:
-                sojourns.append(exponentials[:, r] / level.total[node])
+                totals = level.total[node]
+                if not totals.all():  # only a lone last survivor can have rate 0
+                    prefix = level.prefixes[int(node[np.argmin(totals)])]
+                    raise SimulationError(
+                        f"zero total rate at reached prefix {prefix}; no failure time exists"
+                    )
+                sojourns.append(exponentials[:, r] / totals)
             if r == self.m - 1:
                 break
             # the count of CDF entries <= u is searchsorted(side="right"): it

@@ -13,7 +13,12 @@ component i is the r-th to fail. From it everything else follows exactly:
 Every winner count in the package (laws, voter counts, Monte Carlo counts,
 load-sharing rates) sums one failed-set table: h[(S, j)] is the weight of
 the orders that fail exactly the set S first and j next, and alpha_j(A)
-sums h[(S, j)] over the subsets S of [m] \\ A. ``alpha_family_bruteforce``
+sums h[(S, j)] over the subsets S of [m] \\ A. The table holds ints only:
+counts as they are, and probabilities as integer numerators over one
+common scale (:func:`integer_weights`), which every exact route
+(:func:`alpha_family` and ``loadsharing.alpha_family_ls``) turns into one
+Fraction per entry only at the end (:func:`family_from_table`), so no
+Fraction gcd runs inside the subset sums. ``alpha_family_bruteforce``
 instead scans every support permutation directly. The two take genuinely
 different routes and must agree bit-for-bit; the brute-force scanner is
 kept as the cross-checking oracle (CLI ``oracle``).
@@ -24,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, TypeVar
+from typing import Iterable, Mapping
 
 from .core import (
     ONE,
@@ -40,8 +45,6 @@ from .core import (
     validate_prefix,
 )
 from .errors import DomainError, InputFormatError
-
-W = TypeVar("W", int, Fraction)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,15 +258,15 @@ def integer_weights(
 
 
 def failed_set_table(
-    orders: Iterable[tuple[tuple[int, ...], W]]
-) -> dict[tuple[int, int], W]:
+    orders: Iterable[tuple[tuple[int, ...], int]]
+) -> dict[tuple[int, int], int]:
     """h[(S, j)]: total weight of the orders that fail exactly S first and j next.
 
     S is a bit mask (bit i-1 for component i). Only the first m-1 positions
     of an order are read: a set S of m-1 failures leaves no subset of two
     members to win, so :func:`winner_sums` never asks for it.
     """
-    h: dict[tuple[int, int], W] = {}
+    h: dict[tuple[int, int], int] = {}
     for perm, w in orders:
         failed = 0
         for j in perm[:-1]:
@@ -272,13 +275,15 @@ def failed_set_table(
     return h
 
 
-def winner_sums(m: int, h: Mapping[tuple[int, int], W]) -> dict[tuple[tuple[int, ...], int], W]:
+def winner_sums(
+    m: int, h: Mapping[tuple[int, int], int]
+) -> dict[tuple[tuple[int, ...], int], int]:
     """Sum h[(S, j)] over the subsets S of [m] \\ A, for every |A| >= 2 and j in A.
 
     With h from :func:`failed_set_table` this is the weight of the orders in
-    which j fails first among A; an entry no order reaches is int 0.
+    which j fails first among A; an entry no order reaches is 0.
     """
-    out: dict[tuple[tuple[int, ...], int], W] = {}
+    out: dict[tuple[tuple[int, ...], int], int] = {}
     for subset in subsets_of_size_at_least(m, 2):
         members = subset.members()
         outside = subset.complement().mask
@@ -294,15 +299,24 @@ def winner_sums(m: int, h: Mapping[tuple[int, int], W]) -> dict[tuple[tuple[int,
     return out
 
 
+def family_from_table(
+    m: int, h: Mapping[tuple[int, int], int], scale: int
+) -> WinningProbabilityFamily:
+    """The winning probabilities of a failed-set table of numerators over ``scale``.
+
+    The subset sums run on ints; each entry becomes a Fraction only here.
+    """
+    sums = winner_sums(m, h)
+    return WinningProbabilityFamily(m, {key: Fraction(n, scale) for key, n in sums.items()})
+
+
 def alpha_family(rho: PermutationDistribution) -> WinningProbabilityFamily:
     """All winning probabilities of ``rho``, from its failed-set table.
 
-    Integer numerators over the lcm of the weight denominators throughout;
-    each entry becomes a Fraction only at the end.
+    Integer numerators over the lcm of the weight denominators throughout.
     """
     numerators, scale = integer_weights(rho.weights)
-    sums = winner_sums(rho.m, failed_set_table(numerators.items()))
-    return WinningProbabilityFamily(rho.m, {key: Fraction(n, scale) for key, n in sums.items()})
+    return family_from_table(rho.m, failed_set_table(numerators.items()), scale)
 
 
 def alpha_family_bruteforce(rho: PermutationDistribution) -> WinningProbabilityFamily:

@@ -10,7 +10,7 @@ from precedence import (
     pattern_cyclic,
     pattern_very_paradox,
 )
-from precedence.cli import run
+from precedence.cli import build_parser, main, run
 from precedence.loadsharing import model_from_json_dict
 from tests.conftest import EXAMPLE_LAW_WEIGHTS
 
@@ -312,6 +312,19 @@ class TestErrorPaths:
         assert result.exit_code == 2
         assert field in result.diagnostics[0]
 
+    @pytest.mark.parametrize(
+        "content", [None, b"\xff\xfe{"], ids=["directory", "not-utf8"]
+    )
+    def test_unreadable_input_exits_two(self, tmp_path, content):
+        path = tmp_path / "doc.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        result = run(["alpha", "--dist", str(path)])
+        assert result.exit_code == 2
+        assert str(path) in result.diagnostics[0]
+
     def test_workers_flag_is_gone(self, capsys):
         result = run(["simulate", "--model", "m.json", "--samples", "1", "--workers", "2"])
         assert result.diagnostics == ["argument parsing failed"]
@@ -320,3 +333,31 @@ class TestErrorPaths:
     def test_unknown_flag_exits_two(self, capsys):
         assert run(["alpha", "--nope"]).exit_code == 2
         capsys.readouterr()  # swallow argparse noise
+
+
+class TestCachedParser:
+    def test_consecutive_calls_share_no_state(self, law_file, capsys):
+        calls = [
+            ["alpha", "--dist", law_file, "--set", "1,3", "--decimal"],
+            ["alpha", "--dist", law_file, "--set", "1,3"],
+            ["alpha", "--dist", law_file, "--nope"],
+            ["alpha", "--dist", law_file],
+            ["pattern", "gen", "--kind", "random", "--m", "4", "--seed", "5",
+             "--count", "2", "--allow-weak"],
+            ["pattern", "gen", "--kind", "random", "--m", "4"],
+        ]
+
+        def call(argv):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        alone = []
+        for argv in calls:
+            build_parser.cache_clear()  # a fresh parser, as in a new process
+            alone.append(call(argv))
+        parser = build_parser()
+        assert [call(argv) for argv in calls] == alone
+        assert build_parser() is parser
+        assert [code for code, _, _ in alone] == [0, 0, 2, 0, 0, 0]
+        assert '"decimal"' in alone[0][1] and '"decimal"' not in alone[1][1]

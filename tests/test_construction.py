@@ -185,6 +185,14 @@ class TestCertifyConcordance:
                 if j != 1:
                     assert fam.alpha(members, 1) < fam.alpha(members, j)
 
+    def test_very_paradox_certifies_at_m10(self, monkeypatch):
+        # the set-invariant route touches 2^m failed sets, never the m! orders
+        monkeypatch.setenv("PRECEDENCE_MAX_M", "10")
+        with pytest.warns(RuntimeWarning):
+            cert = certify_concordance(pattern_very_paradox(10))
+        assert cert.passed and cert.verdict == "PASS"
+        assert len(cert.alphas.sets()) == 2**10 - 10 - 1
+
     def test_cyclic_certificate_has_the_cycle(self):
         from precedence import majority_digraph
 

@@ -56,6 +56,21 @@ def sparse_laws(draw, min_m=5, max_m=6):
     )
 
 
+@st.composite
+def set_invariant_models(draw, min_m=2, max_m=6):
+    """Random survivor-set rates, some of them 0, with every set's total positive."""
+    m = draw(st.integers(min_m, max_m))
+    mu = {}
+    for size in range(1, m + 1):
+        for members in itertools.combinations(range(1, m + 1), size):
+            nums = draw(st.lists(st.integers(0, 6), min_size=size, max_size=size))
+            if not any(nums):
+                nums[draw(st.integers(0, size - 1))] = draw(st.integers(1, 6))
+            for j, num in zip(members, nums):
+                mu[(members, j)] = Fraction(num, draw(st.integers(1, 9)))
+    return SetInvariantLSModel(m, mu)
+
+
 class TestRateTables:
     def test_totals_of_inverted_worked_example(self, example_model):
         assert total_rate(example_model, (1,)) == 1  # 1/3 + 2/3
@@ -188,6 +203,13 @@ class TestAlphaFamilyLS:
             fast = alpha_family_ls(model)
             assert fast == alpha_family_ls(as_order_dependent(model))
             assert fast == alpha_family(distribution_of(model))
+
+    @settings(max_examples=30, deadline=None)
+    @given(model=set_invariant_models())
+    def test_integer_kernel_matches_both_routes_on_random_rate_tables(self, model):
+        fast = alpha_family_ls(model)
+        assert fast == alpha_family_ls(as_order_dependent(model))
+        assert fast == alpha_family_bruteforce(distribution_of(model))
 
     def test_locality_in_the_complement(self):
         # rates at prefixes stepping inside A never move alpha_j(A)

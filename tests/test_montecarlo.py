@@ -147,6 +147,29 @@ class TestEstimateAlphas:
         with pytest.raises(SimulationError):
             list(sample_trajectories(model, 5000, seed=0))
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_rate_last_survivor_still_fails_last(self):
+        # after every 2-prefix the lone survivor has rate 0; the exact law is uniform
+        rates = {
+            (prefix, last): Fraction(0)
+            for prefix in itertools.permutations((1, 2, 3), 2)
+            for last in {1, 2, 3} - set(prefix)
+        }
+        model = OrderDependentLSModel(3, rates, default=1)
+        assert distribution_of(model) == PermutationDistribution.uniform(3)
+        # the last rate never steers an order, so the draws are the constant model's
+        summary = estimate_alphas(model, 5000, seed=4)
+        assert summary == estimate_alphas(OrderDependentLSModel.constant(3), 5000, seed=4)
+        exact = alpha_family_ls(model)
+        for (members, j), p in summary.empirical_alpha.items():
+            target = float(exact.alpha(members, j))
+            assert abs(p - target) <= four_sigma(target, 5000)
+        # but the lone survivor's failure time is undefined
+        with pytest.raises(SimulationError):
+            list(sample_trajectories(model, 5000, seed=4))
+        with pytest.raises(SimulationError):
+            sample_trajectory(model, np.random.default_rng(0))
+
     def test_zero_total_rate_at_an_unreached_prefix_is_fine(self):
         # component 3 never fails first, so the dead prefix (3,) is never reached
         model = OrderDependentLSModel(
