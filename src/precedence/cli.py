@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import construction, loadsharing, montecarlo, permdist, ranking, signature, voting
-from .core import RATIONAL_RE, rational_format, rational_parse
+from .core import RATIONAL_RE, decimal_int, rational_format, rational_parse
 from .errors import PrecedenceError
 
 
@@ -41,8 +41,10 @@ def _load_json(path: str) -> dict:
         raise PrecedenceError(f"cannot read {path}: {ex.strerror or ex}")
     except UnicodeDecodeError as ex:
         raise PrecedenceError(f"{path} is not UTF-8 text: {ex}")
-    except json.JSONDecodeError as ex:
+    except ValueError as ex:  # bad syntax, or an integer past int()'s digit limit
         raise PrecedenceError(f"{path} is not valid JSON: {ex}")
+    except RecursionError:
+        raise PrecedenceError(f"{path} nests arrays or objects too deeply")
 
 
 def _load_distribution(path: str) -> permdist.PermutationDistribution:
@@ -58,10 +60,7 @@ def _load_model(path: str) -> loadsharing.LoadSharingModel:
 
 
 def _parse_index_set(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(sorted(int(tok) for tok in text.split(",") if tok.strip()))
-    except ValueError:
-        raise PrecedenceError(f"--set expects comma-separated integers, got {text!r}")
+    return tuple(sorted(decimal_int(tok, "--set") for tok in text.split(",") if tok.strip()))
 
 
 def _decimalize(node):

@@ -23,9 +23,9 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .errors import DomainError, InputFormatError, RationalParseError
+from .errors import DomainError, InputFormatError, PrecedenceError, RationalParseError
 
 Rational = Fraction
 
@@ -46,7 +46,10 @@ def rational_parse(text: str) -> Fraction:
         raise RationalParseError(f"not a rational literal: {text!r}")
     if "/" in text and text.split("/")[1].lstrip("0") == "":
         raise RationalParseError(f"zero denominator: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:  # more digits than int() converts
+        raise RationalParseError(f"literal of {len(text)} characters is too long") from None
 
 
 def decimal_int(value: object, where: str) -> int:
@@ -56,6 +59,44 @@ def decimal_int(value: object, where: str) -> int:
     if isinstance(value, str) and value.isascii() and value.isdigit():
         return int(value)
     raise InputFormatError(f"{where}: {value!r} is not an integer or a decimal string")
+
+
+def json_int(doc: object, field: str) -> int:
+    """The integer field ``doc[field]`` of a JSON object (not a bool, float or string)."""
+    if not isinstance(doc, dict):
+        raise InputFormatError(f"document must be a JSON object, not {type(doc).__name__}")
+    value = doc.get(field)
+    if type(value) is not int:
+        raise InputFormatError(f"{field}: must be an integer, got {value!r}")
+    return value
+
+
+def json_entries(doc: dict, field: str, required: set[str], parse: Callable) -> dict:
+    """Parse the list ``doc[field]`` of objects into a dict, one entry per key.
+
+    ``doc`` is a JSON object, as :func:`json_int` checks first. Each entry
+    must be an object holding the ``required`` keys; ``parse`` turns it into
+    a ``(key, value)`` pair, and a key seen before is refused. Errors name
+    the entry: ``field[i]: ...``, or ``field[i].sub: ...`` when ``parse``
+    raises ``InputFormatError("sub: ...")``.
+    """
+    entries = doc.get(field)
+    if not isinstance(entries, list):
+        raise InputFormatError(f"{field}: must be a list")
+    out: dict = {}
+    try:
+        for idx, entry in enumerate(entries):
+            if not isinstance(entry, dict) or not entry.keys() >= required:
+                raise DomainError(f"needs the fields {', '.join(sorted(required))}")
+            key, value = parse(entry)
+            if key in out:
+                raise DomainError(f"duplicate entry {key}")
+            out[key] = value
+    except InputFormatError as ex:
+        raise InputFormatError(f"{field}[{idx}].{ex}") from ex
+    except (PrecedenceError, TypeError, ValueError) as ex:
+        raise InputFormatError(f"{field}[{idx}]: {ex}") from ex
+    return out
 
 
 def rational_format(value: Fraction | int) -> str:
@@ -174,7 +215,8 @@ def subsets_of_size_at_least(m: int, k: int) -> list[SubsetMask]:
 
 def validate_permutation(m: int, seq: Iterable[int]) -> tuple[int, ...]:
     perm = tuple(seq)
-    if any(type(x) is not int for x in perm) or sorted(perm) != list(range(1, m + 1)):
+    ints = len(perm) == m and all(type(x) is int for x in perm)
+    if not ints or sorted(perm) != list(range(1, m + 1)):
         raise DomainError(f"{perm} is not a permutation of [{m}]")
     return perm
 

@@ -52,6 +52,8 @@ from .core import (
     ZERO,
     SubsetMask,
     check_dimension,
+    json_entries,
+    json_int,
     rational_format,
     rational_parse,
     subset_members,
@@ -59,6 +61,7 @@ from .core import (
     validate_prefix,
 )
 from .errors import DomainError, InputFormatError, InvalidModelError, ScheduleError
+from .errors import RationalParseError
 from .permdist import (
     PermutationDistribution,
     WinningProbabilityFamily,
@@ -117,14 +120,6 @@ class EpsilonSchedule:
 
     def to_json_list(self) -> list[str]:
         return [rational_format(e) for e in self.eps]
-
-    @classmethod
-    def from_json_list(cls, m: int, entries: list) -> "EpsilonSchedule":
-        try:
-            values = tuple(rational_parse(e) for e in entries)
-        except Exception as ex:
-            raise InputFormatError(f"epsilon schedule: {ex}") from ex
-        return cls(m, values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,25 +184,17 @@ class OrderDependentLSModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "OrderDependentLSModel":
-        if not isinstance(doc, dict) or "m" not in doc or not isinstance(doc.get("rates"), list):
-            raise InputFormatError("model document needs fields 'm' and 'rates' (a list)")
-        rates: dict[tuple[tuple[int, ...], int], Fraction] = {}
-        for idx, entry in enumerate(doc["rates"]):
-            where = f"rates[{idx}]"
-            if not isinstance(entry, dict) or not {"prefix", "j", "mu"} <= set(entry):
-                raise InputFormatError(f"{where} needs fields 'prefix', 'j' and 'mu'")
-            try:
-                key = (tuple(entry["prefix"]), entry["j"])
-                if key in rates:
-                    raise InputFormatError(f"{where}: duplicate rate entry")
-                rates[key] = rational_parse(entry["mu"])
-            except InputFormatError:
-                raise
-            except Exception as ex:
-                raise InputFormatError(f"{where}: {ex}") from ex
+        m = json_int(doc, "m")
+        rates = json_entries(
+            doc,
+            "rates",
+            {"prefix", "j", "mu"},
+            lambda e: ((tuple(e["prefix"]), e["j"]), rational_parse(e["mu"])),
+        )
         try:
-            default = rational_parse(doc.get("default", "0"))
-            return cls(doc["m"], rates, default)
+            return cls(m, rates, rational_parse(doc.get("default", "0")))
+        except RationalParseError as ex:
+            raise InputFormatError(f"default: {ex}") from ex
         except DomainError as ex:
             raise InputFormatError(str(ex)) from ex
 
@@ -283,27 +270,21 @@ class SetInvariantLSModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SetInvariantLSModel":
-        if not isinstance(doc, dict) or "m" not in doc or not isinstance(doc.get("rates"), list):
-            raise InputFormatError("model document needs fields 'm' and 'rates' (a list)")
-        mu: dict[tuple[tuple[int, ...], int], Fraction] = {}
-        for idx, entry in enumerate(doc["rates"]):
-            where = f"rates[{idx}]"
-            if not isinstance(entry, dict) or not {"survivors", "j", "mu"} <= set(entry):
-                raise InputFormatError(f"{where} needs fields 'survivors', 'j' and 'mu'")
-            try:
-                key = (tuple(sorted(entry["survivors"])), entry["j"])
-                if key in mu:
-                    raise InputFormatError(f"{where}: duplicate rate entry")
-                mu[key] = rational_parse(entry["mu"])
-            except InputFormatError:
-                raise
-            except Exception as ex:
-                raise InputFormatError(f"{where}: {ex}") from ex
+        m = json_int(doc, "m")
+        mu = json_entries(
+            doc,
+            "rates",
+            {"survivors", "j", "mu"},
+            lambda e: ((tuple(sorted(e["survivors"])), e["j"]), rational_parse(e["mu"])),
+        )
         eps = None
         if "epsilon" in doc:
-            eps = EpsilonSchedule.from_json_list(doc["m"], doc["epsilon"])
+            try:
+                eps = EpsilonSchedule(m, tuple(map(rational_parse, doc["epsilon"])))
+            except (RationalParseError, ScheduleError, TypeError) as ex:
+                raise InputFormatError(f"epsilon: {ex}") from ex
         try:
-            return cls(doc["m"], mu, eps)
+            return cls(m, mu, eps)
         except DomainError as ex:
             raise InputFormatError(str(ex)) from ex
 
@@ -313,10 +294,9 @@ LoadSharingModel = OrderDependentLSModel | SetInvariantLSModel
 
 def model_from_json_dict(doc: dict) -> LoadSharingModel:
     """Load either model flavor, sniffing the rate-entry key."""
-    if not isinstance(doc, dict):
-        raise InputFormatError("model document must be a JSON object")
-    entries = doc.get("rates")
-    if isinstance(entries, list) and entries and "survivors" in entries[0]:
+    entries = doc.get("rates") if isinstance(doc, dict) else None
+    first = entries[0] if isinstance(entries, list) and entries else None
+    if isinstance(first, dict) and "survivors" in first:
         return SetInvariantLSModel.from_json_dict(doc)
     return OrderDependentLSModel.from_json_dict(doc)
 

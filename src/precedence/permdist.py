@@ -37,6 +37,8 @@ from .core import (
     SubsetMask,
     all_permutations,
     check_dimension,
+    json_entries,
+    json_int,
     rational_format,
     rational_parse,
     subset_members,
@@ -119,27 +121,13 @@ class PermutationDistribution:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PermutationDistribution":
-        if not isinstance(doc, dict) or "m" not in doc or "weights" not in doc:
-            raise InputFormatError("distribution document needs fields 'm' and 'weights'")
-        m = doc["m"]
-        entries = doc["weights"]
-        if not isinstance(entries, list):
-            raise InputFormatError("field 'weights' must be a list")
-        weights: dict[tuple[int, ...], Fraction] = {}
-        for idx, entry in enumerate(entries):
-            where = f"weights[{idx}]"
-            if not isinstance(entry, dict) or "perm" not in entry or "p" not in entry:
-                raise InputFormatError(f"{where} needs fields 'perm' and 'p'")
-            try:
-                perm = validate_permutation(m, entry["perm"])
-            except DomainError as ex:
-                raise InputFormatError(f"{where}.perm: {ex}") from ex
-            if perm in weights:
-                raise InputFormatError(f"{where}.perm: duplicate permutation {list(perm)}")
-            try:
-                weights[perm] = rational_parse(entry["p"])
-            except Exception as ex:
-                raise InputFormatError(f"{where}.p: {ex}") from ex
+        m = json_int(doc, "m")
+        weights = json_entries(
+            doc,
+            "weights",
+            {"perm", "p"},
+            lambda e: (validate_permutation(m, e["perm"]), rational_parse(e["p"])),
+        )
         try:
             return cls(m, weights)
         except DomainError as ex:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import SubsetMask, check_dimension, subset_members, subsets_of_size_at_least
-from .core import decimal_int
+from .core import decimal_int, json_entries, json_int
 from .errors import DomainError, InputFormatError
 from .permdist import WinningProbabilityFamily
 
@@ -138,32 +138,24 @@ class RankingPattern:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RankingPattern":
-        if not isinstance(doc, dict) or "m" not in doc or "functions" not in doc:
-            raise InputFormatError("pattern document needs fields 'm' and 'functions'")
-        m = doc["m"]
-        if not isinstance(doc["functions"], list):
-            raise InputFormatError("field 'functions' must be a list")
-        fns = []
-        for idx, entry in enumerate(doc["functions"]):
-            where = f"functions[{idx}]"
-            if not isinstance(entry, dict) or "set" not in entry or "ranks" not in entry:
-                raise InputFormatError(f"{where} needs fields 'set' and 'ranks'")
-            ranks = entry["ranks"]
-            if not isinstance(ranks, dict) or any(type(r) is not int for r in ranks.values()):
-                raise InputFormatError(f"{where}.ranks: {ranks!r} is not an object of integers")
-            keys = [decimal_int(k, f"{where}.ranks") for k in ranks]
-            if len(set(keys)) < len(keys):
-                raise InputFormatError(f"{where}.ranks: {list(ranks)} name an index twice")
-            try:
-                members = tuple(sorted(entry["set"]))
-                ranks = dict(zip(keys, ranks.values()))
-                fns.append(RankingFunction.of(members, ranks))
-            except (DomainError, KeyError, TypeError, ValueError) as ex:
-                raise InputFormatError(f"{where}: {ex}") from ex
+        m = json_int(doc, "m")
+        fns = json_entries(doc, "functions", {"set", "ranks"}, _function_entry)
         try:
-            return cls(m, tuple(fns))
+            return cls(m, tuple(fns.values()))
         except DomainError as ex:
             raise InputFormatError(str(ex)) from ex
+
+
+def _function_entry(entry: dict) -> tuple[tuple[int, ...], RankingFunction]:
+    """One ``functions[i]`` entry: its sorted set and the ranking function on it."""
+    members = tuple(sorted(entry["set"]))
+    ranks = entry["ranks"]
+    if not isinstance(ranks, dict) or any(type(r) is not int for r in ranks.values()):
+        raise InputFormatError(f"ranks: {ranks!r} is not an object of integers")
+    keys = [decimal_int(k, "ranks") for k in ranks]
+    if sorted(keys) != list(members):
+        raise InputFormatError(f"ranks: keys {list(ranks)} are not the members {list(members)}")
+    return members, RankingFunction(members, tuple(zip(keys, ranks.values())))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .core import ZERO, check_dimension, rational_format, validate_permutation
+from .core import ZERO, check_dimension, json_int, rational_format, validate_permutation
 from .errors import DomainError, InfeasibleTargetError, InputFormatError
 from .loadsharing import LoadSharingModel, OrderDependentLSModel, distribution_of
 from .permdist import PermutationDistribution
@@ -127,11 +127,12 @@ class StructureFunction:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "StructureFunction":
-        if not isinstance(doc, dict) or "r" not in doc or "path_sets" not in doc:
-            raise InputFormatError("structure document needs fields 'r' and 'path_sets'")
+        r = json_int(doc, "r")
         try:
-            return cls(doc["r"], tuple(frozenset(ps) for ps in doc["path_sets"]))
-        except (DomainError, TypeError) as ex:
+            return cls(r, tuple(frozenset(ps) for ps in doc["path_sets"]))
+        except (KeyError, TypeError) as ex:
+            raise InputFormatError("path_sets: must be a list of lists of components") from ex
+        except DomainError as ex:
             raise InputFormatError(str(ex)) from ex
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .core import check_dimension, decimal_int, validate_permutation
+from .core import check_dimension, decimal_int, json_entries, json_int, validate_permutation
 from .errors import DomainError, InputFormatError
 from .loadsharing import EpsilonSchedule, distribution_of
 from .permdist import PermutationDistribution, failed_set_table, integer_weights, winner_sums
@@ -74,24 +74,15 @@ class VotingSituation:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "VotingSituation":
-        if not isinstance(doc, dict) or "m" not in doc or not isinstance(doc.get("counts"), list):
-            raise InputFormatError("voting document needs fields 'm' and 'counts' (a list)")
-        counts: dict[tuple[int, ...], int] = {}
-        for idx, entry in enumerate(doc["counts"]):
-            where = f"counts[{idx}]"
-            if not isinstance(entry, dict) or "perm" not in entry or "n" not in entry:
-                raise InputFormatError(f"{where} needs fields 'perm' and 'n'")
-            try:
-                perm = validate_permutation(doc["m"], entry["perm"])
-                if perm in counts:
-                    raise InputFormatError(f"{where}.perm: duplicate permutation")
-                counts[perm] = decimal_int(entry["n"], f"{where}.n")
-            except InputFormatError:
-                raise
-            except (DomainError, TypeError, ValueError) as ex:
-                raise InputFormatError(f"{where}: {ex}") from ex
+        m = json_int(doc, "m")
+        counts = json_entries(
+            doc,
+            "counts",
+            {"perm", "n"},
+            lambda e: (validate_permutation(m, e["perm"]), decimal_int(e["n"], "n")),
+        )
         try:
-            return cls(doc["m"], counts)
+            return cls(m, counts)
         except DomainError as ex:
             raise InputFormatError(str(ex)) from ex
 

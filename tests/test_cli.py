@@ -43,6 +43,12 @@ class TestAlphaCommands:
             [1, 2], [1, 2, 3], [1, 3], [2, 3]
         ]
 
+    @pytest.mark.parametrize("text", [" 1,+3", "1,\u0663", "1,3.0"])
+    def test_set_takes_decimal_integers_only(self, law_file, text):
+        result = run(["alpha", "--dist", law_file, "--set", text])
+        assert result.exit_code == 2
+        assert "--set" in result.diagnostics[0]
+
     def test_oracle_agrees_with_alpha(self, law_file):
         fast = run(["alpha", "--dist", law_file]).payload
         brute = run(["oracle", "--dist", law_file]).payload
@@ -270,9 +276,28 @@ class TestErrorPaths:
                 {"m": 2, "rates": [{"prefix": [], "j": 1.5, "mu": "1"}], "default": "1"},
                 "1.5",
             ),
+            *(
+                (["alpha", "--dist"], {"m": m, "weights": [{"perm": [1, 2, 3], "p": "1"}]},
+                 "m:")
+                for m in ("3", 3.0, [3])
+            ),
+            (["alpha", "--dist"], {"m": 3, "weights": [{"perm": 5, "p": "1"}]}, "weights[0]"),
+            (["simulate", "--samples", "10", "--model"], {"m": 3, "rates": [5]}, "rates[0]"),
+            (
+                ["concord", "certify", "--pattern"],
+                {"m": 2, "functions": [{"set": [1, 2], "ranks": {"1": 1, "2": 2, "7": 9}}]},
+                "functions[0].ranks",
+            ),
+            (
+                ["simulate", "--samples", "10", "--model"],
+                {"m": 2, "rates": [], "default": "1" * 5000},
+                "default",
+            ),
         ],
         ids=["rates-not-list", "counts-not-list", "ranks-not-object", "float-count",
-             "bool-count", "float-rank", "float-perm", "float-survivor"],
+             "bool-count", "float-rank", "float-perm", "float-survivor", "string-m",
+             "float-m", "list-m", "int-perm", "int-rate-entry", "rank-key-outside-set",
+             "default-too-long"],
     )
     def test_wrongly_typed_field_exits_two(self, tmp_path, command, doc, field):
         path = tmp_path / "doc.json"
@@ -313,7 +338,9 @@ class TestErrorPaths:
         assert field in result.diagnostics[0]
 
     @pytest.mark.parametrize(
-        "content", [None, b"\xff\xfe{"], ids=["directory", "not-utf8"]
+        "content",
+        [None, b"\xff\xfe{", b"[" * 100000, b"1" * 5000],
+        ids=["directory", "not-utf8", "nested-too-deeply", "integer-too-long"],
     )
     def test_unreadable_input_exits_two(self, tmp_path, content):
         path = tmp_path / "doc.json"

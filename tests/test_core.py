@@ -8,13 +8,20 @@ from hypothesis import strategies as st
 
 from precedence import (
     DomainError,
+    InputFormatError,
     RationalParseError,
     SubsetMask,
     enumerate_d,
     rational_format,
     rational_parse,
 )
-from precedence.core import check_dimension
+from precedence.core import (
+    check_dimension,
+    decimal_int,
+    json_entries,
+    json_int,
+    validate_permutation,
+)
 
 
 class TestRationalParsing:
@@ -35,6 +42,10 @@ class TestRationalParsing:
         with pytest.raises(RationalParseError):
             rational_parse(bad)
 
+    def test_rejects_more_digits_than_int_converts(self):
+        with pytest.raises(RationalParseError, match="too long"):
+            rational_parse("1" * 5000)
+
     def test_format_canonical(self):
         assert rational_format(Fraction(0)) == "0"
         assert rational_format(Fraction(4, 2)) == "2"
@@ -52,6 +63,41 @@ class TestRationalParsing:
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a + b == b + a
+
+
+class TestJsonLoading:
+    @pytest.mark.parametrize("doc", [[], {"n": 3}, {"m": "3"}, {"m": 3.0}, {"m": True}])
+    def test_int_field_is_a_json_integer(self, doc):
+        with pytest.raises(InputFormatError):
+            json_int(doc, "m")
+
+    @staticmethod
+    def entry(e):
+        return e["k"], decimal_int(e["v"], "v")
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (5, "xs: must be a list"),
+            ([{"k": 1, "v": 1}, 7], "xs[1]: needs the fields k, v"),
+            ([{"k": 1}], "xs[0]: needs the fields k, v"),
+            ([{"k": 1, "v": "+1"}], "xs[0].v: '+1' is not an integer"),
+            ([{"k": [1], "v": 1}], "xs[0]: unhashable type"),
+            ([{"k": 1, "v": 1}, {"k": 1, "v": 2}], "xs[1]: duplicate entry 1"),
+        ],
+    )
+    def test_entry_errors_name_the_path(self, entries, message):
+        with pytest.raises(InputFormatError) as info:
+            json_entries({"xs": entries}, "xs", {"k", "v"}, self.entry)
+        assert str(info.value).startswith(message)
+
+    def test_entries_keep_document_order(self):
+        doc = {"xs": [{"k": 2, "v": "5", "extra": None}, {"k": 1, "v": 7}]}
+        assert list(json_entries(doc, "xs", {"k", "v"}, self.entry).items()) == [(2, 5), (1, 7)]
+
+    def test_permutation_length_is_checked_before_the_range_is_built(self):
+        with pytest.raises(DomainError):
+            validate_permutation(10**18, [1])
 
 
 class TestSubsetMask:
