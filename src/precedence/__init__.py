@@ -19,7 +19,6 @@ from .construction import (
     invert_to_ls,
 )
 from .core import (
-    Rational,
     SubsetMask,
     all_permutations,
     enumerate_d,

@@ -39,11 +39,12 @@ that is what the level-1 check uses; it amounts to eps(2) < 1/(16 m).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ONE, ZERO, check_dimension, rational_format, subsets_of_size_at_least
+from .core import ONE, ZERO, check_dimension, rational_format
 from .errors import DomainError, ScheduleError
 from .loadsharing import (
     EpsilonSchedule,
@@ -73,17 +74,12 @@ def invert_to_ls(rho: PermutationDistribution) -> OrderDependentLSModel:
         raise DomainError(f"inversion needs m >= 2, got m={m}")
     w = rho.prefix_marginals()
     rates: dict[tuple[tuple[int, ...], int], Fraction] = {}
-    for j in range(1, m + 1):
-        rates[((), j)] = w.get((j,), ZERO)
-    for k in range(1, m - 1):
-        for prefix, mass in w.items():
-            if len(prefix) != k or mass == 0:
-                continue
+    # the empty prefix has mass 1, so mu_j(empty) = w(j)
+    for prefix, mass in itertools.chain([((), ONE)], w.items()):
+        if len(prefix) <= m - 2 and mass:
             for j in range(1, m + 1):
                 if j not in prefix:
                     rates[(prefix, j)] = w.get(prefix + (j,), ZERO) / mass
-    import itertools
-
     for prefix in itertools.permutations(range(1, m + 1), m - 1):
         (last,) = (j for j in range(1, m + 1) if j not in prefix)
         rates[(prefix, last)] = ONE
@@ -191,11 +187,11 @@ def build_ls_epsilon(sigma: RankingPattern, eps: EpsilonSchedule) -> SetInvarian
     mu: dict[tuple[tuple[int, ...], int], Fraction] = {}
     for i in range(1, m + 1):
         mu[((i,), i)] = ONE
-    for subset in subsets_of_size_at_least(m, 2):
-        members = subset.members()
+    for fn in sigma.functions:
+        members = fn.members
         e = eps.value(len(members))
-        for i in members:
-            rate = 1 - (sigma.rank(members, i) - 1) * e
+        for i, rank in fn.ranks:
+            rate = 1 - (rank - 1) * e
             if rate <= 0:
                 raise ScheduleError(
                     f"rate for survivor {i} of set {members} is {rate}; "

@@ -6,7 +6,10 @@ Everything downstream runs on arbitrary-precision rationals
 
 * permutations of [m] as tuples of ints,
 * ordered failure prefixes (i_1, ..., i_k) as tuples of distinct ints,
-* subsets of [m] as :class:`SubsetMask` bit masks.
+* subsets of [m] as sorted member tuples, in one cached lexicographic
+  order (:func:`subsets_of_size_at_least`). Int bit masks appear only in
+  the failed-set table; a :class:`SubsetMask` is accepted where a public
+  function takes a subset from its caller (:func:`subset_members`).
 
 Indices are 1-based throughout, including every file format. Enumeration
 order is always lexicographic so that outputs are reproducible
@@ -17,17 +20,17 @@ environment variable, with a warning above 8.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import re
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError, InputFormatError, PrecedenceError, RationalParseError
-
-Rational = Fraction
 
 DEFAULT_MAX_M = 8
 
@@ -99,12 +102,22 @@ def json_entries(doc: dict, field: str, required: set[str], parse: Callable) -> 
     return out
 
 
+def int_format(value: int, field: str) -> str:
+    """Decimal text of an output integer; DomainError naming ``field`` if too long."""
+    try:
+        return str(value)
+    except ValueError:  # more digits than str() converts, 4300 by default
+        limit = sys.get_int_max_str_digits()
+        raise DomainError(f"{field}: integer has more than {limit} digits to print") from None
+
+
 def rational_format(value: Fraction | int) -> str:
     """Canonical text form: lowest terms, ``"n/d"``, plain ``"n"`` for integers."""
     q = Fraction(value)
+    text = int_format(q.numerator, "rational")
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return text
+    return f"{text}/{int_format(q.denominator, 'rational')}"
 
 
 def max_dimension() -> int:
@@ -164,10 +177,6 @@ class SubsetMask:
         return cls(m, mask)
 
     @classmethod
-    def full(cls, m: int) -> "SubsetMask":
-        return cls(m, (1 << m) - 1)
-
-    @classmethod
     def empty(cls, m: int) -> "SubsetMask":
         return cls(m, 0)
 
@@ -202,15 +211,14 @@ def subset_members(m: int, subset: "SubsetMask | Iterable[int]") -> tuple[int, .
     return members
 
 
-def subsets_of_size_at_least(m: int, k: int) -> list[SubsetMask]:
-    """All subsets of [m] with at least k members, in lexicographic member order."""
-    out = [
-        SubsetMask.of(m, combo)
-        for size in range(k, m + 1)
-        for combo in itertools.combinations(range(1, m + 1), size)
-    ]
-    out.sort(key=lambda s: s.members())
-    return out
+@functools.cache
+def subsets_of_size_at_least(m: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """All subsets of [m] with at least k members, as sorted member tuples.
+
+    Lexicographic order; built once per (m, k) and shared by every caller.
+    """
+    ground = range(1, m + 1)
+    return tuple(sorted(c for n in range(k, m + 1) for c in itertools.combinations(ground, n)))
 
 
 def validate_permutation(m: int, seq: Iterable[int]) -> tuple[int, ...]:

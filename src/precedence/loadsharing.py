@@ -42,6 +42,7 @@ special casing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -223,8 +224,7 @@ class SetInvariantLSModel:
             if q < 0:
                 raise DomainError(f"negative rate {q} for mu_{j} with survivors {members}")
             clean[(members, j)] = q
-        for subset in subsets_of_size_at_least(self.m, 1):
-            members = subset.members()
+        for members in subsets_of_size_at_least(self.m, 1):
             total = ZERO
             for j in members:
                 if (members, j) not in clean:
@@ -527,8 +527,6 @@ def check_prefix_bounds(
 
 def as_order_dependent(model: SetInvariantLSModel) -> OrderDependentLSModel:
     """Canonical injection: spell out the set-keyed rates for every prefix."""
-    import itertools
-
     m = model.m
     rates: dict[tuple[tuple[int, ...], int], Fraction] = {}
     for k in range(m):

@@ -253,23 +253,3 @@ def estimate_alphas(
         empirical_alpha={key: c / n_samples for key, c in wins.items()},
     )
 
-
-def empirical_alpha_from_times(
-    trajectories: Iterator[Trajectory], m: int
-) -> dict[tuple[tuple[int, ...], int], float]:
-    """Recompute winning-probability estimates from failure *times* alone.
-
-    Internal consistency check: sorting each trajectory's times must give
-    back its stored order, so the estimates must match the order-based
-    ones exactly.
-    """
-    counts: Counter = Counter()
-    n = 0
-    for tr in trajectories:
-        order_from_times = tuple(
-            component for _, component in sorted(zip(tr.times, tr.order))
-        )
-        counts[order_from_times] += 1
-        n += 1
-    wins = winner_sums(m, failed_set_table(counts.items()))
-    return {key: c / n for key, c in wins.items()}

@@ -89,8 +89,6 @@ class PermutationDistribution:
     @classmethod
     def uniform(cls, m: int) -> "PermutationDistribution":
         check_dimension(m)
-        import math
-
         w = Fraction(1, math.factorial(m))
         return cls(m, {perm: w for perm in all_permutations(m)})
 
@@ -186,8 +184,8 @@ class WinningProbabilityFamily:
         return tuple(sorted({members for members, _ in self.alphas}))
 
     def is_complete(self) -> bool:
-        expected = {s.members() for s in subsets_of_size_at_least(self.m, 2)}
-        return {members for members, _ in self.alphas} == expected
+        # every subset present has all of its members, so counting entries suffices
+        return len(self.alphas) == sum(map(len, subsets_of_size_at_least(self.m, 2)))
 
     def to_json_list(self) -> list[dict]:
         return [
@@ -272,9 +270,9 @@ def winner_sums(
     which j fails first among A; an entry no order reaches is 0.
     """
     out: dict[tuple[tuple[int, ...], int], int] = {}
-    for subset in subsets_of_size_at_least(m, 2):
-        members = subset.members()
-        outside = subset.complement().mask
+    full = (1 << m) - 1
+    for members in subsets_of_size_at_least(m, 2):
+        outside = full ^ sum(1 << (j - 1) for j in members)
         for j in members:
             total = 0
             s = outside
@@ -314,7 +312,7 @@ def alpha_family_bruteforce(rho: PermutationDistribution) -> WinningProbabilityF
     winner in A is simply the earliest-listed member of A.
     """
     m = rho.m
-    subsets = [s.members() for s in subsets_of_size_at_least(m, 2)]
+    subsets = subsets_of_size_at_least(m, 2)
     alphas: dict[tuple[tuple[int, ...], int], Fraction] = {
         (members, j): ZERO for members in subsets for j in members
     }

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import SubsetMask, check_dimension, subset_members, subsets_of_size_at_least
@@ -85,10 +85,13 @@ class RankingPattern:
 
     m: int
     functions: tuple[RankingFunction, ...]
+    _by_set: Mapping[tuple[int, ...], RankingFunction] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         check_dimension(self.m)
-        expected = [s.members() for s in subsets_of_size_at_least(self.m, 2)]
+        expected = subsets_of_size_at_least(self.m, 2)
         by_set = {}
         for fn in self.functions:
             if fn.members in by_set:
@@ -104,13 +107,14 @@ class RankingPattern:
             extra = sorted(set(by_set) - set(expected))
             raise DomainError(f"pattern has unexpected subsets: {extra}")
         object.__setattr__(self, "functions", tuple(by_set[s] for s in expected))
+        object.__setattr__(self, "_by_set", by_set)
 
     def function(self, subset: SubsetMask | Iterable[int]) -> RankingFunction:
         members = subset_members(self.m, subset)
-        for fn in self.functions:
-            if fn.members == members:
-                return fn
-        raise DomainError(f"no ranking function for subset {members}")
+        try:
+            return self._by_set[members]
+        except KeyError:
+            raise DomainError(f"no ranking function for subset {members}") from None
 
     def rank(self, subset: SubsetMask | Iterable[int], j: int) -> int:
         return self.function(subset).rank(j)
@@ -229,9 +233,8 @@ def induced_pattern(fam: WinningProbabilityFamily) -> RankingPattern:
     if not fam.is_complete():
         raise DomainError("winning-probability family does not cover every subset")
     functions = []
-    for subset in subsets_of_size_at_least(fam.m, 2):
-        members = subset.members()
-        values = {j: fam.alpha(members, j) for j in members}
+    for members in subsets_of_size_at_least(fam.m, 2):
+        values = {j: fam.alphas[(members, j)] for j in members}
         distinct = sorted(set(values.values()), reverse=True)
         ranks = {j: distinct.index(v) + 1 for j, v in values.items()}
         functions.append(RankingFunction.of(members, ranks))
@@ -246,7 +249,7 @@ def check_p_concordance(
         raise DomainError(f"pattern has m={sigma.m} but family has m={fam.m}")
     if not fam.is_complete():
         raise DomainError("winning-probability family does not cover every subset")
-    return score_concordance(sigma, lambda members, j: fam.alpha(members, j))
+    return score_concordance(sigma, lambda members, j: fam.alphas[(members, j)])
 
 
 def _ascending_ranks(members: tuple[int, ...]) -> dict[int, int]:
@@ -263,8 +266,7 @@ def pattern_very_paradox(m: int) -> RankingPattern:
     if m < 3:
         raise DomainError(f"the paradox needs m >= 3, got {m}")
     functions = []
-    for subset in subsets_of_size_at_least(m, 2):
-        members = subset.members()
+    for members in subsets_of_size_at_least(m, 2):
         if 1 not in members:
             ranks = _ascending_ranks(members)
         elif len(members) == 2:
@@ -290,8 +292,7 @@ def pattern_cyclic(m: int) -> RankingPattern:
     cycle_wins = {(i, i + 1): i for i in range(1, m)}
     cycle_wins[(1, m)] = m
     functions = []
-    for subset in subsets_of_size_at_least(m, 2):
-        members = subset.members()
+    for members in subsets_of_size_at_least(m, 2):
         if len(members) == 2 and members in cycle_wins:
             winner = cycle_wins[members]
             loser = members[0] if winner == members[1] else members[1]
@@ -358,7 +359,7 @@ def enumerate_patterns(
     check_dimension(m)
     if m < 2:
         raise DomainError("patterns need m >= 2")
-    subsets = [s.members() for s in subsets_of_size_at_least(m, 2)]
+    subsets = subsets_of_size_at_least(m, 2)
 
     if seed is None:
         if m > 3:

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .core import ZERO, check_dimension, json_int, rational_format, validate_permutation
+from .core import ZERO, check_dimension, json_int, rational_format, rational_parse
+from .core import validate_permutation
 from .errors import DomainError, InfeasibleTargetError, InputFormatError
 from .loadsharing import LoadSharingModel, OrderDependentLSModel, distribution_of
 from .permdist import PermutationDistribution
@@ -159,8 +160,6 @@ class ProbabilitySignature:
 
     @classmethod
     def parse(cls, entries: Sequence) -> "ProbabilitySignature":
-        from .core import rational_parse
-
         return cls(tuple(rational_parse(e) if isinstance(e, str) else Fraction(e) for e in entries))
 
 

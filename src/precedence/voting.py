@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .core import check_dimension, decimal_int, json_entries, json_int, validate_permutation
+from .core import check_dimension, decimal_int, int_format, json_entries, json_int
+from .core import subset_members, validate_permutation
 from .errors import DomainError, InputFormatError
 from .loadsharing import EpsilonSchedule, distribution_of
 from .permdist import PermutationDistribution, failed_set_table, integer_weights, winner_sums
@@ -67,7 +68,7 @@ class VotingSituation:
         return {
             "m": self.m,
             "counts": [
-                {"perm": list(perm), "n": str(self.counts[perm])}
+                {"perm": list(perm), "n": int_format(self.counts[perm], "counts")}
                 for perm in sorted(self.counts)
             ],
         }
@@ -96,8 +97,6 @@ class TallyTable:
     tallies: Mapping[tuple[tuple[int, ...], int], int]
 
     def votes(self, subset: Iterable[int], i: int) -> int:
-        from .core import subset_members
-
         members = subset_members(self.m, subset)
         try:
             return self.tallies[(members, i)]
@@ -108,11 +107,14 @@ class TallyTable:
         sets = sorted({members for members, _ in self.tallies})
         return {
             "m": self.m,
-            "n": str(self.n),
+            "n": int_format(self.n, "n"),
             "tallies": [
                 {
                     "set": list(members),
-                    "votes": {str(i): str(self.tallies[(members, i)]) for i in members},
+                    "votes": {
+                        str(i): int_format(self.tallies[(members, i)], "tallies")
+                        for i in members
+                    },
                 }
                 for members in sets
             ],

@@ -293,11 +293,16 @@ class TestErrorPaths:
                 {"m": 2, "rates": [], "default": "1" * 5000},
                 "default",
             ),
+            (
+                ["vote", "tally", "--votes"],
+                {"m": 2, "counts": [{"perm": p, "n": "9" * 4300} for p in ([1, 2], [2, 1])]},
+                "n: integer has more than 4300 digits",
+            ),
         ],
         ids=["rates-not-list", "counts-not-list", "ranks-not-object", "float-count",
              "bool-count", "float-rank", "float-perm", "float-survivor", "string-m",
              "float-m", "list-m", "int-perm", "int-rate-entry", "rank-key-outside-set",
-             "default-too-long"],
+             "default-too-long", "total-too-long"],
     )
     def test_wrongly_typed_field_exits_two(self, tmp_path, command, doc, field):
         path = tmp_path / "doc.json"

@@ -24,7 +24,7 @@ from precedence import (
     sample_trajectory,
     total_rate,
 )
-from precedence.montecarlo import CHUNK_TRAJECTORIES, empirical_alpha_from_times
+from precedence.montecarlo import CHUNK_TRAJECTORIES
 from tests.conftest import random_distribution
 
 
@@ -238,10 +238,10 @@ class TestEstimateAlphas:
     def test_orders_and_times_tell_the_same_story(self, example_model):
         n = 4000
         summary = estimate_alphas(example_model, n, seed=9)
-        from_times = empirical_alpha_from_times(
-            sample_trajectories(example_model, n, seed=9), 3
-        )
-        assert summary.empirical_alpha == from_times
+        trajectories = list(sample_trajectories(example_model, n, seed=9))
+        for tr in trajectories:  # sorting the failure times gives back the order
+            assert tuple(c for _, c in sorted(zip(tr.times, tr.order))) == tr.order
+        assert Counter(tr.order for tr in trajectories) == summary.order_counts
         # and both match a plain winner scan of the order counts
         subsets = [s for size in (2, 3) for s in itertools.combinations((1, 2, 3), size)]
         wins = {(members, j): 0 for members in subsets for j in members}

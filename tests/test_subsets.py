@@ -1,0 +1,59 @@
+"""The cached subset order of ``core`` and the lookups that take a caller's subset."""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from precedence import (
+    DomainError,
+    PermutationDistribution,
+    SubsetMask,
+    WinningProbabilityFamily,
+    alpha_family,
+    enumerate_patterns,
+)
+from precedence.core import subsets_of_size_at_least
+
+
+@given(m=st.integers(1, 6), k=st.integers(0, 7))
+def test_subset_order_is_the_sorted_combinations(m, k):
+    ground = range(1, m + 1)
+    expected = sorted(c for n in range(k, m + 1) for c in itertools.combinations(ground, n))
+    got = subsets_of_size_at_least(m, k)
+    assert isinstance(got, tuple) and list(got) == expected
+    assert subsets_of_size_at_least(m, k) is got
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_pattern_lookups_take_every_subset_form(m, seed, data):
+    sigma = next(enumerate_patterns(m, seed=seed, limit=1))
+    members = data.draw(st.sampled_from(subsets_of_size_at_least(m, 2)))
+    fn = next(f for f in sigma.functions if f.members == members)
+    shuffled = data.draw(st.permutations(members))
+    j = data.draw(st.sampled_from(members))
+    for subset in (members, iter(shuffled), SubsetMask.of(m, shuffled)):
+        assert sigma.function(subset) is fn
+    for subset in (members, iter(shuffled), SubsetMask.of(m, shuffled)):
+        assert sigma.rank(subset, j) == dict(fn.ranks)[j]
+    for bad in (SubsetMask.of(m + 1, members), members[:-1] + (m + 1,), members[:1]):
+        with pytest.raises(DomainError):
+            sigma.function(bad)
+        with pytest.raises(DomainError):
+            sigma.rank(bad, j)
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(2, 6), data=st.data())
+def test_family_is_complete_only_with_every_subset(m, data):
+    full = alpha_family(PermutationDistribution.uniform(m))
+    assert full.is_complete()
+    dropped = data.draw(st.sampled_from(subsets_of_size_at_least(m, 2)))
+    partial = {key: a for key, a in full.alphas.items() if key[0] != dropped}
+    assert not WinningProbabilityFamily(m, partial).is_complete()
+    pairs = [s for s in subsets_of_size_at_least(m, 2) if len(s) == 2]
+    some = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    only_pairs = {key: a for key, a in full.alphas.items() if key[0] in some}
+    assert WinningProbabilityFamily(m, only_pairs).is_complete() == (m == 2)
