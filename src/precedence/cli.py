@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Every subcommand is a thin wrapper over exactly one library operation and
-prints a single JSON document to stdout; diagnostics go to stderr. Exit
-codes: 0 success, 1 verification failure (a FAIL verdict), 2 input error.
+prints a single JSON document to stdout, followed by a newline: ASCII
+only, indented by two spaces, byte-identical to what
+``json.dump(doc, sys.stdout, indent=2)`` writes. Diagnostics go to
+stderr. Exit codes: 0 success, 1 verification failure (a FAIL verdict),
+2 input error.
 All probabilities are exact rational strings; ``--decimal`` additionally
 annotates each rational leaf with a 12-significant-digit float, never
 replacing the exact field. Output ordering is deterministic
@@ -20,6 +23,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import INFINITY, encode_basestring_ascii
 
 from . import construction, loadsharing, montecarlo, permdist, ranking, signature, voting
 from .core import RATIONAL_RE, decimal_int, rational_format, rational_parse
@@ -316,13 +320,101 @@ def run(argv: list[str]) -> CommandResult:
     return result
 
 
+_FLUSH_PIECES = 4096
+
+
+def _write_json(doc, out) -> None:
+    """Write ``doc`` and a newline to ``out``, byte for byte as
+    ``json.dump(doc, out, indent=2)`` followed by ``print()`` would.
+
+    One walk appends text pieces to a list, written out whenever it holds
+    _FLUSH_PIECES pieces, so a document of many megabytes is never joined
+    whole. Tuples are written as lists; a key that is not a string, or a
+    value of any type ``json.dump`` cannot write, raises TypeError.
+    """
+    pieces: list[str] = []
+    append = pieces.append
+    text = encode_basestring_ascii
+    integer = int.__repr__
+
+    def flush() -> None:
+        out.write("".join(pieces))
+        pieces.clear()
+
+    def leaf(node) -> str:
+        if isinstance(node, str):
+            return text(node)
+        if node is None:
+            return "null"
+        if node is True:
+            return "true"
+        if node is False:
+            return "false"
+        if isinstance(node, int):
+            return integer(node)
+        if isinstance(node, float):
+            if node != node:
+                return "NaN"
+            if node == INFINITY:
+                return "Infinity"
+            if node == -INFINITY:
+                return "-Infinity"
+            return float.__repr__(node)
+        raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+
+    def walk(node, pad: str) -> None:
+        if isinstance(node, (list, tuple)):
+            if not node:
+                append("[]")
+                return
+            inner = pad + "  "
+            lead, sep = "[\n" + inner, ",\n" + inner
+            for item in node:
+                append(lead)
+                lead = sep
+                if type(item) is str:
+                    append(text(item))
+                elif type(item) is int:
+                    append(integer(item))
+                else:
+                    walk(item, inner)
+                if len(pieces) >= _FLUSH_PIECES:
+                    flush()
+            append("\n" + pad + "]")
+        elif isinstance(node, dict):
+            if not node:
+                append("{}")
+                return
+            inner = pad + "  "
+            lead, sep = "{\n" + inner, ",\n" + inner
+            for key, item in node.items():
+                append(lead)
+                lead = sep
+                append(text(key))  # TypeError unless the key is a str
+                append(": ")
+                if type(item) is str:
+                    append(text(item))
+                elif type(item) is int:
+                    append(integer(item))
+                else:
+                    walk(item, inner)
+                if len(pieces) >= _FLUSH_PIECES:
+                    flush()
+            append("\n" + pad + "}")
+        else:
+            append(leaf(node))
+
+    walk(doc, "")
+    append("\n")
+    flush()
+
+
 def main(argv: list[str] | None = None) -> int:
     result = run(sys.argv[1:] if argv is None else argv)
     for line in result.diagnostics:
         print(line, file=sys.stderr)
     if result.payload is not None:
-        json.dump(result.payload, sys.stdout, indent=2)
-        print()
+        _write_json(result.payload, sys.stdout)
     return result.exit_code
 
 

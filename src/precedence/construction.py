@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ONE, ZERO, check_dimension, rational_format
+from .core import ONE, ZERO, check_dimension, rational_format, subsets_of_size_at_least
 from .errors import DomainError, ScheduleError
 from .loadsharing import (
     EpsilonSchedule,
@@ -80,9 +80,9 @@ def invert_to_ls(rho: PermutationDistribution) -> OrderDependentLSModel:
             for j in range(1, m + 1):
                 if j not in prefix:
                     rates[(prefix, j)] = w.get(prefix + (j,), ZERO) / mass
+    ground_sum = m * (m + 1) // 2
     for prefix in itertools.permutations(range(1, m + 1), m - 1):
-        (last,) = (j for j in range(1, m + 1) if j not in prefix)
-        rates[(prefix, last)] = ONE
+        rates[(prefix, ground_sum - sum(prefix))] = ONE
     return OrderDependentLSModel(m, rates, default=ZERO)
 
 
@@ -184,11 +184,14 @@ def build_ls_epsilon(sigma: RankingPattern, eps: EpsilonSchedule) -> SetInvarian
             "only tie-free patterns can be realized"
         )
     m = sigma.m
-    mu: dict[tuple[tuple[int, ...], int], Fraction] = {}
-    for i in range(1, m + 1):
-        mu[((i,), i)] = ONE
-    for fn in sigma.functions:
-        members = fn.members
+    # keyed by the cached subset tuples, which the model takes without re-validating;
+    # sigma.functions follows the same lexicographic order over |A| >= 2
+    mu: dict[tuple[tuple[int, ...], int], Fraction] = {
+        (members, members[0]): ONE
+        for members in subsets_of_size_at_least(m, 1)
+        if len(members) == 1
+    }
+    for members, fn in zip(subsets_of_size_at_least(m, 2), sigma.functions):
         e = eps.value(len(members))
         for i, rank in fn.ranks:
             rate = 1 - (rank - 1) * e

@@ -113,7 +113,7 @@ def int_format(value: int, field: str) -> str:
 
 def rational_format(value: Fraction | int) -> str:
     """Canonical text form: lowest terms, ``"n/d"``, plain ``"n"`` for integers."""
-    q = Fraction(value)
+    q = value if type(value) is Fraction else Fraction(value)
     text = int_format(q.numerator, "rational")
     if q.denominator == 1:
         return text
@@ -196,8 +196,18 @@ class SubsetMask:
         return iter(self.members())
 
 
+# The tuples of subsets_of_size_at_least(m, 1), by id, for each m built so far.
+_SUBSET_ORDER_BY_ID: dict[int, dict[int, tuple[int, ...]]] = {}
+
+
 def subset_members(m: int, subset: "SubsetMask | Iterable[int]") -> tuple[int, ...]:
-    """Coerce a subset given as a mask or iterable into a sorted member tuple."""
+    """Coerce a subset given as a mask or iterable into a sorted member tuple.
+
+    A tuple taken from the cached subset order of [m] is returned as it is.
+    """
+    cached = _SUBSET_ORDER_BY_ID.get(m)
+    if cached is not None and cached.get(id(subset)) is subset:
+        return subset
     if isinstance(subset, SubsetMask):
         if subset.m != m:
             raise DomainError(f"subset over [{subset.m}] used with m={m}")
@@ -216,9 +226,16 @@ def subsets_of_size_at_least(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All subsets of [m] with at least k members, as sorted member tuples.
 
     Lexicographic order; built once per (m, k) and shared by every caller.
+    For k >= 2 the tuples are the very objects of the k = 1 order, which
+    :func:`subset_members` recognises by identity.
     """
+    if k >= 2:
+        return tuple(s for s in subsets_of_size_at_least(m, 1) if len(s) >= k)
     ground = range(1, m + 1)
-    return tuple(sorted(c for n in range(k, m + 1) for c in itertools.combinations(ground, n)))
+    order = tuple(sorted(c for n in range(k, m + 1) for c in itertools.combinations(ground, n)))
+    if k == 1:
+        _SUBSET_ORDER_BY_ID[m] = {id(s): s for s in order}
+    return order
 
 
 def validate_permutation(m: int, seq: Iterable[int]) -> tuple[int, ...]:
@@ -229,8 +246,26 @@ def validate_permutation(m: int, seq: Iterable[int]) -> tuple[int, ...]:
     return perm
 
 
+_INT_ONLY = frozenset([int])
+
+
+@functools.cache
+def _ground_set(m: int) -> frozenset[int]:
+    return frozenset(range(1, m + 1))
+
+
 def validate_prefix(m: int, seq: Iterable[int]) -> tuple[int, ...]:
     prefix = tuple(seq)
+    try:
+        valid = (
+            _ground_set(m).issuperset(prefix)
+            and len(set(prefix)) == len(prefix)
+            and _INT_ONLY.issuperset(map(type, prefix))
+        )
+    except TypeError:  # an unhashable element, which the loop below names
+        valid = False
+    if valid:
+        return prefix
     seen = set()
     for x in prefix:
         if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= m:

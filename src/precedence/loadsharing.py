@@ -148,7 +148,7 @@ class OrderDependentLSModel:
                 raise DomainError(f"prefix {prefix} too long for m={self.m}")
             if type(j) is not int or not 1 <= j <= self.m or j in prefix:
                 raise DomainError(f"invalid survivor {j} for prefix {prefix}")
-            q = Fraction(value)
+            q = value if type(value) is Fraction else Fraction(value)
             if q < 0:
                 raise DomainError(f"negative rate {q} for mu_{j}{prefix}")
             clean[(prefix, j)] = q

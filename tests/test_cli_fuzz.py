@@ -2,12 +2,15 @@
 
 Every subcommand that reads a JSON file gets a valid document of the
 kind it expects with one node replaced by arbitrary JSON (the whole
-document, a field, an entry or a value inside one) or one key deleted. The call must end with exit code 0, 1 or 2, and a payload must
-serialize. Examples are derandomized and small, and ``PRECEDENCE_MAX_M``
-is lowered to 4 so that a document that turns out valid stays cheap.
+document, a field, an entry or a value inside one) or one key deleted.
+The call must end with exit code 0, 1 or 2, and a payload must be
+written as ``json.dumps(payload, indent=2)`` writes it. Examples are
+derandomized and small, and ``PRECEDENCE_MAX_M`` is lowered to 4 so that
+a document that turns out valid stays cheap.
 """
 
 import copy
+import io
 import json
 
 import pytest
@@ -23,7 +26,7 @@ from precedence import (
     pattern_cyclic,
     synthesize_voting_situation,
 )
-from precedence.cli import run
+from precedence.cli import _write_json, run
 
 LAW = PermutationDistribution.uniform(3)
 PATTERN = pattern_cyclic(3)
@@ -136,4 +139,6 @@ def test_any_document_exits_zero_one_or_two(tmp_path, monkeypatch, command, data
     if result.exit_code == 2:
         assert result.diagnostics
     if result.payload is not None:
-        json.dumps(result.payload)
+        out = io.StringIO()
+        _write_json(result.payload, out)
+        assert out.getvalue() == json.dumps(result.payload, indent=2) + "\n"

@@ -21,6 +21,7 @@ from precedence.core import (
     json_entries,
     json_int,
     validate_permutation,
+    validate_prefix,
 )
 
 
@@ -98,6 +99,31 @@ class TestJsonLoading:
     def test_permutation_length_is_checked_before_the_range_is_built(self):
         with pytest.raises(DomainError):
             validate_permutation(10**18, [1])
+
+
+class TestPrefixes:
+    @pytest.mark.parametrize("prefix", [(), (3,), (2, 4, 1), (4, 3, 2, 1)])
+    def test_accepts(self, prefix):
+        assert validate_prefix(4, list(prefix)) == prefix
+
+    @pytest.mark.parametrize(
+        "prefix, message",
+        [
+            ((True, 2), "prefix element True outside [4]"),
+            ((1, 2.0), "prefix element 2.0 outside [4]"),
+            (("1",), "prefix element '1' outside [4]"),
+            ((0, 1), "prefix element 0 outside [4]"),
+            ((1, 5), "prefix element 5 outside [4]"),
+            ((1, [2]), "prefix element [2] outside [4]"),
+            ((3, 1, None), "prefix element None outside [4]"),
+            ((2, 1, 2), "repeated element 2 in prefix (2, 1, 2)"),
+            ((1, 2, 3, 4, 1), "repeated element 1 in prefix (1, 2, 3, 4, 1)"),
+        ],
+    )
+    def test_rejects_with_the_first_bad_element(self, prefix, message):
+        with pytest.raises(DomainError) as info:
+            validate_prefix(4, prefix)
+        assert str(info.value) == message
 
 
 class TestSubsetMask:

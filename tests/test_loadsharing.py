@@ -84,6 +84,21 @@ class TestRateTables:
         with pytest.raises(DomainError):
             OrderDependentLSModel(2, {((), 1): Fraction(-1)})
 
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            (((1, 2, 3, 4), 1), "prefix (1, 2, 3, 4) too long for m=4"),
+            (((True,), 2), "prefix element True outside [4]"),
+            (((1, 1), 2), "repeated element 1 in prefix (1, 1)"),
+            (((1,), True), "invalid survivor True for prefix (1,)"),
+            (((1, 2), 2), "invalid survivor 2 for prefix (1, 2)"),
+        ],
+    )
+    def test_rejects_bad_keys_by_name(self, key, message):
+        with pytest.raises(DomainError) as info:
+            OrderDependentLSModel(4, {key: Fraction(1)})
+        assert str(info.value) == message
+
     def test_json_roundtrip_both_flavors(self, example_model):
         assert model_from_json_dict(example_model.to_json_dict()) == example_model
         si = build_ls_epsilon(

@@ -14,7 +14,7 @@ from precedence import (
     alpha_family,
     enumerate_patterns,
 )
-from precedence.core import subsets_of_size_at_least
+from precedence.core import subset_members, subsets_of_size_at_least
 
 
 @given(m=st.integers(1, 6), k=st.integers(0, 7))
@@ -57,3 +57,26 @@ def test_family_is_complete_only_with_every_subset(m, data):
     some = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
     only_pairs = {key: a for key, a in full.alphas.items() if key[0] in some}
     assert WinningProbabilityFamily(m, only_pairs).is_complete() == (m == 2)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_cached_tuples_pass_through_and_others_are_checked(m):
+    order = subsets_of_size_at_least(m, 1)
+    assert {id(s) for s in subsets_of_size_at_least(m, 2)} <= {id(s) for s in order}
+    for s in order:
+        assert subset_members(m, s) is s
+    if m < 2:
+        return
+    built = tuple(range(1, m + 1))
+    assert subset_members(m, built) == built
+    assert subset_members(m, reversed(built)) == built
+    assert subset_members(m, SubsetMask.of(m, built)) == built
+    assert subset_members(m + 1, order[-1]) == order[-1]
+    for bad, message in [
+        ((True, 2), "element True outside"),
+        ((1, 1), "repeated elements"),
+        ((1, m + 1), f"element {m + 1} outside"),
+        (SubsetMask.of(m + 1, [1]), "subset over"),
+    ]:
+        with pytest.raises(DomainError, match=message):
+            subset_members(m, bad)
