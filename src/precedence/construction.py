@@ -149,9 +149,9 @@ def check_epsilon_condition(eps: EpsilonSchedule) -> EpsilonConditionReport:
     """Exactly evaluate the separation inequality at every level.
 
     Levels l = 1..m-1 require (m-l)!(l-1)!/(2 m!) * eps(l) > 8 l * eps(l+1),
-    with eps(1) read as 1 (see the module note). Also verified: eps(2) < 1/4
-    and the rho decay 2(u-1) eps(u) < (u-2) eps(u-1) for u = 3..m, both of
-    which the separation inequality is meant to imply.
+    with eps(1) read as 1 (see the module note). Also verified: the two
+    conditions of :meth:`EpsilonSchedule.decay_conditions`, eps(2) < 1/4 and
+    the rho decay, which the separation inequality is meant to imply.
     """
     m = eps.m
     levels = []
@@ -162,11 +162,7 @@ def check_epsilon_condition(eps: EpsilonSchedule) -> EpsilonConditionReport:
         ) * e
         rhs = 8 * level * eps.value(level + 1)
         levels.append(EpsilonLevelCheck(level, lhs, rhs))
-    eps2_small = m < 2 or eps.value(2) < Fraction(1, 4)
-    decay = all(
-        2 * (u - 1) * eps.value(u) < (u - 2) * eps.value(u - 1) for u in range(3, m + 1)
-    )
-    return EpsilonConditionReport(m, tuple(levels), eps2_small, decay)
+    return EpsilonConditionReport(m, tuple(levels), *eps.decay_conditions())
 
 
 def build_ls_epsilon(sigma: RankingPattern, eps: EpsilonSchedule) -> SetInvariantLSModel:

@@ -23,8 +23,15 @@ Two representations are provided:
   order-independent by construction. These embed losslessly into the
   order-dependent representation via :func:`as_order_dependent`.
 
+Both answer ``rates_after(prefix)``: the row of every survivor's rate
+after a failure prefix, ascending by survivor. Every reader of more than
+one rate (:func:`total_rate`, :func:`prefix_probability`, the walker, the
+embedding and the sampler) takes whole rows; ``rate(prefix, j)`` is the
+single-entry lookup.
+
 :func:`distribution_of`, :func:`alpha_family_ls` and :func:`beta_gamma_split`
-are reductions over one walker of the reachable failure prefixes. Winning
+are reductions over one walker of the reachable failure prefixes, which
+reads one row per prefix. Winning
 probabilities sum the failed-set table of :mod:`precedence.permdist`, which
 set-invariant models build by a DP that expands each failed set once, not
 each of its k! orderings; they must agree exactly with the two-step route
@@ -44,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -109,21 +116,21 @@ class EpsilonSchedule:
         """Reparametrized magnitude rho(u) = eps(u) * (u - 1) / 2."""
         return self.value(level) * (level - 1) / 2
 
-    def satisfies_decay(self) -> bool:
-        """rho(2) < 1/8 and 2*rho(u) < rho(u-1) for u = 3..m.
+    def decay_conditions(self) -> tuple[bool, bool]:
+        """(rho(2) < 1/8, 2*rho(u) < rho(u-1) for u = 3..m).
 
-        Implies sum_{u=k..m} rho(u) < 2*rho(k), the geometric-domination
-        fact behind the prefix-probability bounds.
+        In eps terms: eps(2) < 1/4, and 2(u-1) eps(u) < (u-2) eps(u-1).
+        Together they imply sum_{u=k..m} rho(u) < 2*rho(k), the
+        geometric-domination fact behind the prefix-probability bounds.
         """
-        if self.m >= 2 and self.rho(2) >= Fraction(1, 8):
-            return False
-        return all(2 * self.rho(u) < self.rho(u - 1) for u in range(3, self.m + 1))
+        small = self.m < 2 or self.rho(2) < Fraction(1, 8)
+        return small, all(2 * self.rho(u) < self.rho(u - 1) for u in range(3, self.m + 1))
 
     def to_json_list(self) -> list[str]:
         return [rational_format(e) for e in self.eps]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class OrderDependentLSModel:
     """Sparse rate table ``(prefix, j) -> mu`` plus a default rate.
 
@@ -155,17 +162,17 @@ class OrderDependentLSModel:
         object.__setattr__(self, "rates", clean)
         object.__setattr__(self, "default", default)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrderDependentLSModel):
-            return NotImplemented
-        return (
-            self.m == other.m
-            and self.default == other.default
-            and dict(self.rates) == dict(other.rates)
-        )
-
     def rate(self, prefix: tuple[int, ...], j: int) -> Fraction:
         return self.rates.get((prefix, j), self.default)
+
+    def rates_after(self, prefix: tuple[int, ...]) -> dict[int, Fraction]:
+        """Each survivor's rate after the failure order ``prefix``, ascending."""
+        failed = set(prefix)
+        return {
+            j: self.rates.get((prefix, j), self.default)
+            for j in range(1, self.m + 1)
+            if j not in failed
+        }
 
     @classmethod
     def constant(cls, m: int, rate: Fraction | int = 1) -> "OrderDependentLSModel":
@@ -200,18 +207,18 @@ class OrderDependentLSModel:
             raise InputFormatError(str(ex)) from ex
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SetInvariantLSModel:
     """Rates keyed by survivor set: ``mu_j([m] \\ A)`` stored under (A, j).
 
     Order-independence is structural. When built from an epsilon schedule
     the schedule travels with the model (``epsilon``) so that bound checks
-    can recover the rho magnitudes.
+    can recover the rho magnitudes; equality ignores it.
     """
 
     m: int
     mu_by_survivors: Mapping[tuple[tuple[int, ...], int], Fraction]
-    epsilon: EpsilonSchedule | None = None
+    epsilon: EpsilonSchedule | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         check_dimension(self.m)
@@ -220,7 +227,7 @@ class SetInvariantLSModel:
             members = subset_members(self.m, survivors)
             if type(j) is not int or j not in members:
                 raise DomainError(f"survivor {j!r} not in survivor set {members}")
-            q = Fraction(value)
+            q = value if type(value) is Fraction else Fraction(value)
             if q < 0:
                 raise DomainError(f"negative rate {q} for mu_{j} with survivors {members}")
             clean[(members, j)] = q
@@ -234,22 +241,17 @@ class SetInvariantLSModel:
                 raise DomainError(f"survivor set {members} has zero total rate")
         object.__setattr__(self, "mu_by_survivors", clean)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SetInvariantLSModel):
-            return NotImplemented
-        return self.m == other.m and dict(self.mu_by_survivors) == dict(
-            other.mu_by_survivors
-        )
-
-    def survivors_after(self, prefix: tuple[int, ...]) -> tuple[int, ...]:
-        failed = set(prefix)
-        return tuple(i for i in range(1, self.m + 1) if i not in failed)
-
     def rate(self, prefix: tuple[int, ...], j: int) -> Fraction:
-        survivors = self.survivors_after(prefix)
-        if j not in survivors:
+        row = self.rates_after(prefix)
+        if j not in row:
             raise DomainError(f"{j} is not a survivor after prefix {prefix}")
-        return self.mu_by_survivors[(survivors, j)]
+        return row[j]
+
+    def rates_after(self, prefix: tuple[int, ...]) -> dict[int, Fraction]:
+        """Each survivor's rate after the failure order ``prefix``, ascending."""
+        failed = set(prefix)
+        survivors = tuple(i for i in range(1, self.m + 1) if i not in failed)
+        return {j: self.mu_by_survivors[(survivors, j)] for j in survivors}
 
     def to_json_dict(self) -> dict:
         entries = sorted(self.mu_by_survivors)
@@ -303,13 +305,7 @@ def model_from_json_dict(doc: dict) -> LoadSharingModel:
 
 def total_rate(model: LoadSharingModel, prefix: Iterable[int]) -> Fraction:
     """M(prefix): total rate of the components still alive after ``prefix``."""
-    prefix = validate_prefix(model.m, prefix)
-    failed = set(prefix)
-    total = ZERO
-    for j in range(1, model.m + 1):
-        if j not in failed:
-            total += model.rate(prefix, j)
-    return total
+    return sum(model.rates_after(validate_prefix(model.m, prefix)).values(), ZERO)
 
 
 def prefix_probability(model: LoadSharingModel, prefix: Iterable[int]) -> Fraction:
@@ -317,11 +313,11 @@ def prefix_probability(model: LoadSharingModel, prefix: Iterable[int]) -> Fracti
     prefix = validate_prefix(model.m, prefix)
     prob = ONE
     for r, victim in enumerate(prefix):
-        head = prefix[:r]
-        total = total_rate(model, head)
+        row = model.rates_after(prefix[:r])
+        total = sum(row.values(), ZERO)
         if total == 0:
             return ZERO
-        prob *= model.rate(head, victim) / total
+        prob *= row[victim] / total
         if prob == 0:
             return ZERO
     return prob
@@ -329,25 +325,27 @@ def prefix_probability(model: LoadSharingModel, prefix: Iterable[int]) -> Fracti
 
 def _walk(
     model: LoadSharingModel, pool: Iterable[int], depth: int
-) -> Iterator[tuple[tuple[int, ...], Fraction, Fraction]]:
-    """(prefix, probability, total rate) of each reachable prefix drawn from ``pool``.
+) -> Iterator[tuple[tuple[int, ...], Fraction, dict[int, Fraction]]]:
+    """(prefix, share, row) of each reachable prefix drawn from ``pool``.
 
-    Depth first, up to length ``depth``; prefixes with total rate 0 are
-    skipped. The stack holds ``depth`` levels of siblings, never the tree.
+    ``row`` is ``model.rates_after(prefix)`` and ``share`` is P(prefix) / M(prefix),
+    so survivor j fails next with probability ``share * row[j]``. Depth
+    first, up to length ``depth``; prefixes with total rate 0 are skipped.
+    The stack holds ``depth`` levels of siblings, never the tree.
     """
-    pool = tuple(pool)
+    pool = frozenset(pool)
     stack = [((), ONE)]
     while stack:
         prefix, prob = stack.pop()
-        total = total_rate(model, prefix)
+        row = model.rates_after(prefix)
+        total = sum(row.values(), ZERO)
         if total == 0:
             continue
-        yield prefix, prob, total
+        share = prob / total
+        yield prefix, share, row
         if len(prefix) < depth:
             children = [
-                (prefix + (j,), prob * mu / total)
-                for j in pool
-                if j not in prefix and (mu := model.rate(prefix, j))
+                (prefix + (j,), share * mu) for j, mu in row.items() if mu and j in pool
             ]
             stack.extend(reversed(children))
 
@@ -362,13 +360,13 @@ def _failure_law(model: LoadSharingModel) -> dict[tuple[int, ...], Fraction]:
     """
     m = model.m
     weights = {(1,): ONE} if m == 1 else {}  # at m = 1 no prefix has length m - 2
-    for prefix, prob, total in _walk(model, range(1, m + 1), m - 2):
+    for prefix, share, row in _walk(model, range(1, m + 1), m - 2):
         if len(prefix) == m - 2:
-            a, b = (j for j in range(1, m + 1) if j not in prefix)
-            for j, last in ((a, b), (b, a)):
-                mu = model.rate(prefix, j)
-                if mu:
-                    weights[prefix + (j, last)] = prob * mu / total
+            (a, mu_a), (b, mu_b) = row.items()
+            if mu_a:
+                weights[prefix + (a, b)] = share * mu_a
+            if mu_b:
+                weights[prefix + (b, a)] = share * mu_b
     mass = sum(weights.values(), ZERO)
     if mass != 1:
         raise InvalidModelError(
@@ -446,8 +444,8 @@ def beta_gamma_split(
     outside = tuple(x for x in range(1, model.m + 1) if x not in members)
     depth = model.m - ell
     beta = gamma = ZERO
-    for prefix, prob, total in _walk(model, outside, depth):
-        term = prob * model.rate(prefix, i) / total
+    for prefix, share, row in _walk(model, outside, depth):
+        term = share * row[i]
         if len(prefix) == depth:
             gamma += term
         else:
@@ -510,7 +508,7 @@ def check_prefix_bounds(
         raise DomainError("model carries no epsilon schedule; pass one explicitly")
     if eps.m != model.m:
         raise DomainError(f"schedule has m={eps.m} but model has m={model.m}")
-    if not eps.satisfies_decay():
+    if not all(eps.decay_conditions()):
         raise ScheduleError("epsilon schedule violates the rho decay conditions")
     m, k = model.m, len(prefix)
     if k < 1:
@@ -528,9 +526,10 @@ def check_prefix_bounds(
 def as_order_dependent(model: SetInvariantLSModel) -> OrderDependentLSModel:
     """Canonical injection: spell out the set-keyed rates for every prefix."""
     m = model.m
-    rates: dict[tuple[tuple[int, ...], int], Fraction] = {}
-    for k in range(m):
-        for prefix in itertools.permutations(range(1, m + 1), k):
-            for j in model.survivors_after(prefix):
-                rates[(prefix, j)] = model.rate(prefix, j)
+    rates = {
+        (prefix, j): mu
+        for k in range(m)
+        for prefix in itertools.permutations(range(1, m + 1), k)
+        for j, mu in model.rates_after(prefix).items()
+    }
     return OrderDependentLSModel(m, rates)

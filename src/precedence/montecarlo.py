@@ -116,9 +116,8 @@ class _SamplerTables:
         self._extend(0, [()])
 
     def _row(self, prefix: tuple[int, ...]) -> tuple[list[int], np.ndarray, float]:
-        failed = set(prefix)
-        survivors = [j for j in range(1, self.m + 1) if j not in failed]
-        rates = [self.model.rate(prefix, j) for j in survivors]
+        row = self.model.rates_after(prefix)
+        survivors, rates = list(row), row.values()
         total = sum(rates, ZERO)
         if len(survivors) == 1:
             # the lone survivor fails last at any rate; only its failure time reads the total

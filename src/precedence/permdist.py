@@ -49,7 +49,7 @@ from .core import (
 from .errors import DomainError, InputFormatError
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PermutationDistribution:
     """Probability weights over the permutations of [m]; weights sum exactly to 1.
 
@@ -65,7 +65,7 @@ class PermutationDistribution:
         clean: dict[tuple[int, ...], Fraction] = {}
         for perm, value in self.weights.items():
             perm = validate_permutation(self.m, perm)
-            q = Fraction(value)
+            q = value if type(value) is Fraction else Fraction(value)
             if q < 0:
                 raise DomainError(f"negative weight {q} for permutation {perm}")
             if q:
@@ -74,11 +74,6 @@ class PermutationDistribution:
         if total != 1:
             raise DomainError(f"weights sum to {total}, expected exactly 1")
         object.__setattr__(self, "weights", clean)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PermutationDistribution):
-            return NotImplemented
-        return self.m == other.m and dict(self.weights) == dict(other.weights)
 
     def weight(self, perm: Iterable[int]) -> Fraction:
         return self.weights.get(validate_permutation(self.m, perm), ZERO)
@@ -132,7 +127,7 @@ class PermutationDistribution:
             raise InputFormatError(str(ex)) from ex
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WinningProbabilityFamily:
     """The winning probabilities alpha_j(A), keyed by (sorted subset, j).
 
@@ -155,7 +150,7 @@ class WinningProbabilityFamily:
                 raise DomainError(f"subset {members} has fewer than two members")
             if j not in members:
                 raise DomainError(f"index {j} not in subset {members}")
-            q = Fraction(value)
+            q = value if type(value) is Fraction else Fraction(value)
             if not 0 <= q <= 1:
                 raise DomainError(f"alpha_{j}({members}) = {q} outside [0, 1]")
             clean[(members, j)] = q
@@ -167,11 +162,6 @@ class WinningProbabilityFamily:
             if total != 1:
                 raise DomainError(f"alphas over {members} sum to {total}, expected 1")
         object.__setattr__(self, "alphas", clean)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WinningProbabilityFamily):
-            return NotImplemented
-        return self.m == other.m and dict(self.alphas) == dict(other.alphas)
 
     def alpha(self, subset: SubsetMask | Iterable[int], j: int) -> Fraction:
         members = subset_members(self.m, subset)

@@ -43,6 +43,8 @@ class RankingFunction:
 
     def __post_init__(self) -> None:
         members = tuple(self.members)
+        if any(type(x) is not int for x in members):
+            raise DomainError(f"subset {members} has a member that is not an integer")
         if len(members) < 2 or list(members) != sorted(set(members)):
             raise DomainError(f"invalid subset {members} for a ranking function")
         pairs = tuple(sorted(self.ranks))
@@ -74,9 +76,6 @@ class RankingFunction:
     @property
     def is_weak(self) -> bool:
         return len({r for _, r in self.ranks}) < len(self.members)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.ranks)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .construction import invert_to_ls
 from .core import ZERO, check_dimension, json_int, rational_format, rational_parse
 from .core import validate_permutation
 from .errors import DomainError, InfeasibleTargetError, InputFormatError
@@ -226,8 +227,6 @@ def ls_for_target_signature(
     and the resulting distribution is inverted into rates. A target is
     feasible iff it puts no mass on a step whose fiber is empty.
     """
-    from .construction import invert_to_ls
-
     if target.r != phi.r:
         raise DomainError(f"target has r={target.r} but structure has r={phi.r}")
     fibers = step_fibers(phi)

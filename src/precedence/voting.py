@@ -24,15 +24,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .construction import build_ls_epsilon, epsilon_schedule
 from .core import check_dimension, decimal_int, int_format, json_entries, json_int
 from .core import subset_members, validate_permutation
 from .errors import DomainError, InputFormatError
-from .loadsharing import EpsilonSchedule, distribution_of
+from .loadsharing import distribution_of
 from .permdist import PermutationDistribution, failed_set_table, integer_weights, winner_sums
 from .ranking import ConcordanceReport, RankingPattern, score_concordance
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class VotingSituation:
     """Non-negative voter counts per preference ranking; total n > 0."""
 
@@ -52,17 +53,9 @@ class VotingSituation:
             raise DomainError("a voting situation needs at least one voter")
         object.__setattr__(self, "counts", clean)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VotingSituation):
-            return NotImplemented
-        return self.m == other.m and dict(self.counts) == dict(other.counts)
-
     @property
     def n(self) -> int:
         return sum(self.counts.values())
-
-    def count(self, perm: Iterable[int]) -> int:
-        return self.counts.get(validate_permutation(self.m, perm), 0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -88,7 +81,7 @@ class VotingSituation:
             raise InputFormatError(str(ex)) from ex
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TallyTable:
     """Plurality tallies n_i(A) for every election subset A."""
 
@@ -148,18 +141,12 @@ def check_n_concordance(tau: RankingPattern, vs: VotingSituation) -> Concordance
     return score_concordance(tau, lambda members, j: table.tallies[(members, j)])
 
 
-def synthesize_voting_situation(
-    sigma: RankingPattern, eps: EpsilonSchedule | None = None
-) -> VotingSituation:
+def synthesize_voting_situation(sigma: RankingPattern) -> VotingSituation:
     """An integer electorate whose tallies are N-concordant with ``sigma``.
 
-    Builds the schedule model, takes its exact failure-order law, and
-    scales by the least common multiple of the weight denominators.
+    Builds the universal schedule model, takes its exact failure-order law,
+    and scales by the least common multiple of the weight denominators.
     """
-    from .construction import build_ls_epsilon, epsilon_schedule
-
-    if eps is None:
-        eps = epsilon_schedule(sigma.m)
-    model = build_ls_epsilon(sigma, eps)
+    model = build_ls_epsilon(sigma, epsilon_schedule(sigma.m))
     counts, _ = integer_weights(distribution_of(model).weights)
     return VotingSituation(sigma.m, counts)

@@ -298,11 +298,17 @@ class TestErrorPaths:
                 {"m": 2, "counts": [{"perm": p, "n": "9" * 4300} for p in ([1, 2], [2, 1])]},
                 "n: integer has more than 4300 digits",
             ),
+            *(
+                (["concord", "certify", "--pattern"],
+                 {"m": 2, "functions": [{"set": [member, 2], "ranks": {"1": 1, "2": 2}}]},
+                 "functions[0]")
+                for member in (1.0, True)
+            ),
         ],
         ids=["rates-not-list", "counts-not-list", "ranks-not-object", "float-count",
              "bool-count", "float-rank", "float-perm", "float-survivor", "string-m",
              "float-m", "list-m", "int-perm", "int-rate-entry", "rank-key-outside-set",
-             "default-too-long", "total-too-long"],
+             "default-too-long", "total-too-long", "float-set-member", "bool-set-member"],
     )
     def test_wrongly_typed_field_exits_two(self, tmp_path, command, doc, field):
         path = tmp_path / "doc.json"

@@ -111,6 +111,21 @@ class TestEpsilonSchedule:
         assert not report.passed
         assert all(not check.passed for check in report.levels)
 
+    @pytest.mark.parametrize(
+        "eps",
+        [("0",), ("0", "1/4"), ("0", "1/5"), ("0", "1/5", "1/20"), ("0", "1/5", "1/21"),
+         ("0", "1/3", "1/21"), ("0", "1/5", "1/21", "1/63"), ("0", "1/5", "1/21", "1/64")],
+    )
+    def test_report_flags_are_the_eps_forms_of_the_decay_conditions(self, eps):
+        schedule = EpsilonSchedule(len(eps), tuple(map(Fraction, eps)))
+        e, m = schedule.value, schedule.m
+        report = check_epsilon_condition(schedule)
+        assert report.eps2_small == (m < 2 or e(2) < Fraction(1, 4))
+        assert report.decay_holds == all(
+            2 * (u - 1) * e(u) < (u - 2) * e(u - 1) for u in range(3, m + 1)
+        )
+        assert (report.eps2_small, report.decay_holds) == schedule.decay_conditions()
+
     def test_level_one_constrains_eps2(self):
         # level 1 reads eps(1) as 1: the inequality is eps(2) < 1/(16 m)
         m = 5

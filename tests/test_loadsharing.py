@@ -71,6 +71,24 @@ def set_invariant_models(draw, min_m=2, max_m=6):
     return SetInvariantLSModel(m, mu)
 
 
+@st.composite
+def order_dependent_models(draw, min_m=1, max_m=5):
+    """A nonzero default rate, overridden (sometimes by 0) on a few prefixes."""
+    m = draw(st.integers(min_m, max_m))
+    keys = [
+        (prefix, j)
+        for k in range(m)
+        for prefix in itertools.permutations(range(1, m + 1), k)
+        for j in range(1, m + 1)
+        if j not in prefix
+    ]
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=12, unique=True))
+    rates = {
+        key: Fraction(draw(st.integers(0, 6)), draw(st.integers(1, 9))) for key in chosen
+    }
+    return OrderDependentLSModel(m, rates, Fraction(draw(st.integers(1, 5)), 3))
+
+
 class TestRateTables:
     def test_totals_of_inverted_worked_example(self, example_model):
         assert total_rate(example_model, (1,)) == 1  # 1/3 + 2/3
@@ -98,6 +116,17 @@ class TestRateTables:
         with pytest.raises(DomainError) as info:
             OrderDependentLSModel(4, {key: Fraction(1)})
         assert str(info.value) == message
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=st.one_of(order_dependent_models(), set_invariant_models(min_m=1, max_m=5)))
+    def test_rows_match_single_rates_and_totals(self, model):
+        ground = range(1, model.m + 1)
+        for k in range(model.m):
+            for prefix in itertools.permutations(ground, k):
+                row = model.rates_after(prefix)
+                assert list(row) == [j for j in ground if j not in prefix]
+                assert row == {j: model.rate(prefix, j) for j in row}
+                assert total_rate(model, prefix) == sum(row.values())
 
     def test_json_roundtrip_both_flavors(self, example_model):
         assert model_from_json_dict(example_model.to_json_dict()) == example_model

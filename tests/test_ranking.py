@@ -36,6 +36,19 @@ class TestRankingFunction:
         with pytest.raises(DomainError):
             RankingFunction.of((1, 2, 3), {1: 1, 2: 2})
 
+    @pytest.mark.parametrize(
+        "members, ranks",
+        [
+            ((1.5, 2), ((1.5, 1), (2, 2))),
+            ((1.0, 2), ((1, 1), (2, 2))),
+            ((True, 2), ((1, 1), (2, 2))),
+        ],
+        ids=["fractional", "float-valued-int", "bool"],
+    )
+    def test_members_must_be_ints(self, members, ranks):
+        with pytest.raises(DomainError, match="not an integer"):
+            RankingFunction(members, ranks)
+
 
 class TestRankingPattern:
     def test_requires_every_subset(self):
