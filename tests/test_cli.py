@@ -156,6 +156,12 @@ class TestVoteCommands:
         assert result.exit_code == 1
         assert result.payload["verdict"] == "FAIL"
 
+    def test_decimal_keeps_a_count_too_large_for_a_float(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(VotingSituation(2, {(1, 2): 10**400}).to_json_dict()))
+        payload = run(["vote", "tally", "--votes", str(path), "--decimal"]).payload
+        assert payload["n"] == str(10**400)
+
     def test_synth_roundtrips(self, cyclic_file):
         payload = run(["vote", "synth", "--pattern", cyclic_file]).payload
         vs = VotingSituation.from_json_dict(payload)

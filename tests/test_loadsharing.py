@@ -117,6 +117,24 @@ class TestRateTables:
             OrderDependentLSModel(4, {key: Fraction(1)})
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "rates, message",
+        [
+            ({((1,), 2): Fraction(1)}, "survivor 2 not in survivor set (1,)"),
+            ({((1, 2), 1): Fraction(-1)}, "negative rate -1 for mu_1 with survivors (1, 2)"),
+            (
+                {((1,), 1): Fraction(1), ((2,), 2): Fraction(1),
+                 ((1, 2), 1): Fraction(0), ((1, 2), 2): Fraction(0)},
+                "survivor set (1, 2) has zero total rate",
+            ),
+        ],
+        ids=["survivor-outside", "negative", "zero-total"],
+    )
+    def test_set_invariant_rejects_by_name(self, rates, message):
+        with pytest.raises(DomainError) as info:
+            SetInvariantLSModel(2, rates)
+        assert str(info.value) == message
+
     @settings(max_examples=40, deadline=None)
     @given(model=st.one_of(order_dependent_models(), set_invariant_models(min_m=1, max_m=5)))
     def test_rows_match_single_rates_and_totals(self, model):

@@ -59,6 +59,30 @@ class TestPermutationDistribution:
         assert PermutationDistribution.from_json_dict(example_law.to_json_dict()) == example_law
 
 
+class TestWinningProbabilityFamily:
+    @pytest.mark.parametrize(
+        "alphas, message",
+        [
+            ({((1,), 1): Fraction(1)}, "subset (1,) has fewer than two members"),
+            ({((1, 2), 3): Fraction(1)}, "index 3 not in subset (1, 2)"),
+            (
+                {((1, 2), 1): Fraction(3, 2), ((1, 2), 2): Fraction(-1, 2)},
+                "alpha_1((1, 2)) = 3/2 outside [0, 1]",
+            ),
+            ({((1, 2), 1): Fraction(1)}, "incomplete entries for subset (1, 2)"),
+            (
+                {((1, 2), 1): Fraction(1, 2), ((1, 2), 2): Fraction(1, 3)},
+                "alphas over (1, 2) sum to 5/6, expected 1",
+            ),
+        ],
+        ids=["singleton", "index-outside", "value-outside", "incomplete", "bad-sum"],
+    )
+    def test_rejects_by_name(self, alphas, message):
+        with pytest.raises(DomainError) as info:
+            WinningProbabilityFamily(3, alphas)
+        assert str(info.value) == message
+
+
 class TestMarginals:
     def test_worked_example_first_failure(self, example_law):
         assert pk_marginal(example_law, (1,)) == Fraction(1, 3)

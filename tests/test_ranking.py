@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -63,6 +65,18 @@ class TestRankingPattern:
     def test_weak_detection(self, example_pattern):
         assert example_pattern.is_weak
         assert example_pattern.weak_subsets() == ((1, 2),)
+
+    def test_rejects_a_duplicate_function(self):
+        fn = RankingFunction.of((1, 2), {1: 1, 2: 2})
+        with pytest.raises(DomainError) as info:
+            RankingPattern(2, (fn, fn))
+        assert str(info.value) == "duplicate ranking function for subset (1, 2)"
+
+    def test_rejects_an_element_outside_m(self):
+        fn = RankingFunction.of((1, 3), {1: 1, 3: 2})
+        with pytest.raises(DomainError) as info:
+            RankingPattern(2, (fn,))
+        assert str(info.value) == "element 3 outside [2]"
 
 
 class TestInducedPattern:
@@ -217,6 +231,21 @@ class TestEnumeration:
         c = [p.to_json_dict() for p in enumerate_patterns(4, True, seed=10, limit=5)]
         assert a == b
         assert a != c
+
+    # sha256 of the JSON list of the stream's documents, pinned at the
+    # commit before the generators shared one per-subset builder
+    @pytest.mark.parametrize(
+        "non_weak_only, limit, digest",
+        [
+            (False, None, "fac54b286880cc19d86d60f67994de33dcfa4f1defd17fc9580937dfdd8dd722"),
+            (False, 5, "a03bd63db48dbb129830cb38b777e8d144c638bace3fd9b0c9fc5f2d9090ad0b"),
+            (True, None, "2210923e8ab8be337867fe208d35080cf2985b8ff347981060c1d8d50f5e32fb"),
+            (True, 5, "fab4f20a00748bff88f93e208e3a1e11889ac17eda93a21fbc9fdccb646095b8"),
+        ],
+    )
+    def test_exhaustive_stream_is_pinned(self, non_weak_only, limit, digest):
+        docs = [p.to_json_dict() for p in enumerate_patterns(3, non_weak_only, limit=limit)]
+        assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == digest
 
     def test_sampled_weak_patterns_are_valid(self):
         for sigma in enumerate_patterns(3, non_weak_only=False, seed=3, limit=20):

@@ -44,6 +44,11 @@ class TestStructureFunction:
         with pytest.raises(DomainError, match="no path set"):
             StructureFunction(3, (frozenset({1}), frozenset({2})))
 
+    def test_rejects_no_path_sets(self):
+        with pytest.raises(DomainError) as info:
+            StructureFunction(2, ())
+        assert str(info.value) == "at least one path set is required"
+
     def test_rejects_empty_path_set(self):
         with pytest.raises(DomainError):
             StructureFunction(2, (frozenset(), frozenset({1, 2})))

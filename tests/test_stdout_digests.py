@@ -36,6 +36,8 @@ def law(m: int) -> PermutationDistribution:
 
 def documents(name: str, m: int) -> dict:
     """The input documents of one case, by the flag that reads them."""
+    if name.startswith("pattern-gen"):
+        return {}
     if name.startswith("certify-"):
         return {"--pattern": PATTERNS[name[len("certify-"):]](m).to_json_dict()}
     if name == "vote-synth":
@@ -61,6 +63,11 @@ COMMANDS = {
     "oracle": ["oracle"],
     "pattern-induce": ["pattern", "induce"],
     "ls-invert": ["ls", "invert"],
+    "pattern-gen": ["pattern", "gen", "--kind", "random", "--seed", "7", "--count", "3"],
+    "pattern-gen-weak": [
+        "pattern", "gen", "--kind", "random", "--seed", "7", "--count", "3", "--allow-weak"
+    ],
+    "pattern-gen-seed0": ["pattern", "gen", "--kind", "random", "--seed", "0"],
 }
 
 # (exit code, sha256 of stdout) per case. A new value here is a change of
@@ -91,6 +98,9 @@ DIGESTS = {
     "pattern-induce-m6": (0, "2a8dbd783632c66bc793e71c5dec2a7ae6369155ef3a8109c82bcf1cbf2f9560"),
     "ls-invert-m4": (0, "d042c76ec158e40bff1522720717bfc327aff99cb58b8b98262ca0c31d4ef1e5"),
     "ls-invert-m6": (0, "0e48cd74d5ae4df8631099e31abb4367c57145c14e2aedac44cdb8bba476d83e"),
+    "pattern-gen-m4": (0, "502920191720ff41c67d8c7b18b784bfe44d02f75c4b71064752398741ba1611"),
+    "pattern-gen-weak-m4": (0, "134ec4835cb68f09593b5d1d1a96600b9159f6ada268effc661edaf25d5dcf03"),
+    "pattern-gen-seed0-m5": (0, "40e70273fe29e96c84b54f7a27b388397e0dc1b9c17cf34fa69c1cb000da7a7b"),
 }
 
 
@@ -105,10 +115,15 @@ def cases():
     for name in ("alpha", "alpha-set", "oracle", "pattern-induce", "ls-invert"):
         for m in (4, 6):
             yield name, m
+    yield "pattern-gen", 4
+    yield "pattern-gen-weak", 4
+    yield "pattern-gen-seed0", 5
 
 
 def run_case(name: str, m: int, tmp_path, capsys) -> tuple[int, str]:
     argv = list(COMMANDS[name])
+    if name.startswith("pattern-gen"):
+        argv += ["--m", str(m)]
     for flag, doc in documents(name, m).items():
         path = tmp_path / f"{flag.strip('-')}.json"
         path.write_text(json.dumps(doc))
