@@ -466,25 +466,6 @@ class PrefixBoundsReport:
     def passed(self) -> bool:
         return self.lower <= self.probability <= self.upper
 
-    @property
-    def margin_lower(self) -> Fraction:
-        return self.probability - self.lower
-
-    @property
-    def margin_upper(self) -> Fraction:
-        return self.upper - self.probability
-
-    def to_json_dict(self) -> dict:
-        return {
-            "prefix": list(self.prefix),
-            "probability": rational_format(self.probability),
-            "lower": rational_format(self.lower),
-            "upper": rational_format(self.upper),
-            "verdict": "PASS" if self.passed else "FAIL",
-            "margin_lower": rational_format(self.margin_lower),
-            "margin_upper": rational_format(self.margin_upper),
-        }
-
 
 def check_prefix_bounds(
     model: SetInvariantLSModel,

@@ -202,6 +202,8 @@ def _blocks(
     """The uniforms, then the exponentials if ``times``, of each sample block."""
     if n_samples < 1:
         raise DomainError(f"need at least one sample, got {n_samples}")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     words = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     key = int(words[0]) | (int(words[1]) << 64)
     starts = range(0, n_samples, CHUNK_TRAJECTORIES)

@@ -94,12 +94,13 @@ class PermutationDistribution:
 
     def prefix_marginals(self) -> dict[tuple[int, ...], Fraction]:
         """p_k for every prefix of every support permutation, k = 1..m."""
-        table: dict[tuple[int, ...], Fraction] = {}
-        for perm, p in self.weights.items():
+        numerators, scale = integer_weights(self.weights)
+        table: dict[tuple[int, ...], int] = {}
+        for perm, n in numerators.items():
             for k in range(1, self.m + 1):
                 key = perm[:k]
-                table[key] = table.get(key, ZERO) + p
-        return table
+                table[key] = table.get(key, 0) + n
+        return {key: Fraction(n, scale) for key, n in table.items()}
 
     # --- serialization ----------------------------------------------------
 

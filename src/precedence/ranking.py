@@ -12,9 +12,10 @@ concordance (ranks must strictly mirror the probability order, ties
 included), generates the classic paradoxical patterns, and enumerates or
 samples pattern space for exhaustive testing.
 
-Generators must rank the subsets the paradox leaves unconstrained
-somehow; the filler used everywhere here is ascending by element index,
-which keeps the output non-weak and deterministic.
+Every generator is one per-subset rule: given the members of a subset, it
+returns their ranks, and one builder applies it to each subset in order.
+The subsets a paradox leaves unconstrained get one filler rule, ascending
+by element index, which keeps the output non-weak and deterministic.
 """
 
 from __future__ import annotations
@@ -99,12 +100,10 @@ class RankingPattern:
                 if not 1 <= x <= self.m:
                     raise DomainError(f"element {x} outside [{self.m}]")
             by_set[fn.members] = fn
+        # every key is a subset of [m] with >= 2 members, so none can be extra
         missing = [s for s in expected if s not in by_set]
         if missing:
             raise DomainError(f"pattern is missing subsets, first: {missing[0]}")
-        if len(by_set) != len(expected):
-            extra = sorted(set(by_set) - set(expected))
-            raise DomainError(f"pattern has unexpected subsets: {extra}")
         object.__setattr__(self, "functions", tuple(by_set[s] for s in expected))
         object.__setattr__(self, "_by_set", by_set)
 
@@ -231,13 +230,12 @@ def induced_pattern(fam: WinningProbabilityFamily) -> RankingPattern:
     """
     if not fam.is_complete():
         raise DomainError("winning-probability family does not cover every subset")
-    functions = []
-    for members in subsets_of_size_at_least(fam.m, 2):
-        values = {j: fam.alphas[(members, j)] for j in members}
-        distinct = sorted(set(values.values()), reverse=True)
-        ranks = {j: distinct.index(v) + 1 for j, v in values.items()}
-        functions.append(RankingFunction.of(members, ranks))
-    return RankingPattern(fam.m, tuple(functions))
+    return _pattern(
+        fam.m,
+        lambda members: _dense_ranks(
+            {j: fam.alphas[(members, j)] for j in members}, best_first=True
+        ),
+    )
 
 
 def check_p_concordance(
@@ -251,8 +249,30 @@ def check_p_concordance(
     return score_concordance(sigma, lambda members, j: fam.alphas[(members, j)])
 
 
-def _ascending_ranks(members: tuple[int, ...]) -> dict[int, int]:
-    return {x: pos + 1 for pos, x in enumerate(members)}
+def _pattern(m: int, ranks_of: Callable[[tuple[int, ...]], Mapping[int, int]]) -> RankingPattern:
+    """The pattern ranking every subset of [m] with >= 2 members by ``ranks_of``.
+
+    ``ranks_of`` is called once per subset, in the cached subset order.
+    """
+    return RankingPattern(
+        m,
+        tuple(
+            RankingFunction.of(members, ranks_of(members))
+            for members in subsets_of_size_at_least(m, 2)
+        ),
+    )
+
+
+def _ascending_ranks(order: Iterable) -> dict:
+    """The rank of each element of ``order``: its position, counted from 1."""
+    return {x: pos for pos, x in enumerate(order, start=1)}
+
+
+def _dense_ranks(values: Mapping[int, object], best_first: bool) -> dict[int, int]:
+    """Dense ranks of the keys of ``values``: equal values share a rank, and
+    rank 1 goes to the largest value if ``best_first``, else the smallest."""
+    rank_of_value = _ascending_ranks(sorted(set(values.values()), reverse=best_first))
+    return {j: rank_of_value[v] for j, v in values.items()}
 
 
 def pattern_very_paradox(m: int) -> RankingPattern:
@@ -264,42 +284,26 @@ def pattern_very_paradox(m: int) -> RankingPattern:
     check_dimension(m)
     if m < 3:
         raise DomainError(f"the paradox needs m >= 3, got {m}")
-    functions = []
-    for members in subsets_of_size_at_least(m, 2):
-        if 1 not in members:
-            ranks = _ascending_ranks(members)
-        elif len(members) == 2:
-            other = members[1]
-            ranks = {1: 1, other: 2}
-        else:
-            rest = [x for x in members if x != 1]
-            ranks = {x: pos + 1 for pos, x in enumerate(rest)}
-            ranks[1] = len(members)
-        functions.append(RankingFunction.of(members, ranks))
-    return RankingPattern(m, tuple(functions))
+    return _pattern(
+        m,
+        lambda members: _ascending_ranks(
+            members[1:] + members[:1] if members[0] == 1 and len(members) > 2 else members
+        ),
+    )
 
 
 def pattern_cyclic(m: int) -> RankingPattern:
     """Pairwise precedence forms the cycle 1 < 2, 2 < 3, ..., m < 1.
 
-    Cyclically adjacent pairs realize the cycle; every other subset is
-    ranked ascending by index (filler rule).
+    Only the pair {1, m} is ranked against the filler rule, ascending by
+    index, which already makes i beat i + 1.
     """
     check_dimension(m)
     if m < 3:
         raise DomainError(f"a precedence cycle needs m >= 3, got {m}")
-    cycle_wins = {(i, i + 1): i for i in range(1, m)}
-    cycle_wins[(1, m)] = m
-    functions = []
-    for members in subsets_of_size_at_least(m, 2):
-        if len(members) == 2 and members in cycle_wins:
-            winner = cycle_wins[members]
-            loser = members[0] if winner == members[1] else members[1]
-            ranks = {winner: 1, loser: 2}
-        else:
-            ranks = _ascending_ranks(members)
-        functions.append(RankingFunction.of(members, ranks))
-    return RankingPattern(m, tuple(functions))
+    return _pattern(
+        m, lambda members: _ascending_ranks(members[::-1] if members == (1, m) else members)
+    )
 
 
 def fubini(n: int) -> int:
@@ -320,24 +324,17 @@ def pattern_count(m: int, non_weak_only: bool) -> int:
 
 
 def _ranking_functions_of(members: tuple[int, ...], non_weak_only: bool):
-    """All ranking functions on one subset, in deterministic rank-tuple order."""
+    """All ranking functions on one subset, in lexicographic rank-tuple order.
+
+    A rank tuple is dense when it takes max(values) distinct values, and
+    strict when it takes len(members) of them.
+    """
     size = len(members)
-    out = []
-    if non_weak_only:
-        for order in itertools.permutations(members):
-            out.append(RankingFunction.of(members, {x: order.index(x) + 1 for x in members}))
-    else:
-        for values in itertools.product(range(1, size + 1), repeat=size):
-            image = set(values)
-            if image == set(range(1, max(image) + 1)):
-                out.append(RankingFunction.of(members, dict(zip(members, values))))
-    out.sort(key=lambda fn: tuple(r for _, r in fn.ranks))
-    return out
-
-
-def _compress_dense(values: dict[int, int]) -> dict[int, int]:
-    distinct = sorted(set(values.values()))
-    return {j: distinct.index(v) + 1 for j, v in values.items()}
+    return [
+        RankingFunction(members, tuple(zip(members, values)))
+        for values in itertools.product(range(1, size + 1), repeat=size)
+        if len(set(values)) == (size if non_weak_only else max(values))
+    ]
 
 
 def enumerate_patterns(
@@ -358,7 +355,6 @@ def enumerate_patterns(
     check_dimension(m)
     if m < 2:
         raise DomainError("patterns need m >= 2")
-    subsets = subsets_of_size_at_least(m, 2)
 
     if seed is None:
         if m > 3:
@@ -366,31 +362,21 @@ def enumerate_patterns(
                 f"exhaustive enumeration refused for m={m}: "
                 f"{pattern_count(m, non_weak_only)} patterns; use a sampling seed"
             )
-        choices = [_ranking_functions_of(members, non_weak_only) for members in subsets]
-        stream: Iterator[RankingPattern] = (
-            RankingPattern(m, combo) for combo in itertools.product(*choices)
-        )
-        if limit is not None:
-            stream = itertools.islice(stream, limit)
-        yield from stream
-        return
+        choices = [
+            _ranking_functions_of(members, non_weak_only)
+            for members in subsets_of_size_at_least(m, 2)
+        ]
+        stream = (RankingPattern(m, combo) for combo in itertools.product(*choices))
+    else:
+        rng = random.Random(seed)
 
-    rng = random.Random(seed)
-
-    def draw() -> RankingPattern:
-        functions = []
-        for members in subsets:
+        def ranks_of(members: tuple[int, ...]) -> dict[int, int]:
             if non_weak_only:
-                order = rng.sample(members, len(members))
-                ranks = {x: order.index(x) + 1 for x in members}
-            else:
-                # Dense-compressed random ranks: a valid, deterministic
-                # stream; the distribution over weak patterns is unspecified.
-                ranks = _compress_dense({x: rng.randint(1, len(members)) for x in members})
-            functions.append(RankingFunction.of(members, ranks))
-        return RankingPattern(m, tuple(functions))
+                return _ascending_ranks(rng.sample(members, len(members)))
+            # Dense-compressed random ranks: a valid, deterministic stream;
+            # the distribution over weak patterns is unspecified.
+            draws = {x: rng.randint(1, len(members)) for x in members}
+            return _dense_ranks(draws, best_first=False)
 
-    count = 0
-    while limit is None or count < limit:
-        yield draw()
-        count += 1
+        stream = (_pattern(m, ranks_of) for _ in itertools.count())
+    yield from itertools.islice(stream, limit)

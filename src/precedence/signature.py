@@ -55,13 +55,14 @@ class StructureFunction:
                 if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= self.r:
                     raise DomainError(f"component {x!r} outside [{self.r}]")
             covered |= ps
+        # before the pairwise loop, which would be quadratic in the copies
+        if len(set(sets)) != len(sets):
+            raise DomainError("duplicate path sets")
         for a, b in itertools.permutations(sets, 2):
             if a < b:
                 raise DomainError(
                     f"path set {sorted(b)} contains {sorted(a)}; sets must be minimal"
                 )
-        if len(set(sets)) != len(sets):
-            raise DomainError("duplicate path sets")
         if covered != set(range(1, self.r + 1)):
             missing = sorted(set(range(1, self.r + 1)) - covered)
             raise DomainError(f"components {missing} appear in no path set (irrelevant)")
@@ -165,14 +166,13 @@ class ProbabilitySignature:
 
 
 def failure_step(phi: StructureFunction, perm: Iterable[int]) -> int:
-    """The failure count at which the system dies along order ``perm``."""
-    perm = validate_permutation(phi.r, perm)
-    working = set(range(1, phi.r + 1))
-    for k, victim in enumerate(perm, start=1):
-        working.discard(victim)
-        if not phi.works(working):
-            return k
-    raise DomainError("structure never failed; path sets cannot be valid")
+    """The failure count at which the system dies along order ``perm``.
+
+    A path set is broken from its first member's failure on, and the
+    system dies when the last of its path sets breaks.
+    """
+    position = {x: k for k, x in enumerate(validate_permutation(phi.r, perm), start=1)}
+    return max(min(position[x] for x in ps) for ps in phi.path_sets)
 
 
 def probability_signature(

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -195,6 +196,15 @@ class TestSignatureCommands:
         model = model_from_json_dict(payload)
         assert model.m == 3
 
+    def test_many_duplicate_path_sets_are_rejected_quickly(self, tmp_path, law_file):
+        path = tmp_path / "dups.json"
+        path.write_text(json.dumps({"r": 3, "path_sets": [[1, 2, 3]] * 30_000}))
+        start = time.perf_counter()
+        result = run(["signature", "compute", "--structure", str(path), "--dist", law_file])
+        assert time.perf_counter() - start < 5
+        assert result.exit_code == 2
+        assert "duplicate path sets" in result.diagnostics[0]
+
     def test_infeasible_target_is_input_error(self, tmp_path):
         phi = StructureFunction.k_out_of_n(3, 2)
         path = tmp_path / "koon.json"
@@ -227,6 +237,13 @@ class TestSimulateCommand:
         )
         assert rerun.payload == doc
 
+
+    def test_negative_seed_exits_two(self, law_file, tmp_path):
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps(run(["ls", "invert", "--dist", law_file]).payload))
+        result = run(["simulate", "--model", str(model_file), "--samples", "10", "--seed", "-1"])
+        assert result.exit_code == 2
+        assert "seed" in result.diagnostics[0]
 
 
 class TestErrorPaths:

@@ -361,7 +361,7 @@ class TestPrefixBounds:
             for k in range(1, m + 1):
                 for prefix in itertools.permutations(range(1, m + 1), k):
                     report = check_prefix_bounds(model, prefix)
-                    assert report.passed, report.to_json_dict()
+                    assert report.passed, report
 
     def test_first_failure_bounds_form(self):
         m = 3

@@ -139,6 +139,12 @@ class TestEstimateAlphas:
         with pytest.raises(DomainError):
             sample_trajectories(example_model, n, seed=0)
 
+    def test_negative_seed_is_domain_error(self, example_model):
+        with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+            estimate_alphas(example_model, 10, seed=-1)
+        with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+            sample_trajectories(example_model, 10, seed=-1)
+
     def test_zero_total_rate_at_a_reached_prefix_raises(self):
         # every sample fails 1 first, and nothing survives prefix (1,)
         model = OrderDependentLSModel(3, {((), 1): Fraction(1)}, default=0)

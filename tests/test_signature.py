@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precedence import (
     DomainError,
@@ -33,6 +35,17 @@ def oracle_failure_step(path_sets, r, perm):
         if not any(set(ps) <= alive for ps in path_sets):
             return k
     raise AssertionError("coherent structures must fail")
+
+
+@st.composite
+def structures_with_orders(draw, max_r=6):
+    """A random coherent structure (minimal sets, relabelled to cover [r]) and an order."""
+    r = draw(st.integers(1, max_r))
+    raw = draw(st.lists(st.frozensets(st.integers(1, r), min_size=1), min_size=1, max_size=8))
+    minimal = {a for a in raw if not any(b < a for b in raw)}
+    label = {x: i for i, x in enumerate(sorted(set().union(*minimal)), start=1)}
+    phi = StructureFunction(len(label), tuple(frozenset(label[x] for x in ps) for ps in minimal))
+    return phi, tuple(draw(st.permutations(range(1, phi.r + 1))))
 
 
 class TestStructureFunction:
@@ -93,6 +106,12 @@ class TestFailureStep:
         phi = StructureFunction.k_out_of_n(3, 2)
         for perm in itertools.permutations((1, 2, 3)):
             assert failure_step(phi, perm) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=structures_with_orders())
+    def test_matches_the_step_by_step_scan(self, case):
+        phi, perm = case
+        assert failure_step(phi, perm) == oracle_failure_step(phi.path_sets, phi.r, perm)
 
     def test_bridge_matches_oracle(self):
         for perm in itertools.permutations(range(1, 6)):
