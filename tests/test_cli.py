@@ -237,7 +237,6 @@ class TestSimulateCommand:
         )
         assert rerun.payload == doc
 
-
     def test_negative_seed_exits_two(self, law_file, tmp_path):
         model_file = tmp_path / "model.json"
         model_file.write_text(json.dumps(run(["ls", "invert", "--dist", law_file]).payload))
