@@ -98,9 +98,19 @@ class TestRateTables:
     def test_constant_model_total(self):
         assert total_rate(OrderDependentLSModel.constant(4), ()) == 4
 
-    def test_rejects_negative_rate(self):
-        with pytest.raises(DomainError):
-            OrderDependentLSModel(2, {((), 1): Fraction(-1)})
+    @pytest.mark.parametrize(
+        "rates, default, message",
+        [
+            ({((), 1): Fraction(-1)}, Fraction(0), "negative rate -1 for mu_1()"),
+            ({((1,), 2): Fraction(-1, 3)}, Fraction(0), "negative rate -1/3 for mu_2(1,)"),
+            ({}, Fraction(-2, 5), "negative default rate -2/5"),
+        ],
+        ids=["empty-prefix", "prefix", "default"],
+    )
+    def test_rejects_negative_rate_by_name(self, rates, default, message):
+        with pytest.raises(DomainError) as info:
+            OrderDependentLSModel(3, rates, default)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "key, message",
@@ -216,6 +226,26 @@ class TestAlphaFamilyLS:
             distribution_of(model)
         with pytest.raises(InvalidModelError):
             alpha_family_ls(model)
+
+    @pytest.mark.parametrize(
+        "rates, mass",
+        [
+            ({((), 1): Fraction(1), ((1,), 2): Fraction(1)}, "0"),
+            (
+                {((), 1): Fraction(1), ((), 2): Fraction(2),
+                 ((2,), 1): Fraction(1), ((2, 1), 3): Fraction(1)},
+                "2/3",
+            ),
+        ],
+        ids=["all-lost", "one-third-lost"],
+    )
+    def test_lost_mass_named_by_both_routes(self, rates, mass):
+        model = OrderDependentLSModel(4, rates, default=Fraction(0))
+        message = f"reachable total rate vanished before exhaustion: mass {mass} != 1"
+        for route in (distribution_of, alpha_family_ls):
+            with pytest.raises(InvalidModelError) as info:
+                route(model)
+            assert str(info.value) == message
 
     def test_constant_model_exchangeable(self):
         fam = alpha_family_ls(OrderDependentLSModel.constant(4))

@@ -37,6 +37,26 @@ class TestPermutationDistribution:
                 2, {(1, 2): Fraction(3, 2), (2, 1): Fraction(-1, 2)}
             )
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ({(1, 2): Fraction(1, 2)}, "weights sum to 1/2, expected exactly 1"),
+            (
+                {(1, 2): Fraction(1, 2), (2, 1): Fraction(5, 6)},
+                "weights sum to 4/3, expected exactly 1",
+            ),
+            (
+                {(1, 2): Fraction(3, 2), (2, 1): Fraction(-1, 2)},
+                "negative weight -1/2 for permutation (2, 1)",
+            ),
+        ],
+        ids=["short-sum", "long-sum", "negative"],
+    )
+    def test_rejects_by_name(self, weights, message):
+        with pytest.raises(DomainError) as info:
+            PermutationDistribution(2, weights)
+        assert str(info.value) == message
+
     def test_zero_weights_dropped(self):
         rho = PermutationDistribution(2, {(1, 2): Fraction(1), (2, 1): Fraction(0)})
         assert rho.support() == ((1, 2),)

@@ -80,8 +80,10 @@ DIGESTS = {
     "certify-very-paradox-m7": (0, "07b827f6b7c69c4466252472e77c5e56ae9b712b8ce756c88302bfa997525f4d"),
     "certify-cyclic-m7": (0, "6e59b834793f38f5f181363f7ae315c32a3822ff885a17ebc3dd84fedce78836"),
     "certify-very-paradox-m9": (0, "25e8a0ef49777d03b43143342bb4a7d3561af595a89c161f6d42be6586c01f5b"),
+    "certify-cyclic-m9": (0, "80d71270153afaff198d9b46313b98dcae5fdde53b582b2523a3393f09123311"),
     "vote-synth-m3": (0, "9db661ff1ddb600f2523e52d338b7ef680210f7ef45c889f55cfccd2b0cbe191"),
     "vote-synth-m6": (0, "37e1caeb05c45f9d539b51e679252cb197c73ba1bcac4c26a3f4a444fdf2ac60"),
+    "vote-synth-m7": (0, "2c3ec8aa4987f999e84cbf17b3accfc86dea7b7a8e0557a6808ac3c86d3fff55"),
     "vote-tally-m3": (0, "c30896b32f1e78ede8b655b9efa0b3bb4814e71cb000e1d1ab81525c9502281e"),
     "vote-tally-m6": (0, "6cdba109cfde689df89ba0411dab248fdb308f42f5e68a292891d0c9ed56d3e5"),
     "vote-check-pass-m3": (0, "b58d3fdd5088ea219896b9d0a76ee2e65a4d9113eb0baa846aeb5be3d62f6ee2"),
@@ -98,6 +100,7 @@ DIGESTS = {
     "pattern-induce-m6": (0, "2a8dbd783632c66bc793e71c5dec2a7ae6369155ef3a8109c82bcf1cbf2f9560"),
     "ls-invert-m4": (0, "d042c76ec158e40bff1522720717bfc327aff99cb58b8b98262ca0c31d4ef1e5"),
     "ls-invert-m6": (0, "0e48cd74d5ae4df8631099e31abb4367c57145c14e2aedac44cdb8bba476d83e"),
+    "ls-invert-m7": (0, "061164450f0267e6123aa8a754e8ed38c4fd5a1f23591e813b3841e8494f348e"),
     "pattern-gen-m4": (0, "502920191720ff41c67d8c7b18b784bfe44d02f75c4b71064752398741ba1611"),
     "pattern-gen-weak-m4": (0, "134ec4835cb68f09593b5d1d1a96600b9159f6ada268effc661edaf25d5dcf03"),
     "pattern-gen-seed0-m5": (0, "40e70273fe29e96c84b54f7a27b388397e0dc1b9c17cf34fa69c1cb000da7a7b"),
@@ -107,14 +110,15 @@ DIGESTS = {
 def cases():
     for m in (3, 5, 7, 9):
         yield "certify-very-paradox", m
-        if m < 9:
-            yield "certify-cyclic", m
+        yield "certify-cyclic", m
     for name in ("vote-synth", "vote-tally", "vote-check-pass", "vote-check-fail"):
         for m in (3, 6):
             yield name, m
+    yield "vote-synth", 7
     for name in ("alpha", "alpha-set", "oracle", "pattern-induce", "ls-invert"):
         for m in (4, 6):
             yield name, m
+    yield "ls-invert", 7
     yield "pattern-gen", 4
     yield "pattern-gen-weak", 4
     yield "pattern-gen-seed0", 5
