@@ -27,7 +27,7 @@ from json.encoder import INFINITY, encode_basestring_ascii
 
 from . import construction, loadsharing, montecarlo, permdist, ranking, signature, voting
 from .core import RATIONAL_RE, decimal_int, rational_format, rational_parse
-from .errors import PrecedenceError
+from .errors import DomainError, PrecedenceError
 
 
 @dataclass
@@ -192,10 +192,11 @@ def _cmd_signature_invert(args) -> CommandResult:
 
 def _cmd_simulate(args) -> CommandResult:
     model = _load_model(args.model)
+    reference = _load_model(args.reference) if args.reference else None
+    if reference is not None and reference.m != model.m:
+        raise DomainError(f"--reference model has m={reference.m} but --model has m={model.m}")
     summary = montecarlo.estimate_alphas(model, n_samples=args.samples, seed=args.seed)
-    exact = None
-    if args.reference:
-        exact = loadsharing.alpha_family_ls(_load_model(args.reference))
+    exact = None if reference is None else loadsharing.alpha_family_ls(reference)
     return CommandResult(0, summary.to_json_dict(exact))
 
 

@@ -29,15 +29,15 @@ one rate (:func:`total_rate`, :func:`prefix_probability`, the walker, the
 embedding and the sampler) takes whole rows; ``rate(prefix, j)`` is the
 single-entry lookup.
 
+The exact kernels run on ints, each row as integer numerators over its
+lcm, and build a Fraction only for a value they return.
 :func:`distribution_of`, :func:`alpha_family_ls` and :func:`beta_gamma_split`
-are reductions over one walker of the reachable failure prefixes, which
-reads one row per prefix. Winning
-probabilities sum the failed-set table of :mod:`precedence.permdist`, which
-set-invariant models build by a DP that expands each failed set once, not
-each of its k! orderings; they must agree exactly with the two-step route
-through :func:`distribution_of`. On both routes the table is turned into
-integer numerators over one scale before the subset sums, so it holds ints
-only and each alpha becomes a Fraction once, as in ``alpha_family``.
+reduce one walker of the reachable failure prefixes, which carries each
+prefix's probability as an unreduced numerator and denominator. Winning
+probabilities sum the failed-set table of :mod:`precedence.permdist`,
+which set-invariant models build by a DP over failed sets, one scale per
+size, expanding each set once, not each of its k! orderings; both must
+agree exactly with the two-step route through :func:`distribution_of`.
 
 For models built from an epsilon schedule the total rate of h survivors
 closes to h - h*(h-1)/2 * eps(h) when the subset's ranking is tie-free:
@@ -75,7 +75,6 @@ from .permdist import (
     WinningProbabilityFamily,
     failed_set_table,
     family_from_table,
-    integer_weights,
 )
 
 
@@ -149,14 +148,16 @@ class OrderDependentLSModel:
         if default < 0:
             raise DomainError(f"negative default rate {default}")
         clean: dict[tuple[tuple[int, ...], int], Fraction] = {}
-        for (prefix, j), value in self.rates.items():
-            prefix = validate_prefix(self.m, prefix)
-            if len(prefix) > self.m - 1:
-                raise DomainError(f"prefix {prefix} too long for m={self.m}")
+        raw = prefix = None
+        for (key, j), value in self.rates.items():
+            if key is not raw:  # the entries of one prefix object are checked once
+                raw, prefix = key, validate_prefix(self.m, key)
+                if len(prefix) > self.m - 1:
+                    raise DomainError(f"prefix {prefix} too long for m={self.m}")
             if type(j) is not int or not 1 <= j <= self.m or j in prefix:
                 raise DomainError(f"invalid survivor {j} for prefix {prefix}")
             q = value if type(value) is Fraction else Fraction(value)
-            if q < 0:
+            if q.numerator < 0:
                 raise DomainError(f"negative rate {q} for mu_{j}{prefix}")
             clean[(prefix, j)] = q
         object.__setattr__(self, "rates", clean)
@@ -228,16 +229,14 @@ class SetInvariantLSModel:
             if type(j) is not int or j not in members:
                 raise DomainError(f"survivor {j!r} not in survivor set {members}")
             q = value if type(value) is Fraction else Fraction(value)
-            if q < 0:
+            if q.numerator < 0:
                 raise DomainError(f"negative rate {q} for mu_{j} with survivors {members}")
             clean[(members, j)] = q
         for members in subsets_of_size_at_least(self.m, 1):
-            total = ZERO
             for j in members:
                 if (members, j) not in clean:
                     raise DomainError(f"missing rate for survivor {j} of set {members}")
-                total += clean[(members, j)]
-            if total <= 0:
+            if not any(clean[(members, j)].numerator for j in members):  # all rates are >= 0
                 raise DomainError(f"survivor set {members} has zero total rate")
         object.__setattr__(self, "mu_by_survivors", clean)
 
@@ -323,102 +322,136 @@ def prefix_probability(model: LoadSharingModel, prefix: Iterable[int]) -> Fracti
     return prob
 
 
+def _integer_row(model: LoadSharingModel, prefix: tuple) -> tuple[dict[int, int], int, int]:
+    """``model.rates_after(prefix)`` as integer numerators over the lcm of its
+    denominators: (numerator by survivor, their total, that lcm)."""
+    row = model.rates_after(prefix)
+    scale = math.lcm(*(mu.denominator for mu in row.values()))
+    numerators = {j: mu.numerator * (scale // mu.denominator) for j, mu in row.items()}
+    return numerators, sum(numerators.values()), scale
+
+
 def _walk(
     model: LoadSharingModel, pool: Iterable[int], depth: int
-) -> Iterator[tuple[tuple[int, ...], Fraction, dict[int, Fraction]]]:
-    """(prefix, share, row) of each reachable prefix drawn from ``pool``.
+) -> Iterator[tuple[tuple[int, ...], int, int, dict[int, int]]]:
+    """(prefix, num, den, row) of each reachable prefix drawn from ``pool``.
 
-    ``row`` is ``model.rates_after(prefix)`` and ``share`` is P(prefix) / M(prefix),
-    so survivor j fails next with probability ``share * row[j]``. Depth
+    ``row`` holds the integer rates of :func:`_integer_row`, and survivor j
+    fails next with probability ``num * row[j] / den``, unreduced. Depth
     first, up to length ``depth``; prefixes with total rate 0 are skipped.
     The stack holds ``depth`` levels of siblings, never the tree.
     """
     pool = frozenset(pool)
-    stack = [((), ONE)]
+    stack = [((), 1, 1)]
     while stack:
-        prefix, prob = stack.pop()
-        row = model.rates_after(prefix)
-        total = sum(row.values(), ZERO)
+        prefix, num, den = stack.pop()
+        row, total, _ = _integer_row(model, prefix)
         if total == 0:
             continue
-        share = prob / total
-        yield prefix, share, row
+        den *= total
+        yield prefix, num, den, row
         if len(prefix) < depth:
-            children = [
-                (prefix + (j,), share * mu) for j, mu in row.items() if mu and j in pool
-            ]
+            children = [(prefix + (j,), num * r, den) for j, r in row.items() if r and j in pool]
             stack.extend(reversed(children))
 
 
-def _failure_law(model: LoadSharingModel) -> dict[tuple[int, ...], Fraction]:
-    """The probability of each reachable failure order.
+def _over_one_scale(fractions: dict[tuple, tuple[int, int]]) -> tuple[dict[tuple, int], int]:
+    """Numerators of the fractions ``n / d`` over the lcm of their reduced denominators.
+
+    The reduced denominators of the fractions sharing one d have the lcm
+    d // g, g the gcd of d and their numerators: one gcd chain per distinct d.
+    """
+    cut: dict[int, int] = {}
+    for n, d in fractions.values():
+        cut[d] = math.gcd(cut.get(d, d), n)
+    scale = math.lcm(*(d // g for d, g in cut.items()))
+    lift = {d: (g, scale // (d // g)) for d, g in cut.items()}
+    return {key: n // lift[d][0] * lift[d][1] for key, (n, d) in fractions.items()}, scale
+
+
+def _failure_law(model: LoadSharingModel) -> tuple[dict[tuple[int, ...], int], int]:
+    """Integer numerators of the reachable failure orders' probabilities, and their scale.
 
     A permutation's probability is that of its (m-1)-prefix: the last
     survivor fails with certainty, so its rate is never read. Raises
     InvalidModelError when a reachable prefix has zero total rate, since
-    the collected weights then sum below 1.
+    the numerators then sum below the scale.
     """
     m = model.m
-    weights = {(1,): ONE} if m == 1 else {}  # at m = 1 no prefix has length m - 2
-    for prefix, share, row in _walk(model, range(1, m + 1), m - 2):
+    orders = {(1,): (1, 1)} if m == 1 else {}  # at m = 1 no prefix has length m - 2
+    for prefix, num, den, row in _walk(model, range(1, m + 1), m - 2):
         if len(prefix) == m - 2:
-            (a, mu_a), (b, mu_b) = row.items()
-            if mu_a:
-                weights[prefix + (a, b)] = share * mu_a
-            if mu_b:
-                weights[prefix + (b, a)] = share * mu_b
-    mass = sum(weights.values(), ZERO)
-    if mass != 1:
+            (a, r_a), (b, r_b) = row.items()
+            for order, r in ((prefix + (a, b), r_a), (prefix + (b, a), r_b)):
+                if r:
+                    orders[order] = num * r, den
+    numerators, scale = _over_one_scale(orders)
+    mass = sum(numerators.values())
+    if mass != scale:
         raise InvalidModelError(
-            f"reachable total rate vanished before exhaustion: mass {mass} != 1"
+            "reachable total rate vanished before exhaustion: "
+            f"mass {Fraction(mass, scale)} != 1"
         )
-    return weights
+    return numerators, scale
 
 
 def distribution_of(model: LoadSharingModel) -> PermutationDistribution:
     """The exact failure-order law induced by the rate table (see :func:`_failure_law`)."""
-    return PermutationDistribution(model.m, _failure_law(model))
+    numerators, scale = _failure_law(model)
+    return PermutationDistribution(
+        model.m, {perm: Fraction(n, scale) for perm, n in numerators.items()}
+    )
 
 
-def _set_invariant_table(model: SetInvariantLSModel) -> dict[tuple[int, int], Fraction]:
+def _set_invariant_table(model: SetInvariantLSModel) -> tuple[dict[tuple[int, int], int], int]:
     """The failed-set table of a set-invariant model, expanding each failed set once.
 
     h[(S, j)] = P(S fails first) * mu_j(S) / M(S), and P(S + j) sums them.
-    The rates of each survivor set are read once, and M(S) is their sum.
+    The sets of one size carry numerators over one scale, the last scale
+    times the lcm of their row totals (one total per size in a schedule
+    model); at the end every entry is lifted in place to the last scale.
     """
     m = model.m
-    rates = model.mu_by_survivors
-    h: dict[tuple[int, int], Fraction] = {}
-    level = {0: ONE}
+    h: dict[tuple[int, int], int] = {}
+    scales = []  # scales[k]: the scale of the entries whose failed set has k members
+    level, scale = {0: 1}, 1
     for _ in range(m - 1):
-        reached: dict[int, Fraction] = {}
-        for mask, prob in level.items():
-            survivors = tuple(i for i in range(1, m + 1) if not mask >> (i - 1) & 1)
-            mus = [rates[(survivors, j)] for j in survivors]
-            share = prob / sum(mus, ZERO)  # the model guarantees a positive total
-            for j, mu in zip(survivors, mus):
-                if mu:
-                    step = share * mu
-                    h[(mask, j)] = step
+        rows = {
+            mask: _integer_row(model, tuple(i for i in range(1, m + 1) if mask >> (i - 1) & 1))
+            for mask in level
+        }
+        step = math.lcm(*{total for _, total, _ in rows.values()})  # each total is positive
+        scale *= step
+        scales.append(scale)
+        reached: dict[int, int] = {}
+        for mask, n in level.items():
+            row, total, _ = rows[mask]
+            n *= step // total
+            for j, r in row.items():
+                if r:
+                    h[(mask, j)] = n * r
                     grown = mask | 1 << (j - 1)
-                    reached[grown] = reached.get(grown, ZERO) + step
+                    reached[grown] = reached.get(grown, 0) + n * r
         level = reached
-    return h
+    lifts = [scale // level_scale for level_scale in scales]
+    for key, n in h.items():
+        h[key] = n * lifts[key[0].bit_count()]
+    return h, scale
 
 
 def alpha_family_ls(model: LoadSharingModel) -> WinningProbabilityFamily:
     """Winning probabilities straight from the rates, no distribution detour.
 
     The failed-set table comes from a DP over failed sets for set-invariant
-    models and from the reachable failure orders otherwise; either way its
-    subset sums run on integer numerators over one scale. Equals
-    ``alpha_family(distribution_of(model))`` exactly, and raises the same
-    InvalidModelError on a model whose reachable rates vanish.
+    models and from the reachable failure orders otherwise; either way it
+    holds integer numerators over one scale, so its subset sums run on
+    ints. Equals ``alpha_family(distribution_of(model))`` exactly, and
+    raises the same InvalidModelError on a model whose reachable rates vanish.
     """
     if isinstance(model, SetInvariantLSModel):
-        h, scale = integer_weights(_set_invariant_table(model))
+        h, scale = _set_invariant_table(model)
     else:
-        numerators, scale = integer_weights(_failure_law(model))
+        numerators, scale = _failure_law(model)
         h = failed_set_table(numerators.items())
     return family_from_table(model.m, h, scale)
 
@@ -443,14 +476,10 @@ def beta_gamma_split(
         )
     outside = tuple(x for x in range(1, model.m + 1) if x not in members)
     depth = model.m - ell
-    beta = gamma = ZERO
-    for prefix, share, row in _walk(model, outside, depth):
-        term = share * row[i]
-        if len(prefix) == depth:
-            gamma += term
-        else:
-            beta += term
-    return beta, gamma
+    terms = {prefix: (num * row[i], den) for prefix, num, den, row in _walk(model, outside, depth)}
+    numerators, scale = _over_one_scale(terms)
+    beta = sum(n for prefix, n in numerators.items() if len(prefix) < depth)
+    return Fraction(beta, scale), Fraction(sum(numerators.values()) - beta, scale)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ of 0 raises only when a failure time is drawn for it.
 Reproducibility: a counter-based generator (Philox) is keyed once from
 the seed, and block i always draws from counter i, its uniforms before
 its exponentials. Reductions sum integer counts only, so summaries are
-bit-identical for a fixed seed; rates are converted to floating point
-only inside the sampler.
+bit-identical for a fixed seed. A row turns the integer rate numerators
+of its prefix into floats, each rounded once: r / total is float(mu / M).
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .core import ZERO, rational_format
+from .core import rational_format
 from .errors import DomainError, SimulationError
-from .loadsharing import LoadSharingModel
+from .loadsharing import LoadSharingModel, _integer_row
 from .permdist import WinningProbabilityFamily, failed_set_table, winner_sums
 
 CHUNK_TRAJECTORIES = 4096
@@ -116,23 +116,19 @@ class _SamplerTables:
         self._extend(0, [()])
 
     def _row(self, prefix: tuple[int, ...]) -> tuple[list[int], np.ndarray, float]:
-        row = self.model.rates_after(prefix)
-        survivors, rates = list(row), row.values()
-        total = sum(rates, ZERO)
+        row, total, scale = _integer_row(self.model, prefix)
+        survivors = list(row)
+        # int true division rounds correctly: total / scale is float(M), r / total float(mu / M)
         if len(survivors) == 1:
             # the lone survivor fails last at any rate; only its failure time reads the total
-            return survivors, np.ones(1), float(total)
-        if total <= 0:
+            return survivors, np.ones(1), total / scale
+        if total == 0:
             raise SimulationError(
                 f"zero total rate at reached prefix {prefix}; model invalid on support"
             )
-        # int true division rounds correctly, so this is float(mu / total)
-        cum = np.cumsum([
-            mu.numerator * total.denominator / (mu.denominator * total.numerator)
-            for mu in rates
-        ])
+        cum = np.cumsum([r / total for r in row.values()])
         cum[-1] = 1.0  # guard against float round-off in the last bin
-        return survivors, cum, float(total)
+        return survivors, cum, total / scale
 
     def _extend(self, r: int, prefixes: list[tuple[int, ...]]) -> None:
         survivors, cum, total = zip(*(self._row(prefix) for prefix in prefixes))

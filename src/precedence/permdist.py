@@ -19,9 +19,13 @@ common scale (:func:`integer_weights`), which every exact route
 (:func:`alpha_family` and ``loadsharing.alpha_family_ls``) turns into one
 Fraction per entry only at the end (:func:`family_from_table`), so no
 Fraction gcd runs inside the subset sums. ``alpha_family_bruteforce``
-instead scans every support permutation directly. The two take genuinely
-different routes and must agree bit-for-bit; the brute-force scanner is
-kept as the cross-checking oracle (CLI ``oracle``).
+instead scans every support permutation through a position map, adding
+integer numerators, and shares no code with the table. The two take
+genuinely different routes and must agree bit-for-bit; the brute-force
+scanner is kept as the cross-checking oracle (CLI ``oracle``).
+
+The value classes check numerators: signs, 0 <= n <= d for an alpha, and
+each sum to 1 over the lcm of its group's denominators (:func:`exact_sum`).
 """
 
 from __future__ import annotations
@@ -66,11 +70,11 @@ class PermutationDistribution:
         for perm, value in self.weights.items():
             perm = validate_permutation(self.m, perm)
             q = value if type(value) is Fraction else Fraction(value)
-            if q < 0:
+            if q.numerator < 0:
                 raise DomainError(f"negative weight {q} for permutation {perm}")
-            if q:
+            if q.numerator:
                 clean[perm] = q
-        total = sum(clean.values(), ZERO)
+        total = exact_sum(clean)
         if total != 1:
             raise DomainError(f"weights sum to {total}, expected exactly 1")
         object.__setattr__(self, "weights", clean)
@@ -143,8 +147,7 @@ class WinningProbabilityFamily:
     def __post_init__(self) -> None:
         check_dimension(self.m)
         clean: dict[tuple[tuple[int, ...], int], Fraction] = {}
-        groups: dict[tuple[int, ...], Fraction] = {}
-        seen: dict[tuple[int, ...], set[int]] = {}
+        groups: dict[tuple[int, ...], dict[int, Fraction]] = {}
         for (subset, j), value in self.alphas.items():
             members = subset_members(self.m, subset)
             if len(members) < 2:
@@ -152,14 +155,14 @@ class WinningProbabilityFamily:
             if j not in members:
                 raise DomainError(f"index {j} not in subset {members}")
             q = value if type(value) is Fraction else Fraction(value)
-            if not 0 <= q <= 1:
+            if not 0 <= q.numerator <= q.denominator:
                 raise DomainError(f"alpha_{j}({members}) = {q} outside [0, 1]")
             clean[(members, j)] = q
-            groups[members] = groups.get(members, ZERO) + q
-            seen.setdefault(members, set()).add(j)
-        for members, total in groups.items():
-            if seen[members] != set(members):
+            groups.setdefault(members, {})[j] = q
+        for members, group in groups.items():
+            if len(group) != len(members):  # every key of group is a member
                 raise DomainError(f"incomplete entries for subset {members}")
+            total = exact_sum(group)
             if total != 1:
                 raise DomainError(f"alphas over {members} sum to {total}, expected 1")
         object.__setattr__(self, "alphas", clean)
@@ -226,9 +229,13 @@ def conditional_next(
     return pk_marginal(rho, prefix + (j,)) / denom
 
 
-def integer_weights(
-    weights: Mapping[tuple[int, ...], Fraction]
-) -> tuple[dict[tuple[int, ...], int], int]:
+def exact_sum(weights: Mapping) -> Fraction:
+    """The sum of the Fraction values of ``weights``, added as :func:`integer_weights`."""
+    numerators, scale = integer_weights(weights)
+    return Fraction(sum(numerators.values()), scale)
+
+
+def integer_weights(weights: Mapping[object, Fraction]) -> tuple[dict[object, int], int]:
     """Numerators of ``weights`` over the lcm of their denominators, and that lcm."""
     scale = math.lcm(*(w.denominator for w in weights.values()))
     return {k: w.numerator * (scale // w.denominator) for k, w in weights.items()}, scale
@@ -300,19 +307,18 @@ def alpha_family_bruteforce(rho: PermutationDistribution) -> WinningProbabilityF
     """Winning probabilities by scanning every support permutation directly.
 
     Independent oracle for :func:`alpha_family`: for each permutation the
-    winner in A is simply the earliest-listed member of A.
+    winner in A is the member of A at the earliest position. It adds the
+    weights' integer numerators and shares no code with the failed-set table.
     """
     m = rho.m
     subsets = subsets_of_size_at_least(m, 2)
-    alphas: dict[tuple[tuple[int, ...], int], Fraction] = {
-        (members, j): ZERO for members in subsets for j in members
-    }
-    for perm, p in rho.weights.items():
+    numerators, scale = integer_weights(rho.weights)
+    sums = {(members, j): 0 for members in subsets for j in members}
+    for perm, n in numerators.items():
+        position = {x: r for r, x in enumerate(perm)}.__getitem__
         for members in subsets:
-            inside = set(members)
-            winner = next(x for x in perm if x in inside)
-            alphas[(members, winner)] += p
-    return WinningProbabilityFamily(m, alphas)
+            sums[(members, min(members, key=position))] += n
+    return WinningProbabilityFamily(m, {key: Fraction(n, scale) for key, n in sums.items()})
 
 
 def majority_digraph(fam: WinningProbabilityFamily) -> MajorityDigraph:

@@ -355,6 +355,8 @@ def enumerate_patterns(
     check_dimension(m)
     if m < 2:
         raise DomainError("patterns need m >= 2")
+    if limit is not None and (type(limit) is not int or limit < 0):
+        raise DomainError(f"limit must be a non-negative integer, got {limit!r}")
 
     if seed is None:
         if m > 3:

@@ -12,14 +12,15 @@ permutation distribution with n_i(A) = n * alpha_i(A) exactly.
 A ranking pattern is N-concordant with a situation when lower rank means
 strictly more votes, ties matching tied tallies, on every subset.
 :func:`synthesize_voting_situation` manufactures such an electorate for
-any tie-free pattern by building the schedule model, clearing
-denominators of its induced distribution with one lcm, and reading the
-numerators as voter counts. The counts are exact big integers; they grow
+any tie-free pattern: the schedule model's failure-order law, taken as
+integer numerators over one scale and divided by their gcd with it, gives
+the voter counts. The counts are exact big integers; they grow
 astronomically with m, and minimizing the electorate is out of scope.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -28,8 +29,8 @@ from .construction import build_ls_epsilon, epsilon_schedule
 from .core import check_dimension, decimal_int, int_format, json_entries, json_int
 from .core import subset_members, validate_permutation
 from .errors import DomainError, InputFormatError
-from .loadsharing import distribution_of
-from .permdist import PermutationDistribution, failed_set_table, integer_weights, winner_sums
+from .loadsharing import _failure_law
+from .permdist import PermutationDistribution, failed_set_table, winner_sums
 from .ranking import ConcordanceReport, RankingPattern, score_concordance
 
 
@@ -144,9 +145,11 @@ def check_n_concordance(tau: RankingPattern, vs: VotingSituation) -> Concordance
 def synthesize_voting_situation(sigma: RankingPattern) -> VotingSituation:
     """An integer electorate whose tallies are N-concordant with ``sigma``.
 
-    Builds the universal schedule model, takes its exact failure-order law,
-    and scales by the least common multiple of the weight denominators.
+    Builds the universal schedule model and takes its exact failure-order
+    law as integer numerators over one scale; the counts are those
+    numerators divided by their gcd with the scale.
     """
     model = build_ls_epsilon(sigma, epsilon_schedule(sigma.m))
-    counts, _ = integer_weights(distribution_of(model).weights)
-    return VotingSituation(sigma.m, counts)
+    numerators, scale = _failure_law(model)
+    g = math.gcd(scale, *numerators.values())
+    return VotingSituation(sigma.m, {perm: n // g for perm, n in numerators.items()})

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from precedence import (
+    OrderDependentLSModel,
     PermutationDistribution,
     RankingPattern,
     StructureFunction,
@@ -236,6 +237,21 @@ class TestSimulateCommand:
              "--seed", "3", "--reference", str(model_file)]
         )
         assert rerun.payload == doc
+
+    @pytest.mark.parametrize("model_m, reference_m", [(3, 4), (4, 3)])
+    def test_reference_of_another_dimension_exits_two(self, tmp_path, model_m, reference_m):
+        paths = {}
+        for m in (model_m, reference_m):
+            paths[m] = tmp_path / f"model{m}.json"
+            paths[m].write_text(json.dumps(OrderDependentLSModel.constant(m).to_json_dict()))
+        result = run(
+            ["simulate", "--model", str(paths[model_m]), "--samples", "10",
+             "--reference", str(paths[reference_m])]
+        )
+        assert result.exit_code == 2
+        assert result.diagnostics == [
+            f"--reference model has m={reference_m} but --model has m={model_m}"
+        ]
 
     def test_negative_seed_exits_two(self, law_file, tmp_path):
         model_file = tmp_path / "model.json"

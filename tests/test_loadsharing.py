@@ -188,6 +188,21 @@ class TestDistributionOf:
     def test_inverts_back_to_worked_example(self, example_law, example_model):
         assert distribution_of(example_model) == example_law
 
+    @settings(max_examples=60, deadline=None)
+    @given(model=order_dependent_models(min_m=2, max_m=5))
+    def test_weights_are_the_prefix_products(self, model):
+        # prefix_probability multiplies Fractions, independent of the integer walker;
+        # an order weighs what its (m-1)-prefix does, as the last rate is never read
+        perms = list(itertools.permutations(range(1, model.m + 1)))
+        products = {perm: prefix_probability(model, perm[:-1]) for perm in perms}
+        if sum(products.values()) != 1:
+            with pytest.raises(InvalidModelError):
+                distribution_of(model)
+            return
+        rho = distribution_of(model)
+        for perm in perms:
+            assert rho.weight(perm) == products[perm]
+
     def test_constant_rates_give_uniform(self):
         for m in (2, 3, 4):
             assert distribution_of(

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from precedence import (
     DomainError,
@@ -24,8 +26,9 @@ from precedence import (
     sample_trajectory,
     total_rate,
 )
-from precedence.montecarlo import CHUNK_TRAJECTORIES
+from precedence.montecarlo import CHUNK_TRAJECTORIES, _SamplerTables
 from tests.conftest import random_distribution
+from tests.test_loadsharing import order_dependent_models, set_invariant_models
 
 
 def four_sigma(p: float, n: int) -> float:
@@ -103,6 +106,29 @@ class TestSampleTrajectory:
         model = OrderDependentLSModel(3, {}, default=0)
         with pytest.raises(SimulationError):
             sample_trajectory(model, np.random.default_rng(0))
+
+
+class TestSamplerRows:
+    @settings(max_examples=40, deadline=None)
+    @given(model=st.one_of(order_dependent_models(), set_invariant_models(min_m=1, max_m=5)))
+    def test_rows_are_the_rounded_rate_ratios(self, model):
+        assume(total_rate(model, ()) > 0)
+        tables = _SamplerTables(model)
+        for k in range(model.m):
+            for prefix in itertools.permutations(range(1, model.m + 1), k):
+                rates = model.rates_after(prefix)
+                total = sum(rates.values())
+                if total == 0 and k < model.m - 1:
+                    with pytest.raises(SimulationError):
+                        tables._row(prefix)
+                    continue
+                survivors, cum, float_total = tables._row(prefix)
+                assert survivors == list(rates)
+                assert float_total == float(total)
+                if k < model.m - 1:
+                    expected = np.cumsum([float(mu / total) for mu in rates.values()])
+                    expected[-1] = 1.0
+                    assert cum.tolist() == expected.tolist()
 
 
 class TestEstimateAlphas:

@@ -16,7 +16,12 @@ from precedence import (
     majority_digraph,
     pk_marginal,
 )
+from precedence import permdist
 from tests.conftest import EXAMPLE_LAW_ALPHAS, random_distribution
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the oracle must not call the failed-set table code")
 
 
 @st.composite
@@ -94,8 +99,14 @@ class TestWinningProbabilityFamily:
                 {((1, 2), 1): Fraction(1, 2), ((1, 2), 2): Fraction(1, 3)},
                 "alphas over (1, 2) sum to 5/6, expected 1",
             ),
+            (
+                # (2, 1) names the subset (1, 2) again: its entry replaces, not adds
+                {((1, 2), 1): Fraction(1, 2), ((2, 1), 1): Fraction(1, 2),
+                 ((1, 2), 2): Fraction(0)},
+                "alphas over (1, 2) sum to 1/2, expected 1",
+            ),
         ],
-        ids=["singleton", "index-outside", "value-outside", "incomplete", "bad-sum"],
+        ids=["singleton", "index-outside", "value-outside", "incomplete", "bad-sum", "renamed"],
     )
     def test_rejects_by_name(self, alphas, message):
         with pytest.raises(DomainError) as info:
@@ -184,6 +195,15 @@ class TestAlphaFamily:
                     if perm.index(i) < perm.index(j)
                 )
                 assert fam.alpha((i, j), i) == direct
+
+    @settings(max_examples=30)
+    @given(rho=distributions(max_m=5))
+    def test_oracle_shares_no_table_code(self, rho):
+        expected = alpha_family(rho)
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("failed_set_table", "winner_sums", "family_from_table"):
+                patch.setattr(permdist, name, _refuse)
+            assert alpha_family_bruteforce(rho) == expected
 
     @settings(max_examples=40)
     @given(rho=distributions())

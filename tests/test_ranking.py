@@ -225,6 +225,17 @@ class TestEnumeration:
             list(enumerate_patterns(4, non_weak_only=True))
         assert str(pattern_count(4, non_weak_only=True)) in str(err.value)
 
+    @pytest.mark.parametrize("seed", [None, 4], ids=["exhaustive", "seeded"])
+    @pytest.mark.parametrize("limit", [-1, 1.5, True])
+    def test_bad_limit_is_domain_error(self, seed, limit):
+        with pytest.raises(DomainError) as err:
+            list(enumerate_patterns(3, True, seed=seed, limit=limit))
+        assert str(err.value) == f"limit must be a non-negative integer, got {limit!r}"
+
+    def test_zero_limit_yields_nothing(self):
+        assert list(enumerate_patterns(3, seed=4, limit=0)) == []
+        assert list(enumerate_patterns(3, limit=0)) == []
+
     def test_sampling_is_deterministic(self):
         a = [p.to_json_dict() for p in enumerate_patterns(4, True, seed=9, limit=5)]
         b = [p.to_json_dict() for p in enumerate_patterns(4, True, seed=9, limit=5)]

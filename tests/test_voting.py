@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precedence import (
     DomainError,
@@ -13,8 +15,11 @@ from precedence import (
     VotingSituation,
     alpha_family,
     alpha_family_bruteforce,
+    build_ls_epsilon,
     check_n_concordance,
+    distribution_of,
     enumerate_patterns,
+    epsilon_schedule,
     induced_pattern,
     pattern_cyclic,
     pattern_very_paradox,
@@ -22,6 +27,7 @@ from precedence import (
     synthesize_voting_situation,
     tally,
 )
+from precedence.permdist import integer_weights
 from tests.conftest import EXAMPLE_LAW_WEIGHTS, random_distribution
 
 
@@ -164,6 +170,13 @@ class TestSynthesis:
             for j in members:
                 if j != 1:
                     assert table.votes(members, 1) < table.votes(members, j)
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_counts_are_the_cleared_law(self, m, seed):
+        sigma = next(enumerate_patterns(m, True, seed=seed, limit=1))
+        law = distribution_of(build_ls_epsilon(sigma, epsilon_schedule(m)))
+        assert synthesize_voting_situation(sigma).counts == integer_weights(law.weights)[0]
 
     def test_sampled_patterns_all_concordant(self):
         for sigma in enumerate_patterns(3, non_weak_only=True, seed=2, limit=6):
