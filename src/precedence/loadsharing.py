@@ -365,8 +365,8 @@ def _over_one_scale(fractions: dict[tuple, tuple[int, int]]) -> tuple[dict[tuple
     for n, d in fractions.values():
         cut[d] = math.gcd(cut.get(d, d), n)
     scale = math.lcm(*(d // g for d, g in cut.items()))
-    lift = {d: (g, scale // (d // g)) for d, g in cut.items()}
-    return {key: n // lift[d][0] * lift[d][1] for key, (n, d) in fractions.items()}, scale
+    lift = {d: scale // (d // g) for d, g in cut.items()}
+    return {key: n // cut[d] * lift[d] for key, (n, d) in fractions.items()}, scale
 
 
 def _failure_law(model: LoadSharingModel) -> tuple[dict[tuple[int, ...], int], int]:

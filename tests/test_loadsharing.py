@@ -127,6 +127,12 @@ class TestRateTables:
             OrderDependentLSModel(4, {key: Fraction(1)})
         assert str(info.value) == message
 
+    def test_checks_a_prefix_equal_to_one_already_checked(self):
+        # (True,) == (1,) with the same hash, so a check remembered by value would pass it
+        with pytest.raises(DomainError) as info:
+            OrderDependentLSModel(4, {((1,), 2): Fraction(1), ((True,), 3): Fraction(1)})
+        assert str(info.value) == "prefix element True outside [4]"
+
     @pytest.mark.parametrize(
         "rates, message",
         [
