@@ -17,6 +17,9 @@ import pytest
 
 from precedence import (
     PermutationDistribution,
+    StructureFunction,
+    build_ls_epsilon,
+    epsilon_schedule,
     pattern_cyclic,
     pattern_very_paradox,
     synthesize_voting_situation,
@@ -24,6 +27,7 @@ from precedence import (
 from precedence.cli import main
 
 PATTERNS = {"very-paradox": pattern_very_paradox, "cyclic": pattern_cyclic}
+BRIDGE = {"r": 5, "path_sets": [[1, 4], [2, 5], [1, 3, 5], [2, 3, 4]]}
 
 
 def law(m: int) -> PermutationDistribution:
@@ -48,6 +52,16 @@ def documents(name: str, m: int) -> dict:
             against = pattern_very_paradox if name == "vote-check-fail" else pattern_cyclic
             docs["--pattern"] = against(m).to_json_dict()
         return docs
+    if name == "signature-dist":
+        return {
+            "--structure": StructureFunction.k_out_of_n(m, m // 2).to_json_dict(),
+            "--dist": law(m).to_json_dict(),
+        }
+    if name == "signature-dist-bridge":
+        return {"--structure": BRIDGE, "--dist": law(m).to_json_dict()}
+    if name == "signature-model":
+        model = build_ls_epsilon(pattern_cyclic(m), epsilon_schedule(m))
+        return {"--structure": BRIDGE, "--model": model.to_json_dict()}
     return {"--dist": law(m).to_json_dict()}
 
 
@@ -68,6 +82,9 @@ COMMANDS = {
         "pattern", "gen", "--kind", "random", "--seed", "7", "--count", "3", "--allow-weak"
     ],
     "pattern-gen-seed0": ["pattern", "gen", "--kind", "random", "--seed", "0"],
+    "signature-dist": ["signature", "compute"],
+    "signature-dist-bridge": ["signature", "compute"],
+    "signature-model": ["signature", "compute"],
 }
 
 # (exit code, sha256 of stdout) per case. A new value here is a change of
@@ -104,6 +121,10 @@ DIGESTS = {
     "pattern-gen-m4": (0, "502920191720ff41c67d8c7b18b784bfe44d02f75c4b71064752398741ba1611"),
     "pattern-gen-weak-m4": (0, "134ec4835cb68f09593b5d1d1a96600b9159f6ada268effc661edaf25d5dcf03"),
     "pattern-gen-seed0-m5": (0, "40e70273fe29e96c84b54f7a27b388397e0dc1b9c17cf34fa69c1cb000da7a7b"),
+    "signature-dist-m4": (0, "50a916a2683137062b22ced35d7bdd74c46b9ff93fbf7c37e97e8b7356bda07a"),
+    "signature-dist-m6": (0, "4dc8f4b4d20311765dd8c0752df98a89f179d3732a6952727003cea21ac9aa32"),
+    "signature-dist-bridge-m5": (0, "028049d592cbabaafa16a7166924431477d79b710dec2a3812a812fb15bf450c"),
+    "signature-model-m5": (0, "9335aed4468d7526f994adcb241637edae9b24011490697e096bf8594684fbc2"),
 }
 
 
@@ -122,6 +143,10 @@ def cases():
     yield "pattern-gen", 4
     yield "pattern-gen-weak", 4
     yield "pattern-gen-seed0", 5
+    for m in (4, 6):
+        yield "signature-dist", m
+    yield "signature-dist-bridge", 5
+    yield "signature-model", 5
 
 
 def run_case(name: str, m: int, tmp_path, capsys) -> tuple[int, str]:
