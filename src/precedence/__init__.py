@@ -83,7 +83,6 @@ from .signature import (
     ls_for_target_signature,
     probability_signature,
     signature_from_ls,
-    survival_decomposition_terms,
 )
 from .voting import (
     TallyTable,

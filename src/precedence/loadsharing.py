@@ -439,21 +439,19 @@ def _set_invariant_table(model: SetInvariantLSModel) -> tuple[dict[tuple[int, in
     return h, scale
 
 
-def alpha_family_ls(model: LoadSharingModel) -> WinningProbabilityFamily:
-    """Winning probabilities straight from the rates, no distribution detour.
-
-    The failed-set table comes from a DP over failed sets for set-invariant
-    models and from the reachable failure orders otherwise; either way it
-    holds integer numerators over one scale, so its subset sums run on
-    ints. Equals ``alpha_family(distribution_of(model))`` exactly, and
-    raises the same InvalidModelError on a model whose reachable rates vanish.
-    """
+def _model_table(model: LoadSharingModel) -> tuple[dict[tuple[int, int], int], int]:
+    """The failed-set table of integer numerators, and their scale: by the set DP
+    or from the reachable failure orders (InvalidModelError if their rates vanish)."""
     if isinstance(model, SetInvariantLSModel):
-        h, scale = _set_invariant_table(model)
-    else:
-        numerators, scale = _failure_law(model)
-        h = failed_set_table(numerators.items())
-    return family_from_table(model.m, h, scale)
+        return _set_invariant_table(model)
+    numerators, scale = _failure_law(model)
+    return failed_set_table(numerators.items()), scale
+
+
+def alpha_family_ls(model: LoadSharingModel) -> WinningProbabilityFamily:
+    """Winning probabilities straight from the rates, no distribution detour;
+    equals ``alpha_family(distribution_of(model))`` exactly."""
+    return family_from_table(model.m, *_model_table(model))
 
 
 def beta_gamma_split(

@@ -9,11 +9,10 @@ failure order (J_1, ..., J_r) there is a well-defined step
 
 The probability signature is the law of that step: p_k is the probability
 that the system lifetime equals the k-th order statistic of the component
-lifetimes. It depends on the joint lifetime law only through the
-failure-order distribution, which makes it exactly computable here and
-lets :func:`ls_for_target_signature` manufacture a load-sharing model
-hitting any feasible target signature (mass is spread uniformly over each
-step's fiber of permutations - the simplest witness among many).
+lifetimes. The step depends only on which components have failed, so p_k
+sums the failed-set table that the winning probabilities sum
+(:mod:`precedence.permdist`), built from a law or from a model's rates;
+no route enumerates permutations, and :func:`failure_step` is the oracle.
 
 Time is deliberately absent: the conditional survival factors multiplying
 p_k in the total-probability decomposition of system survival are not
@@ -22,17 +21,18 @@ modeled, only the failure orders are.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .construction import invert_to_ls
-from .core import ZERO, check_dimension, json_int, rational_format, rational_parse
-from .core import validate_permutation
+from .core import ONE, ZERO, check_dimension, json_int, max_dimension, rational_format
+from .core import rational_parse, subsets_of_size_at_least, validate_permutation
 from .errors import DomainError, InfeasibleTargetError, InputFormatError
-from .loadsharing import LoadSharingModel, OrderDependentLSModel, distribution_of
-from .permdist import PermutationDistribution
+from .loadsharing import LoadSharingModel, SetInvariantLSModel, _model_table
+from .permdist import PermutationDistribution, failed_set_table, integer_weights
 
 
 @dataclass(frozen=True)
@@ -44,13 +44,16 @@ class StructureFunction:
 
     def __post_init__(self) -> None:
         check_dimension(self.r)
-        sets = tuple(frozenset(ps) for ps in self.path_sets)
+        given = tuple(self.path_sets)
+        sets = tuple(frozenset(ps) for ps in given)
         if not sets:
             raise DomainError("at least one path set is required")
         covered: set[int] = set()
-        for ps in sets:
+        for raw, ps in zip(given, sets):
             if not ps:
                 raise DomainError("path sets must be non-empty")
+            if len(ps) != len(raw):
+                raise DomainError(f"path set {list(raw)} repeats a component")
             for x in ps:
                 if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= self.r:
                     raise DomainError(f"component {x!r} outside [{self.r}]")
@@ -66,9 +69,7 @@ class StructureFunction:
         if covered != set(range(1, self.r + 1)):
             missing = sorted(set(range(1, self.r + 1)) - covered)
             raise DomainError(f"components {missing} appear in no path set (irrelevant)")
-        object.__setattr__(
-            self, "path_sets", tuple(sorted(sets, key=lambda s: sorted(s)))
-        )
+        object.__setattr__(self, "path_sets", tuple(sorted(sets, key=sorted)))
 
     def works(self, working: Iterable[int]) -> bool:
         alive = set(working)
@@ -96,8 +97,8 @@ class StructureFunction:
         """Validate a full monotone truth table and extract minimal path sets.
 
         ``table`` maps every 0/1 state vector (component i working iff
-        position i-1 is 1) to the system state. Monotonicity and the
-        relevance of every component are checked before conversion.
+        position i-1 is 1) to the system state. Monotonicity is checked
+        here, the relevance of every component by the constructor.
         """
         check_dimension(r)
         states = list(itertools.product((0, 1), repeat=r))
@@ -108,22 +109,10 @@ class StructureFunction:
             raise DomainError("structure must fail with no components and work with all")
         for s in states:
             for i in range(r):
-                if s[i] == 0:
-                    up = s[:i] + (1,) + s[i + 1 :]
-                    if phi[s] > phi[up]:
-                        raise DomainError(f"structure is not monotone at state {s}")
-        for i in range(r):
-            if not any(
-                s[i] == 0 and phi[s] != phi[s[:i] + (1,) + s[i + 1 :]] for s in states
-            ):
-                raise DomainError(f"component {i + 1} is irrelevant")
-        working_sets = [
-            frozenset(i + 1 for i in range(r) if s[i]) for s in states if phi[s]
-        ]
-        minimal = [
-            ws for ws in working_sets if not any(other < ws for other in working_sets)
-        ]
-        return cls(r, tuple(set(minimal)))
+                if s[i] == 0 and phi[s] > phi[s[:i] + (1,) + s[i + 1 :]]:
+                    raise DomainError(f"structure is not monotone at state {s}")
+        working = [frozenset(i + 1 for i in range(r) if s[i]) for s in states if phi[s]]
+        return cls(r, tuple(ws for ws in working if not any(other < ws for other in working)))
 
     def to_json_dict(self) -> dict:
         return {"r": self.r, "path_sets": [sorted(ps) for ps in self.path_sets]}
@@ -132,11 +121,12 @@ class StructureFunction:
     def from_json_dict(cls, doc: dict) -> "StructureFunction":
         r = json_int(doc, "r")
         try:
-            return cls(r, tuple(frozenset(ps) for ps in doc["path_sets"]))
+            return cls(r, tuple(doc["path_sets"]))
         except (KeyError, TypeError) as ex:
             raise InputFormatError("path_sets: must be a list of lists of components") from ex
-        except DomainError as ex:
-            raise InputFormatError(str(ex)) from ex
+        except DomainError as ex:  # the constructor checks r before any path set
+            field = "path_sets" if 1 <= r <= max_dimension() else "r"
+            raise InputFormatError(f"{field}: {ex}") from ex
 
 
 @dataclass(frozen=True)
@@ -146,6 +136,9 @@ class ProbabilitySignature:
     p: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        for x in self.p:
+            if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
+                raise DomainError(f"signature entry {x!r} is not an int or a Fraction")
         values = tuple(Fraction(x) for x in self.p)
         if any(x < 0 for x in values):
             raise DomainError("signature entries must be non-negative")
@@ -162,7 +155,7 @@ class ProbabilitySignature:
 
     @classmethod
     def parse(cls, entries: Sequence) -> "ProbabilitySignature":
-        return cls(tuple(rational_parse(e) if isinstance(e, str) else Fraction(e) for e in entries))
+        return cls(tuple(rational_parse(e) if isinstance(e, str) else e for e in entries))
 
 
 def failure_step(phi: StructureFunction, perm: Iterable[int]) -> int:
@@ -175,74 +168,81 @@ def failure_step(phi: StructureFunction, perm: Iterable[int]) -> int:
     return max(min(position[x] for x in ps) for ps in phi.path_sets)
 
 
+def _mask(members: Iterable[int]) -> int:
+    return sum(1 << (x - 1) for x in members)
+
+
+def _cut_test(phi: StructureFunction) -> Callable[[int], bool]:
+    """``cut(S)``: the failed set S (a bit mask) meets every path set; cached per S."""
+    paths = [_mask(ps) for ps in phi.path_sets]
+    return functools.cache(lambda failed: all(failed & ps for ps in paths))
+
+
+def _step_law(phi: StructureFunction, h: Mapping, scale: int) -> ProbabilitySignature:
+    """The signature of a failed-set table of numerators over ``scale``: p_k sums
+    h[(S, j)] over the sets S of k-1 failures that are not cut while S + j is.
+    The table stops before the last failure, so p_r is what is left of ``scale``."""
+    cut = _cut_test(phi)
+    p = [0] * phi.r
+    for (failed, j), n in h.items():
+        if cut(failed | 1 << (j - 1)) and not cut(failed):
+            p[failed.bit_count()] += n
+    p[-1] = scale - sum(p)
+    return ProbabilitySignature(tuple(Fraction(n, scale) for n in p))
+
+
 def probability_signature(
     phi: StructureFunction, rho: PermutationDistribution
 ) -> ProbabilitySignature:
     """p_k = total weight of the failure orders that kill the system at step k."""
     if phi.r != rho.m:
         raise DomainError(f"structure has r={phi.r} but distribution has m={rho.m}")
-    p = [ZERO] * phi.r
-    for perm, weight in rho.weights.items():
-        p[failure_step(phi, perm) - 1] += weight
-    return ProbabilitySignature(tuple(p))
+    numerators, scale = integer_weights(rho.weights)
+    return _step_law(phi, failed_set_table(numerators.items()), scale)
 
 
-def signature_from_ls(
-    phi: StructureFunction, model: LoadSharingModel
-) -> ProbabilitySignature:
+def signature_from_ls(phi: StructureFunction, model: LoadSharingModel) -> ProbabilitySignature:
     """Signature of the system under a load-sharing failure-order law."""
     if phi.r != model.m:
         raise DomainError(f"structure has r={phi.r} but model has m={model.m}")
-    return probability_signature(phi, distribution_of(model))
-
-
-def step_fibers(phi: StructureFunction) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """Partition of all r! permutations by the step at which the system dies."""
-    fibers: dict[int, list[tuple[int, ...]]] = {k: [] for k in range(1, phi.r + 1)}
-    for perm in itertools.permutations(range(1, phi.r + 1)):
-        fibers[failure_step(phi, perm)].append(perm)
-    return {k: tuple(v) for k, v in fibers.items()}
-
-
-def survival_decomposition_terms(
-    phi: StructureFunction, rho: PermutationDistribution
-) -> list[tuple[Fraction, tuple[tuple[int, ...], ...]]]:
-    """Per step k: the exact p_k and the full fiber of orders dying at k.
-
-    The fibers partition all r! permutations regardless of the support of
-    ``rho``. Conditional survival-time factors are out of scope: failure
-    orders are modeled, time marginals are not.
-    """
-    sig = probability_signature(phi, rho)
-    fibers = step_fibers(phi)
-    return [(sig.p[k - 1], fibers[k]) for k in range(1, phi.r + 1)]
+    return _step_law(phi, *_model_table(model))
 
 
 def ls_for_target_signature(
     phi: StructureFunction, target: ProbabilitySignature
-) -> OrderDependentLSModel:
-    """A load-sharing model realizing ``target`` exactly.
+) -> SetInvariantLSModel:
+    """A set-invariant load-sharing model realizing ``target`` exactly.
 
-    Each step's mass is spread uniformly over its fiber of failure orders
-    and the resulting distribution is inverted into rates. A target is
-    feasible iff it puts no mass on a step whose fiber is empty.
+    Sets that are not cut are closed under taking subsets, so the system can
+    die at step k iff some such set W of k-1 members has a cut child W + c.
+    Mass p_k flows along the first such W in the subset order, ascending,
+    then to its smallest such c. A survivor's rate is the flow out of its
+    failed set; a set no flow leaves gives every survivor rate 1.
     """
     if target.r != phi.r:
         raise DomainError(f"target has r={target.r} but structure has r={phi.r}")
-    fibers = step_fibers(phi)
-    weights: dict[tuple[int, ...], Fraction] = {}
-    for k in range(1, phi.r + 1):
-        mass = target.p[k - 1]
+    r, cut = phi.r, _cut_test(phi)
+    flow = defaultdict(Counter)  # survivors -> next failure -> mass
+    for k, mass in enumerate(target.p, start=1):
         if mass == 0:
             continue
-        fiber = fibers[k]
-        if not fiber:
+        sets = (w for w in itertools.combinations(range(1, r + 1), k - 1) if not cut(_mask(w)))
+        dying = (w + (c,) for w in sets for c in range(1, r + 1) if c not in w)
+        chain = next((w for w in dying if cut(_mask(w))), None)
+        if chain is None:
             raise InfeasibleTargetError(
                 f"target puts mass {mass} on step {k}, but no failure order "
                 f"kills this structure at step {k}"
             )
-        share = mass / len(fiber)
-        for perm in fiber:
-            weights[perm] = share
-    rho = PermutationDistribution(phi.r, weights)
-    return invert_to_ls(rho)
+        alive = tuple(range(1, r + 1))
+        for j in chain:
+            flow[alive][j] += mass
+            alive = tuple(x for x in alive if x != j)
+    return SetInvariantLSModel(
+        r,
+        {
+            (alive, j): flow[alive][j] if alive in flow else ONE
+            for alive in subsets_of_size_at_least(r, 1)
+            for j in alive
+        },
+    )

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,15 +11,22 @@ from hypothesis import strategies as st
 from precedence import (
     DomainError,
     InfeasibleTargetError,
+    InputFormatError,
     PermutationDistribution,
     ProbabilitySignature,
+    SetInvariantLSModel,
     StructureFunction,
+    build_ls_epsilon,
+    distribution_of,
+    epsilon_schedule,
     failure_step,
+    invert_to_ls,
     ls_for_target_signature,
+    pattern_very_paradox,
     probability_signature,
     signature_from_ls,
-    survival_decomposition_terms,
 )
+from precedence.cli import run
 from tests.conftest import random_distribution
 
 BRIDGE = StructureFunction(
@@ -38,14 +47,39 @@ def oracle_failure_step(path_sets, r, perm):
 
 
 @st.composite
-def structures_with_orders(draw, max_r=6):
-    """A random coherent structure (minimal sets, relabelled to cover [r]) and an order."""
+def structures(draw, max_r=6):
+    """A random coherent structure: minimal sets, relabelled to cover [r]."""
     r = draw(st.integers(1, max_r))
     raw = draw(st.lists(st.frozensets(st.integers(1, r), min_size=1), min_size=1, max_size=8))
     minimal = {a for a in raw if not any(b < a for b in raw)}
     label = {x: i for i, x in enumerate(sorted(set().union(*minimal)), start=1)}
-    phi = StructureFunction(len(label), tuple(frozenset(label[x] for x in ps) for ps in minimal))
+    return StructureFunction(len(label), tuple(frozenset(label[x] for x in ps) for ps in minimal))
+
+
+@st.composite
+def structures_with_orders(draw, max_r=6):
+    """A random coherent structure and an order of its components."""
+    phi = draw(structures(max_r))
     return phi, tuple(draw(st.permutations(range(1, phi.r + 1))))
+
+
+def scanned_signature(phi, weights):
+    """The signature by scanning every order of a law with failure_step."""
+    p = [Fraction(0)] * phi.r
+    for perm, w in weights.items():
+        p[failure_step(phi, perm) - 1] += w
+    return tuple(p)
+
+
+def random_set_invariant(r, rng):
+    """Rates 0..3 per survivor; a survivor set whose rates all come out 0 gets 1 for its first."""
+    mu = {}
+    for n in range(1, r + 1):
+        for alive in itertools.combinations(range(1, r + 1), n):
+            rates = [rng.randint(0, 3) for _ in alive]
+            rates[0] = rates[0] or not any(rates)
+            mu.update({(alive, j): Fraction(v) for j, v in zip(alive, rates)})
+    return SetInvariantLSModel(r, mu)
 
 
 class TestStructureFunction:
@@ -173,6 +207,39 @@ class TestProbabilitySignature:
             probability_signature(BRIDGE, example_law)
 
 
+class TestTableRouteMatchesScan:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        phi=structures(),
+        kind=st.sampled_from(["law", "inverted", "set"]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_random_structures_laws_and_models(self, phi, kind, seed):
+        rng = random.Random(seed)
+        if kind == "set":
+            model = random_set_invariant(phi.r, rng)
+            assert signature_from_ls(phi, model).p == scanned_signature(
+                phi, distribution_of(model).weights
+            )
+            return
+        rho = random_distribution(phi.r, rng)
+        assert probability_signature(phi, rho).p == scanned_signature(phi, rho.weights)
+        if kind == "inverted" and phi.r >= 2:  # inversion needs m >= 2
+            assert signature_from_ls(phi, invert_to_ls(rho)).p == scanned_signature(
+                phi, rho.weights
+            )
+
+    def test_k_out_of_12_under_the_m12_very_paradox_model(self, monkeypatch):
+        # the 2^m set DP, with no m! route behind it
+        monkeypatch.setenv("PRECEDENCE_MAX_M", "12")
+        start = time.perf_counter()
+        with pytest.warns(RuntimeWarning):
+            model = build_ls_epsilon(pattern_very_paradox(12), epsilon_schedule(12))
+            sig = signature_from_ls(StructureFunction.k_out_of_n(12, 5), model)
+        assert time.perf_counter() - start < 5
+        assert sig.p == tuple(int(k == 8) for k in range(1, 13))
+
+
 class TestSignatureFromLS:
     def test_series_under_worked_example_model(self, example_model):
         phi = StructureFunction.series(3)
@@ -195,11 +262,13 @@ class TestTargetInversion:
         assert signature_from_ls(phi, model).p == (0, 1, 0)
 
     def test_series_uniform_target(self):
+        # the witness fails component 1 first, then the survivors at rate 1 each
         phi = StructureFunction.series(3)
         model = ls_for_target_signature(phi, ProbabilitySignature((1, 0, 0)))
-        from precedence import distribution_of
-
-        assert distribution_of(model) == PermutationDistribution.uniform(3)
+        assert isinstance(model, SetInvariantLSModel)
+        assert distribution_of(model) == PermutationDistribution(
+            3, {(1, 2, 3): Fraction(1, 2), (1, 3, 2): Fraction(1, 2)}
+        )
 
     def test_split_target_roundtrip(self):
         phi = ONE_SERIES_PARALLEL
@@ -226,21 +295,50 @@ class TestTargetInversion:
         assert signature_from_ls(phi, model).p == target.p
 
 
-class TestDecomposition:
-    def test_series_fiber_is_everything(self):
-        phi = StructureFunction.series(3)
-        terms = survival_decomposition_terms(phi, PermutationDistribution.uniform(3))
-        assert terms[0][0] == 1 and len(terms[0][1]) == 6
-        assert terms[1][1] == () and terms[2][1] == ()
+    def test_single_component(self):
+        phi = StructureFunction.series(1)
+        model = ls_for_target_signature(phi, ProbabilitySignature((1,)))
+        assert signature_from_ls(phi, model).p == (1,)
 
-    def test_two_out_of_three_fiber(self, example_law):
-        phi = StructureFunction.k_out_of_n(3, 2)
-        terms = survival_decomposition_terms(phi, example_law)
-        assert len(terms[1][1]) == 6
+    @settings(max_examples=60, deadline=None)
+    @given(phi=structures(), seed=st.integers(0, 2**32))
+    def test_random_feasible_targets_are_hit_exactly(self, phi, seed):
+        rng = random.Random(seed)
+        steps = {failure_step(phi, perm) for perm in itertools.permutations(range(1, phi.r + 1))}
+        chosen = rng.sample(sorted(steps), rng.randint(1, len(steps)))
+        raw = {k: rng.randint(1, 9) for k in chosen}
+        target = ProbabilitySignature(
+            tuple(Fraction(raw.get(k, 0), sum(raw.values())) for k in range(1, phi.r + 1))
+        )
+        model = ls_for_target_signature(phi, target)
+        assert isinstance(model, SetInvariantLSModel)
+        assert signature_from_ls(phi, model).p == target.p
+        infeasible = [k for k in range(1, phi.r + 1) if k not in steps]
+        if infeasible:
+            k = rng.choice(infeasible)
+            bad = ProbabilitySignature(tuple(Fraction(int(i == k)) for i in range(1, phi.r + 1)))
+            with pytest.raises(InfeasibleTargetError, match=f"step {k}"):
+                ls_for_target_signature(phi, bad)
 
-    def test_bridge_fibers_partition_all_orders(self):
-        terms = survival_decomposition_terms(BRIDGE, PermutationDistribution.uniform(5))
-        sizes = [len(fiber) for _, fiber in terms]
-        assert sum(sizes) == 120
-        everything = [perm for _, fiber in terms for perm in fiber]
-        assert len(set(everything)) == 120
+
+class TestNoSilentCoercion:
+    @pytest.mark.parametrize("entries", [(True, False, False), (0.5, 0.5, 0)])
+    def test_signature_refuses_bool_and_float_entries(self, entries):
+        with pytest.raises(DomainError, match="not an int or a Fraction"):
+            ProbabilitySignature(entries)
+
+    def test_repeated_component_in_a_path_set_is_refused(self, tmp_path):
+        with pytest.raises(DomainError, match="repeats a component"):
+            StructureFunction(3, ([1, 1, 2], [3]))
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps({"r": 3, "path_sets": [[1, 1, 2], [3]]}))
+        result = run(["signature", "invert", "--structure", str(path), "--target", "0,0,1"])
+        assert result.exit_code == 2
+        assert result.diagnostics == ["path_sets: path set [1, 1, 2] repeats a component"]
+
+    def test_loader_errors_name_the_field(self):
+        with pytest.raises(InputFormatError) as info:
+            StructureFunction.from_json_dict({"r": 3, "path_sets": [["1"], [2, 3]]})
+        assert str(info.value) == "path_sets: component '1' outside [3]"
+        with pytest.raises(InputFormatError, match="^r: dimension"):
+            StructureFunction.from_json_dict({"r": 0, "path_sets": [[1]]})

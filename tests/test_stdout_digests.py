@@ -59,6 +59,8 @@ def documents(name: str, m: int) -> dict:
         }
     if name == "signature-dist-bridge":
         return {"--structure": BRIDGE, "--dist": law(m).to_json_dict()}
+    if name == "signature-invert":
+        return {"--structure": BRIDGE}
     if name == "signature-model":
         model = build_ls_epsilon(pattern_cyclic(m), epsilon_schedule(m))
         return {"--structure": BRIDGE, "--model": model.to_json_dict()}
@@ -85,6 +87,7 @@ COMMANDS = {
     "signature-dist": ["signature", "compute"],
     "signature-dist-bridge": ["signature", "compute"],
     "signature-model": ["signature", "compute"],
+    "signature-invert": ["signature", "invert", "--target", "0,1/3,1/3,1/3,0"],
 }
 
 # (exit code, sha256 of stdout) per case. A new value here is a change of
@@ -125,6 +128,7 @@ DIGESTS = {
     "signature-dist-m6": (0, "4dc8f4b4d20311765dd8c0752df98a89f179d3732a6952727003cea21ac9aa32"),
     "signature-dist-bridge-m5": (0, "028049d592cbabaafa16a7166924431477d79b710dec2a3812a812fb15bf450c"),
     "signature-model-m5": (0, "9335aed4468d7526f994adcb241637edae9b24011490697e096bf8594684fbc2"),
+    "signature-invert-m5": (0, "d78cfb045ce9d5160938020a8f666442717342785f8a726a0801679f1247c4aa"),
 }
 
 
@@ -147,6 +151,7 @@ def cases():
         yield "signature-dist", m
     yield "signature-dist-bridge", 5
     yield "signature-model", 5
+    yield "signature-invert", 5
 
 
 def run_case(name: str, m: int, tmp_path, capsys) -> tuple[int, str]:
