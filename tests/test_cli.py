@@ -437,3 +437,88 @@ class TestCachedParser:
         assert build_parser() is parser
         assert [code for code, _, _ in alone] == [0, 0, 2, 0, 0, 0]
         assert '"decimal"' in alone[0][1] and '"decimal"' not in alone[1][1]
+
+
+# One fault per call, pinned to (exit code, diagnostics) for all 14 subcommands.
+# "{d}" stands for the directory holding the documents below.
+PIN_DOCS = {
+    "dist.json": PermutationDistribution.uniform(3).to_json_dict(),
+    "pattern.json": pattern_cyclic(3).to_json_dict(),
+    "votes.json": VotingSituation(3, {(1, 2, 3): 1, (3, 2, 1): 2}).to_json_dict(),
+    "structure.json": StructureFunction.k_out_of_n(3, 2).to_json_dict(),
+    "model.json": OrderDependentLSModel.constant(3).to_json_dict(),
+    "model4.json": OrderDependentLSModel.constant(4).to_json_dict(),
+    "no-list-m.json": {"m": 3},
+    "no-list-r.json": {"r": 3},
+}
+# (subcommand, the option given a bad file, the other arguments, the schema error)
+FILE_SLOTS = [
+    (["alpha"], "--dist", [], "weights: must be a list"),
+    (["oracle"], "--dist", [], "weights: must be a list"),
+    (["pattern", "induce"], "--dist", [], "weights: must be a list"),
+    (["ls", "invert"], "--dist", [], "weights: must be a list"),
+    (["ls", "build"], "--pattern", [], "functions: must be a list"),
+    (["concord", "certify"], "--pattern", [], "functions: must be a list"),
+    (["vote", "tally"], "--votes", [], "counts: must be a list"),
+    (["vote", "check"], "--pattern", ["--votes", "{d}/votes.json"], "functions: must be a list"),
+    (["vote", "check"], "--votes", ["--pattern", "{d}/pattern.json"], "counts: must be a list"),
+    (["vote", "synth"], "--pattern", [], "functions: must be a list"),
+    (["signature", "compute"], "--structure", ["--dist", "{d}/dist.json"],
+     "path_sets: must be a list of lists of components"),
+    (["signature", "compute"], "--dist", ["--structure", "{d}/structure.json"],
+     "weights: must be a list"),
+    (["signature", "compute"], "--model", ["--structure", "{d}/structure.json"],
+     "rates: must be a list"),
+    (["signature", "invert"], "--structure", ["--target", "0,1,0"],
+     "path_sets: must be a list of lists of components"),
+    (["simulate"], "--model", ["--samples", "10"], "rates: must be a list"),
+    (["simulate"], "--reference", ["--samples", "10", "--model", "{d}/model.json"],
+     "rates: must be a list"),
+]
+ONE_FAULT_CALLS = [
+    *(
+        (cmd + rest + [option, path], 2, [diagnostic])
+        for cmd, option, rest, schema_error in FILE_SLOTS
+        for path, diagnostic in [
+            ("{d}/missing.json", "cannot read {d}/missing.json: No such file or directory"),
+            ("{d}/not-json.json",
+             "{d}/not-json.json is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+            ("{d}/no-list-r.json" if option == "--structure" else "{d}/no-list-m.json",
+             schema_error),
+        ]
+    ),
+    (["pattern", "gen", "--kind", "random", "--m", "3", "--count", "0"], 2,
+     ["--count must be >= 1, got 0"]),
+    (["ls", "check-eps"], 2, ["ls check-eps needs --m or --eps"]),
+    (["ls", "check-eps", "--m", "1"], 2, ["schedule needs m >= 2, got m=1"]),
+    (["signature", "compute", "--structure", "{d}/structure.json"], 2,
+     ["provide exactly one of --dist or --model"]),
+    (["signature", "compute", "--structure", "{d}/structure.json", "--dist", "{d}/dist.json",
+      "--model", "{d}/model.json"], 2, ["provide exactly one of --dist or --model"]),
+    (["simulate", "--model", "{d}/model.json", "--samples", "0"], 2,
+     ["need at least one sample, got 0"]),
+    (["simulate", "--model", "{d}/model.json", "--samples", "10",
+      "--reference", "{d}/model4.json"], 2, ["--reference model has m=4 but --model has m=3"]),
+    (["alpha", "--dist", "{d}/dist.json", "--set", ","], 0, []),
+    (["alpha", "--dist", "{d}/dist.json", "--set", "1"], 2, ["no entry for alpha_1((1,))"]),
+    (["alpha", "--dist", "{d}/dist.json", "--set", "1,2,"], 0, []),
+    (["ls", "check-eps", "--eps", "0,x"], 2, ["not a rational literal: 'x'"]),
+    (["signature", "invert", "--structure", "{d}/structure.json", "--target", "1,x,0"], 2,
+     ["not a rational literal: 'x'"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, diagnostics",
+    ONE_FAULT_CALLS,
+    ids=[" ".join(argv).replace("{d}/", "") for argv, _, _ in ONE_FAULT_CALLS],
+)
+def test_one_fault_call_is_pinned(tmp_path, argv, exit_code, diagnostics):
+    for name, doc in PIN_DOCS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    (tmp_path / "not-json.json").write_text("not json")
+    result = run([arg.format(d=tmp_path) for arg in argv])
+    assert (result.exit_code, result.diagnostics) == (
+        exit_code,
+        [line.format(d=tmp_path) for line in diagnostics],
+    )
