@@ -11,6 +11,9 @@ annotates each rational leaf with a 12-significant-digit float, never
 replacing the exact field. Output ordering is deterministic
 (lexicographic by subset, then by index) so certificates diff cleanly.
 
+The document of every file option given loads before the handler runs, in
+the fixed order of ``_DOCUMENTS``; of several bad files, the first is reported.
+
 The dimension cap (default 8) honors the PRECEDENCE_MAX_M environment
 variable.
 """
@@ -26,8 +29,8 @@ from fractions import Fraction
 from json.encoder import INFINITY, encode_basestring_ascii
 
 from . import construction, loadsharing, montecarlo, permdist, ranking, signature, voting
-from .core import RATIONAL_RE, decimal_int, rational_format, rational_parse
-from .errors import DomainError, PrecedenceError
+from .core import RATIONAL_RE, decimal_int, rational_format, rational_parse, subset_members
+from .errors import DomainError, InputFormatError, PrecedenceError
 
 
 @dataclass
@@ -51,20 +54,28 @@ def _load_json(path: str) -> dict:
         raise PrecedenceError(f"{path} nests arrays or objects too deeply")
 
 
-def _load_distribution(path: str) -> permdist.PermutationDistribution:
-    return permdist.PermutationDistribution.from_json_dict(_load_json(path))
+# The loader of each file option (by dest), in loading order. Each looks its
+# library function up when called, so a wrapper installed later is reached.
+_DOCUMENTS = {
+    "structure": lambda doc: signature.StructureFunction.from_json_dict(doc),
+    "pattern": lambda doc: ranking.RankingPattern.from_json_dict(doc),
+    "votes": lambda doc: voting.VotingSituation.from_json_dict(doc),
+    "dist": lambda doc: permdist.PermutationDistribution.from_json_dict(doc),
+    "model": lambda doc: loadsharing.model_from_json_dict(doc),
+    "reference": lambda doc: loadsharing.model_from_json_dict(doc),
+}
 
 
-def _load_pattern(path: str) -> ranking.RankingPattern:
-    return ranking.RankingPattern.from_json_dict(_load_json(path))
-
-
-def _load_model(path: str) -> loadsharing.LoadSharingModel:
-    return loadsharing.model_from_json_dict(_load_json(path))
-
-
-def _parse_index_set(text: str) -> tuple[int, ...]:
-    return tuple(sorted(decimal_int(tok, "--set") for tok in text.split(",") if tok.strip()))
+def _comma_list(text: str, option: str, parse, build):
+    """``build`` of ``option``'s comma-separated entries, each stripped, non-empty
+    and read by ``parse``. Every error the text causes starts with ``option``."""
+    entries = [tok.strip() for tok in text.split(",")]
+    try:
+        if "" in entries:
+            raise InputFormatError(f"empty entry in {text!r}")
+        return build(tuple(map(parse, entries)))
+    except PrecedenceError as ex:
+        raise InputFormatError(f"{option}: {ex}") from None
 
 
 def _decimalize(node):
@@ -82,117 +93,65 @@ def _decimalize(node):
     return node
 
 
-def _alpha_payload(fam: permdist.WinningProbabilityFamily, members: tuple[int, ...] | None):
-    if members is not None:
-        return {
-            "m": fam.m,
-            "set": list(members),
-            "alpha": {str(j): rational_format(fam.alpha(members, j)) for j in members},
-        }
-    return {"m": fam.m, "families": fam.to_json_list()}
+def _doc(value) -> CommandResult:
+    """``value``'s document; exit code 1 if it is a report whose verdict is FAIL."""
+    return CommandResult(0 if getattr(value, "passed", True) else 1, value.to_json_dict())
 
 
 def _cmd_alpha(args, brute: bool) -> CommandResult:
-    rho = _load_distribution(args.dist)
-    fam = (
-        permdist.alpha_family_bruteforce(rho) if brute else permdist.alpha_family(rho)
-    )
-    members = _parse_index_set(args.set) if args.set else None
-    return CommandResult(0, _alpha_payload(fam, members))
-
-
-def _cmd_pattern_induce(args) -> CommandResult:
-    rho = _load_distribution(args.dist)
-    sigma = ranking.induced_pattern(permdist.alpha_family(rho))
-    return CommandResult(0, sigma.to_json_dict())
+    fam = (permdist.alpha_family_bruteforce if brute else permdist.alpha_family)(args.dist)
+    if args.set is None:
+        return CommandResult(0, {"m": fam.m, "families": fam.to_json_list()})
+    member = functools.partial(decimal_int, where="member")
+    members = _comma_list(args.set, "--set", member, functools.partial(subset_members, fam.m))
+    if len(members) < 2:
+        raise InputFormatError(f"--set: needs at least two distinct members of [{fam.m}]")
+    alpha = {str(j): rational_format(fam.alpha(members, j)) for j in members}
+    return CommandResult(0, {"m": fam.m, "set": list(members), "alpha": alpha})
 
 
 def _cmd_pattern_gen(args) -> CommandResult:
     if args.count < 1:
         raise PrecedenceError(f"--count must be >= 1, got {args.count}")
-    if args.kind == "very-paradox":
-        return CommandResult(0, ranking.pattern_very_paradox(args.m).to_json_dict())
-    if args.kind == "cyclic":
-        return CommandResult(0, ranking.pattern_cyclic(args.m).to_json_dict())
+    if args.kind != "random":
+        build = ranking.pattern_cyclic if args.kind == "cyclic" else ranking.pattern_very_paradox
+        return _doc(build(args.m))
     stream = ranking.enumerate_patterns(
         args.m, non_weak_only=not args.allow_weak, seed=args.seed, limit=args.count
     )
     patterns = [sigma.to_json_dict() for sigma in stream]
-    if args.count == 1:
-        return CommandResult(0, patterns[0])
-    return CommandResult(0, {"m": args.m, "patterns": patterns})
-
-
-def _cmd_ls_invert(args) -> CommandResult:
-    rho = _load_distribution(args.dist)
-    model = construction.invert_to_ls(rho)
-    return CommandResult(0, model.to_json_dict())
-
-
-def _cmd_ls_build(args) -> CommandResult:
-    sigma = _load_pattern(args.pattern)
-    eps = construction.epsilon_schedule(sigma.m)
-    model = construction.build_ls_epsilon(sigma, eps)
-    return CommandResult(0, model.to_json_dict())
+    return CommandResult(0, patterns[0] if args.count == 1 else {"m": args.m, "patterns": patterns})
 
 
 def _cmd_ls_check_eps(args) -> CommandResult:
-    if args.eps:
-        entries = [tok.strip() for tok in args.eps.split(",")]
-        eps = loadsharing.EpsilonSchedule(len(entries), tuple(rational_parse(e) for e in entries))
-    else:
+    if args.eps is not None:
+        eps = _comma_list(
+            args.eps, "--eps", rational_parse, lambda e: loadsharing.EpsilonSchedule(len(e), e)
+        )
+    elif args.m is not None:
         eps = construction.epsilon_schedule(args.m)
-    report = construction.check_epsilon_condition(eps)
-    return CommandResult(0 if report.passed else 1, report.to_json_dict())
-
-
-def _cmd_concord_certify(args) -> CommandResult:
-    sigma = _load_pattern(args.pattern)
-    cert = construction.certify_concordance(sigma)
-    return CommandResult(0 if cert.passed else 1, cert.to_json_dict())
-
-
-def _cmd_vote_tally(args) -> CommandResult:
-    vs = voting.VotingSituation.from_json_dict(_load_json(args.votes))
-    return CommandResult(0, voting.tally(vs).to_json_dict())
-
-
-def _cmd_vote_check(args) -> CommandResult:
-    tau = _load_pattern(args.pattern)
-    vs = voting.VotingSituation.from_json_dict(_load_json(args.votes))
-    report = voting.check_n_concordance(tau, vs)
-    return CommandResult(0 if report.passed else 1, report.to_json_dict())
-
-
-def _cmd_vote_synth(args) -> CommandResult:
-    sigma = _load_pattern(args.pattern)
-    vs = voting.synthesize_voting_situation(sigma)
-    return CommandResult(0, vs.to_json_dict())
+    else:
+        raise PrecedenceError("ls check-eps needs --m or --eps")
+    return _doc(construction.check_epsilon_condition(eps))
 
 
 def _cmd_signature_compute(args) -> CommandResult:
-    phi = signature.StructureFunction.from_json_dict(_load_json(args.structure))
-    if bool(args.dist) == bool(args.model):
+    if (args.dist is None) == (args.model is None):
         raise PrecedenceError("provide exactly one of --dist or --model")
-    if args.dist:
-        sig = signature.probability_signature(phi, _load_distribution(args.dist))
+    if args.dist is not None:
+        sig = signature.probability_signature(args.structure, args.dist)
     else:
-        sig = signature.signature_from_ls(phi, _load_model(args.model))
-    return CommandResult(0, {"r": phi.r, "signature": sig.to_json_list()})
+        sig = signature.signature_from_ls(args.structure, args.model)
+    return CommandResult(0, {"r": args.structure.r, "signature": sig.to_json_list()})
 
 
 def _cmd_signature_invert(args) -> CommandResult:
-    phi = signature.StructureFunction.from_json_dict(_load_json(args.structure))
-    target = signature.ProbabilitySignature.parse(
-        [tok.strip() for tok in args.target.split(",")]
-    )
-    model = signature.ls_for_target_signature(phi, target)
-    return CommandResult(0, model.to_json_dict())
+    target = _comma_list(args.target, "--target", rational_parse, signature.ProbabilitySignature)
+    return _doc(signature.ls_for_target_signature(args.structure, target))
 
 
 def _cmd_simulate(args) -> CommandResult:
-    model = _load_model(args.model)
-    reference = _load_model(args.reference) if args.reference else None
+    model, reference = args.model, args.reference
     if reference is not None and reference.m != model.m:
         raise DomainError(f"--reference model has m={reference.m} but --model has m={model.m}")
     summary = montecarlo.estimate_alphas(model, n_samples=args.samples, seed=args.seed)
@@ -205,6 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later call.
 
     Parsing never mutates it: each ``parse_args`` call fills a fresh namespace.
+    Each leaf parser names its handler; ``_DOCUMENTS`` loads its FILE options.
     """
     parser = argparse.ArgumentParser(
         prog="precedence",
@@ -221,102 +181,101 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("alpha", parents=[common], help="winning probabilities of a distribution")
-    p.add_argument("--dist", required=True, help="distribution JSON file")
+    p.add_argument("--dist", required=True, metavar="FILE", help="distribution JSON file")
     p.add_argument("--set", help="comma-separated subset, e.g. 1,3")
+    p.set_defaults(handler=functools.partial(_cmd_alpha, brute=False))
 
     p = sub.add_parser("oracle", parents=[common], help="brute-force winning probabilities")
-    p.add_argument("--dist", required=True)
+    p.add_argument("--dist", required=True, metavar="FILE")
     p.add_argument("--set")
+    p.set_defaults(handler=functools.partial(_cmd_alpha, brute=True))
 
     pattern = sub.add_parser("pattern", help="ranking-pattern operations")
     psub = pattern.add_subparsers(dest="subcommand", required=True)
     p = psub.add_parser("induce", parents=[common], help="pattern induced by a distribution")
-    p.add_argument("--dist", required=True)
+    p.add_argument("--dist", required=True, metavar="FILE")
+    p.set_defaults(handler=lambda a: _doc(ranking.induced_pattern(permdist.alpha_family(a.dist))))
     p = psub.add_parser("gen", parents=[common], help="generate ranking patterns")
     p.add_argument("--kind", choices=["very-paradox", "cyclic", "random"], required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--allow-weak", action="store_true")
+    p.set_defaults(handler=_cmd_pattern_gen)
 
     ls = sub.add_parser("ls", help="load-sharing model operations")
     lsub = ls.add_subparsers(dest="subcommand", required=True)
     p = lsub.add_parser("invert", parents=[common], help="rates realizing a distribution")
-    p.add_argument("--dist", required=True)
+    p.add_argument("--dist", required=True, metavar="FILE")
+    p.set_defaults(handler=lambda a: _doc(construction.invert_to_ls(a.dist)))
     p = lsub.add_parser("build", parents=[common], help="schedule model for a pattern")
-    p.add_argument("--pattern", required=True)
+    p.add_argument("--pattern", required=True, metavar="FILE")
+    p.set_defaults(
+        handler=lambda a: _doc(
+            construction.build_ls_epsilon(a.pattern, construction.epsilon_schedule(a.pattern.m))
+        )
+    )
     p = lsub.add_parser("check-eps", parents=[common], help="verify a schedule's separation condition")
     p.add_argument("--m", type=int)
     p.add_argument("--eps", help="comma-separated rationals, overriding the universal schedule")
+    p.set_defaults(handler=_cmd_ls_check_eps)
 
     concord = sub.add_parser("concord", help="concordance certification")
     csub = concord.add_subparsers(dest="subcommand", required=True)
     p = csub.add_parser("certify", parents=[common], help="build and verify a concordant model")
-    p.add_argument("--pattern", required=True)
+    p.add_argument("--pattern", required=True, metavar="FILE")
+    p.set_defaults(handler=lambda a: _doc(construction.certify_concordance(a.pattern)))
 
     vote = sub.add_parser("vote", help="voting-situation operations")
     vsub = vote.add_subparsers(dest="subcommand", required=True)
     p = vsub.add_parser("tally", parents=[common], help="plurality tallies per election subset")
-    p.add_argument("--votes", required=True)
+    p.add_argument("--votes", required=True, metavar="FILE")
+    p.set_defaults(handler=lambda a: _doc(voting.tally(a.votes)))
     p = vsub.add_parser("check", parents=[common], help="check N-concordance of a pattern")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--votes", required=True)
+    p.add_argument("--pattern", required=True, metavar="FILE")
+    p.add_argument("--votes", required=True, metavar="FILE")
+    p.set_defaults(handler=lambda a: _doc(voting.check_n_concordance(a.pattern, a.votes)))
     p = vsub.add_parser("synth", parents=[common], help="synthesize a concordant electorate")
-    p.add_argument("--pattern", required=True)
+    p.add_argument("--pattern", required=True, metavar="FILE")
+    p.set_defaults(handler=lambda a: _doc(voting.synthesize_voting_situation(a.pattern)))
 
     sig = sub.add_parser("signature", help="system-signature operations")
     ssub = sig.add_subparsers(dest="subcommand", required=True)
     p = ssub.add_parser("compute", parents=[common], help="probability signature of a system")
-    p.add_argument("--structure", required=True)
-    p.add_argument("--dist")
-    p.add_argument("--model")
+    p.add_argument("--structure", required=True, metavar="FILE")
+    p.add_argument("--dist", metavar="FILE")
+    p.add_argument("--model", metavar="FILE")
+    p.set_defaults(handler=_cmd_signature_compute)
     p = ssub.add_parser("invert", parents=[common], help="model realizing a target signature")
-    p.add_argument("--structure", required=True)
+    p.add_argument("--structure", required=True, metavar="FILE")
     p.add_argument("--target", required=True, help="comma-separated rationals, e.g. 1/3,2/3,0")
+    p.set_defaults(handler=_cmd_signature_invert)
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo failure-order sampling")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, metavar="FILE")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reference", help="model file whose exact alphas are shown side-by-side")
+    p.add_argument("--reference", metavar="FILE", help="model whose exact alphas are shown too")
+    p.set_defaults(handler=_cmd_simulate)
 
     return parser
 
 
-_DISPATCH = {
-    ("alpha", None): lambda a: _cmd_alpha(a, brute=False),
-    ("oracle", None): lambda a: _cmd_alpha(a, brute=True),
-    ("pattern", "induce"): _cmd_pattern_induce,
-    ("pattern", "gen"): _cmd_pattern_gen,
-    ("ls", "invert"): _cmd_ls_invert,
-    ("ls", "build"): _cmd_ls_build,
-    ("ls", "check-eps"): _cmd_ls_check_eps,
-    ("concord", "certify"): _cmd_concord_certify,
-    ("vote", "tally"): _cmd_vote_tally,
-    ("vote", "check"): _cmd_vote_check,
-    ("vote", "synth"): _cmd_vote_synth,
-    ("signature", "compute"): _cmd_signature_compute,
-    ("signature", "invert"): _cmd_signature_invert,
-    ("simulate", None): _cmd_simulate,
-}
-
-
 def run(argv: list[str]) -> CommandResult:
     """Execute one CLI invocation without touching the process."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as ex:
         return CommandResult(2 if ex.code else 0, None, ["argument parsing failed"])
-    if getattr(args, "command", None) == "ls" and args.subcommand == "check-eps":
-        if args.m is None and not args.eps:
-            return CommandResult(2, None, ["ls check-eps needs --m or --eps"])
-    handler = _DISPATCH[(args.command, getattr(args, "subcommand", None))]
     try:
-        result = handler(args)
+        for dest, load in _DOCUMENTS.items():
+            path = getattr(args, dest, None)
+            if path is not None:
+                setattr(args, dest, load(_load_json(path)))
+        result = args.handler(args)
     except PrecedenceError as ex:
         return CommandResult(2, None, [str(ex)])
-    if result.payload is not None and getattr(args, "decimal", False):
+    if result.payload is not None and args.decimal:
         result.payload = _decimalize(result.payload)
     return result
 

@@ -64,6 +64,17 @@ def decimal_int(value: object, where: str) -> int:
     raise InputFormatError(f"{where}: {value!r} is not an integer or a decimal string")
 
 
+def as_fraction(value: object, name: str) -> Fraction:
+    """``value`` as a Fraction: a Fraction, or an int that is not a bool;
+    anything else is a DomainError naming ``name``. A hot loop tests
+    ``type(value) is Fraction`` itself first, so it formats ``name`` only off it."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
+    raise DomainError(f"{name} = {value!r} is not an int or a Fraction")
+
+
 def json_int(doc: object, field: str) -> int:
     """The integer field ``doc[field]`` of a JSON object (not a bool, float or string)."""
     if not isinstance(doc, dict):

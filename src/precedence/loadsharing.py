@@ -59,6 +59,7 @@ from .core import (
     ONE,
     ZERO,
     SubsetMask,
+    as_fraction,
     check_dimension,
     json_entries,
     json_int,
@@ -92,7 +93,7 @@ class EpsilonSchedule:
 
     def __post_init__(self) -> None:
         check_dimension(self.m)
-        values = tuple(Fraction(e) for e in self.eps)
+        values = tuple(as_fraction(e, f"eps({level})") for level, e in enumerate(self.eps, 1))
         if len(values) != self.m:
             raise ScheduleError(f"schedule needs {self.m} entries, got {len(values)}")
         if values[0] != 0:
@@ -144,7 +145,7 @@ class OrderDependentLSModel:
 
     def __post_init__(self) -> None:
         check_dimension(self.m)
-        default = Fraction(self.default)
+        default = as_fraction(self.default, "default rate")
         if default < 0:
             raise DomainError(f"negative default rate {default}")
         clean: dict[tuple[tuple[int, ...], int], Fraction] = {}
@@ -156,7 +157,7 @@ class OrderDependentLSModel:
                     raise DomainError(f"prefix {prefix} too long for m={self.m}")
             if type(j) is not int or not 1 <= j <= self.m or j in prefix:
                 raise DomainError(f"invalid survivor {j} for prefix {prefix}")
-            q = value if type(value) is Fraction else Fraction(value)
+            q = value if type(value) is Fraction else as_fraction(value, f"mu_{j}{prefix}")
             if q.numerator < 0:
                 raise DomainError(f"negative rate {q} for mu_{j}{prefix}")
             clean[(prefix, j)] = q
@@ -228,7 +229,7 @@ class SetInvariantLSModel:
             members = subset_members(self.m, survivors)
             if type(j) is not int or j not in members:
                 raise DomainError(f"survivor {j!r} not in survivor set {members}")
-            q = value if type(value) is Fraction else Fraction(value)
+            q = value if type(value) is Fraction else as_fraction(value, f"mu_{j} of {members}")
             if q.numerator < 0:
                 raise DomainError(f"negative rate {q} for mu_{j} with survivors {members}")
             clean[(members, j)] = q

@@ -40,6 +40,7 @@ from .core import (
     ZERO,
     SubsetMask,
     all_permutations,
+    as_fraction,
     check_dimension,
     json_entries,
     json_int,
@@ -69,7 +70,7 @@ class PermutationDistribution:
         clean: dict[tuple[int, ...], Fraction] = {}
         for perm, value in self.weights.items():
             perm = validate_permutation(self.m, perm)
-            q = value if type(value) is Fraction else Fraction(value)
+            q = value if type(value) is Fraction else as_fraction(value, f"weight of {perm}")
             if q.numerator < 0:
                 raise DomainError(f"negative weight {q} for permutation {perm}")
             if q.numerator:
@@ -154,7 +155,7 @@ class WinningProbabilityFamily:
                 raise DomainError(f"subset {members} has fewer than two members")
             if j not in members:
                 raise DomainError(f"index {j} not in subset {members}")
-            q = value if type(value) is Fraction else Fraction(value)
+            q = value if type(value) is Fraction else as_fraction(value, f"alpha_{j}({members})")
             if not 0 <= q.numerator <= q.denominator:
                 raise DomainError(f"alpha_{j}({members}) = {q} outside [0, 1]")
             clean[(members, j)] = q

@@ -26,10 +26,10 @@ import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
-from .core import ONE, ZERO, check_dimension, json_int, max_dimension, rational_format
-from .core import rational_parse, subsets_of_size_at_least, validate_permutation
+from .core import ONE, ZERO, as_fraction, check_dimension, json_int, max_dimension
+from .core import rational_format, subsets_of_size_at_least, validate_permutation
 from .errors import DomainError, InfeasibleTargetError, InputFormatError
 from .loadsharing import LoadSharingModel, SetInvariantLSModel, _model_table
 from .permdist import PermutationDistribution, failed_set_table, integer_weights
@@ -136,10 +136,7 @@ class ProbabilitySignature:
     p: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        for x in self.p:
-            if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
-                raise DomainError(f"signature entry {x!r} is not an int or a Fraction")
-        values = tuple(Fraction(x) for x in self.p)
+        values = tuple(as_fraction(x, f"signature entry p_{k}") for k, x in enumerate(self.p, 1))
         if any(x < 0 for x in values):
             raise DomainError("signature entries must be non-negative")
         if sum(values, ZERO) != 1:
@@ -152,10 +149,6 @@ class ProbabilitySignature:
 
     def to_json_list(self) -> list[str]:
         return [rational_format(x) for x in self.p]
-
-    @classmethod
-    def parse(cls, entries: Sequence) -> "ProbabilitySignature":
-        return cls(tuple(rational_parse(e) if isinstance(e, str) else e for e in entries))
 
 
 def failure_step(phi: StructureFunction, perm: Iterable[int]) -> int:

@@ -1,5 +1,9 @@
+import argparse
 import json
+import re
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +16,7 @@ from precedence import (
     pattern_cyclic,
     pattern_very_paradox,
 )
-from precedence.cli import build_parser, main, run
+from precedence.cli import _DOCUMENTS, build_parser, main, run
 from precedence.loadsharing import model_from_json_dict
 from tests.conftest import EXAMPLE_LAW_WEIGHTS
 
@@ -499,12 +503,13 @@ ONE_FAULT_CALLS = [
      ["need at least one sample, got 0"]),
     (["simulate", "--model", "{d}/model.json", "--samples", "10",
       "--reference", "{d}/model4.json"], 2, ["--reference model has m=4 but --model has m=3"]),
-    (["alpha", "--dist", "{d}/dist.json", "--set", ","], 0, []),
-    (["alpha", "--dist", "{d}/dist.json", "--set", "1"], 2, ["no entry for alpha_1((1,))"]),
-    (["alpha", "--dist", "{d}/dist.json", "--set", "1,2,"], 0, []),
-    (["ls", "check-eps", "--eps", "0,x"], 2, ["not a rational literal: 'x'"]),
+    (["alpha", "--dist", "{d}/dist.json", "--set", ","], 2, ["--set: empty entry in ','"]),
+    (["alpha", "--dist", "{d}/dist.json", "--set", "1"], 2,
+     ["--set: needs at least two distinct members of [3]"]),
+    (["alpha", "--dist", "{d}/dist.json", "--set", "1,2,"], 2, ["--set: empty entry in '1,2,'"]),
+    (["ls", "check-eps", "--eps", "0,x"], 2, ["--eps: not a rational literal: 'x'"]),
     (["signature", "invert", "--structure", "{d}/structure.json", "--target", "1,x,0"], 2,
-     ["not a rational literal: 'x'"]),
+     ["--target: not a rational literal: 'x'"]),
 ]
 
 
@@ -522,3 +527,98 @@ def test_one_fault_call_is_pinned(tmp_path, argv, exit_code, diagnostics):
         exit_code,
         [line.format(d=tmp_path) for line in diagnostics],
     )
+
+
+# --set, --eps and --target: entries are stripped, none may be empty, and
+# every error the text causes starts with the option's name.
+COMMA_LIST_ERRORS = [
+    (["alpha", "--set", ""], "--set: empty entry in ''"),
+    (["alpha", "--set", "1,1"], "--set: repeated elements in subset (1, 1)"),
+    (["alpha", "--set", "1,4"], "--set: element 4 outside [3]"),
+    (["alpha", "--set", "1,3.0"], "--set: member: '3.0' is not an integer or a decimal string"),
+    (["oracle", "--set", "2"], "--set: needs at least two distinct members of [3]"),
+    (["oracle", "--set", "2,2"], "--set: repeated elements in subset (2, 2)"),
+    (["ls", "check-eps", "--eps", ""], "--eps: empty entry in ''"),
+    (["ls", "check-eps", "--m", "3", "--eps", "0,1/5,"], "--eps: empty entry in '0,1/5,'"),
+    (["ls", "check-eps", "--eps", "1,1/5"], "--eps: eps(1) must be 0, got 1"),
+    (["signature", "invert", "--target", "0,1,0,"], "--target: empty entry in '0,1,0,'"),
+    (["signature", "invert", "--target", "1,1,0"], "--target: signature sums to 2, expected 1"),
+]
+
+
+def _with_files(argv: list[str], tmp_path) -> list[str]:
+    """``argv`` with the document option its subcommand needs, files written."""
+    for name, doc in PIN_DOCS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    needs = {"alpha": "--dist", "oracle": "--dist", "signature": "--structure"}.get(argv[0])
+    return argv if needs is None else argv + [needs, str(tmp_path / f"{needs[2:]}.json")]
+
+
+@pytest.mark.parametrize(
+    "argv, diagnostic", COMMA_LIST_ERRORS, ids=[" ".join(a) for a, _ in COMMA_LIST_ERRORS]
+)
+def test_comma_list_error_names_its_option(tmp_path, argv, diagnostic):
+    result = run(_with_files(argv, tmp_path))
+    assert (result.exit_code, result.diagnostics) == (2, [diagnostic])
+
+
+def test_comma_list_entries_are_stripped(tmp_path):
+    alpha = run(_with_files(["alpha", "--set", " 3 , 1"], tmp_path))
+    assert alpha.payload == {"m": 3, "set": [1, 3], "alpha": {"1": "1/2", "3": "1/2"}}
+    eps = run(["ls", "check-eps", "--eps", "0 , 1/5,1/6 "])
+    assert eps.exit_code == 1 and eps.payload["verdict"] == "FAIL"
+    invert = run(_with_files(["signature", "invert", "--target", " 0, 1 ,0"], tmp_path))
+    assert invert.exit_code == 0 and model_from_json_dict(invert.payload).m == 3
+
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def leaf_parsers(parser=None, words=()):
+    """Each leaf subparser of the CLI, with the command words that reach it."""
+    parser = parser or build_parser()
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(words), parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from leaf_parsers(child, words + (name,))
+
+
+def test_every_leaf_parser_names_its_handler():
+    leaves = dict(leaf_parsers())
+    assert len(leaves) == 14
+    for words, parser in leaves.items():
+        assert callable(parser.get_default("handler")), words
+
+
+def test_document_table_covers_exactly_the_file_options():
+    declared = {
+        action.dest: action.metavar
+        for _, parser in leaf_parsers()
+        for action in parser._actions
+        if action.metavar == "FILE" or action.dest in _DOCUMENTS
+    }
+    assert set(declared) == set(_DOCUMENTS)
+    assert set(declared.values()) == {"FILE"}
+
+
+def readme_commands():
+    """README's ``precedence ...`` lines, continuations joined, comments dropped."""
+    for block in re.findall(r"```sh\n(.*?)```", README, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["precedence"]:
+                yield argv[1:]
+
+
+def test_readme_cli_lines_parse():
+    commands = list(readme_commands())
+    assert len(commands) >= 15
+    for argv in commands:
+        build_parser().parse_args(argv)  # SystemExit on a line that does not parse
+
+
+def test_readme_library_quick_start_runs():
+    (code,) = re.findall(r"## Library quick start\n\n```python\n(.*?)```", README, re.S)
+    exec(compile(code, "README.md", "exec"), {})

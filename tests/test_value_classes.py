@@ -1,5 +1,6 @@
 """Value semantics of the data classes: equality by content, never hashable."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,13 @@ from precedence import (
     EpsilonSchedule,
     OrderDependentLSModel,
     PermutationDistribution,
+    ProbabilitySignature,
     SetInvariantLSModel,
     VotingSituation,
     WinningProbabilityFamily,
     tally,
 )
+from precedence.errors import DomainError
 
 
 def set_invariant(x, epsilon=None):
@@ -72,3 +75,38 @@ def test_set_invariant_equality_ignores_the_schedule():
     with_schedule = set_invariant(x, EpsilonSchedule(2, (Fraction(0), Fraction(1, 4))))
     assert with_schedule == set_invariant(x)
     assert with_schedule != set_invariant(Fraction(1, 2))
+
+
+HALF = Fraction(1, 2)
+# each gives one class a float or a bool where an exact rational belongs
+INEXACT_VALUES = {
+    "PermutationDistribution": (
+        lambda: PermutationDistribution(2, {(1, 2): 0.5, (2, 1): 0.5}),
+        "weight of (1, 2) = 0.5",
+    ),
+    "PermutationDistribution-bool": (
+        lambda: PermutationDistribution(2, {(1, 2): True, (2, 1): False}),
+        "weight of (1, 2) = True",
+    ),
+    "WinningProbabilityFamily": (
+        lambda: WinningProbabilityFamily(2, {((1, 2), 1): HALF, ((1, 2), 2): 0.5}),
+        "alpha_2((1, 2)) = 0.5",
+    ),
+    "OrderDependentLSModel": (
+        lambda: OrderDependentLSModel(2, {((), 1): True}, default=Fraction(1)),
+        "mu_1() = True",
+    ),
+    "OrderDependentLSModel-default": (
+        lambda: OrderDependentLSModel(2, {}, default=1.5),
+        "default rate = 1.5",
+    ),
+    "SetInvariantLSModel": (lambda: set_invariant(0.5), "mu_1 of (1, 2) = 0.5"),
+    "EpsilonSchedule": (lambda: EpsilonSchedule(3, (0, 0.125, 0.0625)), "eps(2) = 0.125"),
+    "ProbabilitySignature": (lambda: ProbabilitySignature((True, False)), "p_1 = True"),
+}
+
+
+@pytest.mark.parametrize("build, name", INEXACT_VALUES.values(), ids=INEXACT_VALUES.keys())
+def test_a_float_or_bool_value_is_refused_by_name(build, name):
+    with pytest.raises(DomainError, match=re.escape(f"{name} is not an int or a Fraction")):
+        build()
