@@ -67,7 +67,7 @@ def decimal_int(value: object, where: str) -> int:
 def as_fraction(value: object, name: str) -> Fraction:
     """``value`` as a Fraction: a Fraction, or an int that is not a bool;
     anything else is a DomainError naming ``name``. A hot loop tests
-    ``type(value) is Fraction`` itself first, so it formats ``name`` only off it."""
+    ``type(value) is Fraction`` first itself, so it builds ``name`` only if not."""
     if type(value) is Fraction:
         return value
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):

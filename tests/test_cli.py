@@ -594,13 +594,12 @@ def test_every_leaf_parser_names_its_handler():
 
 def test_document_table_covers_exactly_the_file_options():
     declared = {
-        action.dest: action.metavar
+        (action.dest, action.metavar)
         for _, parser in leaf_parsers()
         for action in parser._actions
         if action.metavar == "FILE" or action.dest in _DOCUMENTS
     }
-    assert set(declared) == set(_DOCUMENTS)
-    assert set(declared.values()) == {"FILE"}
+    assert declared == {(dest, "FILE") for dest in _DOCUMENTS}
 
 
 def readme_commands():
