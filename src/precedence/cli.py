@@ -29,7 +29,7 @@ from fractions import Fraction
 from json.encoder import INFINITY, encode_basestring_ascii
 
 from . import construction, loadsharing, montecarlo, permdist, ranking, signature, voting
-from .core import RATIONAL_RE, decimal_int, rational_format, rational_parse, subset_members
+from .core import RATIONAL_RE, decimal_int, rational_parse, subset_members
 from .errors import DomainError, InputFormatError, PrecedenceError
 
 
@@ -99,15 +99,17 @@ def _doc(value) -> CommandResult:
 
 
 def _cmd_alpha(args, brute: bool) -> CommandResult:
+    m = args.dist.m
+    if args.set is not None:  # checked before the family is computed
+        member = functools.partial(decimal_int, where="member")
+        members = _comma_list(args.set, "--set", member, functools.partial(subset_members, m))
+        if len(members) < 2:
+            raise InputFormatError(f"--set: needs at least two distinct members of [{m}]")
     fam = (permdist.alpha_family_bruteforce if brute else permdist.alpha_family)(args.dist)
     if args.set is None:
-        return CommandResult(0, {"m": fam.m, "families": fam.to_json_list()})
-    member = functools.partial(decimal_int, where="member")
-    members = _comma_list(args.set, "--set", member, functools.partial(subset_members, fam.m))
-    if len(members) < 2:
-        raise InputFormatError(f"--set: needs at least two distinct members of [{fam.m}]")
-    alpha = {str(j): rational_format(fam.alpha(members, j)) for j in members}
-    return CommandResult(0, {"m": fam.m, "set": list(members), "alpha": alpha})
+        return CommandResult(0, {"m": m, "families": fam.to_json_list()})
+    alpha = {str(j): fam.alpha_text(members, j) for j in members}
+    return CommandResult(0, {"m": m, "set": list(members), "alpha": alpha})
 
 
 def _cmd_pattern_gen(args) -> CommandResult:
@@ -265,8 +267,8 @@ def run(argv: list[str]) -> CommandResult:
     """Execute one CLI invocation without touching the process."""
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as ex:
-        return CommandResult(2 if ex.code else 0, None, ["argument parsing failed"])
+    except SystemExit as ex:  # --help exits 0 after printing its text; an error exits 2
+        return CommandResult(2, None, ["argument parsing failed"]) if ex.code else CommandResult(0)
     try:
         for dest, load in _DOCUMENTS.items():
             path = getattr(args, dest, None)

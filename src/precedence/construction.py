@@ -29,7 +29,9 @@ condition
 under which the built model's winning probabilities are provably
 concordant with the pattern; :func:`certify_concordance` checks the claim
 by exact computation and bundles the evidence into a machine-checkable
-certificate.
+certificate. It builds one rate row per subset size, and keeps the winning
+probabilities as integer numerators over one scale from the set DP to the
+printed certificate: the concordance check compares ints.
 
 Note on level 1: stored schedules have eps(1) = 0 (singleton survivor
 sets always get rate 1), yet the l = 1 inequality above would then be
@@ -187,13 +189,19 @@ def build_ls_epsilon(sigma: RankingPattern, eps: EpsilonSchedule) -> SetInvarian
         for members in subsets_of_size_at_least(m, 1)
         if len(members) == 1
     }
+    # rows[l][r - 1]: the rate of rank r in a set of l survivors, None if not positive
+    rows = {}
+    for level in range(2, m + 1):
+        rates = (1 - r * eps.value(level) for r in range(level))
+        rows[level] = [rate if rate > 0 else None for rate in rates]
     for members, fn in zip(subsets_of_size_at_least(m, 2), sigma.functions):
-        e = eps.value(len(members))
+        row = rows[len(members)]
         for i, rank in fn.ranks:
-            rate = 1 - (rank - 1) * e
-            if rate <= 0:
+            rate = row[rank - 1]
+            if rate is None:
                 raise ScheduleError(
-                    f"rate for survivor {i} of set {members} is {rate}; "
+                    f"rate for survivor {i} of set {members} is "
+                    f"{1 - (rank - 1) * eps.value(len(members))}; "
                     f"eps({len(members)}) is too large"
                 )
             mu[(members, i)] = rate

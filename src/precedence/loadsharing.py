@@ -34,10 +34,12 @@ lcm, and build a Fraction only for a value they return.
 :func:`distribution_of`, :func:`alpha_family_ls` and :func:`beta_gamma_split`
 reduce one walker of the reachable failure prefixes, which carries each
 prefix's probability as an unreduced numerator and denominator. Winning
-probabilities sum the failed-set table of :mod:`precedence.permdist`,
-which set-invariant models build by a DP over failed sets, one scale per
-size, expanding each set once, not each of its k! orderings; both must
-agree exactly with the two-step route through :func:`distribution_of`.
+probabilities are the zeta-transformed subset sums of the failed-set table
+of :mod:`precedence.permdist`, which set-invariant models build by a DP
+over failed sets, one scale per size, expanding each set once, not each of
+its k! orderings. :func:`alpha_family_ls` returns them as numerators over
+the table's scale, with no Fraction built; both routes must agree exactly
+with the two-step route through :func:`distribution_of`.
 
 For models built from an epsilon schedule the total rate of h survivors
 closes to h - h*(h-1)/2 * eps(h) when the subset's ranking is tie-free:

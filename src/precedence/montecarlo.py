@@ -31,7 +31,6 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .core import rational_format
 from .errors import DomainError, SimulationError
 from .loadsharing import LoadSharingModel, _integer_row
 from .permdist import WinningProbabilityFamily, failed_set_table, winner_sums
@@ -70,9 +69,7 @@ class SimulationSummary:
             for j in members:
                 row["empirical"][str(j)] = self.empirical_alpha[(members, j)]
             if exact is not None:
-                row["exact"] = {
-                    str(j): rational_format(exact.alpha(members, j)) for j in members
-                }
+                row["exact"] = {str(j): exact.alpha_text(members, j) for j in members}
             alpha_rows.append(row)
         return {
             "m": self.m,

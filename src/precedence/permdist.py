@@ -13,27 +13,31 @@ component i is the r-th to fail. From it everything else follows exactly:
 Every winner count in the package (laws, voter counts, Monte Carlo counts,
 load-sharing rates) sums one failed-set table: h[(S, j)] is the weight of
 the orders that fail exactly the set S first and j next, and alpha_j(A)
-sums h[(S, j)] over the subsets S of [m] \\ A. The table holds ints only:
-counts as they are, and probabilities as integer numerators over one
-common scale (:func:`integer_weights`), which every exact route
-(:func:`alpha_family` and ``loadsharing.alpha_family_ls``) turns into one
-Fraction per entry only at the end (:func:`family_from_table`), so no
-Fraction gcd runs inside the subset sums. ``alpha_family_bruteforce``
+sums h[(S, j)] over the subsets S of [m] \\ A: one subset-sum (zeta)
+transform per j (:func:`winner_sums`). The table holds ints only: counts
+as they are, and probabilities as integer numerators over one common scale
+(:func:`integer_weights`), which every exact route (:func:`alpha_family`
+and ``loadsharing.alpha_family_ls``) keeps as the family's numerators
+(:func:`family_from_table`): no Fraction is built until an alpha is read,
+and no gcd runs until one is printed. ``alpha_family_bruteforce``
 instead scans every support permutation through a position map, adding
 integer numerators, and shares no code with the table. The two take
 genuinely different routes and must agree bit-for-bit; the brute-force
 scanner is kept as the cross-checking oracle (CLI ``oracle``).
 
-The value classes check numerators: signs, 0 <= n <= d for an alpha, and
-each sum to 1 over the lcm of its group's denominators (:func:`exact_sum`).
+The value classes check numerators over the lcm of the denominators
+(:func:`integer_weights`): signs, 0 <= n <= scale for an alpha, and each
+sum to the scale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+
+import numpy as np
 
 from .core import (
     ONE,
@@ -42,6 +46,7 @@ from .core import (
     all_permutations,
     as_fraction,
     check_dimension,
+    int_format,
     json_entries,
     json_int,
     rational_format,
@@ -75,7 +80,8 @@ class PermutationDistribution:
                 raise DomainError(f"negative weight {q} for permutation {perm}")
             if q.numerator:
                 clean[perm] = q
-        total = exact_sum(clean)
+        numerators, scale = integer_weights(clean)
+        total = Fraction(sum(numerators.values()), scale)
         if total != 1:
             raise DomainError(f"weights sum to {total}, expected exactly 1")
         object.__setattr__(self, "weights", clean)
@@ -133,61 +139,108 @@ class PermutationDistribution:
             raise InputFormatError(str(ex)) from ex
 
 
-@dataclass(frozen=True)
+class _OverScale(Mapping):
+    """The Fractions ``n / scale`` of a dict of integer numerators, each built
+    when it is read; the ``alphas`` of a family made from numerators."""
+
+    def __init__(self, numerators: dict[tuple[tuple[int, ...], int], int], scale: int):
+        self.numerators, self.scale = numerators, scale
+
+    def __getitem__(self, key: tuple[tuple[int, ...], int]) -> Fraction:
+        return Fraction(self.numerators[key], self.scale)
+
+    def __iter__(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        return iter(self.numerators)
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+
+@dataclass(frozen=True, eq=False)
 class WinningProbabilityFamily:
     """The winning probabilities alpha_j(A), keyed by (sorted subset, j).
 
     Not required to cover every subset of [m]: hand-built families over a
     few pairs are legal. For every subset that is present, all of its
     members must be present and their alphas must sum exactly to 1.
+
+    Comparisons and printing read integer ``numerators`` over one ``scale``.
+    A hand-built family keeps the caller's Fractions as ``alphas`` and lifts
+    them to the lcm of their denominators; one from :func:`family_from_table`
+    builds each Fraction of ``alphas`` when it is read. Equal alphas make
+    equal families, whatever the scales.
     """
 
     m: int
     alphas: Mapping[tuple[tuple[int, ...], int], Fraction]
+    numerators: Mapping[tuple[tuple[int, ...], int], int] = field(init=False, repr=False)
+    scale: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_dimension(self.m)
-        clean: dict[tuple[tuple[int, ...], int], Fraction] = {}
-        groups: dict[tuple[int, ...], dict[int, Fraction]] = {}
-        for (subset, j), value in self.alphas.items():
-            members = subset_members(self.m, subset)
-            if len(members) < 2:
-                raise DomainError(f"subset {members} has fewer than two members")
-            if j not in members:
-                raise DomainError(f"index {j} not in subset {members}")
-            q = value if type(value) is Fraction else as_fraction(value, f"alpha_{j}({members})")
-            if not 0 <= q.numerator <= q.denominator:
-                raise DomainError(f"alpha_{j}({members}) = {q} outside [0, 1]")
-            clean[(members, j)] = q
-            groups.setdefault(members, {})[j] = q
+        if type(self.alphas) is _OverScale:  # keys from the cached subset order, j a member
+            numerators, scale = self.alphas.numerators, self.alphas.scale
+        else:
+            clean: dict[tuple[tuple[int, ...], int], Fraction] = {}
+            for (subset, j), value in self.alphas.items():
+                members = subset_members(self.m, subset)
+                if len(members) < 2:
+                    raise DomainError(f"subset {members} has fewer than two members")
+                if j not in members:
+                    raise DomainError(f"index {j} not in subset {members}")
+                q = value if type(value) is Fraction else as_fraction(value, f"alpha_{j}({members})")
+                clean[(members, j)] = q
+            numerators, scale = integer_weights(clean)
+            object.__setattr__(self, "alphas", clean)
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for (members, j), n in numerators.items():
+            if not 0 <= n <= scale:
+                raise DomainError(f"alpha_{j}({members}) = {Fraction(n, scale)} outside [0, 1]")
+            groups.setdefault(members, []).append(n)
         for members, group in groups.items():
-            if len(group) != len(members):  # every key of group is a member
+            if len(group) != len(members):  # every key's index is a member of its subset
                 raise DomainError(f"incomplete entries for subset {members}")
-            total = exact_sum(group)
-            if total != 1:
+            if sum(group) != scale:
+                total = Fraction(sum(group), scale)
                 raise DomainError(f"alphas over {members} sum to {total}, expected 1")
-        object.__setattr__(self, "alphas", clean)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "scale", scale)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = self.numerators, other.numerators
+        return self.m == other.m and mine.keys() == theirs.keys() and all(
+            n * other.scale == theirs[key] * self.scale for key, n in mine.items()
+        )
+
+    def _key(self, subset: SubsetMask | Iterable[int], j: int) -> tuple[tuple[int, ...], int]:
+        key = (subset_members(self.m, subset), j)
+        if key not in self.numerators:
+            raise DomainError(f"no entry for alpha_{j}({key[0]})")
+        return key
 
     def alpha(self, subset: SubsetMask | Iterable[int], j: int) -> Fraction:
-        members = subset_members(self.m, subset)
-        try:
-            return self.alphas[(members, j)]
-        except KeyError:
-            raise DomainError(f"no entry for alpha_{j}({members})") from None
+        return self.alphas[self._key(subset, j)]
+
+    def alpha_text(self, subset: SubsetMask | Iterable[int], j: int) -> str:
+        """``rational_format(self.alpha(subset, j))``: the numerator over the
+        scale in lowest terms, by one gcd; DomainError if too long to print."""
+        n, d = self.numerators[self._key(subset, j)], self.scale
+        g = math.gcd(n, d)
+        text = int_format(n // g, "alpha")
+        return text if g == d else f"{text}/{int_format(d // g, 'alpha')}"
 
     def sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted({members for members, _ in self.alphas}))
+        return tuple(sorted({members for members, _ in self.numerators}))
 
     def is_complete(self) -> bool:
         # every subset present has all of its members, so counting entries suffices
-        return len(self.alphas) == sum(map(len, subsets_of_size_at_least(self.m, 2)))
+        return len(self.numerators) == sum(map(len, subsets_of_size_at_least(self.m, 2)))
 
     def to_json_list(self) -> list[dict]:
         return [
-            {
-                "set": list(members),
-                "alpha": {str(j): rational_format(self.alphas[(members, j)]) for j in members},
-            }
+            {"set": list(members), "alpha": {str(j): self.alpha_text(members, j) for j in members}}
             for members in self.sets()
         ]
 
@@ -230,12 +283,6 @@ def conditional_next(
     return pk_marginal(rho, prefix + (j,)) / denom
 
 
-def exact_sum(weights: Mapping) -> Fraction:
-    """The sum of the Fraction values of ``weights``, added as :func:`integer_weights`."""
-    numerators, scale = integer_weights(weights)
-    return Fraction(sum(numerators.values()), scale)
-
-
 def integer_weights(weights: Mapping[object, Fraction]) -> tuple[dict[object, int], int]:
     """Numerators of ``weights`` over the lcm of their denominators, and that lcm."""
     scale = math.lcm(*(w.denominator for w in weights.values()))
@@ -266,21 +313,29 @@ def winner_sums(
     """Sum h[(S, j)] over the subsets S of [m] \\ A, for every |A| >= 2 and j in A.
 
     With h from :func:`failed_set_table` this is the weight of the orders in
-    which j fails first among A; an entry no order reaches is 0.
+    which j fails first among A; an entry no order reaches is 0. For each j
+    one subset-sum (zeta) transform over the subsets of [m] \\ {j} gives the
+    sums for every A holding j: m - 1 passes, one per other member, each
+    adding half of the 2^(m-1) entries into the other half.
     """
-    out: dict[tuple[tuple[int, ...], int], int] = {}
+    size = 1 << (m - 1)
+    lows = [(1 << (j - 1)) - 1 for j in range(1, m + 1)]
+    # row j-1, column t: h[(S, j)], S the subset of [m] \ {j} whose mask is t
+    # with a 0 put in at bit j-1, the bit of j
+    table = [[h.get(((t & low) | (t & ~low) << 1, j), 0) for t in range(size)]
+             for j, low in enumerate(lows, 1)]
+    sums = np.array(table, dtype=object)
+    for bit in range(m - 1):  # add each column without the bit into the column with it
+        halves = sums.reshape(m, -1, 2, 1 << bit)
+        halves[:, :, 1] += halves[:, :, 0]
+    rows = sums.tolist()
     full = (1 << m) - 1
+    out: dict[tuple[tuple[int, ...], int], int] = {}
     for members in subsets_of_size_at_least(m, 2):
         outside = full ^ sum(1 << (j - 1) for j in members)
         for j in members:
-            total = 0
-            s = outside
-            while True:
-                total += h.get((s, j), 0)
-                if s == 0:
-                    break
-                s = (s - 1) & outside
-            out[(members, j)] = total
+            low = lows[j - 1]
+            out[(members, j)] = rows[j - 1][(outside & low) | (outside >> 1 & ~low)]
     return out
 
 
@@ -289,10 +344,10 @@ def family_from_table(
 ) -> WinningProbabilityFamily:
     """The winning probabilities of a failed-set table of numerators over ``scale``.
 
-    The subset sums run on ints; each entry becomes a Fraction only here.
+    The family keeps the subset sums as its numerators over ``scale``;
+    no Fraction is built until an alpha is read.
     """
-    sums = winner_sums(m, h)
-    return WinningProbabilityFamily(m, {key: Fraction(n, scale) for key, n in sums.items()})
+    return WinningProbabilityFamily(m, _OverScale(winner_sums(m, h), scale))
 
 
 def alpha_family(rho: PermutationDistribution) -> WinningProbabilityFamily:
@@ -319,7 +374,7 @@ def alpha_family_bruteforce(rho: PermutationDistribution) -> WinningProbabilityF
         position = {x: r for r, x in enumerate(perm)}.__getitem__
         for members in subsets:
             sums[(members, min(members, key=position))] += n
-    return WinningProbabilityFamily(m, {key: Fraction(n, scale) for key, n in sums.items()})
+    return WinningProbabilityFamily(m, _OverScale(sums, scale))
 
 
 def majority_digraph(fam: WinningProbabilityFamily) -> MajorityDigraph:

@@ -206,15 +206,18 @@ def score_concordance(
 ) -> ConcordanceReport:
     """Check that lower rank means strictly higher score, ties matching ties.
 
-    ``score(members, j)`` may return any totally ordered value (exact
-    rationals for winning probabilities, integers for vote tallies).
+    ``score(members, j)`` may return any totally ordered value (integer
+    numerators over one scale for winning probabilities, vote tallies); it
+    is called once per member of each subset.
     """
     violations = []
     for fn in sigma.functions:
         members = fn.members
+        rank = dict(fn.ranks)
+        value = {j: score(members, j) for j in members}
         for i, j in itertools.combinations(members, 2):
-            rank_rel = _relation(fn.rank(i), fn.rank(j))
-            score_rel = _relation(score(members, i), score(members, j))
+            rank_rel = _relation(rank[i], rank[j])
+            score_rel = _relation(value[i], value[j])
             if score_rel != _OPPOSITE[rank_rel]:
                 violations.append(
                     ConcordanceViolation(members, i, j, rank_rel, score_rel)
@@ -233,7 +236,7 @@ def induced_pattern(fam: WinningProbabilityFamily) -> RankingPattern:
     return _pattern(
         fam.m,
         lambda members: _dense_ranks(
-            {j: fam.alphas[(members, j)] for j in members}, best_first=True
+            {j: fam.numerators[(members, j)] for j in members}, best_first=True
         ),
     )
 
@@ -246,7 +249,7 @@ def check_p_concordance(
         raise DomainError(f"pattern has m={sigma.m} but family has m={fam.m}")
     if not fam.is_complete():
         raise DomainError("winning-probability family does not cover every subset")
-    return score_concordance(sigma, lambda members, j: fam.alphas[(members, j)])
+    return score_concordance(sigma, lambda members, j: fam.numerators[(members, j)])
 
 
 def _pattern(m: int, ranks_of: Callable[[tuple[int, ...]], Mapping[int, int]]) -> RankingPattern:

@@ -3,6 +3,7 @@ import json
 import re
 import shlex
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from precedence import (
     pattern_cyclic,
     pattern_very_paradox,
 )
+from precedence import permdist
 from precedence.cli import _DOCUMENTS, build_parser, main, run
 from precedence.loadsharing import model_from_json_dict
 from tests.conftest import EXAMPLE_LAW_WEIGHTS
@@ -414,6 +416,28 @@ class TestErrorPaths:
         assert run(["alpha", "--nope"]).exit_code == 2
         capsys.readouterr()  # swallow argparse noise
 
+    def test_help_exits_zero_without_a_diagnostic(self, capsys):
+        assert main(["simulate", "--help"]) == 0
+        out, err = capsys.readouterr()
+        assert "--reference" in out and err == ""
+        assert main(["simulate", "--nope"]) == 2
+        assert capsys.readouterr().err.endswith("\nargument parsing failed\n")
+
+    def test_alpha_past_the_digit_limit_exits_two_naming_the_field(self, tmp_path):
+        # alpha_1({1, 2}) = 1/a + 1/b has a denominator of 6001 digits, though
+        # no weight has more than 3002
+        a, b = 10**3000 + 1, 10**3000 + 3
+        half = Fraction(1, 2)
+        weights = {(1, 2, 3): Fraction(1, a), (1, 3, 2): Fraction(1, b),
+                   (2, 1, 3): half - Fraction(1, a), (2, 3, 1): half - Fraction(1, b)}
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps(PermutationDistribution(3, weights).to_json_dict()))
+        for command in (["alpha"], ["oracle"], ["alpha", "--set", "1,2"]):
+            result = run(command + ["--dist", str(path)])
+            assert (result.exit_code, result.diagnostics) == (
+                2, ["alpha: integer has more than 4300 digits to print"]
+            )
+
 
 class TestCachedParser:
     def test_consecutive_calls_share_no_state(self, law_file, capsys):
@@ -557,7 +581,12 @@ def _with_files(argv: list[str], tmp_path) -> list[str]:
 @pytest.mark.parametrize(
     "argv, diagnostic", COMMA_LIST_ERRORS, ids=[" ".join(a) for a, _ in COMMA_LIST_ERRORS]
 )
-def test_comma_list_error_names_its_option(tmp_path, argv, diagnostic):
+def test_comma_list_error_names_its_option(tmp_path, monkeypatch, argv, diagnostic):
+    def refuse(rho):
+        raise AssertionError("--set must be checked before the family is computed")
+
+    monkeypatch.setattr(permdist, "alpha_family", refuse)
+    monkeypatch.setattr(permdist, "alpha_family_bruteforce", refuse)
     result = run(_with_files(argv, tmp_path))
     assert (result.exit_code, result.diagnostics) == (2, [diagnostic])
 

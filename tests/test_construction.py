@@ -173,6 +173,14 @@ class TestBuildLSEpsilon:
         with pytest.raises(DomainError, match=r"\(1, 2\)"):
             build_ls_epsilon(example_pattern, epsilon_schedule(3))
 
+    def test_nonpositive_rate_error_names_the_survivor(self):
+        # a checked schedule cannot get here; eps(3) = 1/2 is forced past the check
+        eps = epsilon_schedule(3)
+        object.__setattr__(eps, "eps", (Fraction(0), Fraction(1, 5), Fraction(1, 2)))
+        with pytest.raises(ScheduleError) as info:
+            build_ls_epsilon(pattern_cyclic(3), eps)
+        assert str(info.value) == "rate for survivor 3 of set (1, 2, 3) is 0; eps(3) is too large"
+
     def test_oversized_epsilon_rejected(self):
         # a bottom-ranked member of a full-size subset would get rate
         # 1 - (m-1) * eps(m) <= 0; the schedule invariant blocks it
@@ -200,13 +208,18 @@ class TestCertifyConcordance:
                 if j != 1:
                     assert fam.alpha(members, 1) < fam.alpha(members, j)
 
-    def test_very_paradox_certifies_at_m10(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "build, m",
+        [(pattern_very_paradox, 10), (pattern_very_paradox, 12), (pattern_cyclic, 12)],
+        ids=["very-paradox-m10", "very-paradox-m12", "cyclic-m12"],
+    )
+    def test_generated_family_certifies_past_the_default_cap(self, monkeypatch, build, m):
         # the set-invariant route touches 2^m failed sets, never the m! orders
-        monkeypatch.setenv("PRECEDENCE_MAX_M", "10")
+        monkeypatch.setenv("PRECEDENCE_MAX_M", str(m))
         with pytest.warns(RuntimeWarning):
-            cert = certify_concordance(pattern_very_paradox(10))
+            cert = certify_concordance(build(m))
         assert cert.passed and cert.verdict == "PASS"
-        assert len(cert.alphas.sets()) == 2**10 - 10 - 1
+        assert len(cert.alphas.sets()) == 2**m - m - 1
 
     def test_cyclic_certificate_has_the_cycle(self):
         from precedence import majority_digraph

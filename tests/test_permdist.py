@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from precedence import (
     pk_marginal,
 )
 from precedence import permdist
+from precedence.core import rational_format
+from precedence.permdist import winner_sums
 from tests.conftest import EXAMPLE_LAW_ALPHAS, random_distribution
 
 
@@ -112,6 +115,65 @@ class TestWinningProbabilityFamily:
         with pytest.raises(DomainError) as info:
             WinningProbabilityFamily(3, alphas)
         assert str(info.value) == message
+
+    def test_table_family_equals_the_hand_built_one(self, example_law):
+        fam = alpha_family(example_law)
+        assert fam == WinningProbabilityFamily(3, EXAMPLE_LAW_ALPHAS)
+        changed = dict(EXAMPLE_LAW_ALPHAS)
+        changed[((1, 2), 1)], changed[((1, 2), 2)] = Fraction(2, 3), Fraction(1, 3)
+        assert fam != WinningProbabilityFamily(3, changed)
+        with pytest.raises(TypeError):
+            hash(fam)
+
+    @settings(max_examples=30)
+    @given(rho=distributions(max_m=5))
+    def test_table_and_hand_built_families_agree_and_print_alike(self, rho):
+        # the table keeps numerators over the weights' lcm; by hand, the
+        # Fractions are lifted to the lcm of their own denominators
+        fam = alpha_family(rho)
+        by_hand = WinningProbabilityFamily(rho.m, dict(fam.alphas))
+        assert fam == by_hand and by_hand == fam
+        assert fam.to_json_list() == by_hand.to_json_list()
+        assert all(
+            fam.alpha_text(members, j) == rational_format(fam.alpha(members, j))
+            for members, j in fam.alphas
+        )
+
+
+def direct_winner_sums(m, h):
+    """For each |A| >= 2 and j in A, the total of h[(S, j)] over the masks S
+    inside [m] that miss every member of A, read entry by entry."""
+    out = {}
+    for size in range(2, m + 1):
+        for members in itertools.combinations(range(1, m + 1), size):
+            for j in members:
+                out[(members, j)] = sum(
+                    w
+                    for (s, i), w in h.items()
+                    if i == j and s < 1 << m and not any(s >> (x - 1) & 1 for x in members)
+                )
+    return out
+
+
+@st.composite
+def sparse_tables(draw, max_m=6):
+    """A table over [m] with missing keys, zero entries, entries past 1000
+    bits, and keys (S, j) with j in S, which no subset sum reads."""
+    m = draw(st.integers(1, max_m))
+    keys = st.tuples(st.integers(0, (1 << m) - 1), st.integers(1, m))
+    values = st.just(0) | st.integers(1, 1000) | st.integers(2**1000, 2**1100)
+    return m, draw(st.dictionaries(keys, values, max_size=3 * m))
+
+
+class TestWinnerSums:
+    @settings(max_examples=60)
+    @given(table=sparse_tables())
+    def test_zeta_transform_equals_the_direct_submask_sums(self, table):
+        m, h = table
+        sums = winner_sums(m, h)
+        direct = direct_winner_sums(m, h)
+        assert sums == direct
+        assert sorted(sums) == list(sums)  # subsets in the cached lexicographic order
 
 
 class TestMarginals:

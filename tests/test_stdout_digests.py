@@ -101,6 +101,8 @@ DIGESTS = {
     "certify-cyclic-m7": (0, "6e59b834793f38f5f181363f7ae315c32a3822ff885a17ebc3dd84fedce78836"),
     "certify-very-paradox-m9": (0, "25e8a0ef49777d03b43143342bb4a7d3561af595a89c161f6d42be6586c01f5b"),
     "certify-cyclic-m9": (0, "80d71270153afaff198d9b46313b98dcae5fdde53b582b2523a3393f09123311"),
+    "certify-very-paradox-m10": (0, "664cfe8d6c9cac0ecf227b77c8d569815294cf3395da89db4b02b4d9a8c62d0b"),
+    "certify-cyclic-m10": (0, "37685d7fa97e2035bd248c058a2b8676be9ddf55cd9dbb576fc69f1fb7b55b5b"),
     "vote-synth-m3": (0, "9db661ff1ddb600f2523e52d338b7ef680210f7ef45c889f55cfccd2b0cbe191"),
     "vote-synth-m6": (0, "37e1caeb05c45f9d539b51e679252cb197c73ba1bcac4c26a3f4a444fdf2ac60"),
     "vote-synth-m7": (0, "2c3ec8aa4987f999e84cbf17b3accfc86dea7b7a8e0557a6808ac3c86d3fff55"),
@@ -133,7 +135,7 @@ DIGESTS = {
 
 
 def cases():
-    for m in (3, 5, 7, 9):
+    for m in (3, 5, 7, 9, 10):
         yield "certify-very-paradox", m
         yield "certify-cyclic", m
     for name in ("vote-synth", "vote-tally", "vote-check-pass", "vote-check-fail"):
@@ -168,8 +170,8 @@ def run_case(name: str, m: int, tmp_path, capsys) -> tuple[int, str]:
     return code, hashlib.sha256(out.encode()).hexdigest()
 
 
-@pytest.mark.filterwarnings("ignore:dimension m=9:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:dimension m=(9|10):RuntimeWarning")
 @pytest.mark.parametrize("name, m", list(cases()), ids=[f"{n}-m{m}" for n, m in cases()])
 def test_stdout_is_pinned(name, m, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PRECEDENCE_MAX_M", "9")
+    monkeypatch.setenv("PRECEDENCE_MAX_M", "10")
     assert run_case(name, m, tmp_path, capsys) == DIGESTS[f"{name}-m{m}"]
