@@ -76,12 +76,12 @@ def invert_to_ls(rho: PermutationDistribution) -> OrderDependentLSModel:
         raise DomainError(f"inversion needs m >= 2, got m={m}")
     w = rho.prefix_marginals()
     rates: dict[tuple[tuple[int, ...], int], Fraction] = {}
-    # the empty prefix has mass 1, so mu_j(empty) = w(j)
-    for prefix, mass in itertools.chain([((), ONE)], w.items()):
-        if len(prefix) <= m - 2 and mass:
+    # integer marginals over the law's scale, all of it at the empty prefix
+    for prefix, mass in itertools.chain([((), w.scale)], w.numerators.items()):
+        if len(prefix) <= m - 2:
             for j in range(1, m + 1):
                 if j not in prefix:
-                    rates[(prefix, j)] = w.get(prefix + (j,), ZERO) / mass
+                    rates[(prefix, j)] = Fraction(w.numerators.get(prefix + (j,), 0), mass)
     ground_sum = m * (m + 1) // 2
     for prefix in itertools.permutations(range(1, m + 1), m - 1):
         rates[(prefix, ground_sum - sum(prefix))] = ONE

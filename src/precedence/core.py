@@ -137,9 +137,9 @@ def max_dimension() -> int:
     if raw is None:
         return DEFAULT_MAX_M
     try:
-        cap = int(raw)
-    except ValueError:
-        raise DomainError(f"PRECEDENCE_MAX_M must be an integer, got {raw!r}")
+        cap = decimal_int(raw, "PRECEDENCE_MAX_M")
+    except (InputFormatError, ValueError):  # not [0-9]+, or more digits than int() converts
+        raise DomainError(f"PRECEDENCE_MAX_M must be an integer, got {raw!r}") from None
     if cap < 1:
         raise DomainError(f"PRECEDENCE_MAX_M must be >= 1, got {cap}")
     return cap

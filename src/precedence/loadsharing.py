@@ -33,7 +33,8 @@ The exact kernels run on ints, each row as integer numerators over its
 lcm, and build a Fraction only for a value they return.
 :func:`distribution_of`, :func:`alpha_family_ls` and :func:`beta_gamma_split`
 reduce one walker of the reachable failure prefixes, which carries each
-prefix's probability as an unreduced numerator and denominator. Winning
+prefix's probability as an unreduced numerator and denominator; the law
+keeps the orders' numerators over one scale, as its readers take them. Winning
 probabilities are the zeta-transformed subset sums of the failed-set table
 of :mod:`precedence.permdist`, which set-invariant models build by a DP
 over failed sets, one scale per size, expanding each set once, not each of
@@ -76,8 +77,10 @@ from .errors import RationalParseError
 from .permdist import (
     PermutationDistribution,
     WinningProbabilityFamily,
+    _OverScale,
     failed_set_table,
     family_from_table,
+    integer_weights,
 )
 
 
@@ -328,9 +331,7 @@ def prefix_probability(model: LoadSharingModel, prefix: Iterable[int]) -> Fracti
 def _integer_row(model: LoadSharingModel, prefix: tuple) -> tuple[dict[int, int], int, int]:
     """``model.rates_after(prefix)`` as integer numerators over the lcm of its
     denominators: (numerator by survivor, their total, that lcm)."""
-    row = model.rates_after(prefix)
-    scale = math.lcm(*(mu.denominator for mu in row.values()))
-    numerators = {j: mu.numerator * (scale // mu.denominator) for j, mu in row.items()}
+    numerators, scale = integer_weights(model.rates_after(prefix))
     return numerators, sum(numerators.values()), scale
 
 
@@ -399,11 +400,8 @@ def _failure_law(model: LoadSharingModel) -> tuple[dict[tuple[int, ...], int], i
 
 
 def distribution_of(model: LoadSharingModel) -> PermutationDistribution:
-    """The exact failure-order law induced by the rate table (see :func:`_failure_law`)."""
-    numerators, scale = _failure_law(model)
-    return PermutationDistribution(
-        model.m, {perm: Fraction(n, scale) for perm, n in numerators.items()}
-    )
+    """The exact failure-order law of the rate table, as :func:`_failure_law` gives it."""
+    return PermutationDistribution(model.m, _OverScale(*_failure_law(model)))
 
 
 def _set_invariant_table(model: SetInvariantLSModel) -> tuple[dict[tuple[int, int], int], int]:

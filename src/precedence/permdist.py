@@ -15,19 +15,20 @@ load-sharing rates) sums one failed-set table: h[(S, j)] is the weight of
 the orders that fail exactly the set S first and j next, and alpha_j(A)
 sums h[(S, j)] over the subsets S of [m] \\ A: one subset-sum (zeta)
 transform per j (:func:`winner_sums`). The table holds ints only: counts
-as they are, and probabilities as integer numerators over one common scale
-(:func:`integer_weights`), which every exact route (:func:`alpha_family`
-and ``loadsharing.alpha_family_ls``) keeps as the family's numerators
-(:func:`family_from_table`): no Fraction is built until an alpha is read,
-and no gcd runs until one is printed. ``alpha_family_bruteforce``
-instead scans every support permutation through a position map, adding
-integer numerators, and shares no code with the table. The two take
-genuinely different routes and must agree bit-for-bit; the brute-force
-scanner is kept as the cross-checking oracle (CLI ``oracle``).
+as they are, and probabilities as the integer numerators over one scale
+that both value classes, a law and a family, store and every reader takes:
+a value built from Fractions lifts them to the lcm of their denominators
+(:func:`integer_weights`), one built from numerators keeps them. So every
+exact route (:func:`alpha_family` and ``loadsharing.alpha_family_ls``)
+runs on ints from a law's numerators to its family's
+(:func:`family_from_table`). ``alpha_family_bruteforce`` instead scans
+every support permutation through a position map, adding integer
+numerators, and shares no code with the table. The two take genuinely
+different routes and must agree bit-for-bit; the brute-force scanner is
+kept as the cross-checking oracle (CLI ``oracle``).
 
-The value classes check numerators over the lcm of the denominators
-(:func:`integer_weights`): signs, 0 <= n <= scale for an alpha, and each
-sum to the scale.
+The value classes check numerators: signs, 0 <= n <= scale for an alpha,
+and each sum to the scale.
 """
 
 from __future__ import annotations
@@ -59,32 +60,50 @@ from .core import (
 from .errors import DomainError, InputFormatError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PermutationDistribution:
     """Probability weights over the permutations of [m]; weights sum exactly to 1.
 
     Zero-weight permutations are not stored; a missing permutation means
-    weight 0. Instances are immutable and safe to share.
+    weight 0. Instances are immutable and safe to share. Readers take
+    integer ``numerators`` over one ``scale``, kept as a family keeps its
+    own (see :class:`WinningProbabilityFamily`): ``weights`` is the caller's
+    Fractions, or a law from numerators builds each one when it is read.
     """
 
     m: int
     weights: Mapping[tuple[int, ...], Fraction]
+    numerators: Mapping[tuple[int, ...], int] = field(init=False, repr=False)
+    scale: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_dimension(self.m)
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for perm, value in self.weights.items():
-            perm = validate_permutation(self.m, perm)
-            q = value if type(value) is Fraction else as_fraction(value, f"weight of {perm}")
-            if q.numerator < 0:
-                raise DomainError(f"negative weight {q} for permutation {perm}")
-            if q.numerator:
-                clean[perm] = q
-        numerators, scale = integer_weights(clean)
-        total = Fraction(sum(numerators.values()), scale)
-        if total != 1:
-            raise DomainError(f"weights sum to {total}, expected exactly 1")
-        object.__setattr__(self, "weights", clean)
+        if type(self.weights) is _OverScale:  # keys are permutations, numerators positive
+            numerators, scale = self.weights.numerators, self.weights.scale
+        else:
+            clean: dict[tuple[int, ...], Fraction] = {}
+            for perm, value in self.weights.items():
+                perm = validate_permutation(self.m, perm)
+                q = value if type(value) is Fraction else as_fraction(value, f"weight of {perm}")
+                if q.numerator < 0:
+                    raise DomainError(f"negative weight {q} for permutation {perm}")
+                if q.numerator:
+                    clean[perm] = q
+            numerators, scale = integer_weights(clean)
+            object.__setattr__(self, "weights", clean)
+        total = sum(numerators.values())
+        if total != scale:
+            raise DomainError(f"weights sum to {Fraction(total, scale)}, expected exactly 1")
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "scale", scale)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = self.numerators, other.numerators
+        return self.m == other.m and mine.keys() == theirs.keys() and all(
+            n * other.scale == theirs[key] * self.scale for key, n in mine.items()
+        )
 
     def weight(self, perm: Iterable[int]) -> Fraction:
         return self.weights.get(validate_permutation(self.m, perm), ZERO)
@@ -95,23 +114,21 @@ class PermutationDistribution:
     @classmethod
     def uniform(cls, m: int) -> "PermutationDistribution":
         check_dimension(m)
-        w = Fraction(1, math.factorial(m))
-        return cls(m, {perm: w for perm in all_permutations(m)})
+        return cls(m, _OverScale(dict.fromkeys(all_permutations(m), 1), math.factorial(m)))
 
     @classmethod
     def point_mass(cls, perm: Iterable[int]) -> "PermutationDistribution":
         perm = tuple(perm)
         return cls(len(perm), {perm: ONE})
 
-    def prefix_marginals(self) -> dict[tuple[int, ...], Fraction]:
-        """p_k for every prefix of every support permutation, k = 1..m."""
-        numerators, scale = integer_weights(self.weights)
+    def prefix_marginals(self) -> _OverScale:
+        """p_k of every prefix of a support permutation, k = 1..m, as numerators over the scale."""
         table: dict[tuple[int, ...], int] = {}
-        for perm, n in numerators.items():
+        for perm, n in self.numerators.items():
             for k in range(1, self.m + 1):
                 key = perm[:k]
                 table[key] = table.get(key, 0) + n
-        return {key: Fraction(n, scale) for key, n in table.items()}
+        return _OverScale(table, self.scale)
 
     # --- serialization ----------------------------------------------------
 
@@ -141,15 +158,16 @@ class PermutationDistribution:
 
 class _OverScale(Mapping):
     """The Fractions ``n / scale`` of a dict of integer numerators, each built
-    when it is read; the ``alphas`` of a family made from numerators."""
+    when it is read: the ``weights`` of a law or the ``alphas`` of a family
+    made from numerators, and a law's prefix marginals."""
 
-    def __init__(self, numerators: dict[tuple[tuple[int, ...], int], int], scale: int):
+    def __init__(self, numerators: dict, scale: int):
         self.numerators, self.scale = numerators, scale
 
-    def __getitem__(self, key: tuple[tuple[int, ...], int]) -> Fraction:
+    def __getitem__(self, key: object) -> Fraction:
         return Fraction(self.numerators[key], self.scale)
 
-    def __iter__(self) -> Iterator[tuple[tuple[int, ...], int]]:
+    def __iter__(self) -> Iterator:
         return iter(self.numerators)
 
     def __len__(self) -> int:
@@ -168,7 +186,7 @@ class WinningProbabilityFamily:
     A hand-built family keeps the caller's Fractions as ``alphas`` and lifts
     them to the lcm of their denominators; one from :func:`family_from_table`
     builds each Fraction of ``alphas`` when it is read. Equal alphas make
-    equal families, whatever the scales.
+    equal families, whatever the scales; laws compare the same way.
     """
 
     m: int
@@ -206,13 +224,7 @@ class WinningProbabilityFamily:
         object.__setattr__(self, "numerators", numerators)
         object.__setattr__(self, "scale", scale)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        mine, theirs = self.numerators, other.numerators
-        return self.m == other.m and mine.keys() == theirs.keys() and all(
-            n * other.scale == theirs[key] * self.scale for key, n in mine.items()
-        )
+    __eq__ = PermutationDistribution.__eq__
 
     def _key(self, subset: SubsetMask | Iterable[int], j: int) -> tuple[tuple[int, ...], int]:
         key = (subset_members(self.m, subset), j)
@@ -262,11 +274,7 @@ def pk_marginal(rho: PermutationDistribution, prefix: Iterable[int]) -> Fraction
     if not prefix:
         raise DomainError("prefix must be non-empty")
     k = len(prefix)
-    total = ZERO
-    for perm, p in rho.weights.items():
-        if perm[:k] == prefix:
-            total += p
-    return total
+    return Fraction(sum(n for perm, n in rho.numerators.items() if perm[:k] == prefix), rho.scale)
 
 
 def conditional_next(
@@ -353,10 +361,9 @@ def family_from_table(
 def alpha_family(rho: PermutationDistribution) -> WinningProbabilityFamily:
     """All winning probabilities of ``rho``, from its failed-set table.
 
-    Integer numerators over the lcm of the weight denominators throughout.
+    Integer numerators over the law's scale throughout.
     """
-    numerators, scale = integer_weights(rho.weights)
-    return family_from_table(rho.m, failed_set_table(numerators.items()), scale)
+    return family_from_table(rho.m, failed_set_table(rho.numerators.items()), rho.scale)
 
 
 def alpha_family_bruteforce(rho: PermutationDistribution) -> WinningProbabilityFamily:
@@ -368,13 +375,12 @@ def alpha_family_bruteforce(rho: PermutationDistribution) -> WinningProbabilityF
     """
     m = rho.m
     subsets = subsets_of_size_at_least(m, 2)
-    numerators, scale = integer_weights(rho.weights)
     sums = {(members, j): 0 for members in subsets for j in members}
-    for perm, n in numerators.items():
+    for perm, n in rho.numerators.items():
         position = {x: r for r, x in enumerate(perm)}.__getitem__
         for members in subsets:
             sums[(members, min(members, key=position))] += n
-    return WinningProbabilityFamily(m, _OverScale(sums, scale))
+    return WinningProbabilityFamily(m, _OverScale(sums, rho.scale))
 
 
 def majority_digraph(fam: WinningProbabilityFamily) -> MajorityDigraph:

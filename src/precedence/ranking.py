@@ -51,6 +51,9 @@ class RankingFunction:
         pairs = tuple(sorted(self.ranks))
         if tuple(e for e, _ in pairs) != members:
             raise DomainError(f"ranks {pairs} do not cover subset {members} exactly")
+        for e, r in pairs:
+            if type(r) is not int:
+                raise DomainError(f"rank {r!r} of member {e} in subset {members} is not an integer")
         image = {r for _, r in pairs}
         w = max(image)
         if image != set(range(1, w + 1)):

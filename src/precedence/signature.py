@@ -32,7 +32,7 @@ from .core import ONE, ZERO, as_fraction, check_dimension, json_int, max_dimensi
 from .core import rational_format, subsets_of_size_at_least, validate_permutation
 from .errors import DomainError, InfeasibleTargetError, InputFormatError
 from .loadsharing import LoadSharingModel, SetInvariantLSModel, _model_table
-from .permdist import PermutationDistribution, failed_set_table, integer_weights
+from .permdist import PermutationDistribution, failed_set_table
 
 
 @dataclass(frozen=True)
@@ -190,8 +190,7 @@ def probability_signature(
     """p_k = total weight of the failure orders that kill the system at step k."""
     if phi.r != rho.m:
         raise DomainError(f"structure has r={phi.r} but distribution has m={rho.m}")
-    numerators, scale = integer_weights(rho.weights)
-    return _step_law(phi, failed_set_table(numerators.items()), scale)
+    return _step_law(phi, failed_set_table(rho.numerators.items()), rho.scale)
 
 
 def signature_from_ls(phi: StructureFunction, model: LoadSharingModel) -> ProbabilitySignature:

@@ -13,16 +13,14 @@ A ranking pattern is N-concordant with a situation when lower rank means
 strictly more votes, ties matching tied tallies, on every subset.
 :func:`synthesize_voting_situation` manufactures such an electorate for
 any tie-free pattern: the schedule model's failure-order law, taken as
-integer numerators over one scale and divided by their gcd with it, gives
-the voter counts. The counts are exact big integers; they grow
+integer numerators over the lcm of its reduced denominators, gives the
+voter counts. The counts are exact big integers; they grow
 astronomically with m, and minimizing the electorate is out of scope.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .construction import build_ls_epsilon, epsilon_schedule
@@ -30,7 +28,7 @@ from .core import check_dimension, decimal_int, int_format, json_entries, json_i
 from .core import subset_members, validate_permutation
 from .errors import DomainError, InputFormatError
 from .loadsharing import _failure_law
-from .permdist import PermutationDistribution, failed_set_table, winner_sums
+from .permdist import PermutationDistribution, _OverScale, failed_set_table, winner_sums
 from .ranking import ConcordanceReport, RankingPattern, score_concordance
 
 
@@ -116,11 +114,8 @@ class TallyTable:
 
 
 def rho_from_voting(vs: VotingSituation) -> PermutationDistribution:
-    """The permutation distribution N(perm) / n."""
-    n = vs.n
-    return PermutationDistribution(
-        vs.m, {perm: Fraction(c, n) for perm, c in vs.counts.items()}
-    )
+    """The permutation distribution N(perm) / n: the counts as numerators over n."""
+    return PermutationDistribution(vs.m, _OverScale(vs.counts, vs.n))
 
 
 def tally(vs: VotingSituation) -> TallyTable:
@@ -146,10 +141,8 @@ def synthesize_voting_situation(sigma: RankingPattern) -> VotingSituation:
     """An integer electorate whose tallies are N-concordant with ``sigma``.
 
     Builds the universal schedule model and takes its exact failure-order
-    law as integer numerators over one scale; the counts are those
-    numerators divided by their gcd with the scale.
+    law as integer numerators over the lcm of the reduced denominators:
+    those numerators, coprime with that scale, are the counts.
     """
     model = build_ls_epsilon(sigma, epsilon_schedule(sigma.m))
-    numerators, scale = _failure_law(model)
-    g = math.gcd(scale, *numerators.values())
-    return VotingSituation(sigma.m, {perm: n // g for perm, n in numerators.items()})
+    return VotingSituation(sigma.m, _failure_law(model)[0])

@@ -20,6 +20,7 @@ from precedence.core import (
     decimal_int,
     json_entries,
     json_int,
+    max_dimension,
     validate_permutation,
     validate_prefix,
 )
@@ -144,6 +145,17 @@ class TestSubsetMask:
         monkeypatch.setenv("PRECEDENCE_MAX_M", "10")
         with pytest.warns(RuntimeWarning):
             check_dimension(9)
+
+    @pytest.mark.parametrize("raw", ["1_0", " 9", "+9", "\u0669", "10"])
+    def test_dimension_cap_reads_ascii_digits_only(self, monkeypatch, raw):
+        # int() would read the first four as 10 or 9
+        monkeypatch.setenv("PRECEDENCE_MAX_M", raw)
+        if raw == "10":
+            assert max_dimension() == 10
+            return
+        with pytest.raises(DomainError) as info:
+            max_dimension()
+        assert str(info.value) == f"PRECEDENCE_MAX_M must be an integer, got {raw!r}"
 
 
 class TestEnumerateD:

@@ -29,7 +29,8 @@ from precedence import (
     prefix_probability,
     total_rate,
 )
-from precedence.loadsharing import model_from_json_dict
+from precedence.loadsharing import _failure_law, model_from_json_dict
+from tests.conftest import random_distribution
 
 
 def random_model(m: int, rng: random.Random) -> OrderDependentLSModel:
@@ -69,6 +70,17 @@ def set_invariant_models(draw, min_m=2, max_m=6):
             for j, num in zip(members, nums):
                 mu[(members, j)] = Fraction(num, draw(st.integers(1, 9)))
     return SetInvariantLSModel(m, mu)
+
+
+@st.composite
+def law_models(draw, max_m=5):
+    """The inverted model of a random law, or the schedule model of a random tie-free pattern."""
+    m = draw(st.integers(2, max_m))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        return invert_to_ls(random_distribution(m, random.Random(seed)))
+    sigma = next(enumerate_patterns(m, True, seed=seed, limit=1))
+    return build_ls_epsilon(sigma, epsilon_schedule(m))
 
 
 @st.composite
@@ -208,6 +220,20 @@ class TestDistributionOf:
         rho = distribution_of(model)
         for perm in perms:
             assert rho.weight(perm) == products[perm]
+
+    @settings(max_examples=30, deadline=None)
+    @given(model=law_models())
+    def test_law_keeps_the_walker_numerators(self, model):
+        numerators, scale = _failure_law(model)
+        rho = distribution_of(model)
+        assert (rho.numerators, rho.scale) == (numerators, scale)
+        by_hand = PermutationDistribution(
+            model.m, {perm: Fraction(n, scale) for perm, n in numerators.items()}
+        )
+        assert rho == by_hand and by_hand == rho
+        assert rho.to_json_dict() == by_hand.to_json_dict()
+        assert alpha_family(rho) == alpha_family(by_hand)
+        assert dict(rho.prefix_marginals()) == dict(by_hand.prefix_marginals())
 
     def test_constant_rates_give_uniform(self):
         for m in (2, 3, 4):

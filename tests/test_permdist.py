@@ -19,7 +19,7 @@ from precedence import (
 )
 from precedence import permdist
 from precedence.core import rational_format
-from precedence.permdist import winner_sums
+from precedence.permdist import _OverScale, winner_sums
 from tests.conftest import EXAMPLE_LAW_ALPHAS, random_distribution
 
 
@@ -57,8 +57,9 @@ class TestPermutationDistribution:
                 {(1, 2): Fraction(3, 2), (2, 1): Fraction(-1, 2)},
                 "negative weight -1/2 for permutation (2, 1)",
             ),
+            (_OverScale({(1, 2): 1, (2, 1): 2}, 4), "weights sum to 3/4, expected exactly 1"),
         ],
-        ids=["short-sum", "long-sum", "negative"],
+        ids=["short-sum", "long-sum", "negative", "short-sum-of-numerators"],
     )
     def test_rejects_by_name(self, weights, message):
         with pytest.raises(DomainError) as info:

@@ -51,6 +51,20 @@ class TestRankingFunction:
         with pytest.raises(DomainError, match="not an integer"):
             RankingFunction(members, ranks)
 
+    @pytest.mark.parametrize(
+        "ranks, bad",
+        [
+            (((1, 1.0), (2, 2)), "rank 1.0 of member 1"),
+            (((1, 1), (2, True)), "rank True of member 2"),
+        ],
+        ids=["float", "bool"],
+    )
+    def test_ranks_must_be_ints(self, ranks, bad):
+        # {1.0, 2} and {1, True} both equal the dense image {1, 2}
+        with pytest.raises(DomainError) as info:
+            RankingFunction((1, 2), ranks)
+        assert str(info.value) == f"{bad} in subset (1, 2) is not an integer"
+
 
 class TestRankingPattern:
     def test_requires_every_subset(self):

@@ -16,6 +16,7 @@ from precedence import (
     tally,
 )
 from precedence.errors import DomainError
+from precedence.permdist import _OverScale
 
 
 def set_invariant(x, epsilon=None):
@@ -68,6 +69,14 @@ def test_equal_data_compares_equal_and_is_unhashable(build, _):
 def test_a_fraction_value_is_kept_not_copied(build, stored):
     x = Fraction(1, 3)
     assert stored(build(x)) is x
+
+
+def test_a_law_from_numerators_compares_by_value_whatever_its_scale():
+    halves = PermutationDistribution(2, _OverScale({(1, 2): 2, (2, 1): 2}, 4))
+    assert halves == PermutationDistribution(2, {(1, 2): Fraction(1, 2), (2, 1): Fraction(1, 2)})
+    assert halves != PermutationDistribution(2, {(1, 2): Fraction(1, 4), (2, 1): Fraction(3, 4)})
+    with pytest.raises(TypeError):
+        hash(halves)
 
 
 def test_set_invariant_equality_ignores_the_schedule():

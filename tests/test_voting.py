@@ -1,5 +1,3 @@
-import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -28,7 +26,7 @@ from precedence import (
     tally,
 )
 from precedence.permdist import integer_weights
-from tests.conftest import EXAMPLE_LAW_WEIGHTS, random_distribution
+from tests.conftest import EXAMPLE_LAW_WEIGHTS
 
 
 @pytest.fixture
@@ -39,12 +37,15 @@ def example_votes() -> VotingSituation:
     )
 
 
-def random_situation(m: int, rng: random.Random) -> VotingSituation:
-    rho = random_distribution(m, rng)
-    scale = math.lcm(*(w.denominator for w in rho.weights.values()))
-    return VotingSituation(
-        m, {perm: int(w * scale) for perm, w in rho.weights.items()}
+@st.composite
+def situations(draw, max_m=5):
+    """A few rankings of [m] with counts that may share a factor."""
+    m = draw(st.integers(2, max_m))
+    perms = draw(
+        st.lists(st.permutations(range(1, m + 1)), min_size=1, max_size=12, unique_by=tuple)
     )
+    counts = draw(st.lists(st.integers(1, 30), min_size=len(perms), max_size=len(perms)))
+    return VotingSituation(m, {tuple(p): c for p, c in zip(perms, counts)})
 
 
 class TestVotingSituation:
@@ -103,19 +104,15 @@ class TestTally:
         for members in sets:
             assert sum(table.votes(members, i) for i in members) == example_votes.n
 
-    def test_tallies_are_scaled_winning_probabilities(self):
+    @settings(max_examples=30, deadline=None)
+    @given(vs=situations())
+    def test_tallies_are_scaled_winning_probabilities(self, vs):
         # n_i(A) = n * alpha_i(A): plurality support is exactly the
         # winning probability of the associated failure-order law
-        rng = random.Random(21)
-        for m in (2, 3, 4, 5):
-            vs = random_situation(m, rng)
-            fam = alpha_family(rho_from_voting(vs))
-            oracle = alpha_family_bruteforce(rho_from_voting(vs))
-            table = tally(vs)
-            for members in fam.sets():
-                for j in members:
-                    assert table.votes(members, j) == vs.n * fam.alpha(members, j)
-                    assert table.votes(members, j) == vs.n * oracle.alpha(members, j)
+        rho = rho_from_voting(vs)
+        tallies = tally(vs).tallies
+        for fam in (alpha_family(rho), alpha_family_bruteforce(rho)):
+            assert {key: vs.n * alpha for key, alpha in fam.alphas.items()} == tallies
 
 
 class TestNConcordance:
