@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import ONE, ZERO, check_dimension, rational_format, subsets_of_size_at_least
-from .errors import DomainError, ScheduleError
+from .errors import DomainError
 from .loadsharing import (
     EpsilonSchedule,
     OrderDependentLSModel,
@@ -182,29 +182,14 @@ def build_ls_epsilon(sigma: RankingPattern, eps: EpsilonSchedule) -> SetInvarian
             "only tie-free patterns can be realized"
         )
     m = sigma.m
-    # keyed by the cached subset tuples, which the model takes without re-validating;
-    # sigma.functions follows the same lexicographic order over |A| >= 2
-    mu: dict[tuple[tuple[int, ...], int], Fraction] = {
-        (members, members[0]): ONE
-        for members in subsets_of_size_at_least(m, 1)
-        if len(members) == 1
-    }
-    # rows[l][r - 1]: the rate of rank r in a set of l survivors, None if not positive
-    rows = {}
-    for level in range(2, m + 1):
-        rates = (1 - r * eps.value(level) for r in range(level))
-        rows[level] = [rate if rate > 0 else None for rate in rates]
+    mu: dict[tuple[tuple[int, ...], int], Fraction] = {((i,), i): ONE for i in range(1, m + 1)}
+    # rows[l][r - 1]: the rate of rank r in a set of l survivors, positive by the schedule's check
+    rows = {level: [1 - r * eps.value(level) for r in range(level)] for level in range(2, m + 1)}
+    # sigma.functions follows the lexicographic order of the subsets with |A| >= 2
     for members, fn in zip(subsets_of_size_at_least(m, 2), sigma.functions):
         row = rows[len(members)]
         for i, rank in fn.ranks:
-            rate = row[rank - 1]
-            if rate is None:
-                raise ScheduleError(
-                    f"rate for survivor {i} of set {members} is "
-                    f"{1 - (rank - 1) * eps.value(len(members))}; "
-                    f"eps({len(members)}) is too large"
-                )
-            mu[(members, i)] = rate
+            mu[(members, i)] = row[rank - 1]
     return SetInvariantLSModel(m, mu, epsilon=eps)
 
 
@@ -243,19 +228,13 @@ def certify_concordance(
 ) -> ConcordanceCertificate:
     """Build the schedule model for ``sigma`` and verify concordance exactly.
 
-    Uses the universal schedule by default. A user-supplied schedule is
-    accepted only if it passes :func:`check_epsilon_condition`, since only
-    then is concordance guaranteed.
+    Uses the universal schedule by default, which passes the sufficient
+    condition of :func:`check_epsilon_condition`. Any other valid schedule
+    is accepted too and the exact verdict decides: a schedule that fails
+    that condition may still realize the pattern.
     """
     if eps is None:
         eps = epsilon_schedule(sigma.m)
-    else:
-        report = check_epsilon_condition(eps)
-        if not report.passed:
-            raise ScheduleError(
-                "supplied epsilon schedule fails the separation condition; "
-                "concordance would not be guaranteed"
-            )
     model = build_ls_epsilon(sigma, eps)
     alphas = alpha_family_ls(model)
     report = check_p_concordance(sigma, alphas)

@@ -207,18 +207,8 @@ class SubsetMask:
         return iter(self.members())
 
 
-# The tuples of subsets_of_size_at_least(m, 1), by id, for each m built so far.
-_SUBSET_ORDER_BY_ID: dict[int, dict[int, tuple[int, ...]]] = {}
-
-
 def subset_members(m: int, subset: "SubsetMask | Iterable[int]") -> tuple[int, ...]:
-    """Coerce a subset given as a mask or iterable into a sorted member tuple.
-
-    A tuple taken from the cached subset order of [m] is returned as it is.
-    """
-    cached = _SUBSET_ORDER_BY_ID.get(m)
-    if cached is not None and cached.get(id(subset)) is subset:
-        return subset
+    """Coerce a subset of [m] given as a mask or iterable into a sorted member tuple."""
     if isinstance(subset, SubsetMask):
         if subset.m != m:
             raise DomainError(f"subset over [{subset.m}] used with m={m}")
@@ -237,16 +227,9 @@ def subsets_of_size_at_least(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All subsets of [m] with at least k members, as sorted member tuples.
 
     Lexicographic order; built once per (m, k) and shared by every caller.
-    For k >= 2 the tuples are the very objects of the k = 1 order, which
-    :func:`subset_members` recognises by identity.
     """
-    if k >= 2:
-        return tuple(s for s in subsets_of_size_at_least(m, 1) if len(s) >= k)
     ground = range(1, m + 1)
-    order = tuple(sorted(c for n in range(k, m + 1) for c in itertools.combinations(ground, n)))
-    if k == 1:
-        _SUBSET_ORDER_BY_ID[m] = {id(s): s for s in order}
-    return order
+    return tuple(sorted(c for n in range(k, m + 1) for c in itertools.combinations(ground, n)))
 
 
 def validate_permutation(m: int, seq: Iterable[int]) -> tuple[int, ...]:

@@ -230,8 +230,10 @@ class SetInvariantLSModel:
     def __post_init__(self) -> None:
         check_dimension(self.m)
         clean: dict[tuple[tuple[int, ...], int], Fraction] = {}
+        raw = members = None
         for (survivors, j), value in self.mu_by_survivors.items():
-            members = subset_members(self.m, survivors)
+            if survivors is not raw:  # the entries of one subset object are checked once
+                raw, members = survivors, subset_members(self.m, survivors)
             if type(j) is not int or j not in members:
                 raise DomainError(f"survivor {j!r} not in survivor set {members}")
             q = value if type(value) is Fraction else as_fraction(value, f"mu_{j} of {members}")

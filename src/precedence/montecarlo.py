@@ -62,6 +62,10 @@ class SimulationSummary:
     empirical_alpha: Mapping[tuple[tuple[int, ...], int], float]
 
     def to_json_dict(self, exact: WinningProbabilityFamily | None = None) -> dict:
+        if exact is not None:  # the family's own rows, taken by set
+            if exact.m != self.m or not exact.is_complete():
+                raise DomainError(f"exact targets need a complete family over [{self.m}]")
+            exact_rows = {tuple(r["set"]): r["alpha"] for r in exact.to_json_list()}
         alpha_rows = []
         sets = sorted({members for members, _ in self.empirical_alpha})
         for members in sets:
@@ -69,7 +73,7 @@ class SimulationSummary:
             for j in members:
                 row["empirical"][str(j)] = self.empirical_alpha[(members, j)]
             if exact is not None:
-                row["exact"] = {str(j): exact.alpha_text(members, j) for j in members}
+                row["exact"] = exact_rows[members]
             alpha_rows.append(row)
         return {
             "m": self.m,

@@ -200,10 +200,12 @@ class WinningProbabilityFamily:
             numerators, scale = self.alphas.numerators, self.alphas.scale
         else:
             clean: dict[tuple[tuple[int, ...], int], Fraction] = {}
+            raw = members = None
             for (subset, j), value in self.alphas.items():
-                members = subset_members(self.m, subset)
-                if len(members) < 2:
-                    raise DomainError(f"subset {members} has fewer than two members")
+                if subset is not raw:  # the entries of one subset object are checked once
+                    raw, members = subset, subset_members(self.m, subset)
+                    if len(members) < 2:
+                        raise DomainError(f"subset {members} has fewer than two members")
                 if j not in members:
                     raise DomainError(f"index {j} not in subset {members}")
                 q = value if type(value) is Fraction else as_fraction(value, f"alpha_{j}({members})")
@@ -236,9 +238,13 @@ class WinningProbabilityFamily:
         return self.alphas[self._key(subset, j)]
 
     def alpha_text(self, subset: SubsetMask | Iterable[int], j: int) -> str:
-        """``rational_format(self.alpha(subset, j))``: the numerator over the
-        scale in lowest terms, by one gcd; DomainError if too long to print."""
-        n, d = self.numerators[self._key(subset, j)], self.scale
+        """``rational_format(self.alpha(subset, j))``."""
+        return self._text(self._key(subset, j))
+
+    def _text(self, key: tuple[tuple[int, ...], int]) -> str:
+        """The numerator of a stored key over the scale, in lowest terms by one
+        gcd; DomainError if too long to print."""
+        n, d = self.numerators[key], self.scale
         g = math.gcd(n, d)
         text = int_format(n // g, "alpha")
         return text if g == d else f"{text}/{int_format(d // g, 'alpha')}"
@@ -252,7 +258,7 @@ class WinningProbabilityFamily:
 
     def to_json_list(self) -> list[dict]:
         return [
-            {"set": list(members), "alpha": {str(j): self.alpha_text(members, j) for j in members}}
+            {"set": list(members), "alpha": {str(j): self._text((members, j)) for j in members}}
             for members in self.sets()
         ]
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import random
 import re
 import shlex
 import time
@@ -14,13 +15,18 @@ from precedence import (
     RankingPattern,
     StructureFunction,
     VotingSituation,
+    alpha_family_ls,
+    build_ls_epsilon,
+    enumerate_patterns,
+    epsilon_schedule,
+    invert_to_ls,
     pattern_cyclic,
     pattern_very_paradox,
 )
 from precedence import permdist
 from precedence.cli import _DOCUMENTS, build_parser, main, run
 from precedence.loadsharing import model_from_json_dict
-from tests.conftest import EXAMPLE_LAW_WEIGHTS
+from tests.conftest import EXAMPLE_LAW_WEIGHTS, random_distribution
 
 
 @pytest.fixture
@@ -243,6 +249,27 @@ class TestSimulateCommand:
              "--seed", "3", "--reference", str(model_file)]
         )
         assert rerun.payload == doc
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["set-invariant", "order-dependent"])
+    def test_exact_rows_are_the_reference_family_rows(self, tmp_path, m, kind):
+        if kind == "set-invariant":
+            sigma = next(enumerate_patterns(m, non_weak_only=True, seed=m, limit=1))
+            reference = build_ls_epsilon(sigma, epsilon_schedule(m))
+        else:
+            reference = invert_to_ls(random_distribution(m, random.Random(m)))
+        model_file, reference_file = tmp_path / "model.json", tmp_path / "reference.json"
+        model_file.write_text(json.dumps(OrderDependentLSModel.constant(m).to_json_dict()))
+        reference_file.write_text(json.dumps(reference.to_json_dict()))
+        result = run(
+            ["simulate", "--model", str(model_file), "--samples", "50",
+             "--reference", str(reference_file)]
+        )
+        assert result.exit_code == 0
+        expected = alpha_family_ls(reference).to_json_list()
+        assert [r["set"] for r in result.payload["alpha"]] == [r["set"] for r in expected]
+        for row, family_row in zip(result.payload["alpha"], expected):
+            assert row["exact"] == family_row["alpha"]
 
     @pytest.mark.parametrize("model_m, reference_m", [(3, 4), (4, 3)])
     def test_reference_of_another_dimension_exits_two(self, tmp_path, model_m, reference_m):

@@ -173,14 +173,6 @@ class TestBuildLSEpsilon:
         with pytest.raises(DomainError, match=r"\(1, 2\)"):
             build_ls_epsilon(example_pattern, epsilon_schedule(3))
 
-    def test_nonpositive_rate_error_names_the_survivor(self):
-        # a checked schedule cannot get here; eps(3) = 1/2 is forced past the check
-        eps = epsilon_schedule(3)
-        object.__setattr__(eps, "eps", (Fraction(0), Fraction(1, 5), Fraction(1, 2)))
-        with pytest.raises(ScheduleError) as info:
-            build_ls_epsilon(pattern_cyclic(3), eps)
-        assert str(info.value) == "rate for survivor 3 of set (1, 2, 3) is 0; eps(3) is too large"
-
     def test_oversized_epsilon_rejected(self):
         # a bottom-ranked member of a full-size subset would get rate
         # 1 - (m-1) * eps(m) <= 0; the schedule invariant blocks it
@@ -230,10 +222,17 @@ class TestCertifyConcordance:
         assert {(1, 2), (2, 3), (3, 1)} <= set(edges)
         assert not {(2, 1), (3, 2), (1, 3)} & set(edges)
 
-    def test_rejects_non_separating_custom_schedule(self):
-        eps = EpsilonSchedule(3, (Fraction(0), Fraction(1, 5), Fraction(1, 6)))
-        with pytest.raises(ScheduleError):
-            certify_concordance(pattern_cyclic(3), eps)
+    @pytest.mark.parametrize("build", [pattern_cyclic, pattern_very_paradox])
+    @pytest.mark.parametrize("c, verdict", [(6, "PASS"), (5, "FAIL")])
+    def test_schedule_failing_the_sufficient_condition_gets_the_exact_verdict(
+        self, build, c, verdict
+    ):
+        # the geometric schedule eps(l) = c^(1-l) fails the separation condition
+        eps = EpsilonSchedule(4, (Fraction(0),) + tuple(Fraction(1, c ** (l - 1)) for l in (2, 3, 4)))
+        assert not check_epsilon_condition(eps).passed
+        cert = certify_concordance(build(4), eps)
+        assert cert.epsilon is eps and cert.verdict == verdict
+        assert bool(cert.report.violations) == (verdict == "FAIL")
 
     def test_certificate_json_is_self_contained(self):
         cert = certify_concordance(pattern_cyclic(3))

@@ -15,6 +15,7 @@ from precedence import (
     PermutationDistribution,
     SimulationError,
     Trajectory,
+    WinningProbabilityFamily,
     alpha_family_ls,
     build_ls_epsilon,
     distribution_of,
@@ -288,3 +289,10 @@ class TestEstimateAlphas:
         by_set = {tuple(row["set"]): row for row in doc["alpha"]}
         assert by_set[(2, 3)]["exact"]["3"] == "2/3"
         assert 0 <= by_set[(2, 3)]["empirical"]["3"] <= 1
+        pairs_only = {key: a for key, a in alpha_family_ls(example_model).alphas.items()
+                      if len(key[0]) == 2}
+        other_m = alpha_family_ls(OrderDependentLSModel.constant(4))
+        for exact in (WinningProbabilityFamily(3, pairs_only), other_m):
+            with pytest.raises(DomainError) as info:
+                summary.to_json_dict(exact)
+            assert str(info.value) == "exact targets need a complete family over [3]"

@@ -1,6 +1,7 @@
 """The cached subset order of ``core`` and the lookups that take a caller's subset."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from precedence import (
     DomainError,
     PermutationDistribution,
+    SetInvariantLSModel,
     SubsetMask,
     WinningProbabilityFamily,
     alpha_family,
@@ -62,9 +64,9 @@ def test_family_is_complete_only_with_every_subset(m, data):
 @pytest.mark.parametrize("m", [1, 3, 5])
 def test_cached_tuples_pass_through_and_others_are_checked(m):
     order = subsets_of_size_at_least(m, 1)
-    assert {id(s) for s in subsets_of_size_at_least(m, 2)} <= {id(s) for s in order}
+    assert set(subsets_of_size_at_least(m, 2)) <= set(order)
     for s in order:
-        assert subset_members(m, s) is s
+        assert subset_members(m, s) == s
     if m < 2:
         return
     built = tuple(range(1, m + 1))
@@ -72,11 +74,30 @@ def test_cached_tuples_pass_through_and_others_are_checked(m):
     assert subset_members(m, reversed(built)) == built
     assert subset_members(m, SubsetMask.of(m, built)) == built
     assert subset_members(m + 1, order[-1]) == order[-1]
-    for bad, message in [
-        ((True, 2), "element True outside"),
-        ((1, 1), "repeated elements"),
-        ((1, m + 1), f"element {m + 1} outside"),
-        (SubsetMask.of(m + 1, [1]), "subset over"),
+    for dim, bad, message in [
+        (m, (True, 2), f"element True outside [{m}]"),
+        (m, (1, 1), "repeated elements in subset (1, 1)"),
+        (m, (1, m + 1), f"element {m + 1} outside [{m}]"),
+        (m - 1, order[-1], f"element {m} outside [{m - 1}]"),  # a cached tuple, another m
     ]:
-        with pytest.raises(DomainError, match=message):
-            subset_members(m, bad)
+        for subset in (bad, tuple(list(bad))):  # the object, and an equal fresh one
+            with pytest.raises(DomainError) as info:
+                subset_members(dim, subset)
+            assert str(info.value) == message
+    with pytest.raises(DomainError) as info:
+        subset_members(m, SubsetMask.of(m + 1, [1]))
+    assert str(info.value) == f"subset over [{m + 1}] used with m={m}"
+
+
+@pytest.mark.parametrize("build", [SetInvariantLSModel, WinningProbabilityFamily])
+def test_constructors_check_every_subset_object(build):
+    half = Fraction(1, 2)
+    # (True, 2) == (1, 2) with the same hash, so a check remembered by value would pass it
+    with pytest.raises(DomainError) as info:
+        build(2, {((1, 2), 1): half, ((True, 2), 2): half})
+    assert str(info.value) == "element True outside [2]"
+    bad = (1, 3)
+    for again in (bad, tuple(list(bad))):  # the same object under two entries, or an equal one
+        with pytest.raises(DomainError) as info:
+            build(2, {((1, 2), 1): half, ((1, 2), 2): half, (bad, 1): half, (again, 3): half})
+        assert str(info.value) == "element 3 outside [2]"
