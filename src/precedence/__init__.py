@@ -41,7 +41,6 @@ from .loadsharing import (
     PrefixBoundsReport,
     SetInvariantLSModel,
     alpha_family_ls,
-    as_order_dependent,
     beta_gamma_split,
     check_prefix_bounds,
     distribution_of,

@@ -130,6 +130,8 @@ def _cmd_ls_check_eps(args) -> CommandResult:
         eps = _comma_list(
             args.eps, "--eps", rational_parse, lambda e: loadsharing.EpsilonSchedule(len(e), e)
         )
+        if args.m is not None:
+            raise PrecedenceError("ls check-eps takes --m or --eps, not both")
     elif args.m is not None:
         eps = construction.epsilon_schedule(args.m)
     else:
@@ -219,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = lsub.add_parser("check-eps", parents=[common], help="verify a schedule's separation condition")
     p.add_argument("--m", type=int)
-    p.add_argument("--eps", help="comma-separated rationals, overriding the universal schedule")
+    p.add_argument("--eps", help="comma-separated rationals, in place of --m's universal schedule")
     p.set_defaults(handler=_cmd_ls_check_eps)
 
     concord = sub.add_parser("concord", help="concordance certification")

@@ -57,18 +57,6 @@ from .loadsharing import (
 from .permdist import PermutationDistribution, WinningProbabilityFamily
 from .ranking import ConcordanceReport, RankingPattern, check_p_concordance
 
-__all__ = [
-    "EpsilonSchedule",
-    "ConcordanceCertificate",
-    "invert_to_ls",
-    "epsilon_schedule",
-    "check_epsilon_condition",
-    "EpsilonConditionReport",
-    "build_ls_epsilon",
-    "certify_concordance",
-]
-
-
 def invert_to_ls(rho: PermutationDistribution) -> OrderDependentLSModel:
     """Order-dependent model whose failure-order law is exactly ``rho``."""
     m = rho.m
@@ -195,10 +183,10 @@ def build_ls_epsilon(sigma: RankingPattern, eps: EpsilonSchedule) -> SetInvarian
 
 @dataclass(frozen=True)
 class ConcordanceCertificate:
-    """Machine-checkable evidence that a built model realizes a pattern."""
+    """Machine-checkable evidence that a built model realizes a pattern;
+    the schedule is the model's ``epsilon``."""
 
     sigma: RankingPattern
-    epsilon: EpsilonSchedule
     model: SetInvariantLSModel
     alphas: WinningProbabilityFamily
     report: ConcordanceReport
@@ -216,7 +204,7 @@ class ConcordanceCertificate:
             "m": self.sigma.m,
             "verdict": self.verdict,
             "pattern": self.sigma.to_json_dict(),
-            "epsilon": self.epsilon.to_json_list(),
+            "epsilon": self.model.epsilon.to_json_list(),
             "model": self.model.to_json_dict(),
             "alpha": self.alphas.to_json_list(),
             "violations": [v.to_json_dict() for v in self.report.violations],
@@ -238,4 +226,4 @@ def certify_concordance(
     model = build_ls_epsilon(sigma, eps)
     alphas = alpha_family_ls(model)
     report = check_p_concordance(sigma, alphas)
-    return ConcordanceCertificate(sigma, eps, model, alphas, report)
+    return ConcordanceCertificate(sigma, model, alphas, report)

@@ -213,12 +213,13 @@ def subset_members(m: int, subset: "SubsetMask | Iterable[int]") -> tuple[int, .
         if subset.m != m:
             raise DomainError(f"subset over [{subset.m}] used with m={m}")
         return subset.members()
-    members = tuple(sorted(subset))
-    if len(set(members)) != len(members):
-        raise DomainError(f"repeated elements in subset {members}")
+    members = tuple(subset)
     for x in members:
         if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= m:
             raise DomainError(f"element {x!r} outside [{m}]")
+    members = tuple(sorted(members))
+    if len(set(members)) != len(members):
+        raise DomainError(f"repeated elements in subset {members}")
     return members
 
 

@@ -20,13 +20,12 @@ Two representations are provided:
   with a default-value slot (needed because set-invariant models assign
   one rate to exponentially many prefixes).
 * :class:`SetInvariantLSModel`: rates keyed by the *survivor set*, i.e.
-  order-independent by construction. These embed losslessly into the
-  order-dependent representation via :func:`as_order_dependent`.
+  order-independent by construction.
 
 Both answer ``rates_after(prefix)``: the row of every survivor's rate
 after a failure prefix, ascending by survivor. Every reader of more than
-one rate (:func:`total_rate`, :func:`prefix_probability`, the walker, the
-embedding and the sampler) takes whole rows; ``rate(prefix, j)`` is the
+one rate (:func:`total_rate`, :func:`prefix_probability`, the walker and
+the sampler) takes whole rows; ``rate(prefix, j)`` is the
 single-entry lookup.
 
 The exact kernels run on ints, each row as integer numerators over its
@@ -52,7 +51,6 @@ special casing.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -219,8 +217,8 @@ class SetInvariantLSModel:
     """Rates keyed by survivor set: ``mu_j([m] \\ A)`` stored under (A, j).
 
     Order-independence is structural. When built from an epsilon schedule
-    the schedule travels with the model (``epsilon``) so that bound checks
-    can recover the rho magnitudes; equality ignores it.
+    the schedule travels with the model (``epsilon``, over the model's m)
+    so that bound checks and certificates read it; equality ignores it.
     """
 
     m: int
@@ -229,6 +227,8 @@ class SetInvariantLSModel:
 
     def __post_init__(self) -> None:
         check_dimension(self.m)
+        if self.epsilon is not None and self.epsilon.m != self.m:
+            raise DomainError(f"schedule has m={self.epsilon.m} but model has m={self.m}")
         clean: dict[tuple[tuple[int, ...], int], Fraction] = {}
         raw = members = None
         for (survivors, j), value in self.mu_by_survivors.items():
@@ -497,11 +497,7 @@ class PrefixBoundsReport:
         return self.lower <= self.probability <= self.upper
 
 
-def check_prefix_bounds(
-    model: SetInvariantLSModel,
-    prefix: Iterable[int],
-    eps: EpsilonSchedule | None = None,
-) -> PrefixBoundsReport:
+def check_prefix_bounds(model: SetInvariantLSModel, prefix: Iterable[int]) -> PrefixBoundsReport:
     """Verify the near-uniformity envelope of a schedule-built model.
 
     For a model with rates 1 - (rank - 1) * eps(|A|) and a schedule whose
@@ -510,15 +506,12 @@ def check_prefix_bounds(
 
         (m-k)!/m! * (1 -/+ 2 * sum_{u=m-k+1..m} rho(u)).
 
-    The schedule is taken from the model when not supplied explicitly.
+    The schedule is the model's own ``epsilon``.
     """
     prefix = validate_prefix(model.m, prefix)
+    eps = model.epsilon
     if eps is None:
-        eps = model.epsilon
-    if eps is None:
-        raise DomainError("model carries no epsilon schedule; pass one explicitly")
-    if eps.m != model.m:
-        raise DomainError(f"schedule has m={eps.m} but model has m={model.m}")
+        raise DomainError("model carries no epsilon schedule")
     if not all(eps.decay_conditions()):
         raise ScheduleError("epsilon schedule violates the rho decay conditions")
     m, k = model.m, len(prefix)
@@ -532,15 +525,3 @@ def check_prefix_bounds(
         lower=base * (1 - spread),
         upper=base * (1 + spread),
     )
-
-
-def as_order_dependent(model: SetInvariantLSModel) -> OrderDependentLSModel:
-    """Canonical injection: spell out the set-keyed rates for every prefix."""
-    m = model.m
-    rates = {
-        (prefix, j): mu
-        for k in range(m)
-        for prefix in itertools.permutations(range(1, m + 1), k)
-        for j, mu in model.rates_after(prefix).items()
-    }
-    return OrderDependentLSModel(m, rates)

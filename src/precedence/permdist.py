@@ -206,8 +206,8 @@ class WinningProbabilityFamily:
                     raw, members = subset, subset_members(self.m, subset)
                     if len(members) < 2:
                         raise DomainError(f"subset {members} has fewer than two members")
-                if j not in members:
-                    raise DomainError(f"index {j} not in subset {members}")
+                if type(j) is not int or j not in members:
+                    raise DomainError(f"index {j!r} not in subset {members}")
                 q = value if type(value) is Fraction else as_fraction(value, f"alpha_{j}({members})")
                 clean[(members, j)] = q
             numerators, scale = integer_weights(clean)

@@ -183,8 +183,11 @@ class ConcordanceViolation:
 
 @dataclass(frozen=True)
 class ConcordanceReport:
-    passed: bool
     violations: tuple[ConcordanceViolation, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     @property
     def verdict(self) -> str:
@@ -225,7 +228,7 @@ def score_concordance(
                 violations.append(
                     ConcordanceViolation(members, i, j, rank_rel, score_rel)
                 )
-    return ConcordanceReport(not violations, tuple(violations))
+    return ConcordanceReport(tuple(violations))
 
 
 def induced_pattern(fam: WinningProbabilityFamily) -> RankingPattern:

@@ -27,7 +27,7 @@ from .construction import build_ls_epsilon, epsilon_schedule
 from .core import check_dimension, decimal_int, int_format, json_entries, json_int
 from .core import subset_members, validate_permutation
 from .errors import DomainError, InputFormatError
-from .loadsharing import _failure_law
+from .loadsharing import distribution_of
 from .permdist import PermutationDistribution, _OverScale, failed_set_table, winner_sums
 from .ranking import ConcordanceReport, RankingPattern, score_concordance
 
@@ -145,4 +145,4 @@ def synthesize_voting_situation(sigma: RankingPattern) -> VotingSituation:
     those numerators, coprime with that scale, are the counts.
     """
     model = build_ls_epsilon(sigma, epsilon_schedule(sigma.m))
-    return VotingSituation(sigma.m, _failure_law(model)[0])
+    return VotingSituation(sigma.m, distribution_of(model).numerators)

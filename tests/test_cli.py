@@ -559,6 +559,8 @@ ONE_FAULT_CALLS = [
      ["--set: needs at least two distinct members of [3]"]),
     (["alpha", "--dist", "{d}/dist.json", "--set", "1,2,"], 2, ["--set: empty entry in '1,2,'"]),
     (["ls", "check-eps", "--eps", "0,x"], 2, ["--eps: not a rational literal: 'x'"]),
+    (["ls", "check-eps", "--m", "5", "--eps", "0,1/10"], 2,
+     ["ls check-eps takes --m or --eps, not both"]),
     (["signature", "invert", "--structure", "{d}/structure.json", "--target", "1,x,0"], 2,
      ["--target: not a rational literal: 'x'"]),
 ]

@@ -231,7 +231,7 @@ class TestCertifyConcordance:
         eps = EpsilonSchedule(4, (Fraction(0),) + tuple(Fraction(1, c ** (l - 1)) for l in (2, 3, 4)))
         assert not check_epsilon_condition(eps).passed
         cert = certify_concordance(build(4), eps)
-        assert cert.epsilon is eps and cert.verdict == verdict
+        assert cert.model.epsilon is eps and cert.verdict == verdict
         assert bool(cert.report.violations) == (verdict == "FAIL")
 
     def test_certificate_json_is_self_contained(self):

@@ -18,7 +18,6 @@ from precedence import (
     alpha_family,
     alpha_family_bruteforce,
     alpha_family_ls,
-    as_order_dependent,
     beta_gamma_split,
     build_ls_epsilon,
     check_prefix_bounds,
@@ -326,7 +325,6 @@ class TestAlphaFamilyLS:
             sigma = next(enumerate_patterns(4, True, seed=seed, limit=1))
             model = build_ls_epsilon(sigma, epsilon_schedule(4))
             fast = alpha_family_ls(model)
-            assert fast == alpha_family_ls(as_order_dependent(model))
             assert fast == alpha_family_bruteforce(distribution_of(model))
 
     def test_set_invariant_path_on_arbitrary_rate_tables(self):
@@ -340,14 +338,12 @@ class TestAlphaFamilyLS:
                         mu[(members, j)] = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             model = SetInvariantLSModel(m, mu)
             fast = alpha_family_ls(model)
-            assert fast == alpha_family_ls(as_order_dependent(model))
             assert fast == alpha_family(distribution_of(model))
 
     @settings(max_examples=30, deadline=None)
     @given(model=set_invariant_models())
     def test_integer_kernel_matches_both_routes_on_random_rate_tables(self, model):
         fast = alpha_family_ls(model)
-        assert fast == alpha_family_ls(as_order_dependent(model))
         assert fast == alpha_family_bruteforce(distribution_of(model))
 
     def test_locality_in_the_complement(self):
@@ -461,9 +457,9 @@ class TestPrefixBounds:
         sigma = next(enumerate_patterns(3, True, seed=5, limit=1))
         model = build_ls_epsilon(sigma, epsilon_schedule(3))
         stripped = SetInvariantLSModel(3, dict(model.mu_by_survivors))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as info:
             check_prefix_bounds(stripped, (1,))
-        assert check_prefix_bounds(stripped, (1,), eps=epsilon_schedule(3)).passed
+        assert str(info.value) == "model carries no epsilon schedule"
 
     def test_decaying_schedule_required(self):
         sigma = next(enumerate_patterns(3, True, seed=6, limit=1))
@@ -473,13 +469,14 @@ class TestPrefixBounds:
             check_prefix_bounds(model, (1,))
 
 
-class TestSetInvariantEmbedding:
-    def test_embedding_preserves_distribution(self):
-        for seed in range(3):
-            sigma = next(enumerate_patterns(4, True, seed=seed, limit=1))
-            model = build_ls_epsilon(sigma, epsilon_schedule(4))
-            assert distribution_of(model) == distribution_of(as_order_dependent(model))
-
+class TestSetInvariantModel:
     def test_missing_survivor_entry_rejected(self):
         with pytest.raises(DomainError, match="missing"):
             SetInvariantLSModel(2, {((1, 2), 1): Fraction(1), ((1,), 1): Fraction(1)})
+
+    def test_schedule_of_another_m_rejected(self):
+        sigma = next(enumerate_patterns(3, True, seed=5, limit=1))
+        rates = build_ls_epsilon(sigma, epsilon_schedule(3)).mu_by_survivors
+        with pytest.raises(DomainError) as info:
+            SetInvariantLSModel(3, rates, epsilon_schedule(4))
+        assert str(info.value) == "schedule has m=4 but model has m=3"

@@ -94,6 +94,11 @@ class TestWinningProbabilityFamily:
         [
             ({((1,), 1): Fraction(1)}, "subset (1,) has fewer than two members"),
             ({((1, 2), 3): Fraction(1)}, "index 3 not in subset (1, 2)"),
+            # True == 1, and True in (1, 2), but an index is an int
+            (
+                {((1, 2), True): Fraction(1, 2), ((1, 2), 2): Fraction(1, 2)},
+                "index True not in subset (1, 2)",
+            ),
             (
                 {((1, 2), 1): Fraction(3, 2), ((1, 2), 2): Fraction(-1, 2)},
                 "alpha_1((1, 2)) = 3/2 outside [0, 1]",
@@ -110,7 +115,10 @@ class TestWinningProbabilityFamily:
                 "alphas over (1, 2) sum to 1/2, expected 1",
             ),
         ],
-        ids=["singleton", "index-outside", "value-outside", "incomplete", "bad-sum", "renamed"],
+        ids=[
+            "singleton", "index-outside", "bool-index", "value-outside", "incomplete", "bad-sum",
+            "renamed",
+        ],
     )
     def test_rejects_by_name(self, alphas, message):
         with pytest.raises(DomainError) as info:

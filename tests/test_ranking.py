@@ -20,7 +20,7 @@ from precedence import (
     pattern_cyclic,
     pattern_very_paradox,
 )
-from precedence.ranking import fubini
+from precedence.ranking import fubini, score_concordance
 from tests.conftest import random_distribution
 
 
@@ -159,6 +159,14 @@ class TestPConcordance:
         report = check_p_concordance(RankingPattern(3, tuple(fns)), alpha_family(example_law))
         assert not report.passed
         assert all(v.subset == (1, 2, 3) for v in report.violations)
+
+    @pytest.mark.parametrize("sign, verdict", [(-1, "PASS"), (1, "FAIL")])
+    def test_verdict_is_read_off_the_violations(self, example_pattern, sign, verdict):
+        # a score falling with the rank is concordant; one rising with it is not
+        ranks = {fn.members: dict(fn.ranks) for fn in example_pattern.functions}
+        report = score_concordance(example_pattern, lambda members, j: sign * ranks[members][j])
+        assert report.verdict == verdict
+        assert report.passed is (verdict == "PASS") is (not report.violations)
 
     def test_dimension_mismatch(self, example_pattern):
         fam = alpha_family(PermutationDistribution.uniform(4))

@@ -77,6 +77,7 @@ def test_cached_tuples_pass_through_and_others_are_checked(m):
     for dim, bad, message in [
         (m, (True, 2), f"element True outside [{m}]"),
         (m, (1, 1), "repeated elements in subset (1, 1)"),
+        (m, ("a", 1), f"element 'a' outside [{m}]"),  # checked before sorting, which would raise
         (m, (1, m + 1), f"element {m + 1} outside [{m}]"),
         (m - 1, order[-1], f"element {m} outside [{m - 1}]"),  # a cached tuple, another m
     ]:
