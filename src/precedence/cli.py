@@ -11,8 +11,10 @@ annotates each rational leaf with a 12-significant-digit float, never
 replacing the exact field. Output ordering is deterministic
 (lexicographic by subset, then by index) so certificates diff cleanly.
 
-The document of every file option given loads before the handler runs, in
-the fixed order of ``_DOCUMENTS``; of several bad files, the first is reported.
+Integer options take ASCII decimal digits only. They are read first; then
+the document of every file option given loads before the handler runs, in
+the fixed order of ``_DOCUMENTS``; of several bad files, the first is
+reported, and a file named by two options of one loader is read once.
 
 The dimension cap (default 8) honors the PRECEDENCE_MAX_M environment
 variable.
@@ -54,16 +56,24 @@ def _load_json(path: str) -> dict:
         raise PrecedenceError(f"{path} nests arrays or objects too deeply")
 
 
+def _model(doc: dict):
+    return loadsharing.model_from_json_dict(doc)
+
+
 # The loader of each file option (by dest), in loading order. Each looks its
 # library function up when called, so a wrapper installed later is reached.
+# Options that share a loader share what it loaded from one path.
 _DOCUMENTS = {
     "structure": lambda doc: signature.StructureFunction.from_json_dict(doc),
     "pattern": lambda doc: ranking.RankingPattern.from_json_dict(doc),
     "votes": lambda doc: voting.VotingSituation.from_json_dict(doc),
     "dist": lambda doc: permdist.PermutationDistribution.from_json_dict(doc),
-    "model": lambda doc: loadsharing.model_from_json_dict(doc),
-    "reference": lambda doc: loadsharing.model_from_json_dict(doc),
+    "model": _model,
+    "reference": _model,
 }
+
+# The integer options (by dest, metavar N), read as ASCII decimal digits.
+_INTEGERS = ("m", "seed", "count", "samples")
 
 
 def _comma_list(text: str, option: str, parse, build):
@@ -168,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later call.
 
     Parsing never mutates it: each ``parse_args`` call fills a fresh namespace.
-    Each leaf parser names its handler; ``_DOCUMENTS`` loads its FILE options.
+    Each leaf parser names its handler; ``_DOCUMENTS`` loads its FILE options,
+    and ``run`` reads its N options as integers.
     """
     parser = argparse.ArgumentParser(
         prog="precedence",
@@ -201,9 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=lambda a: _doc(ranking.induced_pattern(permdist.alpha_family(a.dist))))
     p = psub.add_parser("gen", parents=[common], help="generate ranking patterns")
     p.add_argument("--kind", choices=["very-paradox", "cyclic", "random"], required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--m", required=True, metavar="N")
+    p.add_argument("--seed", default=0, metavar="N")
+    p.add_argument("--count", default=1, metavar="N")
     p.add_argument("--allow-weak", action="store_true")
     p.set_defaults(handler=_cmd_pattern_gen)
 
@@ -220,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
     )
     p = lsub.add_parser("check-eps", parents=[common], help="verify a schedule's separation condition")
-    p.add_argument("--m", type=int)
+    p.add_argument("--m", metavar="N")
     p.add_argument("--eps", help="comma-separated rationals, in place of --m's universal schedule")
     p.set_defaults(handler=_cmd_ls_check_eps)
 
@@ -257,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo failure-order sampling")
     p.add_argument("--model", required=True, metavar="FILE")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", required=True, metavar="N")
+    p.add_argument("--seed", default=0, metavar="N")
     p.add_argument("--reference", metavar="FILE", help="model whose exact alphas are shown too")
     p.set_defaults(handler=_cmd_simulate)
 
@@ -272,10 +283,17 @@ def run(argv: list[str]) -> CommandResult:
     except SystemExit as ex:  # --help exits 0 after printing its text; an error exits 2
         return CommandResult(2, None, ["argument parsing failed"]) if ex.code else CommandResult(0)
     try:
+        for dest in _INTEGERS:
+            value = getattr(args, dest, None)
+            if value is not None:
+                setattr(args, dest, decimal_int(value, f"--{dest}"))
+        loaded: dict = {}  # by (loader, path): a file named twice is read once
         for dest, load in _DOCUMENTS.items():
             path = getattr(args, dest, None)
             if path is not None:
-                setattr(args, dest, load(_load_json(path)))
+                if (load, path) not in loaded:
+                    loaded[load, path] = load(_load_json(path))
+                setattr(args, dest, loaded[load, path])
         result = args.handler(args)
     except PrecedenceError as ex:
         return CommandResult(2, None, [str(ex)])

@@ -60,7 +60,11 @@ def decimal_int(value: object, where: str) -> int:
     if type(value) is int:
         return value
     if isinstance(value, str) and value.isascii() and value.isdigit():
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() converts, 4300 by default
+            limit = sys.get_int_max_str_digits()
+            raise InputFormatError(f"{where}: decimal string of more than {limit} digits") from None
     raise InputFormatError(f"{where}: {value!r} is not an integer or a decimal string")
 
 
@@ -138,7 +142,7 @@ def max_dimension() -> int:
         return DEFAULT_MAX_M
     try:
         cap = decimal_int(raw, "PRECEDENCE_MAX_M")
-    except (InputFormatError, ValueError):  # not [0-9]+, or more digits than int() converts
+    except InputFormatError:  # not [0-9]+, or more digits than int() converts
         raise DomainError(f"PRECEDENCE_MAX_M must be an integer, got {raw!r}") from None
     if cap < 1:
         raise DomainError(f"PRECEDENCE_MAX_M must be >= 1, got {cap}")

@@ -284,7 +284,7 @@ class SetInvariantLSModel:
             doc,
             "rates",
             {"survivors", "j", "mu"},
-            lambda e: ((tuple(sorted(e["survivors"])), e["j"]), rational_parse(e["mu"])),
+            lambda e: ((subset_members(m, e["survivors"]), e["j"]), rational_parse(e["mu"])),
         )
         eps = None
         if "epsilon" in doc:

@@ -10,29 +10,32 @@ tolerances (exact targets are never replaced).
 
 Sampling is level-synchronous: each block of ``CHUNK_TRAJECTORIES``
 samples takes one numpy step per failure, every sample reading the float
-CDF row of its current prefix. Rows are built once per reached prefix, so
-a prefix with zero total rate raises only when a sample reaches it. A lone
-last survivor fails last whatever its rate, as in the exact law; its rate
-of 0 raises only when a failure time is drawn for it.
+CDF row of its current prefix. Rows are built in plain Python when a
+sample first reaches their prefix, so a prefix with zero total rate raises
+only then: once per prefix for an order-dependent model, once per survivor
+set for a set-invariant one. A step's new rows join their level's arrays
+in one batch. A lone last survivor fails last whatever its rate, as in the
+exact law; its rate of 0 raises only when a failure time is drawn for it.
 
 Reproducibility: a counter-based generator (Philox) is keyed once from
 the seed, and block i always draws from counter i, its uniforms before
 its exponentials. Reductions sum integer counts only, so summaries are
 bit-identical for a fixed seed. A row turns the integer rate numerators
-of its prefix into floats, each rounded once: r / total is float(mu / M).
+of its prefix into floats, each rounded once: r / total is float(mu / M),
+and the CDF adds them left to right, as ``np.cumsum`` would.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import count
+from itertools import accumulate, count
 from typing import Iterator, Mapping
 
 import numpy as np
 
 from .errors import DomainError, SimulationError
-from .loadsharing import LoadSharingModel, _integer_row
+from .loadsharing import LoadSharingModel, SetInvariantLSModel, _integer_row
 from .permdist import WinningProbabilityFamily, failed_set_table, winner_sums
 
 CHUNK_TRAJECTORIES = 4096
@@ -114,30 +117,45 @@ class _SamplerTables:
         self.model = model
         self.m = model.m
         self.levels = [_Level(self.m - r) for r in range(self.m)]
+        # a set-invariant row depends only on the failed set: built once per set
+        self._by_set: dict | None = {} if isinstance(model, SetInvariantLSModel) else None
         self._extend(0, [()])
 
-    def _row(self, prefix: tuple[int, ...]) -> tuple[list[int], np.ndarray, float]:
+    def _row(self, prefix: tuple[int, ...]) -> tuple[list[int], list[float], float]:
         row, total, scale = _integer_row(self.model, prefix)
         survivors = list(row)
         # int true division rounds correctly: total / scale is float(M), r / total float(mu / M)
         if len(survivors) == 1:
             # the lone survivor fails last at any rate; only its failure time reads the total
-            return survivors, np.ones(1), total / scale
+            return survivors, [1.0], total / scale
         if total == 0:
             raise SimulationError(
                 f"zero total rate at reached prefix {prefix}; model invalid on support"
             )
-        cum = np.cumsum([r / total for r in row.values()])
+        cum = list(accumulate(r / total for r in row.values()))  # left to right, as np.cumsum
         cum[-1] = 1.0  # guard against float round-off in the last bin
         return survivors, cum, total / scale
 
+    def _rows(self, prefixes: list[tuple[int, ...]]) -> Iterator[tuple]:
+        """The survivors, float CDFs and float totals of the rows of ``prefixes``:
+        three sequences, in the order of ``prefixes``."""
+        if self._by_set is None:  # an order-dependent row is built once per prefix
+            return zip(*map(self._row, prefixes))
+        rows = []
+        for prefix in prefixes:
+            failed = frozenset(prefix)
+            if failed not in self._by_set:
+                self._by_set[failed] = self._row(prefix)
+            rows.append(self._by_set[failed])
+        return zip(*rows)
+
     def _extend(self, r: int, prefixes: list[tuple[int, ...]]) -> None:
-        survivors, cum, total = zip(*(self._row(prefix) for prefix in prefixes))
+        survivors, cum, total = self._rows(prefixes)
         level = self.levels[r]
         level.prefixes += prefixes
-        level.survivors = np.vstack([level.survivors, survivors])
-        level.cum = np.vstack([level.cum, cum])
-        level.total = np.concatenate([level.total, total])
+        level.survivors = np.vstack([level.survivors, np.array(survivors, np.intp)])
+        level.cum = np.vstack([level.cum, np.array(cum)])
+        level.total = np.concatenate([level.total, np.array(total)])
         level.child = np.vstack([level.child, np.full((len(prefixes), self.m - r), -1)])
 
     def walk(

@@ -3,6 +3,7 @@ import json
 import random
 import re
 import shlex
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -23,8 +24,8 @@ from precedence import (
     pattern_cyclic,
     pattern_very_paradox,
 )
-from precedence import permdist
-from precedence.cli import _DOCUMENTS, build_parser, main, run
+from precedence import loadsharing, permdist
+from precedence.cli import _DOCUMENTS, _INTEGERS, build_parser, main, run
 from precedence.loadsharing import model_from_json_dict
 from tests.conftest import EXAMPLE_LAW_WEIGHTS, random_distribution
 
@@ -57,7 +58,9 @@ class TestAlphaCommands:
             [1, 2], [1, 2, 3], [1, 3], [2, 3]
         ]
 
-    @pytest.mark.parametrize("text", [" 1,+3", "1,\u0663", "1,3.0"])
+    @pytest.mark.parametrize(
+        "text", [" 1,+3", "1,\u0663", "1,3.0", pytest.param("1," + "9" * 5000, id="1,9...9")]
+    )
     def test_set_takes_decimal_integers_only(self, law_file, text):
         result = run(["alpha", "--dist", law_file, "--set", text])
         assert result.exit_code == 2
@@ -286,6 +289,28 @@ class TestSimulateCommand:
             f"--reference model has m={reference_m} but --model has m={model_m}"
         ]
 
+    def test_a_file_named_twice_is_loaded_once(self, law_file, tmp_path, monkeypatch, capsys):
+        model_file, copy = tmp_path / "model.json", tmp_path / "copy.json"
+        model_file.write_text(json.dumps(run(["ls", "invert", "--dist", law_file]).payload))
+        copy.write_bytes(model_file.read_bytes())
+        loads = []
+
+        def counted(doc):
+            loads.append(doc)
+            return model_from_json_dict(doc)
+
+        monkeypatch.setattr(loadsharing, "model_from_json_dict", counted)
+        argv = ["simulate", "--model", str(model_file), "--samples", "300", "--seed", "3"]
+        assert main(argv + ["--reference", str(model_file)]) == 0
+        assert len(loads) == 1
+        once = capsys.readouterr()
+        assert main(argv + ["--reference", str(copy)]) == 0
+        assert len(loads) == 3
+        assert capsys.readouterr() == once
+        model_file.write_text(json.dumps({"m": 3, "rates": 5}))
+        result = run(argv + ["--reference", str(model_file)])
+        assert (result.exit_code, result.diagnostics) == (2, ["rates: must be a list"])
+
     def test_negative_seed_exits_two(self, law_file, tmp_path):
         model_file = tmp_path / "model.json"
         model_file.write_text(json.dumps(run(["ls", "invert", "--dist", law_file]).payload))
@@ -434,6 +459,17 @@ class TestErrorPaths:
         assert result.exit_code == 2
         assert str(path) in result.diagnostics[0]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["pattern", "gen", "--kind", "cyclic", "--m"], ["ls", "check-eps", "--m"]],
+        ids=["pattern-gen", "ls-check-eps"],
+    )
+    def test_integer_option_past_the_digit_limit_exits_two(self, argv):
+        result = run(argv + ["9" * 5000])
+        assert (result.exit_code, result.diagnostics) == (
+            2, [f"--m: decimal string of more than {sys.get_int_max_str_digits()} digits"]
+        )
+
     def test_workers_flag_is_gone(self, capsys):
         result = run(["simulate", "--model", "m.json", "--samples", "1", "--workers", "2"])
         assert result.diagnostics == ["argument parsing failed"]
@@ -554,6 +590,17 @@ ONE_FAULT_CALLS = [
      ["need at least one sample, got 0"]),
     (["simulate", "--model", "{d}/model.json", "--samples", "10",
       "--reference", "{d}/model4.json"], 2, ["--reference model has m=4 but --model has m=3"]),
+    (["pattern", "gen", "--kind", "cyclic", "--m", "\u0663"], 2,
+     ["--m: '\u0663' is not an integer or a decimal string"]),
+    (["pattern", "gen", "--kind", "cyclic", "--m", "+3"], 2,
+     ["--m: '+3' is not an integer or a decimal string"]),
+    (["pattern", "gen", "--kind", "random", "--m", "3", "--seed", "1_0"], 2,
+     ["--seed: '1_0' is not an integer or a decimal string"]),
+    (["pattern", "gen", "--kind", "random", "--m", "3", "--count", " 2"], 2,
+     ["--count: ' 2' is not an integer or a decimal string"]),
+    (["ls", "check-eps", "--m", "3.0"], 2, ["--m: '3.0' is not an integer or a decimal string"]),
+    (["simulate", "--model", "{d}/model.json", "--samples", "1e3"], 2,
+     ["--samples: '1e3' is not an integer or a decimal string"]),
     (["alpha", "--dist", "{d}/dist.json", "--set", ","], 2, ["--set: empty entry in ','"]),
     (["alpha", "--dist", "{d}/dist.json", "--set", "1"], 2,
      ["--set: needs at least two distinct members of [3]"]),
@@ -648,6 +695,16 @@ def test_every_leaf_parser_names_its_handler():
     assert len(leaves) == 14
     for words, parser in leaves.items():
         assert callable(parser.get_default("handler")), words
+
+
+def test_integer_table_covers_exactly_the_integer_options():
+    declared = {
+        (action.dest, action.metavar)
+        for _, parser in leaf_parsers()
+        for action in parser._actions
+        if action.metavar == "N" or action.dest in _INTEGERS
+    }
+    assert declared == {(dest, "N") for dest in _INTEGERS}
 
 
 def test_document_table_covers_exactly_the_file_options():

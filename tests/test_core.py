@@ -146,7 +146,9 @@ class TestSubsetMask:
         with pytest.warns(RuntimeWarning):
             check_dimension(9)
 
-    @pytest.mark.parametrize("raw", ["1_0", " 9", "+9", "\u0669", "10"])
+    @pytest.mark.parametrize(
+        "raw", ["1_0", " 9", "+9", "\u0669", pytest.param("9" * 5000, id="9...9"), "10"]
+    )
     def test_dimension_cap_reads_ascii_digits_only(self, monkeypatch, raw):
         # int() would read the first four as 10 or 9
         monkeypatch.setenv("PRECEDENCE_MAX_M", raw)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from precedence import (
     DomainError,
     EpsilonSchedule,
+    InputFormatError,
     InvalidModelError,
     OrderDependentLSModel,
     PermutationDistribution,
@@ -181,6 +182,22 @@ class TestRateTables:
         loaded = model_from_json_dict(si.to_json_dict())
         assert loaded == si
         assert loaded.epsilon == si.epsilon
+
+    @pytest.mark.parametrize(
+        "rates, message",
+        [
+            ([{"survivors": ["a", 1], "j": 1, "mu": "1"}], "rates[0]: element 'a' outside [2]"),
+            (
+                [{"survivors": [1, 2], "j": 1, "mu": "1"}, {"survivors": [2, 1], "j": 1, "mu": "1"}],
+                "rates[1]: duplicate entry ((1, 2), 1)",
+            ),
+        ],
+        ids=["element-not-an-int", "set-repeated-in-another-order"],
+    )
+    def test_set_invariant_document_names_the_bad_entry(self, rates, message):
+        with pytest.raises(InputFormatError) as info:
+            model_from_json_dict({"m": 2, "rates": rates})
+        assert str(info.value) == message
 
 
 class TestPrefixProbability:

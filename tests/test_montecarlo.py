@@ -23,10 +23,13 @@ from precedence import (
     epsilon_schedule,
     estimate_alphas,
     invert_to_ls,
+    pattern_cyclic,
     sample_trajectories,
     sample_trajectory,
     total_rate,
 )
+from precedence import montecarlo
+from precedence.loadsharing import _integer_row
 from precedence.montecarlo import CHUNK_TRAJECTORIES, _SamplerTables
 from tests.conftest import random_distribution
 from tests.test_loadsharing import order_dependent_models, set_invariant_models
@@ -116,20 +119,37 @@ class TestSamplerRows:
         assume(total_rate(model, ()) > 0)
         tables = _SamplerTables(model)
         for k in range(model.m):
+            level = []
             for prefix in itertools.permutations(range(1, model.m + 1), k):
+                if total_rate(model, prefix) == 0 and k < model.m - 1:
+                    with pytest.raises(SimulationError):
+                        tables._rows([prefix])
+                else:
+                    level.append(prefix)
+            for prefix, survivors, cum, float_total in zip(level, *tables._rows(level)):
                 rates = model.rates_after(prefix)
                 total = sum(rates.values())
-                if total == 0 and k < model.m - 1:
-                    with pytest.raises(SimulationError):
-                        tables._row(prefix)
-                    continue
-                survivors, cum, float_total = tables._row(prefix)
                 assert survivors == list(rates)
                 assert float_total == float(total)
                 if k < model.m - 1:
                     expected = np.cumsum([float(mu / total) for mu in rates.values()])
                     expected[-1] = 1.0
-                    assert cum.tolist() == expected.tolist()
+                    assert cum == expected.tolist()
+
+    def test_set_invariant_rows_are_built_once_per_survivor_set(self, monkeypatch):
+        built = Counter()
+
+        def counted(model, prefix):
+            built[frozenset(prefix)] += 1
+            return _integer_row(model, prefix)
+
+        monkeypatch.setattr(montecarlo, "_integer_row", counted)
+        tables = _SamplerTables(build_ls_epsilon(pattern_cyclic(6), epsilon_schedule(6)))
+        tables.walk(np.random.default_rng(0).random((CHUNK_TRAJECTORIES, 6)))
+        reached = [prefix for level in tables.levels for prefix in level.prefixes]
+        assert len(reached) > len(built)  # prefixes of one failed set share its row
+        assert set(built) == {frozenset(prefix) for prefix in reached}
+        assert set(built.values()) == {1}
 
 
 class TestEstimateAlphas:
