@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 import re
 import sys
@@ -43,21 +44,45 @@ ONE = Fraction(1)
 RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?\Z")
 
 
-def rational_parse(text: str) -> Fraction:
-    """Parse ``"n"`` or ``"n/d"`` into an exact rational in lowest terms."""
+def _literal_ints(text: str) -> tuple[int, int]:
+    """The numerator and positive denominator a rational literal spells, unreduced.
+
+    Refusals, in this order: not ``RATIONAL_RE``, a zero denominator, a side
+    of more digits than ``int()`` converts.
+    """
     if not isinstance(text, str) or not RATIONAL_RE.match(text):
         raise RationalParseError(f"not a rational literal: {text!r}")
-    if "/" in text and text.split("/")[1].lstrip("0") == "":
+    num, slash, den = text.partition("/")
+    if slash and not den.lstrip("0"):
         raise RationalParseError(f"zero denominator: {text!r}")
     try:
-        return Fraction(text)
+        return int(num), (int(den) if slash else 1)
     except ValueError:  # more digits than int() converts
         raise RationalParseError(f"literal of {len(text)} characters is too long") from None
 
 
+def rational_parse(text: str) -> Fraction:
+    """Parse ``"n"`` or ``"n/d"`` into an exact rational in lowest terms.
+
+    The literal is matched once against ``RATIONAL_RE``; ``int()`` converts
+    each side, and ``Fraction`` reduces the pair with one gcd.
+    """
+    return Fraction(*_literal_ints(text))
+
+
+def rational_terms(text: str) -> tuple[int, int]:
+    """The numerator and denominator of a rational literal in lowest terms,
+    refused as :func:`rational_parse` refuses it; no Fraction is built."""
+    n, d = _literal_ints(text)
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
 def decimal_int(value: object, where: str) -> int:
-    """An int, or the int that an ASCII decimal string ``[0-9]+`` spells."""
+    """A non-negative int, or the int that an ASCII decimal string ``[0-9]+`` spells."""
     if type(value) is int:
+        if value < 0:
+            raise InputFormatError(f"{where}: must be a non-negative integer, got {value}")
         return value
     if isinstance(value, str) and value.isascii() and value.isdigit():
         try:
@@ -79,20 +104,26 @@ def as_fraction(value: object, name: str) -> Fraction:
     raise DomainError(f"{name} = {value!r} is not an int or a Fraction")
 
 
-def json_int(doc: object, field: str) -> int:
-    """The integer field ``doc[field]`` of a JSON object (not a bool, float or string)."""
+def json_dimension(doc: object, field: str = "m") -> int:
+    """The dimension ``doc[field]`` of a JSON object: an integer (not a bool,
+    float or string), checked against the cap where the document enters,
+    before any entry is read; errors name ``field``. It does not warn above
+    8: the value built from the document does."""
     if not isinstance(doc, dict):
         raise InputFormatError(f"document must be a JSON object, not {type(doc).__name__}")
-    value = doc.get(field)
-    if type(value) is not int:
-        raise InputFormatError(f"{field}: must be an integer, got {value!r}")
-    return value
+    m = doc.get(field)
+    if type(m) is not int:
+        raise InputFormatError(f"{field}: must be an integer, got {m!r}")
+    try:
+        return check_dimension(m, warn=False)
+    except DomainError as ex:
+        raise InputFormatError(f"{field}: {ex}") from None
 
 
 def json_entries(doc: dict, field: str, required: set[str], parse: Callable) -> dict:
     """Parse the list ``doc[field]`` of objects into a dict, one entry per key.
 
-    ``doc`` is a JSON object, as :func:`json_int` checks first. Each entry
+    ``doc`` is a JSON object, as :func:`json_dimension` checks first. Each entry
     must be an object holding the ``required`` keys; ``parse`` turns it into
     a ``(key, value)`` pair, and a key seen before is refused. Errors name
     the entry: ``field[i]: ...``, or ``field[i].sub: ...`` when ``parse``
@@ -115,6 +146,16 @@ def json_entries(doc: dict, field: str, required: set[str], parse: Callable) -> 
     except (PrecedenceError, TypeError, ValueError) as ex:
         raise InputFormatError(f"{field}[{idx}]: {ex}") from ex
     return out
+
+
+@dataclass(frozen=True)
+class Checked:
+    """Entries that a loader checked one by one where they entered, against a
+    dimension it checked first (:func:`json_dimension`). A value class handed
+    one in place of its mapping or tuple keeps ``entries`` as they are and
+    runs only its checks of the whole value; one built by hand runs them all."""
+
+    entries: object
 
 
 def int_format(value: int, field: str) -> str:
@@ -149,8 +190,8 @@ def max_dimension() -> int:
     return cap
 
 
-def check_dimension(m: int) -> int:
-    """Validate a dimension m against the cap; warn when running above 8."""
+def check_dimension(m: int, warn: bool = True) -> int:
+    """Validate a dimension m against the cap; warn when running above 8, if ``warn``."""
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise DomainError(f"dimension must be a positive integer, got {m!r}")
     cap = max_dimension()
@@ -159,7 +200,7 @@ def check_dimension(m: int) -> int:
             f"dimension m={m} exceeds the cap of {cap}; "
             "set PRECEDENCE_MAX_M to raise it"
         )
-    if m > DEFAULT_MAX_M:
+    if warn and m > DEFAULT_MAX_M:
         warnings.warn(
             f"dimension m={m} above {DEFAULT_MAX_M}: exhaustive operations "
             f"touch up to {m}! permutations",
@@ -237,20 +278,19 @@ def subsets_of_size_at_least(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(c for n in range(k, m + 1) for c in itertools.combinations(ground, n)))
 
 
-def validate_permutation(m: int, seq: Iterable[int]) -> tuple[int, ...]:
-    perm = tuple(seq)
-    ints = len(perm) == m and all(type(x) is int for x in perm)
-    if not ints or sorted(perm) != list(range(1, m + 1)):
-        raise DomainError(f"{perm} is not a permutation of [{m}]")
-    return perm
-
-
 _INT_ONLY = frozenset([int])
 
 
 @functools.cache
 def _ground_set(m: int) -> frozenset[int]:
     return frozenset(range(1, m + 1))
+
+
+def validate_permutation(m: int, seq: Iterable[int]) -> tuple[int, ...]:
+    perm = tuple(seq)
+    if len(perm) != m or not _INT_ONLY.issuperset(map(type, perm)) or _ground_set(m) != set(perm):
+        raise DomainError(f"{perm} is not a permutation of [{m}]")
+    return perm
 
 
 def validate_prefix(m: int, seq: Iterable[int]) -> tuple[int, ...]:

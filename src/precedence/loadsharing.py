@@ -59,11 +59,12 @@ from typing import Iterable, Iterator, Mapping
 from .core import (
     ONE,
     ZERO,
+    Checked,
     SubsetMask,
     as_fraction,
     check_dimension,
+    json_dimension,
     json_entries,
-    json_int,
     rational_format,
     rational_parse,
     subset_members,
@@ -95,7 +96,7 @@ class EpsilonSchedule:
     eps: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        check_dimension(self.m)
+        check_dimension(self.m, warn=False)  # m values: the model built on them warns
         values = tuple(as_fraction(e, f"eps({level})") for level, e in enumerate(self.eps, 1))
         if len(values) != self.m:
             raise ScheduleError(f"schedule needs {self.m} entries, got {len(values)}")
@@ -197,7 +198,7 @@ class OrderDependentLSModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "OrderDependentLSModel":
-        m = json_int(doc, "m")
+        m = json_dimension(doc)
         rates = json_entries(
             doc,
             "rates",
@@ -229,11 +230,13 @@ class SetInvariantLSModel:
         check_dimension(self.m)
         if self.epsilon is not None and self.epsilon.m != self.m:
             raise DomainError(f"schedule has m={self.epsilon.m} but model has m={self.m}")
+        rates = self.mu_by_survivors
+        checked = type(rates) is Checked  # from the loader: each survivor set checked
         clean: dict[tuple[tuple[int, ...], int], Fraction] = {}
         raw = members = None
-        for (survivors, j), value in self.mu_by_survivors.items():
+        for (survivors, j), value in (rates.entries if checked else rates).items():
             if survivors is not raw:  # the entries of one subset object are checked once
-                raw, members = survivors, subset_members(self.m, survivors)
+                raw = members = survivors if checked else subset_members(self.m, survivors)
             if type(j) is not int or j not in members:
                 raise DomainError(f"survivor {j!r} not in survivor set {members}")
             q = value if type(value) is Fraction else as_fraction(value, f"mu_{j} of {members}")
@@ -279,7 +282,7 @@ class SetInvariantLSModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SetInvariantLSModel":
-        m = json_int(doc, "m")
+        m = json_dimension(doc)
         mu = json_entries(
             doc,
             "rates",
@@ -293,7 +296,7 @@ class SetInvariantLSModel:
             except (RationalParseError, ScheduleError, TypeError) as ex:
                 raise InputFormatError(f"epsilon: {ex}") from ex
         try:
-            return cls(m, mu, eps)
+            return cls(m, Checked(mu), eps)
         except DomainError as ex:
             raise InputFormatError(str(ex)) from ex
 

@@ -28,7 +28,10 @@ different routes and must agree bit-for-bit; the brute-force scanner is
 kept as the cross-checking oracle (CLI ``oracle``).
 
 The value classes check numerators: signs, 0 <= n <= scale for an alpha,
-and each sum to the scale.
+and each sum to the scale. A law read from a document checks ``m``
+against the cap first, then each permutation once, and parses each weight
+once into lowest-terms integers; it keeps their numerators over the lcm
+of the denominators, the scale of the law built from the same Fractions.
 """
 
 from __future__ import annotations
@@ -48,10 +51,10 @@ from .core import (
     as_fraction,
     check_dimension,
     int_format,
+    json_dimension,
     json_entries,
-    json_int,
     rational_format,
-    rational_parse,
+    rational_terms,
     subset_members,
     subsets_of_size_at_least,
     validate_permutation,
@@ -143,15 +146,22 @@ class PermutationDistribution:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PermutationDistribution":
-        m = json_int(doc, "m")
-        weights = json_entries(
+        """The law of a document, as numerators over one scale: no Fraction is
+        built, and nothing is checked twice (see the module docstring)."""
+        m = json_dimension(doc)
+        terms = json_entries(
             doc,
             "weights",
             {"perm", "p"},
-            lambda e: (validate_permutation(m, e["perm"]), rational_parse(e["p"])),
+            lambda e: (validate_permutation(m, e["perm"]), rational_terms(e["p"])),
         )
+        for perm, (n, d) in terms.items():
+            if n < 0:
+                raise InputFormatError(f"negative weight {Fraction(n, d)} for permutation {perm}")
+        scale = math.lcm(*(d for _, d in terms.values()))
+        numerators = {perm: n * (scale // d) for perm, (n, d) in terms.items() if n}
         try:
-            return cls(m, weights)
+            return cls(m, _OverScale(numerators, scale))
         except DomainError as ex:
             raise InputFormatError(str(ex)) from ex
 

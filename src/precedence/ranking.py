@@ -20,14 +20,15 @@ by element index, which keeps the output non-weak and deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .core import SubsetMask, check_dimension, subset_members, subsets_of_size_at_least
-from .core import decimal_int, json_entries, json_int
+from .core import Checked, SubsetMask, check_dimension, subset_members, subsets_of_size_at_least
+from .core import decimal_int, json_dimension, json_entries
 from .errors import DomainError, InputFormatError
 from .permdist import WinningProbabilityFamily
 
@@ -44,16 +45,19 @@ class RankingFunction:
 
     def __post_init__(self) -> None:
         members = tuple(self.members)
-        if any(type(x) is not int for x in members):
-            raise DomainError(f"subset {members} has a member that is not an integer")
-        if len(members) < 2 or list(members) != sorted(set(members)):
-            raise DomainError(f"invalid subset {members} for a ranking function")
-        pairs = tuple(sorted(self.ranks))
-        if tuple(e for e, _ in pairs) != members:
-            raise DomainError(f"ranks {pairs} do not cover subset {members} exactly")
-        for e, r in pairs:
-            if type(r) is not int:
-                raise DomainError(f"rank {r!r} of member {e} in subset {members} is not an integer")
+        if type(self.ranks) is Checked:  # from the loader: members and integer ranks checked
+            pairs = self.ranks.entries
+        else:
+            if any(type(x) is not int for x in members):
+                raise DomainError(f"subset {members} has a member that is not an integer")
+            if len(members) < 2 or list(members) != sorted(set(members)):
+                raise DomainError(f"invalid subset {members} for a ranking function")
+            pairs = tuple(sorted(self.ranks))
+            if tuple(e for e, _ in pairs) != members:
+                raise DomainError(f"ranks {pairs} do not cover subset {members} exactly")
+            for e, r in pairs:
+                if type(r) is not int:
+                    raise DomainError(f"rank {r!r} of member {e} in subset {members} is not an integer")
         image = {r for _, r in pairs}
         w = max(image)
         if image != set(range(1, w + 1)):
@@ -95,14 +99,17 @@ class RankingPattern:
     def __post_init__(self) -> None:
         check_dimension(self.m)
         expected = subsets_of_size_at_least(self.m, 2)
-        by_set = {}
-        for fn in self.functions:
-            if fn.members in by_set:
-                raise DomainError(f"duplicate ranking function for subset {fn.members}")
-            for x in fn.members:
-                if not 1 <= x <= self.m:
-                    raise DomainError(f"element {x} outside [{self.m}]")
-            by_set[fn.members] = fn
+        if type(self.functions) is Checked:  # from the loader: one function per set, checked
+            by_set = self.functions.entries
+        else:
+            by_set = {}
+            for fn in self.functions:
+                if fn.members in by_set:
+                    raise DomainError(f"duplicate ranking function for subset {fn.members}")
+                for x in fn.members:
+                    if not 1 <= x <= self.m:
+                        raise DomainError(f"element {x} outside [{self.m}]")
+                by_set[fn.members] = fn
         # every key is a subset of [m] with >= 2 members, so none can be extra
         missing = [s for s in expected if s not in by_set]
         if missing:
@@ -143,24 +150,29 @@ class RankingPattern:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RankingPattern":
-        m = json_int(doc, "m")
-        fns = json_entries(doc, "functions", {"set", "ranks"}, _function_entry)
+        """The pattern of a document: ``m`` checked against the cap first, then
+        each entry's members and ranks once, where they enter."""
+        m = json_dimension(doc)
+        fns = json_entries(doc, "functions", {"set", "ranks"}, functools.partial(_function_entry, m))
         try:
-            return cls(m, tuple(fns.values()))
+            return cls(m, Checked(fns))
         except DomainError as ex:
             raise InputFormatError(str(ex)) from ex
 
 
-def _function_entry(entry: dict) -> tuple[tuple[int, ...], RankingFunction]:
-    """One ``functions[i]`` entry: its sorted set and the ranking function on it."""
-    members = tuple(sorted(entry["set"]))
+def _function_entry(m: int, entry: dict) -> tuple[tuple[int, ...], RankingFunction]:
+    """One ``functions[i]`` entry: its set, a sorted subset of [m] with at least
+    two members, and the ranking function on it."""
+    members = subset_members(m, entry["set"])
+    if len(members) < 2:
+        raise DomainError(f"invalid subset {members} for a ranking function")
     ranks = entry["ranks"]
     if not isinstance(ranks, dict) or any(type(r) is not int for r in ranks.values()):
         raise InputFormatError(f"ranks: {ranks!r} is not an object of integers")
     keys = [decimal_int(k, "ranks") for k in ranks]
     if sorted(keys) != list(members):
         raise InputFormatError(f"ranks: keys {list(ranks)} are not the members {list(members)}")
-    return members, RankingFunction(members, tuple(zip(keys, ranks.values())))
+    return members, RankingFunction(members, Checked(tuple(sorted(zip(keys, ranks.values())))))
 
 
 @dataclass(frozen=True)

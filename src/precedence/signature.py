@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .core import ONE, ZERO, as_fraction, check_dimension, json_int, max_dimension
+from .core import ONE, ZERO, as_fraction, check_dimension, json_dimension
 from .core import rational_format, subsets_of_size_at_least, validate_permutation
 from .errors import DomainError, InfeasibleTargetError, InputFormatError
 from .loadsharing import LoadSharingModel, SetInvariantLSModel, _model_table
@@ -119,14 +119,13 @@ class StructureFunction:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "StructureFunction":
-        r = json_int(doc, "r")
+        r = json_dimension(doc, "r")
         try:
             return cls(r, tuple(doc["path_sets"]))
         except (KeyError, TypeError) as ex:
             raise InputFormatError("path_sets: must be a list of lists of components") from ex
-        except DomainError as ex:  # the constructor checks r before any path set
-            field = "path_sets" if 1 <= r <= max_dimension() else "r"
-            raise InputFormatError(f"{field}: {ex}") from ex
+        except DomainError as ex:
+            raise InputFormatError(f"path_sets: {ex}") from ex
 
 
 @dataclass(frozen=True)

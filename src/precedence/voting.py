@@ -16,6 +16,10 @@ any tie-free pattern: the schedule model's failure-order law, taken as
 integer numerators over the lcm of its reduced denominators, gives the
 voter counts. The counts are exact big integers; they grow
 astronomically with m, and minimizing the electorate is out of scope.
+
+A situation read from a document checks ``m`` against the cap first, then
+each row once, where it enters: its ranking, and its count, a
+non-negative JSON integer or ASCII decimal string.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .construction import build_ls_epsilon, epsilon_schedule
-from .core import check_dimension, decimal_int, int_format, json_entries, json_int
-from .core import subset_members, validate_permutation
+from .core import Checked, check_dimension, decimal_int, int_format, json_dimension
+from .core import json_entries, subset_members, validate_permutation
 from .errors import DomainError, InputFormatError
 from .loadsharing import distribution_of
 from .permdist import PermutationDistribution, _OverScale, failed_set_table, winner_sums
@@ -41,13 +45,16 @@ class VotingSituation:
 
     def __post_init__(self) -> None:
         check_dimension(self.m)
-        clean: dict[tuple[int, ...], int] = {}
-        for perm, count in self.counts.items():
-            perm = validate_permutation(self.m, perm)
-            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-                raise DomainError(f"count for {perm} must be a non-negative integer")
-            if count:
-                clean[perm] = count
+        if type(self.counts) is Checked:  # from the loader: rows and counts checked
+            clean = {perm: count for perm, count in self.counts.entries.items() if count}
+        else:
+            clean = {}
+            for perm, count in self.counts.items():
+                perm = validate_permutation(self.m, perm)
+                if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+                    raise DomainError(f"count for {perm} must be a non-negative integer")
+                if count:
+                    clean[perm] = count
         if not clean:
             raise DomainError("a voting situation needs at least one voter")
         object.__setattr__(self, "counts", clean)
@@ -67,7 +74,7 @@ class VotingSituation:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "VotingSituation":
-        m = json_int(doc, "m")
+        m = json_dimension(doc)
         counts = json_entries(
             doc,
             "counts",
@@ -75,7 +82,7 @@ class VotingSituation:
             lambda e: (validate_permutation(m, e["perm"]), decimal_int(e["n"], "n")),
         )
         try:
-            return cls(m, counts)
+            return cls(m, Checked(counts))
         except DomainError as ex:
             raise InputFormatError(str(ex)) from ex
 

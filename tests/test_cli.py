@@ -541,6 +541,11 @@ PIN_DOCS = {
     "model4.json": OrderDependentLSModel.constant(4).to_json_dict(),
     "no-list-m.json": {"m": 3},
     "no-list-r.json": {"r": 3},
+    "negative-count.json": {"m": 2, "counts": [{"perm": [1, 2], "n": -1}]},
+    # m past the default cap, with entries that are bad for any m: m is read first
+    "m12.json": {"m": 12, "weights": [{"perm": [1, 2], "p": "1"}],
+                 "counts": [{"perm": [1, 2], "n": 1}], "rates": [{"prefix": [1, 1]}],
+                 "functions": [{"set": [1], "ranks": {}}]},
 }
 # (subcommand, the option given a bad file, the other arguments, the schema error)
 FILE_SLOTS = [
@@ -601,6 +606,17 @@ ONE_FAULT_CALLS = [
     (["ls", "check-eps", "--m", "3.0"], 2, ["--m: '3.0' is not an integer or a decimal string"]),
     (["simulate", "--model", "{d}/model.json", "--samples", "1e3"], 2,
      ["--samples: '1e3' is not an integer or a decimal string"]),
+    (["vote", "tally", "--votes", "{d}/negative-count.json"], 2,
+     ["counts[0].n: must be a non-negative integer, got -1"]),
+    *(
+        (argv, 2, ["m: dimension m=12 exceeds the cap of 8; set PRECEDENCE_MAX_M to raise it"])
+        for argv in (
+            ["alpha", "--dist", "{d}/m12.json"],
+            ["vote", "tally", "--votes", "{d}/m12.json"],
+            ["simulate", "--model", "{d}/m12.json", "--samples", "10"],
+            ["concord", "certify", "--pattern", "{d}/m12.json"],
+        )
+    ),
     (["alpha", "--dist", "{d}/dist.json", "--set", ","], 2, ["--set: empty entry in ','"]),
     (["alpha", "--dist", "{d}/dist.json", "--set", "1"], 2,
      ["--set: needs at least two distinct members of [3]"]),
@@ -618,7 +634,8 @@ ONE_FAULT_CALLS = [
     ONE_FAULT_CALLS,
     ids=[" ".join(argv).replace("{d}/", "") for argv, _, _ in ONE_FAULT_CALLS],
 )
-def test_one_fault_call_is_pinned(tmp_path, argv, exit_code, diagnostics):
+def test_one_fault_call_is_pinned(tmp_path, monkeypatch, argv, exit_code, diagnostics):
+    monkeypatch.delenv("PRECEDENCE_MAX_M", raising=False)
     for name, doc in PIN_DOCS.items():
         (tmp_path / name).write_text(json.dumps(doc))
     (tmp_path / "not-json.json").write_text("not json")

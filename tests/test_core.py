@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from precedence import (
@@ -16,11 +16,13 @@ from precedence import (
     rational_parse,
 )
 from precedence.core import (
+    RATIONAL_RE,
     check_dimension,
     decimal_int,
     json_entries,
-    json_int,
+    json_dimension,
     max_dimension,
+    rational_terms,
     validate_permutation,
     validate_prefix,
 )
@@ -48,6 +50,47 @@ class TestRationalParsing:
         with pytest.raises(RationalParseError, match="too long"):
             rational_parse("1" * 5000)
 
+    # RATIONAL_RE's literals: a sign, leading zeros, sides up to int()'s
+    # 4300-digit limit, denominators not in lowest terms, or none
+    DIGITS = st.text("0123456789", min_size=1, max_size=4300)
+    LITERALS = st.builds(
+        lambda sign, num, den: sign + num + ("" if den is None else "/" + den),
+        st.sampled_from(["", "+", "-"]),
+        DIGITS | st.sampled_from(["0", "00", "0007", "2", "9" * 4300]),
+        st.none() | DIGITS | st.sampled_from(["8", "08", "000", "1" + "0" * 4299]),
+    )
+
+    @example("-0")
+    @example("2/8")
+    @example("-006/0009")
+    @example("9" * 4300 + "/" + "6" * 4300)
+    @given(LITERALS)
+    def test_parse_equals_fraction_of_the_literal(self, text):
+        assert RATIONAL_RE.match(text)
+        if "/" in text and not text.partition("/")[2].strip("0"):
+            with pytest.raises(RationalParseError, match="^zero denominator"):
+                rational_parse(text)
+            return
+        q = rational_parse(text)
+        assert type(q) is Fraction and q == Fraction(text)
+        assert rational_terms(text) == (q.numerator, q.denominator)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1/" + "0" * 5000, "zero denominator"),
+            ("x" * 5000, "not a rational literal"),
+            ("1" * 5000, "literal of 5000 characters is too long"),
+            ("1/" + "1" * 5000, "literal of 5002 characters is too long"),
+        ],
+        ids=["zero-denominator", "not-a-literal", "numerator", "denominator"],
+    )
+    def test_refusals_keep_their_order(self, text, message):
+        for parse in (rational_parse, rational_terms):
+            with pytest.raises(RationalParseError) as info:
+                parse(text)
+            assert str(info.value).startswith(message)
+
     def test_format_canonical(self):
         assert rational_format(Fraction(0)) == "0"
         assert rational_format(Fraction(4, 2)) == "2"
@@ -71,7 +114,7 @@ class TestJsonLoading:
     @pytest.mark.parametrize("doc", [[], {"n": 3}, {"m": "3"}, {"m": 3.0}, {"m": True}])
     def test_int_field_is_a_json_integer(self, doc):
         with pytest.raises(InputFormatError):
-            json_int(doc, "m")
+            json_dimension(doc, "m")
 
     @staticmethod
     def entry(e):
