@@ -150,10 +150,12 @@ def json_entries(doc: dict, field: str, required: set[str], parse: Callable) -> 
 
 @dataclass(frozen=True)
 class Checked:
-    """Entries that a loader checked one by one where they entered, against a
-    dimension it checked first (:func:`json_dimension`). A value class handed
-    one in place of its mapping or tuple keeps ``entries`` as they are and
-    runs only its checks of the whole value; one built by hand runs them all."""
+    """Entries checked before a value class gets them: by a loader, one by one
+    where they entered, against a dimension it checked first
+    (:func:`json_dimension`), or built by the package from checked values. A
+    value class handed one in place of its mapping or tuple stores
+    ``entries``, not the wrapper, and runs only its checks of the whole
+    value; one built by hand, even from another value's field, runs them all."""
 
     entries: object
 

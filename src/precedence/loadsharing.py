@@ -406,7 +406,7 @@ def _failure_law(model: LoadSharingModel) -> tuple[dict[tuple[int, ...], int], i
 
 def distribution_of(model: LoadSharingModel) -> PermutationDistribution:
     """The exact failure-order law of the rate table, as :func:`_failure_law` gives it."""
-    return PermutationDistribution(model.m, _OverScale(*_failure_law(model)))
+    return PermutationDistribution(model.m, Checked(_OverScale(*_failure_law(model))))
 
 
 def _set_invariant_table(model: SetInvariantLSModel) -> tuple[dict[tuple[int, int], int], int]:

@@ -46,6 +46,7 @@ import numpy as np
 from .core import (
     ONE,
     ZERO,
+    Checked,
     SubsetMask,
     all_permutations,
     as_fraction,
@@ -71,7 +72,8 @@ class PermutationDistribution:
     weight 0. Instances are immutable and safe to share. Readers take
     integer ``numerators`` over one ``scale``, kept as a family keeps its
     own (see :class:`WinningProbabilityFamily`): ``weights`` is the caller's
-    Fractions, or a law from numerators builds each one when it is read.
+    Fractions, or a law from numerators (a :class:`~precedence.core.Checked`
+    ``_OverScale``) builds each one when it is read.
     """
 
     m: int
@@ -81,8 +83,10 @@ class PermutationDistribution:
 
     def __post_init__(self) -> None:
         check_dimension(self.m)
-        if type(self.weights) is _OverScale:  # keys are permutations, numerators positive
-            numerators, scale = self.weights.numerators, self.weights.scale
+        if type(self.weights) is Checked:  # over a scale: keys permutations, numerators positive
+            view = self.weights.entries
+            numerators, scale = view.numerators, view.scale
+            object.__setattr__(self, "weights", view)
         else:
             clean: dict[tuple[int, ...], Fraction] = {}
             for perm, value in self.weights.items():
@@ -117,7 +121,7 @@ class PermutationDistribution:
     @classmethod
     def uniform(cls, m: int) -> "PermutationDistribution":
         check_dimension(m)
-        return cls(m, _OverScale(dict.fromkeys(all_permutations(m), 1), math.factorial(m)))
+        return cls(m, Checked(_OverScale(dict.fromkeys(all_permutations(m), 1), math.factorial(m))))
 
     @classmethod
     def point_mass(cls, perm: Iterable[int]) -> "PermutationDistribution":
@@ -161,7 +165,7 @@ class PermutationDistribution:
         scale = math.lcm(*(d for _, d in terms.values()))
         numerators = {perm: n * (scale // d) for perm, (n, d) in terms.items() if n}
         try:
-            return cls(m, _OverScale(numerators, scale))
+            return cls(m, Checked(_OverScale(numerators, scale)))
         except DomainError as ex:
             raise InputFormatError(str(ex)) from ex
 
@@ -206,8 +210,10 @@ class WinningProbabilityFamily:
 
     def __post_init__(self) -> None:
         check_dimension(self.m)
-        if type(self.alphas) is _OverScale:  # keys from the cached subset order, j a member
-            numerators, scale = self.alphas.numerators, self.alphas.scale
+        if type(self.alphas) is Checked:  # over a scale: keys from the cached subset order
+            view = self.alphas.entries
+            numerators, scale = view.numerators, view.scale
+            object.__setattr__(self, "alphas", view)
         else:
             clean: dict[tuple[tuple[int, ...], int], Fraction] = {}
             raw = members = None
@@ -371,7 +377,7 @@ def family_from_table(
     The family keeps the subset sums as its numerators over ``scale``;
     no Fraction is built until an alpha is read.
     """
-    return WinningProbabilityFamily(m, _OverScale(winner_sums(m, h), scale))
+    return WinningProbabilityFamily(m, Checked(_OverScale(winner_sums(m, h), scale)))
 
 
 def alpha_family(rho: PermutationDistribution) -> WinningProbabilityFamily:
@@ -396,7 +402,7 @@ def alpha_family_bruteforce(rho: PermutationDistribution) -> WinningProbabilityF
         position = {x: r for r, x in enumerate(perm)}.__getitem__
         for members in subsets:
             sums[(members, min(members, key=position))] += n
-    return WinningProbabilityFamily(m, _OverScale(sums, rho.scale))
+    return WinningProbabilityFamily(m, Checked(_OverScale(sums, rho.scale)))
 
 
 def majority_digraph(fam: WinningProbabilityFamily) -> MajorityDigraph:

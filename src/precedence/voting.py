@@ -122,7 +122,7 @@ class TallyTable:
 
 def rho_from_voting(vs: VotingSituation) -> PermutationDistribution:
     """The permutation distribution N(perm) / n: the counts as numerators over n."""
-    return PermutationDistribution(vs.m, _OverScale(vs.counts, vs.n))
+    return PermutationDistribution(vs.m, Checked(_OverScale(vs.counts, vs.n)))
 
 
 def tally(vs: VotingSituation) -> TallyTable:

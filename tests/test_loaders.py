@@ -22,6 +22,7 @@ from precedence import (
     PermutationDistribution,
     RankingPattern,
     VotingSituation,
+    WinningProbabilityFamily,
     alpha_family,
     build_ls_epsilon,
     epsilon_schedule,
@@ -236,3 +237,16 @@ def test_a_negative_weight_keeps_its_text():
     with pytest.raises(DomainError) as info:
         PermutationDistribution(2, {(1, 2): Fraction(3, 2), (2, 1): Fraction(-1, 2)})
     assert str(info.value) == "negative weight -1/2 for permutation (2, 1)"
+
+
+def test_a_value_built_from_another_values_field_is_checked_again():
+    loaded = PermutationDistribution.from_json_dict(PermutationDistribution.uniform(2).to_json_dict())
+    assert PermutationDistribution(2, loaded.weights) == loaded
+    with pytest.raises(DomainError) as info:
+        PermutationDistribution(3, loaded.weights)
+    assert str(info.value) == "(1, 2) is not a permutation of [3]"
+    family = alpha_family(loaded)
+    assert WinningProbabilityFamily(2, family.alphas) == family
+    with pytest.raises(DomainError) as info:
+        WinningProbabilityFamily(1, family.alphas)
+    assert str(info.value) == "element 2 outside [1]"

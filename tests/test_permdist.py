@@ -18,7 +18,7 @@ from precedence import (
     pk_marginal,
 )
 from precedence import permdist
-from precedence.core import rational_format
+from precedence.core import Checked, rational_format
 from precedence.permdist import _OverScale, winner_sums
 from tests.conftest import EXAMPLE_LAW_ALPHAS, random_distribution
 
@@ -57,7 +57,7 @@ class TestPermutationDistribution:
                 {(1, 2): Fraction(3, 2), (2, 1): Fraction(-1, 2)},
                 "negative weight -1/2 for permutation (2, 1)",
             ),
-            (_OverScale({(1, 2): 1, (2, 1): 2}, 4), "weights sum to 3/4, expected exactly 1"),
+            (Checked(_OverScale({(1, 2): 1, (2, 1): 2}, 4)), "weights sum to 3/4, expected exactly 1"),
         ],
         ids=["short-sum", "long-sum", "negative", "short-sum-of-numerators"],
     )

@@ -15,6 +15,7 @@ from precedence import (
     WinningProbabilityFamily,
     tally,
 )
+from precedence.core import Checked
 from precedence.errors import DomainError
 from precedence.permdist import _OverScale
 
@@ -72,7 +73,8 @@ def test_a_fraction_value_is_kept_not_copied(build, stored):
 
 
 def test_a_law_from_numerators_compares_by_value_whatever_its_scale():
-    halves = PermutationDistribution(2, _OverScale({(1, 2): 2, (2, 1): 2}, 4))
+    halves = PermutationDistribution(2, Checked(_OverScale({(1, 2): 2, (2, 1): 2}, 4)))
+    assert halves.scale == 4
     assert halves == PermutationDistribution(2, {(1, 2): Fraction(1, 2), (2, 1): Fraction(1, 2)})
     assert halves != PermutationDistribution(2, {(1, 2): Fraction(1, 4), (2, 1): Fraction(3, 4)})
     with pytest.raises(TypeError):
