@@ -236,7 +236,8 @@ class SetInvariantLSModel:
         raw = members = None
         for (survivors, j), value in (rates.entries if checked else rates).items():
             if survivors is not raw:  # the entries of one subset object are checked once
-                raw = members = survivors if checked else subset_members(self.m, survivors)
+                raw = survivors
+                members = survivors if checked else subset_members(self.m, survivors)
             if type(j) is not int or j not in members:
                 raise DomainError(f"survivor {j!r} not in survivor set {members}")
             q = value if type(value) is Fraction else as_fraction(value, f"mu_{j} of {members}")

@@ -77,6 +77,12 @@ class TestEachEntryIsCheckedOnce:
         assert model_from_json_dict(doc) == model
         assert calls["subset_members"] == len(doc["rates"]) == 5 * 2**4
 
+    def test_a_model_built_by_hand_checks_each_survivor_set_object_once(self, monkeypatch):
+        pattern, schedule = pattern_cyclic(5), epsilon_schedule(5)
+        calls = counting(monkeypatch, loadsharing, "subset_members", subset_members)
+        build_ls_epsilon(pattern, schedule)  # the entries of one set share its tuple
+        assert calls["subset_members"] == 2**5 - 1
+
     def test_a_pattern_checks_each_set_once(self, monkeypatch):
         pattern = pattern_cyclic(5)
         doc = pattern.to_json_dict()
