@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ONE, ZERO, check_dimension, rational_format, subsets_of_size_at_least
+from .core import ONE, ZERO, Checked, check_dimension, rational_format, subsets_of_size_at_least
 from .errors import DomainError
 from .loadsharing import (
     EpsilonSchedule,
@@ -178,7 +178,7 @@ def build_ls_epsilon(sigma: RankingPattern, eps: EpsilonSchedule) -> SetInvarian
         row = rows[len(members)]
         for i, rank in fn.ranks:
             mu[(members, i)] = row[rank - 1]
-    return SetInvariantLSModel(m, mu, epsilon=eps)
+    return SetInvariantLSModel(m, Checked(mu), epsilon=eps)  # keys: the cached subset tuples
 
 
 @dataclass(frozen=True)

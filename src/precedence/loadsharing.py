@@ -231,7 +231,7 @@ class SetInvariantLSModel:
         if self.epsilon is not None and self.epsilon.m != self.m:
             raise DomainError(f"schedule has m={self.epsilon.m} but model has m={self.m}")
         rates = self.mu_by_survivors
-        checked = type(rates) is Checked  # from the loader: each survivor set checked
+        checked = type(rates) is Checked  # each survivor set checked where it entered
         clean: dict[tuple[tuple[int, ...], int], Fraction] = {}
         raw = members = None
         for (survivors, j), value in (rates.entries if checked else rates).items():

@@ -21,6 +21,7 @@ from precedence import (
     OrderDependentLSModel,
     PermutationDistribution,
     RankingPattern,
+    SetInvariantLSModel,
     VotingSituation,
     WinningProbabilityFamily,
     alpha_family,
@@ -78,9 +79,10 @@ class TestEachEntryIsCheckedOnce:
         assert calls["subset_members"] == len(doc["rates"]) == 5 * 2**4
 
     def test_a_model_built_by_hand_checks_each_survivor_set_object_once(self, monkeypatch):
-        pattern, schedule = pattern_cyclic(5), epsilon_schedule(5)
+        model = build_ls_epsilon(pattern_cyclic(5), epsilon_schedule(5))
         calls = counting(monkeypatch, loadsharing, "subset_members", subset_members)
-        build_ls_epsilon(pattern, schedule)  # the entries of one set share its tuple
+        # the entries of one set share its tuple
+        assert SetInvariantLSModel(5, dict(model.mu_by_survivors), model.epsilon) == model
         assert calls["subset_members"] == 2**5 - 1
 
     def test_a_pattern_checks_each_set_once(self, monkeypatch):
