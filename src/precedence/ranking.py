@@ -57,7 +57,9 @@ class RankingFunction:
                 raise DomainError(f"ranks {pairs} do not cover subset {members} exactly")
             for e, r in pairs:
                 if type(r) is not int:
-                    raise DomainError(f"rank {r!r} of member {e} in subset {members} is not an integer")
+                    raise DomainError(
+                        f"rank {r!r} of member {e} in subset {members} is not an integer"
+                    )
         image = {r for _, r in pairs}
         w = max(image)
         if image != set(range(1, w + 1)):
@@ -153,7 +155,8 @@ class RankingPattern:
         """The pattern of a document: ``m`` checked against the cap first, then
         each entry's members and ranks once, where they enter."""
         m = json_dimension(doc)
-        fns = json_entries(doc, "functions", {"set", "ranks"}, functools.partial(_function_entry, m))
+        entry = functools.partial(_function_entry, m)
+        fns = json_entries(doc, "functions", {"set", "ranks"}, entry)
         try:
             return cls(m, Checked(fns))
         except DomainError as ex:

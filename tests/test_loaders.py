@@ -248,7 +248,8 @@ def test_a_negative_weight_keeps_its_text():
 
 
 def test_a_value_built_from_another_values_field_is_checked_again():
-    loaded = PermutationDistribution.from_json_dict(PermutationDistribution.uniform(2).to_json_dict())
+    doc = PermutationDistribution.uniform(2).to_json_dict()
+    loaded = PermutationDistribution.from_json_dict(doc)
     assert PermutationDistribution(2, loaded.weights) == loaded
     with pytest.raises(DomainError) as info:
         PermutationDistribution(3, loaded.weights)

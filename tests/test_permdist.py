@@ -57,7 +57,10 @@ class TestPermutationDistribution:
                 {(1, 2): Fraction(3, 2), (2, 1): Fraction(-1, 2)},
                 "negative weight -1/2 for permutation (2, 1)",
             ),
-            (Checked(_OverScale({(1, 2): 1, (2, 1): 2}, 4)), "weights sum to 3/4, expected exactly 1"),
+            (
+                Checked(_OverScale({(1, 2): 1, (2, 1): 2}, 4)),
+                "weights sum to 3/4, expected exactly 1",
+            ),
         ],
         ids=["short-sum", "long-sum", "negative", "short-sum-of-numerators"],
     )
