@@ -58,7 +58,12 @@ from .permdist import PermutationDistribution, WinningProbabilityFamily
 from .ranking import ConcordanceReport, RankingPattern, check_p_concordance
 
 def invert_to_ls(rho: PermutationDistribution) -> OrderDependentLSModel:
-    """Order-dependent model whose failure-order law is exactly ``rho``."""
+    """Order-dependent model whose failure-order law is exactly ``rho``.
+
+    The rates are handed over as ``Checked``: each key is a prefix of one of
+    the law's checked permutations, or an (m-1)-permutation, and each rate is
+    a non-negative Fraction by construction, so the model checks none again.
+    """
     m = rho.m
     if m < 2:
         raise DomainError(f"inversion needs m >= 2, got m={m}")
@@ -73,7 +78,7 @@ def invert_to_ls(rho: PermutationDistribution) -> OrderDependentLSModel:
     ground_sum = m * (m + 1) // 2
     for prefix in itertools.permutations(range(1, m + 1), m - 1):
         rates[(prefix, ground_sum - sum(prefix))] = ONE
-    return OrderDependentLSModel(m, rates, default=ZERO)
+    return OrderDependentLSModel(m, Checked(rates), default=ZERO)
 
 
 def epsilon_schedule(m: int) -> EpsilonSchedule:

@@ -140,7 +140,11 @@ class OrderDependentLSModel:
 
     The table is complete by construction: any (prefix, j) pair not stored
     explicitly has the default rate. All rates are non-negative exact
-    rationals; prefixes run up to length m-1.
+    rationals; prefixes run up to length m-1. Rates handed over as
+    :class:`~precedence.core.Checked` (by the loader, or by
+    :func:`~precedence.construction.invert_to_ls`) are stored as they come,
+    and only the dimension and the default rate are checked; a mapping
+    built by hand, even another model's ``rates``, has every entry checked.
     """
 
     m: int
@@ -152,21 +156,18 @@ class OrderDependentLSModel:
         default = as_fraction(self.default, "default rate")
         if default < 0:
             raise DomainError(f"negative default rate {default}")
+        object.__setattr__(self, "default", default)
+        if type(self.rates) is Checked:  # each entry checked where it entered
+            object.__setattr__(self, "rates", self.rates.entries)
+            return
         clean: dict[tuple[tuple[int, ...], int], Fraction] = {}
         raw = prefix = None
         for (key, j), value in self.rates.items():
             if key is not raw:  # the entries of one prefix object are checked once
                 raw, prefix = key, validate_prefix(self.m, key)
-                if len(prefix) > self.m - 1:
-                    raise DomainError(f"prefix {prefix} too long for m={self.m}")
-            if type(j) is not int or not 1 <= j <= self.m or j in prefix:
-                raise DomainError(f"invalid survivor {j} for prefix {prefix}")
-            q = value if type(value) is Fraction else as_fraction(value, f"mu_{j}{prefix}")
-            if q.numerator < 0:
-                raise DomainError(f"negative rate {q} for mu_{j}{prefix}")
-            clean[(prefix, j)] = q
+            entry, q = _rate_entry(self.m, prefix, j, value)
+            clean[entry] = q
         object.__setattr__(self, "rates", clean)
-        object.__setattr__(self, "default", default)
 
     def rate(self, prefix: tuple[int, ...], j: int) -> Fraction:
         return self.rates.get((prefix, j), self.default)
@@ -203,14 +204,32 @@ class OrderDependentLSModel:
             doc,
             "rates",
             {"prefix", "j", "mu"},
-            lambda e: ((tuple(e["prefix"]), e["j"]), rational_parse(e["mu"])),
+            lambda e: _rate_entry(
+                m, validate_prefix(m, e["prefix"]), e["j"], rational_parse(e["mu"])
+            ),
         )
         try:
-            return cls(m, rates, rational_parse(doc.get("default", "0")))
+            return cls(m, Checked(rates), rational_parse(doc.get("default", "0")))
         except RationalParseError as ex:
             raise InputFormatError(f"default: {ex}") from ex
         except DomainError as ex:
             raise InputFormatError(str(ex)) from ex
+
+
+def _rate_entry(
+    m: int, prefix: tuple[int, ...], j: object, value: object
+) -> tuple[tuple[tuple[int, ...], int], Fraction]:
+    """The entry ``((prefix, j), mu_j(prefix))`` after a checked ``prefix``. Refused:
+    a prefix longer than m-1, a ``j`` that is not an int of [m] outside it, and a
+    rate that is not an int or a Fraction, or is negative."""
+    if len(prefix) >= m:
+        raise DomainError(f"prefix {prefix} too long for m={m}")
+    if type(j) is not int or not 1 <= j <= m or j in prefix:
+        raise DomainError(f"invalid survivor {j} for prefix {prefix}")
+    q = value if type(value) is Fraction else as_fraction(value, f"mu_{j}{prefix}")
+    if q.numerator < 0:
+        raise DomainError(f"negative rate {q} for mu_{j}{prefix}")
+    return (prefix, j), q
 
 
 @dataclass(frozen=True)
@@ -292,6 +311,8 @@ class SetInvariantLSModel:
         )
         eps = None
         if "epsilon" in doc:
+            if not isinstance(doc["epsilon"], list):
+                raise InputFormatError("epsilon: must be a list")
             try:
                 eps = EpsilonSchedule(m, tuple(map(rational_parse, doc["epsilon"])))
             except (RationalParseError, ScheduleError, TypeError) as ex:

@@ -27,11 +27,12 @@ from precedence import (
     alpha_family,
     build_ls_epsilon,
     epsilon_schedule,
+    invert_to_ls,
     pattern_cyclic,
 )
 from precedence import loadsharing, permdist, ranking, voting
 from precedence.cli import _write_json
-from precedence.core import subset_members, validate_permutation
+from precedence.core import subset_members, validate_permutation, validate_prefix
 from precedence.errors import DomainError, InputFormatError
 from precedence.loadsharing import model_from_json_dict
 
@@ -85,6 +86,23 @@ class TestEachEntryIsCheckedOnce:
         assert SetInvariantLSModel(5, dict(model.mu_by_survivors), model.epsilon) == model
         assert calls["subset_members"] == 2**5 - 1
 
+    def test_an_order_dependent_model_checks_each_prefix_once(self, monkeypatch):
+        model = invert_to_ls(PermutationDistribution.uniform(4))
+        doc = model.to_json_dict()
+        calls = counting(monkeypatch, loadsharing, "validate_prefix", validate_prefix)
+        assert model_from_json_dict(doc) == model
+        assert calls["validate_prefix"] == len(doc["rates"]) == 4 + 12 + 24 + 24
+
+    def test_inversion_hands_its_rates_over_checked(self, monkeypatch):
+        rho = PermutationDistribution.uniform(4)
+        calls = counting(monkeypatch, loadsharing, "validate_prefix", validate_prefix)
+        model = invert_to_ls(rho)
+        assert calls["validate_prefix"] == 0
+        # built by hand from its field, each prefix object is checked once
+        assert OrderDependentLSModel(4, dict(model.rates)) == model
+        prefixes = {prefix for prefix, _ in model.rates}
+        assert calls["validate_prefix"] == len(prefixes) == 1 + 4 + 12 + 24
+
     def test_a_pattern_checks_each_set_once(self, monkeypatch):
         pattern = pattern_cyclic(5)
         doc = pattern.to_json_dict()
@@ -110,7 +128,7 @@ TRUE_AFTER_AN_EQUAL_ENTRY = [
         "model",
         {"m": 3, "rates": [{"prefix": [1], "j": 2, "mu": "1"},
                            {"prefix": [True], "j": 3, "mu": "1"}], "default": "1"},
-        "prefix element True outside [3]",
+        "rates[1]: prefix element True outside [3]",
     ),
     (
         "model",
@@ -135,6 +153,40 @@ TRUE_AFTER_AN_EQUAL_ENTRY = [
 def test_true_after_an_equal_entry_is_refused(kind, doc, message):
     with pytest.raises(InputFormatError) as info:
         LOADERS[kind](doc)
+    assert str(info.value) == message
+
+
+SCHEDULE_MODEL_2 = [
+    {"survivors": s, "j": j, "mu": "1"} for s in ([1], [2], [1, 2]) for j in s
+]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"m": 3, "rates": [{"prefix": [[1]], "j": 2, "mu": "1"}]},
+            "rates[0]: prefix element [1] outside [3]",
+        ),
+        (
+            {"m": 3, "rates": [{"prefix": [1], "j": 1, "mu": "1"}]},
+            "rates[0]: invalid survivor 1 for prefix (1,)",
+        ),
+        (
+            {"m": 1, "rates": [{"survivors": [1], "j": 1, "mu": "1"}], "epsilon": "0"},
+            "epsilon: must be a list",
+        ),
+        (
+            {"m": 2, "rates": SCHEDULE_MODEL_2, "epsilon": {"0": None, "1/3": None}},
+            "epsilon: must be a list",
+        ),
+    ],
+    ids=["prefix-element-a-list", "survivor-in-its-prefix", "epsilon-a-string",
+         "epsilon-an-object"],
+)
+def test_a_model_document_names_the_bad_field(doc, message):
+    with pytest.raises(InputFormatError) as info:
+        model_from_json_dict(doc)
     assert str(info.value) == message
 
 
@@ -202,10 +254,10 @@ def printed(doc) -> str:
 
 
 @st.composite
-def law_documents(draw):
+def law_documents(draw, min_m=1):
     """A law document over m <= 5, with zero weights and literals not in lowest
     terms, and the Fractions its literals spell."""
-    m = draw(st.integers(1, 5))
+    m = draw(st.integers(min_m, 5))
     perms = list(itertools.permutations(range(1, m + 1)))
     support = draw(st.lists(st.sampled_from(perms), min_size=1, max_size=8, unique=True))
     weights = draw(st.lists(st.integers(0, 6), min_size=len(support), max_size=len(support)))
@@ -235,6 +287,18 @@ def test_a_loaded_law_equals_and_prints_as_the_law_built_by_hand(case):
     assert printed(alpha_family(loaded).to_json_list()) == printed(
         alpha_family(by_hand).to_json_list()
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(law_documents(min_m=2))
+def test_a_loaded_inversion_equals_and_prints_as_the_inversion(case):
+    rho = PermutationDistribution.from_json_dict(case[0])
+    model = invert_to_ls(rho)
+    text = printed(model.to_json_dict())
+    loaded = model_from_json_dict(json.loads(text))
+    assert loaded == model
+    assert printed(loaded.to_json_dict()) == text
+    assert OrderDependentLSModel(rho.m, dict(loaded.rates), loaded.default) == loaded
 
 
 def test_a_negative_weight_keeps_its_text():
