@@ -11,6 +11,11 @@ annotates each rational leaf with a 12-significant-digit float, never
 replacing the exact field. Output ordering is deterministic
 (lexicographic by subset, then by index) so certificates diff cleanly.
 
+The rate tables of ``ls invert``, ``ls build``, ``signature invert`` and of
+the model in ``concord certify``, and the count table of ``vote synth``, are
+written from row tuples (``core.JsonRows``), one block of rows at a time,
+never as one dict per row; ``--decimal`` turns them into dicts first.
+
 Integer options take ASCII decimal digits only. They are read first; then
 the document of every file option given loads before the handler runs, in
 the fixed order of ``_DOCUMENTS``; of several bad files, the first is
@@ -31,7 +36,7 @@ from fractions import Fraction
 from json.encoder import INFINITY, encode_basestring_ascii
 
 from . import construction, loadsharing, montecarlo, permdist, ranking, signature, voting
-from .core import RATIONAL_RE, decimal_int, rational_parse, subset_members
+from .core import RATIONAL_RE, JsonRows, decimal_int, rational_parse, subset_members
 from .errors import DomainError, InputFormatError, PrecedenceError
 
 
@@ -89,7 +94,10 @@ def _comma_list(text: str, option: str, parse, build):
 
 
 def _decimalize(node):
-    """Annotate rational-string leaves with a 12-significant-digit float."""
+    """Annotate rational-string leaves with a 12-significant-digit float; a
+    ``JsonRows`` becomes its dicts."""
+    if type(node) is JsonRows:
+        node = node.dicts()
     if isinstance(node, dict):
         return {k: _decimalize(v) for k, v in node.items()}
     if isinstance(node, list):
@@ -104,8 +112,10 @@ def _decimalize(node):
 
 
 def _doc(value) -> CommandResult:
-    """``value``'s document; exit code 1 if it is a report whose verdict is FAIL."""
-    return CommandResult(0 if getattr(value, "passed", True) else 1, value.to_json_dict())
+    """``value``'s document, its tables kept as ``JsonRows`` where the value has
+    them; exit code 1 if it is a report whose verdict is FAIL."""
+    document = getattr(value, "_json_doc", value.to_json_dict)
+    return CommandResult(0 if getattr(value, "passed", True) else 1, document())
 
 
 def _cmd_alpha(args, brute: bool) -> CommandResult:
@@ -305,14 +315,34 @@ def run(argv: list[str]) -> CommandResult:
 _FLUSH_PIECES = 4096
 
 
+def _row_layout(keys: tuple[str, ...], pad: str) -> tuple[str, str, str, str, str]:
+    """The text of a ``JsonRows`` written at indent ``pad``, built once per
+    table: one row object, with a ``%s`` per value; the separator of two
+    rows; and the lead, the separator and the close of a tuple value's list."""
+    inner, field = pad + "  ", pad + "    "
+    names = [encode_basestring_ascii(key).replace("%", "%%") for key in keys]
+    row = "{" + ",".join(f"\n{field}{name}: %s" for name in names) + "\n" + inner + "}"
+    row = row if keys else "{}"
+    return row, ",\n" + inner, "[\n" + field + "  ", ",\n" + field + "  ", "\n" + field + "]"
+
+
 def _write_json(doc, out) -> None:
     """Write ``doc`` and a newline to ``out``, byte for byte as
-    ``json.dump(doc, out, indent=2)`` followed by ``print()`` would.
+    ``json.dump(doc, out, indent=2)`` followed by ``print()`` would, with each
+    ``JsonRows`` written as its list of dicts.
 
     One walk appends text pieces to a list, written out whenever it holds
     _FLUSH_PIECES pieces, so a document of many megabytes is never joined
     whole. Tuples are written as lists; a key that is not a string, or a
     value of any type ``json.dump`` cannot write, raises TypeError.
+
+    A ``JsonRows`` is written from its row tuples, with no dict per row: the
+    rate tables of the models (``ls invert``, ``ls build``, ``signature
+    invert``, the model in ``concord certify``) and the count table of ``vote
+    synth``. Its rows go out in blocks of _FLUSH_PIECES values, one join of
+    each column's texts into a row template per block, and each full block is
+    written out. A value that is not an int, a str or a tuple of ints raises
+    TypeError.
     """
     pieces: list[str] = []
     append = pieces.append
@@ -343,6 +373,44 @@ def _write_json(doc, out) -> None:
                 return "-Infinity"
             return float.__repr__(node)
         raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+
+    def table(node: JsonRows, pad: str) -> None:
+        rows = node.rows
+        if not rows:
+            append("[]")
+            return
+        row, sep, opening, comma, close = _row_layout(node.keys, pad)
+
+        def numbers(values: tuple) -> str:
+            return opening + comma.join(map(integer, values)) + close if values else "[]"
+
+        def value(item) -> str:
+            if isinstance(item, str):
+                return text(item)
+            if isinstance(item, tuple):
+                return numbers(item)
+            if isinstance(item, int) and not isinstance(item, bool):
+                return integer(item)
+            kind = type(item).__name__
+            raise TypeError(f"a JsonRows value is an int, a str or a tuple, not {kind}")
+
+        formats = {str: text, int: integer, tuple: numbers}
+
+        def column_texts(column: tuple):
+            kind, *more = set(map(type, column))
+            return map(value if more else formats.get(kind, value), column)
+
+        size = max(_FLUSH_PIECES // (len(node.keys) or 1), 1)  # rows per block
+        lead = "[\n" + pad + "  "
+        for first in range(0, len(rows), size):
+            block = rows[first : first + size]
+            values = zip(*map(column_texts, zip(*block))) if node.keys else [()] * len(block)
+            append(lead)
+            append(sep.join(map(row.__mod__, values)))
+            lead = sep
+            if len(block) == size:
+                flush()
+        append("\n" + pad + "]")
 
     def walk(node, pad: str) -> None:
         if isinstance(node, (list, tuple)):
@@ -383,6 +451,8 @@ def _write_json(doc, out) -> None:
                 if len(pieces) >= _FLUSH_PIECES:
                     flush()
             append("\n" + pad + "}")
+        elif type(node) is JsonRows:
+            table(node, pad)
         else:
             append(leaf(node))
 

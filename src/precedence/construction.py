@@ -46,7 +46,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ONE, ZERO, Checked, check_dimension, rational_format, subsets_of_size_at_least
+from .core import ONE, ZERO, Checked, check_dimension, plain_json, rational_format
+from .core import subsets_of_size_at_least
 from .errors import DomainError
 from .loadsharing import (
     EpsilonSchedule,
@@ -205,12 +206,16 @@ class ConcordanceCertificate:
         return self.report.passed
 
     def to_json_dict(self) -> dict:
+        return plain_json(self._json_doc())
+
+    def _json_doc(self) -> dict:
+        """The document, the model's rate table as :class:`~precedence.core.JsonRows`."""
         return {
             "m": self.sigma.m,
             "verdict": self.verdict,
             "pattern": self.sigma.to_json_dict(),
             "epsilon": self.model.epsilon.to_json_list(),
-            "model": self.model.to_json_dict(),
+            "model": self.model._json_doc(),
             "alpha": self.alphas.to_json_list(),
             "violations": [v.to_json_dict() for v in self.report.violations],
         }

@@ -29,7 +29,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError, InputFormatError, PrecedenceError, RationalParseError
 
@@ -160,22 +160,86 @@ class Checked:
     entries: object
 
 
+_STR_ONLY = frozenset([str])
+
+
+@dataclass(frozen=True)
+class JsonRows:
+    """A JSON list of objects that share one key order, kept as row tuples.
+
+    ``rows`` is a sequence of tuples, one value per key of ``keys``: an int,
+    a str or a tuple of ints, which JSON writes as a list. The ints of a
+    tuple are not bools, as in the checked keys of every value class: the
+    writer takes them as ints unchecked. A document holding one is written by
+    the CLI straight from the tuples, with no dict per row
+    (``cli._write_json``); :meth:`dicts` is the same list as plain JSON, and
+    :func:`plain_json` puts it in place in a document.
+    """
+
+    keys: tuple[str, ...]
+    rows: Sequence[tuple]
+
+    def __post_init__(self) -> None:
+        keys = tuple(self.keys)
+        if not _STR_ONLY.issuperset(map(type, keys)) or len(set(keys)) < len(keys):
+            raise TypeError(f"keys must be distinct strs, got {keys!r}")
+        if not {len(keys)}.issuperset(map(len, self.rows)):
+            raise ValueError(f"each row needs {len(keys)} values, one per key")
+        object.__setattr__(self, "keys", keys)
+
+    def dicts(self) -> list[dict]:
+        """One dict per row, each tuple of ints as a list."""
+        keys, rows = self.keys, self.rows
+        # the package's tables have three keys (the models) or two (the votes),
+        # and a dict display is two to three times as fast as dict(zip(...))
+        if len(keys) == 3:
+            a, b, c = keys
+            return [
+                {
+                    a: list(x) if type(x) is tuple else x,
+                    b: list(y) if type(y) is tuple else y,
+                    c: list(z) if type(z) is tuple else z,
+                }
+                for x, y, z in rows
+            ]
+        if len(keys) == 2:
+            a, b = keys
+            return [
+                {a: list(x) if type(x) is tuple else x, b: list(y) if type(y) is tuple else y}
+                for x, y in rows
+            ]
+        return [{k: list(v) if type(v) is tuple else v for k, v in zip(keys, row)} for row in rows]
+
+
+def plain_json(doc: dict) -> dict:
+    """``doc`` with each :class:`JsonRows` in it, at any depth of objects, as its dicts."""
+    return {
+        key: value.dicts() if type(value) is JsonRows
+        else plain_json(value) if type(value) is dict else value
+        for key, value in doc.items()
+    }
+
+
 def int_format(value: int, field: str) -> str:
     """Decimal text of an output integer; DomainError naming ``field`` if too long."""
     try:
         return str(value)
     except ValueError:  # more digits than str() converts, 4300 by default
-        limit = sys.get_int_max_str_digits()
-        raise DomainError(f"{field}: integer has more than {limit} digits to print") from None
+        raise _too_many_digits(field) from None
+
+
+def _too_many_digits(field: str) -> DomainError:
+    limit = sys.get_int_max_str_digits()
+    return DomainError(f"{field}: integer has more than {limit} digits to print")
 
 
 def rational_format(value: Fraction | int) -> str:
     """Canonical text form: lowest terms, ``"n/d"``, plain ``"n"`` for integers."""
-    q = value if type(value) is Fraction else Fraction(value)
-    text = int_format(q.numerator, "rational")
-    if q.denominator == 1:
-        return text
-    return f"{text}/{int_format(q.denominator, 'rational')}"
+    n, d = (value if type(value) is Fraction else Fraction(value)).as_integer_ratio()
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:  # more digits than str() converts
+        raise _too_many_digits("rational") from None
 
 
 def max_dimension() -> int:

@@ -54,17 +54,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import (
     ONE,
     ZERO,
     Checked,
+    JsonRows,
     SubsetMask,
     as_fraction,
     check_dimension,
     json_dimension,
     json_entries,
+    plain_json,
     rational_format,
     rational_parse,
     subset_members,
@@ -187,26 +189,26 @@ class OrderDependentLSModel:
         return cls(m, {}, Fraction(rate))
 
     def to_json_dict(self) -> dict:
-        entries = sorted(self.rates)
+        return plain_json(self._json_doc())
+
+    def _json_doc(self) -> dict:
+        """The document, its rate table as :class:`~precedence.core.JsonRows`."""
+        rows = [(p, j, rational_format(mu)) for (p, j), mu in sorted(self.rates.items())]
         return {
             "m": self.m,
-            "rates": [
-                {"prefix": list(p), "j": j, "mu": rational_format(self.rates[(p, j)])}
-                for p, j in entries
-            ],
+            "rates": JsonRows(("prefix", "j", "mu"), rows),
             "default": rational_format(self.default),
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "OrderDependentLSModel":
         m = json_dimension(doc)
+        mu = _literal_reader()
         rates = json_entries(
             doc,
             "rates",
             {"prefix", "j", "mu"},
-            lambda e: _rate_entry(
-                m, validate_prefix(m, e["prefix"]), e["j"], rational_parse(e["mu"])
-            ),
+            lambda e: _rate_entry(m, validate_prefix(m, e["prefix"]), e["j"], mu(e["mu"])),
         )
         try:
             return cls(m, Checked(rates), rational_parse(doc.get("default", "0")))
@@ -214,6 +216,21 @@ class OrderDependentLSModel:
             raise InputFormatError(f"default: {ex}") from ex
         except DomainError as ex:
             raise InputFormatError(str(ex)) from ex
+
+
+def _literal_reader() -> Callable[[object], Fraction]:
+    """:func:`~precedence.core.rational_parse` for the entries of one document,
+    parsing each distinct literal once. Only a parsed literal is kept, so a bad
+    one is refused again at each entry that holds it."""
+    parsed: dict[str, Fraction] = {}
+
+    def read(text: object) -> Fraction:
+        q = parsed.get(text) if type(text) is str else None
+        if q is None:
+            q = parsed[text] = rational_parse(text)
+        return q
+
+    return read
 
 
 def _rate_entry(
@@ -284,18 +301,12 @@ class SetInvariantLSModel:
         return {j: self.mu_by_survivors[(survivors, j)] for j in survivors}
 
     def to_json_dict(self) -> dict:
-        entries = sorted(self.mu_by_survivors)
-        doc = {
-            "m": self.m,
-            "rates": [
-                {
-                    "survivors": list(s),
-                    "j": j,
-                    "mu": rational_format(self.mu_by_survivors[(s, j)]),
-                }
-                for s, j in entries
-            ],
-        }
+        return plain_json(self._json_doc())
+
+    def _json_doc(self) -> dict:
+        """The document, its rate table as :class:`~precedence.core.JsonRows`."""
+        rows = [(s, j, rational_format(mu)) for (s, j), mu in sorted(self.mu_by_survivors.items())]
+        doc = {"m": self.m, "rates": JsonRows(("survivors", "j", "mu"), rows)}
         if self.epsilon is not None:
             doc["epsilon"] = self.epsilon.to_json_list()
         return doc
@@ -303,11 +314,12 @@ class SetInvariantLSModel:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SetInvariantLSModel":
         m = json_dimension(doc)
+        read = _literal_reader()
         mu = json_entries(
             doc,
             "rates",
             {"survivors", "j", "mu"},
-            lambda e: ((subset_members(m, e["survivors"]), e["j"]), rational_parse(e["mu"])),
+            lambda e: ((subset_members(m, e["survivors"]), e["j"]), read(e["mu"])),
         )
         eps = None
         if "epsilon" in doc:

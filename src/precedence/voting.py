@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .construction import build_ls_epsilon, epsilon_schedule
-from .core import Checked, check_dimension, decimal_int, int_format, json_dimension
-from .core import json_entries, subset_members, validate_permutation
+from .core import Checked, JsonRows, check_dimension, decimal_int, int_format, json_dimension
+from .core import json_entries, plain_json, subset_members, validate_permutation
 from .errors import DomainError, InputFormatError
 from .loadsharing import distribution_of
 from .permdist import PermutationDistribution, _OverScale, failed_set_table, winner_sums
@@ -64,13 +64,12 @@ class VotingSituation:
         return sum(self.counts.values())
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "counts": [
-                {"perm": list(perm), "n": int_format(self.counts[perm], "counts")}
-                for perm in sorted(self.counts)
-            ],
-        }
+        return plain_json(self._json_doc())
+
+    def _json_doc(self) -> dict:
+        """The document, its count table as :class:`~precedence.core.JsonRows`."""
+        rows = [(perm, int_format(n, "counts")) for perm, n in sorted(self.counts.items())]
+        return {"m": self.m, "counts": JsonRows(("perm", "n"), rows)}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "VotingSituation":

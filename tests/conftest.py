@@ -1,5 +1,7 @@
 """Shared fixtures: the three-component worked example and random generators."""
 
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from precedence import (
     RankingPattern,
     invert_to_ls,
 )
+from precedence.cli import _write_json
 
 # A three-component failure-order law exhibiting a reversal: component 3
 # wins every head-to-head involving it, 1 and 2 tie head-to-head, and yet
@@ -86,3 +89,10 @@ def random_distribution(m: int, rng: random.Random, sparse: bool = True):
     return PermutationDistribution(
         m, {perm: Fraction(v, total) for perm, v in raw.items() if v}
     )
+
+
+def printed(result) -> object:
+    """The document the CLI prints for a ``cli.run`` result, read back from its text."""
+    out = io.StringIO()
+    _write_json(result.payload, out)
+    return json.loads(out.getvalue())

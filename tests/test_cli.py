@@ -27,7 +27,7 @@ from precedence import (
 from precedence import loadsharing, permdist
 from precedence.cli import _DOCUMENTS, _INTEGERS, build_parser, main, run
 from precedence.loadsharing import model_from_json_dict
-from tests.conftest import EXAMPLE_LAW_WEIGHTS, random_distribution
+from tests.conftest import EXAMPLE_LAW_WEIGHTS, printed, random_distribution
 
 
 @pytest.fixture
@@ -107,14 +107,14 @@ class TestPatternCommands:
 
 class TestModelCommands:
     def test_invert_roundtrips(self, law_file, example_law):
-        payload = run(["ls", "invert", "--dist", law_file]).payload
+        payload = printed(run(["ls", "invert", "--dist", law_file]))
         model = model_from_json_dict(payload)
         from precedence import distribution_of
 
         assert distribution_of(model) == example_law
 
     def test_build_emits_loadable_model(self, cyclic_file):
-        payload = run(["ls", "build", "--pattern", cyclic_file]).payload
+        payload = printed(run(["ls", "build", "--pattern", cyclic_file]))
         model = model_from_json_dict(payload)
         assert model.epsilon is not None
 
@@ -140,7 +140,7 @@ class TestCertifyCommand:
         assert result.payload["verdict"] == "PASS"
         assert result.payload["violations"] == []
         RankingPattern.from_json_dict(result.payload["pattern"])
-        model_from_json_dict(result.payload["model"])
+        model_from_json_dict(printed(result)["model"])
 
     def test_weak_pattern_is_input_error(self, tmp_path, example_pattern):
         path = tmp_path / "weak.json"
@@ -180,7 +180,7 @@ class TestVoteCommands:
         assert payload["n"] == str(10**400)
 
     def test_synth_roundtrips(self, cyclic_file):
-        payload = run(["vote", "synth", "--pattern", cyclic_file]).payload
+        payload = printed(run(["vote", "synth", "--pattern", cyclic_file]))
         vs = VotingSituation.from_json_dict(payload)
         assert vs.n > 0
 
@@ -205,10 +205,10 @@ class TestSignatureCommands:
         assert run(["signature", "compute", "--structure", structure_file]).exit_code == 2
 
     def test_invert_emits_loadable_model(self, structure_file):
-        payload = run(
+        payload = printed(run(
             ["signature", "invert", "--structure", structure_file,
              "--target", "1/2,1/2,0"]
-        ).payload
+        ))
         model = model_from_json_dict(payload)
         assert model.m == 3
 
@@ -234,7 +234,7 @@ class TestSignatureCommands:
 
 class TestSimulateCommand:
     def test_simulate_with_reference(self, law_file, tmp_path):
-        model_doc = run(["ls", "invert", "--dist", law_file]).payload
+        model_doc = printed(run(["ls", "invert", "--dist", law_file]))
         model_file = tmp_path / "model.json"
         model_file.write_text(json.dumps(model_doc))
         result = run(
@@ -291,7 +291,7 @@ class TestSimulateCommand:
 
     def test_a_file_named_twice_is_loaded_once(self, law_file, tmp_path, monkeypatch, capsys):
         model_file, copy = tmp_path / "model.json", tmp_path / "copy.json"
-        model_file.write_text(json.dumps(run(["ls", "invert", "--dist", law_file]).payload))
+        model_file.write_text(json.dumps(printed(run(["ls", "invert", "--dist", law_file]))))
         copy.write_bytes(model_file.read_bytes())
         loads = []
 
@@ -313,7 +313,7 @@ class TestSimulateCommand:
 
     def test_negative_seed_exits_two(self, law_file, tmp_path):
         model_file = tmp_path / "model.json"
-        model_file.write_text(json.dumps(run(["ls", "invert", "--dist", law_file]).payload))
+        model_file.write_text(json.dumps(printed(run(["ls", "invert", "--dist", law_file]))))
         result = run(["simulate", "--model", str(model_file), "--samples", "10", "--seed", "-1"])
         assert result.exit_code == 2
         assert "seed" in result.diagnostics[0]
@@ -690,7 +690,7 @@ def test_comma_list_entries_are_stripped(tmp_path):
     eps = run(["ls", "check-eps", "--eps", "0 , 1/5,1/6 "])
     assert eps.exit_code == 1 and eps.payload["verdict"] == "FAIL"
     invert = run(_with_files(["signature", "invert", "--target", " 0, 1 ,0"], tmp_path))
-    assert invert.exit_code == 0 and model_from_json_dict(invert.payload).m == 3
+    assert invert.exit_code == 0 and model_from_json_dict(printed(invert)).m == 3
 
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

@@ -95,6 +95,17 @@ class TestRationalParsing:
         assert rational_format(Fraction(0)) == "0"
         assert rational_format(Fraction(4, 2)) == "2"
         assert rational_format(Fraction(-5, 15)) == "-1/3"
+        assert rational_format(7) == "7"
+
+    @pytest.mark.parametrize(
+        "value",
+        [Fraction(10**4300), Fraction(1, 10**4300), -(10**4300)],
+        ids=["numerator", "denominator", "int"],
+    )
+    def test_format_refuses_an_integer_too_long_to_print(self, value):
+        with pytest.raises(DomainError) as info:
+            rational_format(value)
+        assert str(info.value) == "rational: integer has more than 4300 digits to print"
 
     @given(n=st.integers(-10**12, 10**12), d=st.integers(1, 10**12))
     def test_roundtrip(self, n, d):

@@ -26,13 +26,15 @@ from precedence import (
     WinningProbabilityFamily,
     alpha_family,
     build_ls_epsilon,
+    distribution_of,
     epsilon_schedule,
     invert_to_ls,
     pattern_cyclic,
 )
 from precedence import loadsharing, permdist, ranking, voting
 from precedence.cli import _write_json
-from precedence.core import subset_members, validate_permutation, validate_prefix
+from precedence.core import rational_parse, subset_members, validate_permutation
+from precedence.core import validate_prefix
 from precedence.errors import DomainError, InputFormatError
 from precedence.loadsharing import model_from_json_dict
 
@@ -54,6 +56,10 @@ def counting(monkeypatch, module, name, check):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def schedule_model(m: int) -> SetInvariantLSModel:
+    return build_ls_epsilon(pattern_cyclic(m), epsilon_schedule(m))
 
 
 class TestEachEntryIsCheckedOnce:
@@ -102,6 +108,24 @@ class TestEachEntryIsCheckedOnce:
         assert OrderDependentLSModel(4, dict(model.rates)) == model
         prefixes = {prefix for prefix, _ in model.rates}
         assert calls["validate_prefix"] == len(prefixes) == 1 + 4 + 12 + 24
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: invert_to_ls(distribution_of(schedule_model(6))),
+            lambda: schedule_model(5),
+        ],
+        ids=["dense-inversion-m6", "schedule-model-m5"],
+    )
+    def test_a_model_document_parses_each_distinct_literal_once(self, monkeypatch, build):
+        model = build()
+        doc = model.to_json_dict()
+        literals = Counter(entry["mu"] for entry in doc["rates"])
+        calls = counting(monkeypatch, loadsharing, "rational_parse", rational_parse)
+        assert model_from_json_dict(doc) == model
+        # the default rate and the schedule's entries are parsed on their own
+        others = ("default" in doc) + len(doc.get("epsilon", ()))
+        assert calls["rational_parse"] == len(literals) + others < len(doc["rates"])
 
     def test_a_pattern_checks_each_set_once(self, monkeypatch):
         pattern = pattern_cyclic(5)
@@ -180,9 +204,22 @@ SCHEDULE_MODEL_2 = [
             {"m": 2, "rates": SCHEDULE_MODEL_2, "epsilon": {"0": None, "1/3": None}},
             "epsilon: must be a list",
         ),
+        (
+            {"m": 2, "rates": [{"prefix": [], "j": j, "mu": mu} for j, mu in ((1, "1"), (2, [1]))]},
+            "rates[1]: not a rational literal: [1]",
+        ),
+        (
+            {"m": 3, "rates": [{"prefix": [], "j": j, "mu": "1/0"} for j in (1, 2)]},
+            "rates[0]: zero denominator: '1/0'",
+        ),
+        (
+            {"m": 2, "rates": [{"survivors": [j], "j": j, "mu": "x"} for j in (1, 2)]},
+            "rates[0]: not a rational literal: 'x'",
+        ),
     ],
     ids=["prefix-element-a-list", "survivor-in-its-prefix", "epsilon-a-string",
-         "epsilon-an-object"],
+         "epsilon-an-object",
+         "mu-a-list-after-a-literal", "mu-with-a-zero-denominator", "survivor-mu-not-a-literal"],
 )
 def test_a_model_document_names_the_bad_field(doc, message):
     with pytest.raises(InputFormatError) as info:

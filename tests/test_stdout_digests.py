@@ -16,8 +16,11 @@ from fractions import Fraction
 import pytest
 
 from precedence import (
+    OrderDependentLSModel,
     PermutationDistribution,
+    SetInvariantLSModel,
     StructureFunction,
+    VotingSituation,
     build_ls_epsilon,
     epsilon_schedule,
     pattern_cyclic,
@@ -25,6 +28,7 @@ from precedence import (
     synthesize_voting_situation,
 )
 from precedence.cli import main
+from precedence.core import JsonRows
 
 PATTERNS = {"very-paradox": pattern_very_paradox, "cyclic": pattern_cyclic}
 BRIDGE = {"r": 5, "path_sets": [[1, 4], [2, 5], [1, 3, 5], [2, 3, 4]]}
@@ -44,7 +48,7 @@ def documents(name: str, m: int) -> dict:
         return {}
     if name.startswith("certify-"):
         return {"--pattern": PATTERNS[name[len("certify-"):]](m).to_json_dict()}
-    if name == "vote-synth":
+    if name.startswith("vote-synth"):
         return {"--pattern": pattern_cyclic(m).to_json_dict()}
     if name.startswith("vote-"):
         docs = {"--votes": synthesize_voting_situation(pattern_cyclic(m)).to_json_dict()}
@@ -71,6 +75,7 @@ COMMANDS = {
     "certify-very-paradox": ["concord", "certify"],
     "certify-cyclic": ["concord", "certify"],
     "vote-synth": ["vote", "synth"],
+    "vote-synth-decimal": ["vote", "synth", "--decimal"],
     "vote-tally": ["vote", "tally"],
     "vote-check-pass": ["vote", "check"],
     "vote-check-fail": ["vote", "check"],
@@ -79,6 +84,7 @@ COMMANDS = {
     "oracle": ["oracle"],
     "pattern-induce": ["pattern", "induce"],
     "ls-invert": ["ls", "invert"],
+    "ls-invert-decimal": ["ls", "invert", "--decimal"],
     "pattern-gen": ["pattern", "gen", "--kind", "random", "--seed", "7", "--count", "3"],
     "pattern-gen-weak": [
         "pattern", "gen", "--kind", "random", "--seed", "7", "--count", "3", "--allow-weak"
@@ -106,6 +112,7 @@ DIGESTS = {
     "vote-synth-m3": (0, "9db661ff1ddb600f2523e52d338b7ef680210f7ef45c889f55cfccd2b0cbe191"),
     "vote-synth-m6": (0, "37e1caeb05c45f9d539b51e679252cb197c73ba1bcac4c26a3f4a444fdf2ac60"),
     "vote-synth-m7": (0, "2c3ec8aa4987f999e84cbf17b3accfc86dea7b7a8e0557a6808ac3c86d3fff55"),
+    "vote-synth-decimal-m4": (0, "bfe534623504c59089c1cd22b76912157d3444011ba499de6a6f69b5d519c21d"),
     "vote-tally-m3": (0, "c30896b32f1e78ede8b655b9efa0b3bb4814e71cb000e1d1ab81525c9502281e"),
     "vote-tally-m6": (0, "6cdba109cfde689df89ba0411dab248fdb308f42f5e68a292891d0c9ed56d3e5"),
     "vote-check-pass-m3": (0, "b58d3fdd5088ea219896b9d0a76ee2e65a4d9113eb0baa846aeb5be3d62f6ee2"),
@@ -123,6 +130,7 @@ DIGESTS = {
     "ls-invert-m4": (0, "d042c76ec158e40bff1522720717bfc327aff99cb58b8b98262ca0c31d4ef1e5"),
     "ls-invert-m6": (0, "0e48cd74d5ae4df8631099e31abb4367c57145c14e2aedac44cdb8bba476d83e"),
     "ls-invert-m7": (0, "061164450f0267e6123aa8a754e8ed38c4fd5a1f23591e813b3841e8494f348e"),
+    "ls-invert-decimal-m4": (0, "1cb3f4a48e77ec30411f061e32e4f714334496313323ff5780f040d36e4f2aaa"),
     "pattern-gen-m4": (0, "502920191720ff41c67d8c7b18b784bfe44d02f75c4b71064752398741ba1611"),
     "pattern-gen-weak-m4": (0, "134ec4835cb68f09593b5d1d1a96600b9159f6ada268effc661edaf25d5dcf03"),
     "pattern-gen-seed0-m5": (0, "40e70273fe29e96c84b54f7a27b388397e0dc1b9c17cf34fa69c1cb000da7a7b"),
@@ -142,10 +150,12 @@ def cases():
         for m in (3, 6):
             yield name, m
     yield "vote-synth", 7
+    yield "vote-synth-decimal", 4
     for name in ("alpha", "alpha-set", "oracle", "pattern-induce", "ls-invert"):
         for m in (4, 6):
             yield name, m
     yield "ls-invert", 7
+    yield "ls-invert-decimal", 4
     yield "pattern-gen", 4
     yield "pattern-gen-weak", 4
     yield "pattern-gen-seed0", 5
@@ -174,4 +184,20 @@ def run_case(name: str, m: int, tmp_path, capsys) -> tuple[int, str]:
 @pytest.mark.parametrize("name, m", list(cases()), ids=[f"{n}-m{m}" for n, m in cases()])
 def test_stdout_is_pinned(name, m, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PRECEDENCE_MAX_M", "10")
+    assert run_case(name, m, tmp_path, capsys) == DIGESTS[f"{name}-m{m}"]
+
+
+@pytest.mark.parametrize(
+    "name, m", [("ls-invert", 4), ("ls-invert", 7), ("vote-synth", 6), ("certify-cyclic", 5)]
+)
+def test_tables_are_printed_with_no_dict_per_row(name, m, tmp_path, capsys, monkeypatch):
+    """The model and vote tables go from row tuples to text: no ``to_json_dict``
+    of theirs runs, and no ``JsonRows`` is turned into dicts."""
+
+    def refuse(*args):
+        raise AssertionError("a table was built as one dict per row")
+
+    for owner in (OrderDependentLSModel, SetInvariantLSModel, VotingSituation):
+        monkeypatch.setattr(owner, "to_json_dict", refuse)
+    monkeypatch.setattr(JsonRows, "dicts", refuse)
     assert run_case(name, m, tmp_path, capsys) == DIGESTS[f"{name}-m{m}"]
