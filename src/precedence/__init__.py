@@ -52,7 +52,6 @@ from .montecarlo import (
     Trajectory,
     estimate_alphas,
     sample_trajectories,
-    sample_trajectory,
 )
 from .permdist import (
     MajorityDigraph,
@@ -60,9 +59,7 @@ from .permdist import (
     WinningProbabilityFamily,
     alpha_family,
     alpha_family_bruteforce,
-    conditional_next,
     majority_digraph,
-    pk_marginal,
 )
 from .ranking import (
     ConcordanceReport,

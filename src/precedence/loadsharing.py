@@ -256,6 +256,9 @@ class SetInvariantLSModel:
     Order-independence is structural. When built from an epsilon schedule
     the schedule travels with the model (``epsilon``, over the model's m)
     so that bound checks and certificates read it; equality ignores it.
+    Rates handed over as :class:`~precedence.core.Checked` are stored as they
+    come, and only completeness and the zero totals are checked; a mapping
+    built by hand has every entry checked.
     """
 
     m: int
@@ -266,20 +269,16 @@ class SetInvariantLSModel:
         check_dimension(self.m)
         if self.epsilon is not None and self.epsilon.m != self.m:
             raise DomainError(f"schedule has m={self.epsilon.m} but model has m={self.m}")
-        rates = self.mu_by_survivors
-        checked = type(rates) is Checked  # each survivor set checked where it entered
-        clean: dict[tuple[tuple[int, ...], int], Fraction] = {}
-        raw = members = None
-        for (survivors, j), value in (rates.entries if checked else rates).items():
-            if survivors is not raw:  # the entries of one subset object are checked once
-                raw = survivors
-                members = survivors if checked else subset_members(self.m, survivors)
-            if type(j) is not int or j not in members:
-                raise DomainError(f"survivor {j!r} not in survivor set {members}")
-            q = value if type(value) is Fraction else as_fraction(value, f"mu_{j} of {members}")
-            if q.numerator < 0:
-                raise DomainError(f"negative rate {q} for mu_{j} with survivors {members}")
-            clean[(members, j)] = q
+        if type(self.mu_by_survivors) is Checked:  # each entry checked where it entered
+            clean = self.mu_by_survivors.entries
+        else:
+            clean = {}
+            raw = members = None
+            for (survivors, j), value in self.mu_by_survivors.items():
+                if survivors is not raw:  # the entries of one subset object are checked once
+                    raw, members = survivors, subset_members(self.m, survivors)
+                entry, q = _survivor_rate_entry(members, j, value)
+                clean[entry] = q
         for members in subsets_of_size_at_least(self.m, 1):
             for j in members:
                 if (members, j) not in clean:
@@ -319,7 +318,7 @@ class SetInvariantLSModel:
             doc,
             "rates",
             {"survivors", "j", "mu"},
-            lambda e: ((subset_members(m, e["survivors"]), e["j"]), read(e["mu"])),
+            lambda e: _survivor_rate_entry(subset_members(m, e["survivors"]), e["j"], read(e["mu"])),
         )
         eps = None
         if "epsilon" in doc:
@@ -331,8 +330,22 @@ class SetInvariantLSModel:
                 raise InputFormatError(f"epsilon: {ex}") from ex
         try:
             return cls(m, Checked(mu), eps)
-        except DomainError as ex:
-            raise InputFormatError(str(ex)) from ex
+        except DomainError as ex:  # completeness or a zero total
+            raise InputFormatError(f"rates: {ex}") from ex
+
+
+def _survivor_rate_entry(
+    members: tuple[int, ...], j: object, value: object
+) -> tuple[tuple[tuple[int, ...], int], Fraction]:
+    """The entry ``((members, j), mu_j)`` after a checked survivor set. Refused: a
+    ``j`` that is not an int of ``members``, and a rate that is not an int or a
+    Fraction, or is negative."""
+    if type(j) is not int or j not in members:
+        raise DomainError(f"survivor {j!r} not in survivor set {members}")
+    q = value if type(value) is Fraction else as_fraction(value, f"mu_{j} of {members}")
+    if q.numerator < 0:
+        raise DomainError(f"negative rate {q} for mu_{j} with survivors {members}")
+    return (members, j), q
 
 
 LoadSharingModel = OrderDependentLSModel | SetInvariantLSModel

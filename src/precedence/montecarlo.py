@@ -204,13 +204,6 @@ class _SamplerTables:
         return last.prefixes[leaf] + (int(last.survivors[leaf, 0]),)
 
 
-def sample_trajectory(model: LoadSharingModel, rng: np.random.Generator) -> Trajectory:
-    """Draw one failure history from ``rng``: m uniforms, then m exponentials."""
-    tables = _SamplerTables(model)
-    leaf, times = tables.walk(rng.random((1, model.m)), rng.standard_exponential((1, model.m)))
-    return Trajectory(tables.order(int(leaf[0])), tuple(times[0].tolist()))
-
-
 def _blocks(
     n_samples: int, seed: int, m: int, times: bool
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:

@@ -4,8 +4,9 @@ A :class:`PermutationDistribution` is the joint law of the failure-order
 indices (J_1, ..., J_m) over the permutations of [m]: J_r = i exactly when
 component i is the r-th to fail. From it everything else follows exactly:
 
-* prefix marginals  p_k(j_1, ..., j_k) = P(J_1 = j_1, ..., J_k = j_k),
-* conditional next-failure probabilities,
+* prefix marginals  p_k(j_1, ..., j_k) = P(J_1 = j_1, ..., J_k = j_k); the
+  conditional next-failure probabilities are ratios of two of them, and
+  they are the rates ``construction.invert_to_ls`` returns,
 * the family of winning probabilities  alpha_j(A) = P(component j fails
   first among A), for every subset A with |A| >= 2,
 * the majority digraph of pairwise precedence.
@@ -59,7 +60,6 @@ from .core import (
     subset_members,
     subsets_of_size_at_least,
     validate_permutation,
-    validate_prefix,
 )
 from .errors import DomainError, InputFormatError
 
@@ -288,29 +288,6 @@ class MajorityDigraph:
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "edges": [list(e) for e in sorted(self.edges)]}
-
-
-def pk_marginal(rho: PermutationDistribution, prefix: Iterable[int]) -> Fraction:
-    """Probability that the failure order starts with exactly ``prefix``."""
-    prefix = validate_prefix(rho.m, prefix)
-    if not prefix:
-        raise DomainError("prefix must be non-empty")
-    k = len(prefix)
-    return Fraction(sum(n for perm, n in rho.numerators.items() if perm[:k] == prefix), rho.scale)
-
-
-def conditional_next(
-    rho: PermutationDistribution, prefix: Iterable[int], j: int
-) -> Fraction:
-    """P(J_{k+1} = j | the first k failures were ``prefix``), with 0/0 := 0."""
-    prefix = validate_prefix(rho.m, prefix)
-    if j in prefix:
-        raise DomainError(f"index {j} already in prefix {prefix}")
-    validate_prefix(rho.m, prefix + (j,))
-    denom = pk_marginal(rho, prefix) if prefix else ONE
-    if denom == 0:
-        return ZERO
-    return pk_marginal(rho, prefix + (j,)) / denom
 
 
 def integer_weights(weights: Mapping[object, Fraction]) -> tuple[dict[object, int], int]:

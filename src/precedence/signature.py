@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .core import ONE, ZERO, as_fraction, check_dimension, json_dimension
+from .core import ONE, ZERO, Checked, as_fraction, check_dimension, json_dimension
 from .core import rational_format, subsets_of_size_at_least, validate_permutation
 from .errors import DomainError, InfeasibleTargetError, InputFormatError
 from .loadsharing import LoadSharingModel, SetInvariantLSModel, _model_table
@@ -71,10 +71,6 @@ class StructureFunction:
             raise DomainError(f"components {missing} appear in no path set (irrelevant)")
         object.__setattr__(self, "path_sets", tuple(sorted(sets, key=sorted)))
 
-    def works(self, working: Iterable[int]) -> bool:
-        alive = set(working)
-        return any(ps <= alive for ps in self.path_sets)
-
     @classmethod
     def series(cls, r: int) -> "StructureFunction":
         return cls(r, (frozenset(range(1, r + 1)),))
@@ -89,30 +85,6 @@ class StructureFunction:
         if not 1 <= k <= r:
             raise DomainError(f"need 1 <= k <= r, got k={k}, r={r}")
         return cls(r, tuple(frozenset(c) for c in itertools.combinations(range(1, r + 1), k)))
-
-    @classmethod
-    def from_truth_table(
-        cls, r: int, table: Mapping[tuple[int, ...], int]
-    ) -> "StructureFunction":
-        """Validate a full monotone truth table and extract minimal path sets.
-
-        ``table`` maps every 0/1 state vector (component i working iff
-        position i-1 is 1) to the system state. Monotonicity is checked
-        here, the relevance of every component by the constructor.
-        """
-        check_dimension(r)
-        states = list(itertools.product((0, 1), repeat=r))
-        if set(table) != set(states):
-            raise DomainError(f"truth table must cover all {2 ** r} states exactly")
-        phi = {s: int(bool(table[s])) for s in states}
-        if phi[(0,) * r] != 0 or phi[(1,) * r] != 1:
-            raise DomainError("structure must fail with no components and work with all")
-        for s in states:
-            for i in range(r):
-                if s[i] == 0 and phi[s] > phi[s[:i] + (1,) + s[i + 1 :]]:
-                    raise DomainError(f"structure is not monotone at state {s}")
-        working = [frozenset(i + 1 for i in range(r) if s[i]) for s in states if phi[s]]
-        return cls(r, tuple(ws for ws in working if not any(other < ws for other in working)))
 
     def to_json_dict(self) -> dict:
         return {"r": self.r, "path_sets": [sorted(ps) for ps in self.path_sets]}
@@ -229,11 +201,9 @@ def ls_for_target_signature(
         for j in chain:
             flow[alive][j] += mass
             alive = tuple(x for x in alive if x != j)
-    return SetInvariantLSModel(
-        r,
-        {
-            (alive, j): flow[alive][j] if alive in flow else ONE
-            for alive in subsets_of_size_at_least(r, 1)
-            for j in alive
-        },
-    )
+    rates = {
+        (alive, j): flow[alive].get(j, ZERO) if alive in flow else ONE
+        for alive in subsets_of_size_at_least(r, 1)
+        for j in alive
+    }
+    return SetInvariantLSModel(r, Checked(rates))  # keys: the cached subset tuples

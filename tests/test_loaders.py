@@ -20,8 +20,10 @@ from hypothesis import strategies as st
 from precedence import (
     OrderDependentLSModel,
     PermutationDistribution,
+    ProbabilitySignature,
     RankingPattern,
     SetInvariantLSModel,
+    StructureFunction,
     VotingSituation,
     WinningProbabilityFamily,
     alpha_family,
@@ -29,7 +31,9 @@ from precedence import (
     distribution_of,
     epsilon_schedule,
     invert_to_ls,
+    ls_for_target_signature,
     pattern_cyclic,
+    signature_from_ls,
 )
 from precedence import loadsharing, permdist, ranking, voting
 from precedence.cli import _write_json
@@ -91,6 +95,20 @@ class TestEachEntryIsCheckedOnce:
         # the entries of one set share its tuple
         assert SetInvariantLSModel(5, dict(model.mu_by_survivors), model.epsilon) == model
         assert calls["subset_members"] == 2**5 - 1
+
+    def test_a_checked_set_invariant_table_is_not_checked_entry_by_entry(self, monkeypatch):
+        check = loadsharing._survivor_rate_entry
+        calls = counting(monkeypatch, loadsharing, "_survivor_rate_entry", check)
+        model = schedule_model(5)
+        phi, target = StructureFunction.k_out_of_n(5, 3), ProbabilitySignature((0, 0, 1, 0, 0))
+        realized = ls_for_target_signature(phi, target)
+        assert calls["_survivor_rate_entry"] == 0
+        assert signature_from_ls(phi, realized) == target
+        assert {type(q) for q in realized.mu_by_survivors.values()} == {Fraction}
+        # loaded, or built by hand from its field, every entry is checked once
+        assert model_from_json_dict(model.to_json_dict()) == model
+        assert SetInvariantLSModel(5, dict(model.mu_by_survivors), model.epsilon) == model
+        assert calls["_survivor_rate_entry"] == 2 * len(model.mu_by_survivors) == 2 * 5 * 2**4
 
     def test_an_order_dependent_model_checks_each_prefix_once(self, monkeypatch):
         model = invert_to_ls(PermutationDistribution.uniform(4))
@@ -216,10 +234,23 @@ SCHEDULE_MODEL_2 = [
             {"m": 2, "rates": [{"survivors": [j], "j": j, "mu": "x"} for j in (1, 2)]},
             "rates[0]: not a rational literal: 'x'",
         ),
+        (
+            {"m": 2, "rates": [{"survivors": [1, 2], "j": 3, "mu": "1"}]},
+            "rates[0]: survivor 3 not in survivor set (1, 2)",
+        ),
+        (
+            {"m": 2, "rates": [{"survivors": [1, 2], "j": 1, "mu": "-1"}]},
+            "rates[0]: negative rate -1 for mu_1 with survivors (1, 2)",
+        ),
+        (
+            {"m": 2, "rates": [{"survivors": [1, 2], "j": j, "mu": "1"} for j in (1, 2)]},
+            "rates: missing rate for survivor 1 of set (1,)",
+        ),
     ],
     ids=["prefix-element-a-list", "survivor-in-its-prefix", "epsilon-a-string",
          "epsilon-an-object",
-         "mu-a-list-after-a-literal", "mu-with-a-zero-denominator", "survivor-mu-not-a-literal"],
+         "mu-a-list-after-a-literal", "mu-with-a-zero-denominator", "survivor-mu-not-a-literal",
+         "survivor-outside-its-set", "survivor-mu-negative", "survivor-set-missing"],
 )
 def test_a_model_document_names_the_bad_field(doc, message):
     with pytest.raises(InputFormatError) as info:

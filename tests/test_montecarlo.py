@@ -25,7 +25,6 @@ from precedence import (
     invert_to_ls,
     pattern_cyclic,
     sample_trajectories,
-    sample_trajectory,
     total_rate,
 )
 from precedence import montecarlo
@@ -64,8 +63,7 @@ def loop_trajectories(model, n_samples, seed):
 
 class TestSampleTrajectory:
     def test_trajectory_shape(self, example_model):
-        rng = np.random.default_rng(1)
-        tr = sample_trajectory(example_model, rng)
+        tr = next(sample_trajectories(example_model, 1, seed=1))
         assert sorted(tr.order) == [1, 2, 3]
         assert list(tr.times) == sorted(tr.times)
         assert all(t > 0 for t in tr.times)
@@ -88,28 +86,23 @@ class TestSampleTrajectory:
 
     @pytest.mark.parametrize("u, first", [(0.0, 2), (0.5, 3)])
     def test_uniform_on_a_bin_boundary_skips_zero_rate_survivors(self, u, first):
-        class FixedDraws:  # a uniform exactly on a CDF entry, which Philox rarely hits
-            def random(self, size):
-                return np.full(size, u)
-
-            def standard_exponential(self, size):
-                return np.ones(size)
-
-        # first-step CDFs: (0, 1/2, 1) with 1 dead, (1/2, 1/2, 1) with 2 dead
+        # a uniform exactly on a CDF entry, which Philox rarely hits; first-step
+        # CDFs: (0, 1/2, 1) with 1 dead, (1/2, 1/2, 1) with 2 dead
         dead = 1 if u == 0.0 else 2
         model = OrderDependentLSModel(3, {((), dead): Fraction(0)}, default=1)
-        assert sample_trajectory(model, FixedDraws()).order[0] == first
+        tables = _SamplerTables(model)
+        leaf, _ = tables.walk(np.full((1, 3), u), np.ones((1, 3)))
+        assert tables.order(int(leaf[0]))[0] == first
 
     def test_point_mass_model_is_deterministic(self):
         model = invert_to_ls(PermutationDistribution.point_mass((2, 3, 1)))
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            assert sample_trajectory(model, rng).order == (2, 3, 1)
+        for tr in sample_trajectories(model, 20, seed=7):
+            assert tr.order == (2, 3, 1)
 
     def test_zero_total_rate_raises(self):
         model = OrderDependentLSModel(3, {}, default=0)
         with pytest.raises(SimulationError):
-            sample_trajectory(model, np.random.default_rng(0))
+            sample_trajectories(model, 1, seed=0)
 
 
 class TestSamplerRows:
@@ -220,8 +213,6 @@ class TestEstimateAlphas:
         # but the lone survivor's failure time is undefined
         with pytest.raises(SimulationError):
             list(sample_trajectories(model, 5000, seed=4))
-        with pytest.raises(SimulationError):
-            sample_trajectory(model, np.random.default_rng(0))
 
     def test_zero_total_rate_at_an_unreached_prefix_is_fine(self):
         # component 3 never fails first, so the dead prefix (3,) is never reached

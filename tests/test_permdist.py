@@ -13,12 +13,11 @@ from precedence import (
     WinningProbabilityFamily,
     alpha_family,
     alpha_family_bruteforce,
-    conditional_next,
+    invert_to_ls,
     majority_digraph,
-    pk_marginal,
 )
 from precedence import permdist
-from precedence.core import Checked, rational_format
+from precedence.core import ZERO, Checked, rational_format
 from precedence.permdist import _OverScale, winner_sums
 from tests.conftest import EXAMPLE_LAW_ALPHAS, random_distribution
 
@@ -188,55 +187,64 @@ class TestWinnerSums:
         assert sorted(sums) == list(sums)  # subsets in the cached lexicographic order
 
 
+def conditional(marginals, prefix, j):
+    """P(J_{k+1} = j | the first k failures were ``prefix``): a ratio of two
+    prefix marginals, with 0/0 := 0."""
+    denominator = marginals.get(prefix, ZERO) if prefix else 1
+    return marginals.get(prefix + (j,), ZERO) / denominator if denominator else ZERO
+
+
 class TestMarginals:
     def test_worked_example_first_failure(self, example_law):
-        assert pk_marginal(example_law, (1,)) == Fraction(1, 3)
-        assert pk_marginal(example_law, (3,)) == Fraction(4, 9)
+        marginals = example_law.prefix_marginals()
+        assert marginals[(1,)] == Fraction(1, 3)
+        assert marginals[(3,)] == Fraction(4, 9)
 
     def test_uniform_pair_prefix(self):
-        rho = PermutationDistribution.uniform(3)
-        assert pk_marginal(rho, (2, 3)) == Fraction(1, 6)
+        assert PermutationDistribution.uniform(3).prefix_marginals()[(2, 3)] == Fraction(1, 6)
 
     def test_full_prefix_equals_stored_weight(self, example_law):
+        marginals = example_law.prefix_marginals()
         for perm, w in example_law.weights.items():
-            assert pk_marginal(example_law, perm) == w
-
-    def test_rejects_empty_and_repeated(self, example_law):
-        with pytest.raises(DomainError):
-            pk_marginal(example_law, ())
-        with pytest.raises(DomainError):
-            pk_marginal(example_law, (1, 1))
+            assert marginals[perm] == w
 
     @settings(max_examples=40)
     @given(rho=distributions())
     def test_monotone_consistency(self, rho):
         # p_k(prefix) decomposes over the possible next failures
+        marginals = rho.prefix_marginals()
         for prefix in {perm[:k] for perm in rho.support() for k in (1, rho.m - 1)}:
-            if not prefix:
-                continue
             total = sum(
-                pk_marginal(rho, prefix + (j,))
+                marginals.get(prefix + (j,), ZERO)
                 for j in range(1, rho.m + 1)
                 if j not in prefix
             )
-            assert pk_marginal(rho, prefix) == total
+            assert marginals[prefix] == total
 
 
 class TestConditionalNext:
     def test_worked_example(self, example_law):
-        assert conditional_next(example_law, (2,), 1) == Fraction(1, 2)
+        assert conditional(example_law.prefix_marginals(), (2,), 1) == Fraction(1, 2)
 
     def test_uniform_symmetry(self):
-        rho = PermutationDistribution.uniform(3)
-        assert conditional_next(rho, (1,), 2) == Fraction(1, 2)
+        marginals = PermutationDistribution.uniform(3).prefix_marginals()
+        assert conditional(marginals, (1,), 2) == Fraction(1, 2)
 
     def test_zero_over_zero_convention(self):
-        rho = PermutationDistribution.point_mass((1, 2, 3))
-        assert conditional_next(rho, (3, 1), 2) == 0
+        marginals = PermutationDistribution.point_mass((1, 2, 3)).prefix_marginals()
+        assert conditional(marginals, (3, 1), 2) == 0
 
-    def test_rejects_j_in_prefix(self, example_law):
-        with pytest.raises(DomainError):
-            conditional_next(example_law, (2,), 2)
+    @settings(max_examples=40, deadline=None)
+    @given(rho=distributions(min_m=3, max_m=5))
+    def test_the_inversion_rates_are_the_ratios(self, rho):
+        # up to length m-2; after m-1 failures the inversion fixes the last rate to 1
+        marginals, model = rho.prefix_marginals(), invert_to_ls(rho)
+        ground = range(1, rho.m + 1)
+        for k in range(rho.m - 1):
+            for prefix in itertools.permutations(ground, k):
+                for j in ground:
+                    if j not in prefix:
+                        assert model.rate(prefix, j) == conditional(marginals, prefix, j)
 
 
 class TestAlphaFamily:

@@ -37,8 +37,9 @@ ONE_SERIES_PARALLEL = StructureFunction(3, (frozenset({1, 2}), frozenset({1, 3})
 
 
 def oracle_failure_step(path_sets, r, perm):
-    """Independent re-derivation: evaluate the structure on explicit
-    working sets instead of using StructureFunction.works."""
+    """Independent re-derivation: evaluate the structure on the explicit
+    working set after each failure, instead of taking failure_step's
+    min-max over the path sets."""
     for k in range(1, r + 1):
         alive = set(range(1, r + 1)) - set(perm[:k])
         if not any(set(ps) <= alive for ps in path_sets):
@@ -103,27 +104,6 @@ class TestStructureFunction:
 
     def test_json_roundtrip(self):
         assert StructureFunction.from_json_dict(BRIDGE.to_json_dict()) == BRIDGE
-
-    def test_truth_table_import_matches_path_sets(self):
-        table = {}
-        for state in itertools.product((0, 1), repeat=3):
-            alive = {i + 1 for i in range(3) if state[i]}
-            table[state] = 1 if ONE_SERIES_PARALLEL.works(alive) else 0
-        rebuilt = StructureFunction.from_truth_table(3, table)
-        assert rebuilt == ONE_SERIES_PARALLEL
-
-    def test_truth_table_rejects_non_monotone(self):
-        table = {s: 0 for s in itertools.product((0, 1), repeat=2)}
-        table[(1, 0)] = 1
-        table[(1, 1)] = 0
-        with pytest.raises(DomainError):
-            StructureFunction.from_truth_table(2, table)
-
-    def test_truth_table_rejects_irrelevant(self):
-        # phi ignores component 2 entirely
-        table = {s: s[0] for s in itertools.product((0, 1), repeat=2)}
-        with pytest.raises(DomainError, match="irrelevant"):
-            StructureFunction.from_truth_table(2, table)
 
 
 class TestFailureStep:
