@@ -93,22 +93,35 @@ def _comma_list(text: str, option: str, parse, build):
         raise InputFormatError(f"{option}: {ex}") from None
 
 
-def _decimalize(node):
-    """Annotate rational-string leaves with a 12-significant-digit float; a
-    ``JsonRows`` becomes its dicts."""
-    if type(node) is JsonRows:
-        node = node.dicts()
-    if isinstance(node, dict):
-        return {k: _decimalize(v) for k, v in node.items()}
-    if isinstance(node, list):
-        return [_decimalize(v) for v in node]
-    if isinstance(node, str) and RATIONAL_RE.match(node):
+def _approx(text: str) -> float | None:
+    """The 12-significant-digit float of a rational literal; None for any other
+    string, and for a rational too large for a float."""
+    if RATIONAL_RE.match(text):
         try:
-            approx = float(f"{float(Fraction(node)):.12g}")
+            return float(f"{float(Fraction(text)):.12g}")
         except OverflowError:
-            return node
-        return {"exact": node, "decimal": approx}
-    return node
+            pass
+    return None
+
+
+def _decimalize(doc):
+    """Annotate rational-string leaves with a 12-significant-digit float; a
+    ``JsonRows`` becomes its dicts. Each distinct string is read once per
+    call; each leaf still gets a dict of its own, so no two places share one."""
+    approx = functools.cache(_approx)
+
+    def walk(node):
+        if type(node) is JsonRows:
+            node = node.dicts()
+        if isinstance(node, dict):
+            return {k: walk(v) for k, v in node.items()}
+        if isinstance(node, list):  # the ints of a prefix or a set are kept as they are
+            return [v if type(v) is int else walk(v) for v in node]
+        if isinstance(node, str) and (value := approx(node)) is not None:
+            return {"exact": node, "decimal": value}
+        return node
+
+    return walk(doc)
 
 
 def _doc(value) -> CommandResult:

@@ -23,6 +23,10 @@ its exponentials. Reductions sum integer counts only, so summaries are
 bit-identical for a fixed seed. A row turns the integer rate numerators
 of its prefix into floats, each rounded once: r / total is float(mu / M),
 and the CDF adds them left to right, as ``np.cumsum`` would.
+
+numpy is needed by the sampler alone: the functions that draw, build
+arrays or walk them import it when they run, so importing this module, as
+the package and the CLI do, loads no numpy until the first draw.
 """
 
 from __future__ import annotations
@@ -30,13 +34,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, count
-from typing import Iterator, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .errors import DomainError, SimulationError
 from .loadsharing import LoadSharingModel, SetInvariantLSModel, _integer_row
 from .permdist import WinningProbabilityFamily, failed_set_table, winner_sums
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CHUNK_TRAJECTORIES = 4096
 
@@ -103,6 +108,8 @@ class _Level:
     """
 
     def __init__(self, k: int):
+        import numpy as np
+
         self.prefixes: list[tuple[int, ...]] = []
         self.survivors = np.empty((0, k), np.intp)
         self.cum = np.empty((0, k))
@@ -150,6 +157,8 @@ class _SamplerTables:
         return zip(*rows)
 
     def _extend(self, r: int, prefixes: list[tuple[int, ...]]) -> None:
+        import numpy as np
+
         survivors, cum, total = self._rows(prefixes)
         level = self.levels[r]
         level.prefixes += prefixes
@@ -167,6 +176,8 @@ class _SamplerTables:
         survivor spell its failure order, and the failure times when
         ``exponentials`` are given.
         """
+        import numpy as np
+
         node = np.zeros(len(uniforms), np.intp)
         sojourns = []
         for r, level in enumerate(self.levels):
@@ -212,6 +223,8 @@ def _blocks(
         raise DomainError(f"need at least one sample, got {n_samples}")
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
+    import numpy as np
+
     words = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     key = int(words[0]) | (int(words[1]) << 64)
     starts = range(0, n_samples, CHUNK_TRAJECTORIES)

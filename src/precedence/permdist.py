@@ -15,7 +15,8 @@ Every winner count in the package (laws, voter counts, Monte Carlo counts,
 load-sharing rates) sums one failed-set table: h[(S, j)] is the weight of
 the orders that fail exactly the set S first and j next, and alpha_j(A)
 sums h[(S, j)] over the subsets S of [m] \\ A: one subset-sum (zeta)
-transform per j (:func:`winner_sums`). The table holds ints only: counts
+transform per j (:func:`winner_sums`), run with Python int adds on a plain
+list, so no exact route needs numpy. The table holds ints only: counts
 as they are, and probabilities as the integer numerators over one scale
 that both value classes, a law and a family, store and every reader takes:
 a value built from Fractions lifts them to the lcm of their denominators
@@ -41,8 +42,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from operator import add
 
 from .core import (
     ONE,
@@ -322,20 +322,31 @@ def winner_sums(
     With h from :func:`failed_set_table` this is the weight of the orders in
     which j fails first among A; an entry no order reaches is 0. For each j
     one subset-sum (zeta) transform over the subsets of [m] \\ {j} gives the
-    sums for every A holding j: m - 1 passes, one per other member, each
-    adding half of the 2^(m-1) entries into the other half.
+    sums for every A holding j. The m transforms run together on one flat
+    list of m * 2^(m-1) Python ints, row j-1 holding those of j: m - 1
+    passes, one per bit of a column, each adding the half of the list
+    without the bit into the half with it, slice by slice.
     """
     size = 1 << (m - 1)
     lows = [(1 << (j - 1)) - 1 for j in range(1, m + 1)]
     # row j-1, column t: h[(S, j)], S the subset of [m] \ {j} whose mask is t
     # with a 0 put in at bit j-1, the bit of j
-    table = [[h.get(((t & low) | (t & ~low) << 1, j), 0) for t in range(size)]
-             for j, low in enumerate(lows, 1)]
-    sums = np.array(table, dtype=object)
+    sums = [h.get(((t & low) | (t & ~low) << 1, j), 0)
+            for j, low in enumerate(lows, 1) for t in range(size)]
+    n = len(sums)
     for bit in range(m - 1):  # add each column without the bit into the column with it
-        halves = sums.reshape(m, -1, 2, 1 << bit)
-        halves[:, :, 1] += halves[:, :, 0]
-    rows = sums.tolist()
+        step = 1 << bit
+        block = step << 1
+        # a row is a whole number of blocks, so the rows are walked as one list,
+        # with as few slice pairs as the pass allows: one per offset in the
+        # lower half of a block (strided), or one per block (contiguous)
+        if step <= n // block:
+            for i in range(step):
+                sums[step + i::block] = map(add, sums[step + i::block], sums[i::block])
+        else:
+            for k in range(0, n, block):
+                sums[k + step:k + block] = map(add, sums[k + step:k + block], sums[k:k + step])
+    rows = [sums[i:i + size] for i in range(0, n, size)]
     full = (1 << m) - 1
     out: dict[tuple[tuple[int, ...], int], int] = {}
     for members in subsets_of_size_at_least(m, 2):

@@ -25,7 +25,8 @@ from precedence import (
     pattern_very_paradox,
 )
 from precedence import loadsharing, permdist
-from precedence.cli import _DOCUMENTS, _INTEGERS, build_parser, main, run
+from precedence.cli import _DOCUMENTS, _INTEGERS, _decimalize, build_parser, main, run
+from precedence.core import RATIONAL_RE, JsonRows
 from precedence.loadsharing import model_from_json_dict
 from tests.conftest import EXAMPLE_LAW_WEIGHTS, printed, random_distribution
 
@@ -74,6 +75,55 @@ class TestAlphaCommands:
     def test_decimal_flag_annotates_without_replacing(self, law_file):
         payload = run(["alpha", "--dist", law_file, "--set", "1,3", "--decimal"]).payload
         assert payload["alpha"]["1"] == {"exact": "4/9", "decimal": 0.444444444444}
+
+
+def per_leaf_decimalize(node):
+    """``--decimal`` read leaf by leaf: every rational literal is parsed where it stands."""
+    if type(node) is JsonRows:
+        node = node.dicts()
+    if isinstance(node, dict):
+        return {k: per_leaf_decimalize(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [per_leaf_decimalize(v) for v in node]
+    if isinstance(node, str) and RATIONAL_RE.match(node):
+        try:
+            return {"exact": node, "decimal": float(f"{float(Fraction(node)):.12g}")}
+        except OverflowError:
+            return node
+    return node
+
+
+def annotated_leaves(node):
+    if isinstance(node, dict):
+        if set(node) == {"exact", "decimal"}:
+            return [node]
+        node = list(node.values())
+    return [leaf for item in node for leaf in annotated_leaves(item)] if isinstance(node, list) else []
+
+
+class TestDecimalize:
+    def test_matches_the_per_leaf_rule_and_shares_no_leaf(self):
+        huge = "1" + "0" * 400  # a rational too large for a float stays a plain string
+        rows = [((1,), 2, "1/3"), ((1, 2), 3, "1"), ((2,), 1, "1/3"), ((2, 1), 3, "1"), ((), 1, huge)]
+        doc = {
+            "m": 3,
+            "rates": JsonRows(("prefix", "j", "mu"), rows),
+            "alpha": [
+                {"set": [1, 2], "alpha": {"1": "1/3", "2": "2/3"}},
+                {"set": [1, 3], "alpha": {"1": "1/3", "3": "2/3"}},
+            ],
+            "verdict": "PASS",
+            "notes": ["PASS", "1/3", huge, "-2/7", "+4", "1/3x", "", True, None, 0.5, 7, [1, "1"]],
+        }
+        decimalized = _decimalize(doc)
+        assert decimalized == per_leaf_decimalize(doc)
+        assert decimalized["notes"][:4] == [
+            "PASS", {"exact": "1/3", "decimal": 0.333333333333}, huge,
+            {"exact": "-2/7", "decimal": -0.285714285714},
+        ]
+        leaves = annotated_leaves(decimalized)
+        assert len(leaves) == 12
+        assert len({id(leaf) for leaf in leaves}) == len(leaves)
 
 
 class TestPatternCommands:

@@ -17,7 +17,7 @@ from precedence import (
     majority_digraph,
 )
 from precedence import permdist
-from precedence.core import ZERO, Checked, rational_format
+from precedence.core import ZERO, Checked, rational_format, subsets_of_size_at_least
 from precedence.permdist import _OverScale, winner_sums
 from tests.conftest import EXAMPLE_LAW_ALPHAS, random_distribution
 
@@ -185,6 +185,54 @@ class TestWinnerSums:
         direct = direct_winner_sums(m, h)
         assert sums == direct
         assert sorted(sums) == list(sums)  # subsets in the cached lexicographic order
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_wide_weights_against_the_definition(self, m):
+        """Every (A, j) is the sum of h[(S, j)] over the subsets S of [m] \\ A,
+        read submask by submask, on weights of 300 to 3000 bits."""
+        rng = random.Random(m)
+        full = (1 << m) - 1
+        h = {
+            (s, j): rng.getrandbits(rng.randint(300, 3000))
+            for s in range(full + 1) for j in range(1, m + 1)
+            if not s >> (j - 1) & 1 and rng.random() < 0.8
+        }
+        sums = winner_sums(m, h)
+        assert list(sums) == [
+            (members, j) for members in subsets_of_size_at_least(m, 2) for j in members
+        ]
+        for (members, j), total in sums.items():
+            outside = full ^ sum(1 << (x - 1) for x in members)
+            direct, s = 0, outside
+            while True:
+                direct += h.get((s, j), 0)
+                if s == 0:
+                    break
+                s = (s - 1) & outside
+            assert total == direct, (members, j)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_each_pass_adds_half_the_entries(self, m):
+        """m - 1 passes, each adding half of the m * 2^(m-1) table entries: at
+        m = 1 none and the family is empty, at m = 2 one pass of two adds."""
+        adds = []
+
+        class Counted(int):
+            def __add__(self, other):
+                adds.append(1)
+                return Counted(int(self) + int(other))
+
+        h = {
+            (s, j): Counted(s * m + j)
+            for s in range(1 << m) for j in range(1, m + 1) if not s >> (j - 1) & 1
+        }
+        sums = winner_sums(m, h)
+        assert len(adds) == (m - 1) * m * (1 << (m - 1)) // 2
+        if m == 1:
+            assert sums == {}
+        if m == 2:
+            assert len(adds) == 2
+            assert sums == {((1, 2), 1): h[(0, 1)], ((1, 2), 2): h[(0, 2)]}
 
 
 def conditional(marginals, prefix, j):
