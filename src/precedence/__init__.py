@@ -20,7 +20,6 @@ from .construction import (
 )
 from .core import (
     SubsetMask,
-    all_permutations,
     enumerate_d,
     rational_format,
     rational_parse,

@@ -32,12 +32,11 @@ import functools
 import json
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from json.encoder import INFINITY, encode_basestring_ascii
 
 from . import construction, loadsharing, montecarlo, permdist, ranking, signature, voting
-from .core import RATIONAL_RE, JsonRows, decimal_int, rational_parse, subset_members
-from .errors import DomainError, InputFormatError, PrecedenceError
+from .core import JsonRows, decimal_int, rational_parse, subset_members
+from .errors import DomainError, InputFormatError, PrecedenceError, RationalParseError
 
 
 @dataclass
@@ -96,12 +95,10 @@ def _comma_list(text: str, option: str, parse, build):
 def _approx(text: str) -> float | None:
     """The 12-significant-digit float of a rational literal; None for any other
     string, and for a rational too large for a float."""
-    if RATIONAL_RE.match(text):
-        try:
-            return float(f"{float(Fraction(text)):.12g}")
-        except OverflowError:
-            pass
-    return None
+    try:
+        return float(f"{float(rational_parse(text)):.12g}")
+    except (RationalParseError, OverflowError):
+        return None
 
 
 def _decimalize(doc):
@@ -310,13 +307,12 @@ def run(argv: list[str]) -> CommandResult:
             value = getattr(args, dest, None)
             if value is not None:
                 setattr(args, dest, decimal_int(value, f"--{dest}"))
-        loaded: dict = {}  # by (loader, path): a file named twice is read once
+        # by (loader, path): a file named twice is read once
+        document = functools.cache(lambda load, path: load(_load_json(path)))
         for dest, load in _DOCUMENTS.items():
             path = getattr(args, dest, None)
             if path is not None:
-                if (load, path) not in loaded:
-                    loaded[load, path] = load(_load_json(path))
-                setattr(args, dest, loaded[load, path])
+                setattr(args, dest, document(load, path))
         result = args.handler(args)
     except PrecedenceError as ex:
         return CommandResult(2, None, [str(ex)])

@@ -189,26 +189,8 @@ class JsonRows:
 
     def dicts(self) -> list[dict]:
         """One dict per row, each tuple of ints as a list."""
-        keys, rows = self.keys, self.rows
-        # the package's tables have three keys (the models) or two (the votes),
-        # and a dict display is two to three times as fast as dict(zip(...))
-        if len(keys) == 3:
-            a, b, c = keys
-            return [
-                {
-                    a: list(x) if type(x) is tuple else x,
-                    b: list(y) if type(y) is tuple else y,
-                    c: list(z) if type(z) is tuple else z,
-                }
-                for x, y, z in rows
-            ]
-        if len(keys) == 2:
-            a, b = keys
-            return [
-                {a: list(x) if type(x) is tuple else x, b: list(y) if type(y) is tuple else y}
-                for x, y in rows
-            ]
-        return [{k: list(v) if type(v) is tuple else v for k, v in zip(keys, row)} for row in rows]
+        keys = self.keys
+        return [{k: list(v) if type(v) is tuple else v for k, v in zip(keys, row)} for row in self.rows]
 
 
 def plain_json(doc: dict) -> dict:
@@ -379,11 +361,6 @@ def validate_prefix(m: int, seq: Iterable[int]) -> tuple[int, ...]:
             raise DomainError(f"repeated element {x} in prefix {prefix}")
         seen.add(x)
     return prefix
-
-
-def all_permutations(m: int) -> Iterator[tuple[int, ...]]:
-    """The m! permutations of [m], lexicographically."""
-    return itertools.permutations(range(1, m + 1))
 
 
 def enumerate_d(b: SubsetMask, k: int) -> Iterator[tuple[int, ...]]:

@@ -17,8 +17,9 @@ its (m-1)-prefix: the last surviving component's rate never matters.
 Two representations are provided:
 
 * :class:`OrderDependentLSModel`: sparse ``(prefix, j) -> rate`` table
-  with a default-value slot (needed because set-invariant models assign
-  one rate to exponentially many prefixes).
+  with a default-value slot, the rate of every prefix the table omits: the
+  off-support prefixes of ``construction.invert_to_ls`` and the file
+  format's ``default`` field.
 * :class:`SetInvariantLSModel`: rates keyed by the *survivor set*, i.e.
   order-independent by construction.
 
@@ -51,6 +52,7 @@ special casing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -220,17 +222,10 @@ class OrderDependentLSModel:
 
 def _literal_reader() -> Callable[[object], Fraction]:
     """:func:`~precedence.core.rational_parse` for the entries of one document,
-    parsing each distinct literal once. Only a parsed literal is kept, so a bad
-    one is refused again at each entry that holds it."""
-    parsed: dict[str, Fraction] = {}
-
-    def read(text: object) -> Fraction:
-        q = parsed.get(text) if type(text) is str else None
-        if q is None:
-            q = parsed[text] = rational_parse(text)
-        return q
-
-    return read
+    parsing each distinct str once; a bad one, or a value that is not a str,
+    is refused again at each entry that holds it."""
+    parsed = functools.cache(rational_parse)
+    return lambda text: parsed(text) if type(text) is str else rational_parse(text)
 
 
 def _rate_entry(
@@ -278,6 +273,8 @@ class SetInvariantLSModel:
                 if survivors is not raw:  # the entries of one subset object are checked once
                     raw, members = survivors, subset_members(self.m, survivors)
                 entry, q = _survivor_rate_entry(members, j, value)
+                if entry in clean:  # two orders of one subset
+                    raise DomainError(f"duplicate entry {entry}")
                 clean[entry] = q
         for members in subsets_of_size_at_least(self.m, 1):
             for j in members:

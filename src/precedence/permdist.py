@@ -38,6 +38,7 @@ of the denominators, the scale of the law built from the same Fractions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
@@ -49,7 +50,6 @@ from .core import (
     ZERO,
     Checked,
     SubsetMask,
-    all_permutations,
     as_fraction,
     check_dimension,
     int_format,
@@ -121,7 +121,8 @@ class PermutationDistribution:
     @classmethod
     def uniform(cls, m: int) -> "PermutationDistribution":
         check_dimension(m)
-        return cls(m, Checked(_OverScale(dict.fromkeys(all_permutations(m), 1), math.factorial(m))))
+        perms = itertools.permutations(range(1, m + 1))
+        return cls(m, Checked(_OverScale(dict.fromkeys(perms, 1), math.factorial(m))))
 
     @classmethod
     def point_mass(cls, perm: Iterable[int]) -> "PermutationDistribution":
@@ -153,15 +154,14 @@ class PermutationDistribution:
         """The law of a document, as numerators over one scale: no Fraction is
         built, and nothing is checked twice (see the module docstring)."""
         m = json_dimension(doc)
-        terms = json_entries(
-            doc,
-            "weights",
-            {"perm", "p"},
-            lambda e: (validate_permutation(m, e["perm"]), rational_terms(e["p"])),
-        )
-        for perm, (n, d) in terms.items():
-            if n < 0:
-                raise InputFormatError(f"negative weight {Fraction(n, d)} for permutation {perm}")
+
+        def entry(e: dict) -> tuple[tuple[int, ...], tuple[int, int]]:
+            perm, terms = validate_permutation(m, e["perm"]), rational_terms(e["p"])
+            if terms[0] < 0:
+                raise DomainError(f"negative weight {Fraction(*terms)} for permutation {perm}")
+            return perm, terms
+
+        terms = json_entries(doc, "weights", {"perm", "p"}, entry)
         scale = math.lcm(*(d for _, d in terms.values()))
         numerators = {perm: n * (scale // d) for perm, (n, d) in terms.items() if n}
         try:
@@ -225,6 +225,8 @@ class WinningProbabilityFamily:
                 if type(j) is not int or j not in members:
                     raise DomainError(f"index {j!r} not in subset {members}")
                 q = value if type(value) is Fraction else as_fraction(value, f"alpha_{j}({members})")
+                if (members, j) in clean:  # two orders of one subset
+                    raise DomainError(f"duplicate entry {(members, j)}")
                 clean[(members, j)] = q
             numerators, scale = integer_weights(clean)
             object.__setattr__(self, "alphas", clean)
@@ -338,14 +340,9 @@ def winner_sums(
         step = 1 << bit
         block = step << 1
         # a row is a whole number of blocks, so the rows are walked as one list,
-        # with as few slice pairs as the pass allows: one per offset in the
-        # lower half of a block (strided), or one per block (contiguous)
-        if step <= n // block:
-            for i in range(step):
-                sums[step + i::block] = map(add, sums[step + i::block], sums[i::block])
-        else:
-            for k in range(0, n, block):
-                sums[k + step:k + block] = map(add, sums[k + step:k + block], sums[k:k + step])
+        # one strided slice pair per offset in the lower half of a block
+        for i in range(step):
+            sums[step + i::block] = map(add, sums[step + i::block], sums[i::block])
     rows = [sums[i:i + size] for i in range(0, n, size)]
     full = (1 << m) - 1
     out: dict[tuple[tuple[int, ...], int], int] = {}

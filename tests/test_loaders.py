@@ -259,9 +259,21 @@ def test_a_model_document_names_the_bad_field(doc, message):
 
 
 def test_a_negative_count_is_refused_where_it_enters():
-    with pytest.raises(InputFormatError) as info:
-        VotingSituation.from_json_dict({"m": 2, "counts": [{"perm": [1, 2], "n": -1}]})
-    assert str(info.value) == "counts[0].n: must be a non-negative integer, got -1"
+    for load, doc, message in [
+        (
+            VotingSituation.from_json_dict,
+            {"m": 2, "counts": [{"perm": [1, 2], "n": -1}]},
+            "counts[0].n: must be a non-negative integer, got -1",
+        ),
+        (  # a law's negative weight, before a later entry that is not a literal
+            PermutationDistribution.from_json_dict,
+            {"m": 2, "weights": [{"perm": [1, 2], "p": "-1"}, {"perm": [2, 1], "p": "x"}]},
+            "weights[0]: negative weight -1 for permutation (1, 2)",
+        ),
+    ]:
+        with pytest.raises(InputFormatError) as info:
+            load(doc)
+        assert str(info.value) == message
     with pytest.raises(DomainError) as info:  # a value built by hand keeps its own text
         VotingSituation(2, {(1, 2): -1})
     assert str(info.value) == "count for (1, 2) must be a non-negative integer"
@@ -373,7 +385,7 @@ def test_a_negative_weight_keeps_its_text():
     doc = {"m": 2, "weights": [{"perm": [1, 2], "p": "3/2"}, {"perm": [2, 1], "p": "-2/4"}]}
     with pytest.raises(InputFormatError) as info:
         PermutationDistribution.from_json_dict(doc)
-    assert str(info.value) == "negative weight -1/2 for permutation (2, 1)"
+    assert str(info.value) == "weights[1]: negative weight -1/2 for permutation (2, 1)"
     with pytest.raises(DomainError) as info:
         PermutationDistribution(2, {(1, 2): Fraction(3, 2), (2, 1): Fraction(-1, 2)})
     assert str(info.value) == "negative weight -1/2 for permutation (2, 1)"

@@ -111,10 +111,10 @@ class TestWinningProbabilityFamily:
                 "alphas over (1, 2) sum to 5/6, expected 1",
             ),
             (
-                # (2, 1) names the subset (1, 2) again: its entry replaces, not adds
+                # (2, 1) names the subset (1, 2) again: its entry is refused, not dropped
                 {((1, 2), 1): Fraction(1, 2), ((2, 1), 1): Fraction(1, 2),
                  ((1, 2), 2): Fraction(0)},
-                "alphas over (1, 2) sum to 1/2, expected 1",
+                "duplicate entry ((1, 2), 1)",
             ),
         ],
         ids=[

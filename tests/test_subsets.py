@@ -102,3 +102,12 @@ def test_constructors_check_every_subset_object(build):
         with pytest.raises(DomainError) as info:
             build(2, {((1, 2), 1): half, ((1, 2), 2): half, (bad, 1): half, (again, 3): half})
         assert str(info.value) == "element 3 outside [2]"
+
+
+@pytest.mark.parametrize("build", [SetInvariantLSModel, WinningProbabilityFamily])
+def test_constructors_refuse_one_subset_under_two_keys(build):
+    half = Fraction(1, 2)
+    for other in ((2, 1), SubsetMask.of(2, [1, 2])):  # a reordered tuple, a mask beside its tuple
+        with pytest.raises(DomainError) as info:
+            build(2, {((1, 2), 1): half, ((1, 2), 2): half, (other, 1): half, (other, 2): half})
+        assert str(info.value) == "duplicate entry ((1, 2), 1)"
