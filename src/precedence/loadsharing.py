@@ -26,8 +26,9 @@ Two representations are provided:
 Both answer ``rates_after(prefix)``: the row of every survivor's rate
 after a failure prefix, ascending by survivor. Every reader of more than
 one rate (:func:`total_rate`, :func:`prefix_probability`, the walker and
-the sampler) takes whole rows; ``rate(prefix, j)`` is the
-single-entry lookup.
+the sampler) takes whole rows; ``rate(prefix, j)`` is the single-entry
+lookup. The walker and the sampler read rows through :func:`_row_reader`,
+which builds a set-invariant row once per failed set, not once per order.
 
 The exact kernels run on ints, each row as integer numerators over its
 lcm, and build a Fraction only for a value they return.
@@ -384,6 +385,21 @@ def _integer_row(model: LoadSharingModel, prefix: tuple) -> tuple[dict[int, int]
     return numerators, sum(numerators.values()), scale
 
 
+def _row_reader(model: LoadSharingModel, build: Callable = _integer_row) -> Callable[[tuple], tuple]:
+    """``build(model, prefix)`` as a function of ``prefix``; a set-invariant model's row is
+    built once per failed set and kept while the reader lives."""
+    if not isinstance(model, SetInvariantLSModel):
+        return functools.partial(build, model)
+    rows: dict[frozenset[int], tuple] = {}
+
+    def read(prefix: tuple) -> tuple:
+        if (failed := frozenset(prefix)) not in rows:
+            rows[failed] = build(model, prefix)
+        return rows[failed]
+
+    return read
+
+
 def _walk(
     model: LoadSharingModel, pool: Iterable[int], depth: int
 ) -> Iterator[tuple[tuple[int, ...], int, int, dict[int, int]]]:
@@ -394,11 +410,11 @@ def _walk(
     first, up to length ``depth``; prefixes with total rate 0 are skipped.
     The stack holds ``depth`` levels of siblings, never the tree.
     """
-    pool = frozenset(pool)
+    pool, read = frozenset(pool), _row_reader(model)
     stack = [((), 1, 1)]
     while stack:
         prefix, num, den = stack.pop()
-        row, total, _ = _integer_row(model, prefix)
+        row, total, _ = read(prefix)
         if total == 0:
             continue
         den *= total
@@ -516,8 +532,8 @@ def beta_gamma_split(
     """
     members = subset_members(model.m, subset)
     ell = len(members)
-    if i not in members:
-        raise DomainError(f"index {i} not in subset {members}")
+    if type(i) is not int or i not in members:
+        raise DomainError(f"index {i!r} not in subset {members}")
     if ell < 2 or ell > model.m - 1:
         raise DomainError(
             f"split defined for 2 <= |A| <= m-1, got |A|={ell} with m={model.m}"
@@ -544,7 +560,7 @@ class PrefixBoundsReport:
         return self.lower <= self.probability <= self.upper
 
 
-def check_prefix_bounds(model: SetInvariantLSModel, prefix: Iterable[int]) -> PrefixBoundsReport:
+def check_prefix_bounds(model: LoadSharingModel, prefix: Iterable[int]) -> PrefixBoundsReport:
     """Verify the near-uniformity envelope of a schedule-built model.
 
     For a model with rates 1 - (rank - 1) * eps(|A|) and a schedule whose
@@ -556,7 +572,7 @@ def check_prefix_bounds(model: SetInvariantLSModel, prefix: Iterable[int]) -> Pr
     The schedule is the model's own ``epsilon``.
     """
     prefix = validate_prefix(model.m, prefix)
-    eps = model.epsilon
+    eps = getattr(model, "epsilon", None)  # an order-dependent model carries none
     if eps is None:
         raise DomainError("model carries no epsilon schedule")
     if not all(eps.decay_conditions()):

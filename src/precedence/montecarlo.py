@@ -37,7 +37,7 @@ from itertools import accumulate, count
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .errors import DomainError, SimulationError
-from .loadsharing import LoadSharingModel, SetInvariantLSModel, _integer_row
+from .loadsharing import LoadSharingModel, _integer_row, _row_reader
 from .permdist import WinningProbabilityFamily, failed_set_table, winner_sums
 
 if TYPE_CHECKING:
@@ -117,49 +117,36 @@ class _Level:
         self.child = np.empty((0, k), np.intp)
 
 
+def _float_row(model: LoadSharingModel, prefix: tuple) -> tuple[list[int], list[float], float]:
+    """The survivors, float CDF of the next victim and float total rate after ``prefix``."""
+    row, total, scale = _integer_row(model, prefix)
+    survivors = list(row)
+    try:  # int true division rounds correctly: total / scale is float(M), r / total float(mu / M)
+        float_total = total / scale
+    except OverflowError:  # an M past the float range rounds to inf: its sojourns are 0.0
+        float_total = float("inf")
+    if len(survivors) == 1:  # it fails last at any rate; only its failure time reads the total
+        return survivors, [1.0], float_total
+    if total == 0:
+        raise SimulationError(f"zero total rate at reached prefix {prefix}; model invalid on support")
+    cum = list(accumulate(r / total for r in row.values()))  # left to right, as np.cumsum
+    cum[-1] = 1.0  # guard against float round-off in the last bin
+    return survivors, cum, float_total
+
+
 class _SamplerTables:
     """Float transition tables, built lazily per reached prefix, one level per step."""
 
     def __init__(self, model: LoadSharingModel):
-        self.model = model
         self.m = model.m
         self.levels = [_Level(self.m - r) for r in range(self.m)]
-        # a set-invariant row depends only on the failed set: built once per set
-        self._by_set: dict | None = {} if isinstance(model, SetInvariantLSModel) else None
+        self.read = _row_reader(model, _float_row)  # holds no reference back to the tables
         self._extend(0, [()])
-
-    def _row(self, prefix: tuple[int, ...]) -> tuple[list[int], list[float], float]:
-        row, total, scale = _integer_row(self.model, prefix)
-        survivors = list(row)
-        # int true division rounds correctly: total / scale is float(M), r / total float(mu / M)
-        if len(survivors) == 1:
-            # the lone survivor fails last at any rate; only its failure time reads the total
-            return survivors, [1.0], total / scale
-        if total == 0:
-            raise SimulationError(
-                f"zero total rate at reached prefix {prefix}; model invalid on support"
-            )
-        cum = list(accumulate(r / total for r in row.values()))  # left to right, as np.cumsum
-        cum[-1] = 1.0  # guard against float round-off in the last bin
-        return survivors, cum, total / scale
-
-    def _rows(self, prefixes: list[tuple[int, ...]]) -> Iterator[tuple]:
-        """The survivors, float CDFs and float totals of the rows of ``prefixes``:
-        three sequences, in the order of ``prefixes``."""
-        if self._by_set is None:  # an order-dependent row is built once per prefix
-            return zip(*map(self._row, prefixes))
-        rows = []
-        for prefix in prefixes:
-            failed = frozenset(prefix)
-            if failed not in self._by_set:
-                self._by_set[failed] = self._row(prefix)
-            rows.append(self._by_set[failed])
-        return zip(*rows)
 
     def _extend(self, r: int, prefixes: list[tuple[int, ...]]) -> None:
         import numpy as np
 
-        survivors, cum, total = self._rows(prefixes)
+        survivors, cum, total = zip(*map(self.read, prefixes))
         level = self.levels[r]
         level.prefixes += prefixes
         level.survivors = np.vstack([level.survivors, np.array(survivors, np.intp)])

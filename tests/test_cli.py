@@ -361,6 +361,26 @@ class TestSimulateCommand:
         result = run(argv + ["--reference", str(model_file)])
         assert (result.exit_code, result.diagnostics) == (2, ["rates: must be a list"])
 
+    @pytest.mark.parametrize("kind", ["order-dependent", "set-invariant"])
+    def test_rates_past_the_float_range_simulate(self, tmp_path, kind):
+        # a total rate of 2 * 10**400 rounds to inf as a float; each r / total is
+        # still 1/2, as in the model with every rate 1
+        files = []
+        for mu in ("1" + "0" * 400, "1"):
+            if kind == "order-dependent":
+                rates = [{"prefix": [], "j": j, "mu": mu} for j in (1, 2)]
+                doc = {"m": 2, "rates": rates, "default": "1"}
+            else:
+                sets = ([1], [2], [1, 2])
+                rates = [{"survivors": s, "j": j, "mu": mu} for s in sets for j in s]
+                doc = {"m": 2, "rates": rates}
+            files.append(tmp_path / f"{kind}-{len(mu)}.json")
+            files[-1].write_text(json.dumps(doc))
+        argv = ["simulate", "--samples", "5", "--seed", "2", "--model"]
+        big, ones = (run(argv + [str(f)]) for f in files)
+        assert big.exit_code == 0
+        assert big.payload == ones.payload
+
     def test_negative_seed_exits_two(self, law_file, tmp_path):
         model_file = tmp_path / "model.json"
         model_file.write_text(json.dumps(printed(run(["ls", "invert", "--dist", law_file]))))

@@ -26,6 +26,7 @@ from precedence import (
     epsilon_schedule,
     enumerate_patterns,
     invert_to_ls,
+    pattern_cyclic,
     prefix_probability,
     total_rate,
 )
@@ -42,6 +43,18 @@ def random_model(m: int, rng: random.Random) -> OrderDependentLSModel:
                 if j not in prefix:
                     rates[(prefix, j)] = Fraction(rng.randint(1, 12), rng.randint(1, 12))
     return OrderDependentLSModel(m, rates)
+
+
+def random_set_invariant_model(m: int, rng: random.Random) -> SetInvariantLSModel:
+    """Random survivor-set rates, some of them 0, with every set's total positive."""
+    mu = {}
+    for size in range(1, m + 1):
+        for members in itertools.combinations(range(1, m + 1), size):
+            nums = [rng.randint(0, 6) for _ in members]
+            nums[rng.randrange(size)] = rng.randint(1, 6)
+            for j, num in zip(members, nums):
+                mu[(members, j)] = Fraction(num, rng.randint(1, 9))
+    return SetInvariantLSModel(m, mu)
 
 
 @st.composite
@@ -223,7 +236,7 @@ class TestDistributionOf:
         assert distribution_of(example_model) == example_law
 
     @settings(max_examples=60, deadline=None)
-    @given(model=order_dependent_models(min_m=2, max_m=5))
+    @given(model=st.one_of(order_dependent_models(min_m=2, max_m=5), set_invariant_models(max_m=5)))
     def test_weights_are_the_prefix_products(self, model):
         # prefix_probability multiplies Fractions, independent of the integer walker;
         # an order weighs what its (m-1)-prefix does, as the last rate is never read
@@ -250,6 +263,24 @@ class TestDistributionOf:
         assert rho.to_json_dict() == by_hand.to_json_dict()
         assert alpha_family(rho) == alpha_family(by_hand)
         assert dict(rho.prefix_marginals()) == dict(by_hand.prefix_marginals())
+
+    def test_set_invariant_rows_are_built_once_per_failed_set(self, monkeypatch):
+        model = build_ls_epsilon(pattern_cyclic(6), epsilon_schedule(6))
+        calls = []
+        rates_after = SetInvariantLSModel.rates_after
+
+        def counted(self, prefix):
+            calls.append(frozenset(prefix))
+            return rates_after(self, prefix)
+
+        monkeypatch.setattr(SetInvariantLSModel, "rates_after", counted)
+        distribution_of(model)
+        # the 2^6 - 6 - 1 failed sets the walker reaches (up to m - 2 members)
+        assert len(calls) == len(set(calls)) == 57
+        calls.clear()
+        beta_gamma_split(model, (1, 2), 1)
+        # the failed subsets of {3, 4, 5, 6}
+        assert len(calls) == len(set(calls)) == 16
 
     def test_constant_rates_give_uniform(self):
         for m in (2, 3, 4):
@@ -421,12 +452,14 @@ class TestBetaGammaSplit:
     def test_matches_bruteforce_partition(self):
         rng = random.Random(3)
         for m in (3, 4, 5):
-            model = random_model(m, rng)
-            for members in itertools.combinations(range(1, m + 1), 2):
-                for i in members:
-                    assert beta_gamma_split(model, members, i) == brute_beta_gamma(
-                        model, members, i
-                    )
+            sigma = next(enumerate_patterns(m, True, seed=m, limit=1))
+            models = random_model(m, rng), random_set_invariant_model(m, rng)
+            for model in models + (build_ls_epsilon(sigma, epsilon_schedule(m)),):
+                for members in itertools.combinations(range(1, m + 1), 2):
+                    for i in members:
+                        assert beta_gamma_split(model, members, i) == brute_beta_gamma(
+                            model, members, i
+                        )
 
     def test_identity_beta_plus_gamma_is_alpha(self):
         rng = random.Random(8)
@@ -441,6 +474,11 @@ class TestBetaGammaSplit:
     def test_full_set_is_rejected(self, example_model):
         with pytest.raises(DomainError):
             beta_gamma_split(example_model, (1, 2, 3), 1)
+
+    def test_bool_index_is_rejected(self):
+        with pytest.raises(DomainError) as info:
+            beta_gamma_split(OrderDependentLSModel.constant(3), (1, 2), True)
+        assert str(info.value) == "index True not in subset (1, 2)"
 
 
 class TestPrefixBounds:
@@ -474,9 +512,10 @@ class TestPrefixBounds:
         sigma = next(enumerate_patterns(3, True, seed=5, limit=1))
         model = build_ls_epsilon(sigma, epsilon_schedule(3))
         stripped = SetInvariantLSModel(3, dict(model.mu_by_survivors))
-        with pytest.raises(DomainError) as info:
-            check_prefix_bounds(stripped, (1,))
-        assert str(info.value) == "model carries no epsilon schedule"
+        for model in (stripped, OrderDependentLSModel.constant(3)):
+            with pytest.raises(DomainError) as info:
+                check_prefix_bounds(model, (1,))
+            assert str(info.value) == "model carries no epsilon schedule"
 
     def test_decaying_schedule_required(self):
         sigma = next(enumerate_patterns(3, True, seed=6, limit=1))

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from precedence import (
     DomainError,
     OrderDependentLSModel,
     PermutationDistribution,
+    SetInvariantLSModel,
     SimulationError,
     Trajectory,
     WinningProbabilityFamily,
@@ -110,16 +113,14 @@ class TestSamplerRows:
     @given(model=st.one_of(order_dependent_models(), set_invariant_models(min_m=1, max_m=5)))
     def test_rows_are_the_rounded_rate_ratios(self, model):
         assume(total_rate(model, ()) > 0)
-        tables = _SamplerTables(model)
+        read = _SamplerTables(model).read
         for k in range(model.m):
-            level = []
             for prefix in itertools.permutations(range(1, model.m + 1), k):
                 if total_rate(model, prefix) == 0 and k < model.m - 1:
                     with pytest.raises(SimulationError):
-                        tables._rows([prefix])
-                else:
-                    level.append(prefix)
-            for prefix, survivors, cum, float_total in zip(level, *tables._rows(level)):
+                        read(prefix)
+                    continue
+                survivors, cum, float_total = read(prefix)
                 rates = model.rates_after(prefix)
                 total = sum(rates.values())
                 assert survivors == list(rates)
@@ -143,6 +144,32 @@ class TestSamplerRows:
         assert len(reached) > len(built)  # prefixes of one failed set share its row
         assert set(built) == {frozenset(prefix) for prefix in reached}
         assert set(built.values()) == {1}
+
+    @pytest.mark.parametrize("model", [
+        OrderDependentLSModel.constant(4), build_ls_epsilon(pattern_cyclic(4), epsilon_schedule(4))
+    ])
+    def test_tables_are_freed_without_a_collection(self, model):
+        # a row reader bound to the tables would make them a reference cycle
+        gc.disable()
+        try:
+            tables = weakref.ref(_SamplerTables(model))
+            assert tables() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("kind", ["order-dependent", "set-invariant"])
+    def test_totals_past_the_float_range_give_zero_sojourns(self, kind):
+        big = Fraction(10**400)
+        if kind == "order-dependent":
+            model = OrderDependentLSModel(2, {((), 1): big, ((), 2): big}, default=1)
+        else:
+            rates = {((1,), 1): big, ((2,), 2): big, ((1, 2), 1): big, ((1, 2), 2): big}
+            model = SetInvariantLSModel(2, rates)
+        read = _SamplerTables(model).read
+        assert read(())[1:] == ([0.5, 1.0], math.inf)
+        for trajectory in sample_trajectories(model, 50, seed=1):
+            assert trajectory.times[0] == 0.0
+            assert list(trajectory.times) == sorted(trajectory.times)
 
 
 class TestEstimateAlphas:
