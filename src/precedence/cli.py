@@ -422,15 +422,21 @@ def _write_json(doc, out) -> None:
         append("\n" + pad + "]")
 
     def walk(node, pad: str) -> None:
-        if isinstance(node, (list, tuple)):
+        if isinstance(node, (list, tuple, dict)):
+            mapping = isinstance(node, dict)
+            opening, closing = "{}" if mapping else "[]"
             if not node:
-                append("[]")
+                append(opening + closing)
                 return
             inner = pad + "  "
-            lead, sep = "[\n" + inner, ",\n" + inner
-            for item in node:
+            lead, sep = opening + "\n" + inner, ",\n" + inner
+            for item in node.items() if mapping else node:
                 append(lead)
                 lead = sep
+                if mapping:
+                    key, item = item
+                    append(text(key))  # TypeError unless the key is a str
+                    append(": ")
                 if type(item) is str:
                     append(text(item))
                 elif type(item) is int:
@@ -439,27 +445,7 @@ def _write_json(doc, out) -> None:
                     walk(item, inner)
                 if len(pieces) >= _FLUSH_PIECES:
                     flush()
-            append("\n" + pad + "]")
-        elif isinstance(node, dict):
-            if not node:
-                append("{}")
-                return
-            inner = pad + "  "
-            lead, sep = "{\n" + inner, ",\n" + inner
-            for key, item in node.items():
-                append(lead)
-                lead = sep
-                append(text(key))  # TypeError unless the key is a str
-                append(": ")
-                if type(item) is str:
-                    append(text(item))
-                elif type(item) is int:
-                    append(integer(item))
-                else:
-                    walk(item, inner)
-                if len(pieces) >= _FLUSH_PIECES:
-                    flush()
-            append("\n" + pad + "}")
+            append("\n" + pad + closing)
         elif type(node) is JsonRows:
             table(node, pad)
         else:

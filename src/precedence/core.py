@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import os
 import re
 import sys
@@ -68,14 +67,6 @@ def rational_parse(text: str) -> Fraction:
     each side, and ``Fraction`` reduces the pair with one gcd.
     """
     return Fraction(*_literal_ints(text))
-
-
-def rational_terms(text: str) -> tuple[int, int]:
-    """The numerator and denominator of a rational literal in lowest terms,
-    refused as :func:`rational_parse` refuses it; no Fraction is built."""
-    n, d = _literal_ints(text)
-    g = math.gcd(n, d)
-    return n // g, d // g
 
 
 def decimal_int(value: object, where: str) -> int:

@@ -82,9 +82,9 @@ from .permdist import (
     PermutationDistribution,
     WinningProbabilityFamily,
     _OverScale,
+    _over_one_scale,
     failed_set_table,
     family_from_table,
-    integer_weights,
 )
 
 
@@ -381,7 +381,9 @@ def prefix_probability(model: LoadSharingModel, prefix: Iterable[int]) -> Fracti
 def _integer_row(model: LoadSharingModel, prefix: tuple) -> tuple[dict[int, int], int, int]:
     """``model.rates_after(prefix)`` as integer numerators over the lcm of its
     denominators: (numerator by survivor, their total, that lcm)."""
-    numerators, scale = integer_weights(model.rates_after(prefix))
+    row = model.rates_after(prefix)
+    scale = math.lcm(*(q.denominator for q in row.values()))
+    numerators = {j: q.numerator * (scale // q.denominator) for j, q in row.items()}
     return numerators, sum(numerators.values()), scale
 
 
@@ -422,20 +424,6 @@ def _walk(
         if len(prefix) < depth:
             children = [(prefix + (j,), num * r, den) for j, r in row.items() if r and j in pool]
             stack.extend(reversed(children))
-
-
-def _over_one_scale(fractions: dict[tuple, tuple[int, int]]) -> tuple[dict[tuple, int], int]:
-    """Numerators of the fractions ``n / d`` over the lcm of their reduced denominators.
-
-    The reduced denominators of the fractions sharing one d have the lcm
-    d // g, g the gcd of d and their numerators: one gcd chain per distinct d.
-    """
-    cut: dict[int, int] = {}
-    for n, d in fractions.values():
-        cut[d] = math.gcd(cut.get(d, d), n)
-    scale = math.lcm(*(d // g for d, g in cut.items()))
-    lift = {d: scale // (d // g) for d, g in cut.items()}
-    return {key: n // cut[d] * lift[d] for key, (n, d) in fractions.items()}, scale
 
 
 def _failure_law(model: LoadSharingModel) -> tuple[dict[tuple[int, ...], int], int]:

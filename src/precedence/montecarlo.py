@@ -15,7 +15,9 @@ sample first reaches their prefix, so a prefix with zero total rate raises
 only then: once per prefix for an order-dependent model, once per survivor
 set for a set-invariant one. A step's new rows join their level's arrays
 in one batch. A lone last survivor fails last whatever its rate, as in the
-exact law; its rate of 0 raises only when a failure time is drawn for it.
+exact law; its rate of 0 raises only when its row is built for a walk that
+draws failure times. A positive total below the float range rounds to 0.0,
+and its sojourns to inf.
 
 Reproducibility: a counter-based generator (Philox) is keyed once from
 the seed, and block i always draws from counter i, its uniforms before
@@ -31,6 +33,7 @@ the package and the CLI do, loads no numpy until the first draw.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, count
@@ -117,18 +120,25 @@ class _Level:
         self.child = np.empty((0, k), np.intp)
 
 
-def _float_row(model: LoadSharingModel, prefix: tuple) -> tuple[list[int], list[float], float]:
-    """The survivors, float CDF of the next victim and float total rate after ``prefix``."""
+def _float_row(
+    times: bool, model: LoadSharingModel, prefix: tuple
+) -> tuple[list[int], list[float], float]:
+    """The survivors, float CDF of the next victim and float total rate after ``prefix``.
+
+    With ``times``, a lone survivor of rate 0 is refused: no failure time exists.
+    ``times`` comes first, so that a partial binds it with no keyword to pass per call.
+    """
     row, total, scale = _integer_row(model, prefix)
     survivors = list(row)
     try:  # int true division rounds correctly: total / scale is float(M), r / total float(mu / M)
-        float_total = total / scale
+        float_total = total / scale  # an M below the float range rounds to 0.0: sojourns inf
     except OverflowError:  # an M past the float range rounds to inf: its sojourns are 0.0
         float_total = float("inf")
-    if len(survivors) == 1:  # it fails last at any rate; only its failure time reads the total
+    if len(survivors) == 1 and (total or not times):  # it fails last at any rate
         return survivors, [1.0], float_total
     if total == 0:
-        raise SimulationError(f"zero total rate at reached prefix {prefix}; model invalid on support")
+        cause = "no failure time exists" if len(survivors) == 1 else "model invalid on support"
+        raise SimulationError(f"zero total rate at reached prefix {prefix}; {cause}")
     cum = list(accumulate(r / total for r in row.values()))  # left to right, as np.cumsum
     cum[-1] = 1.0  # guard against float round-off in the last bin
     return survivors, cum, float_total
@@ -137,10 +147,11 @@ def _float_row(model: LoadSharingModel, prefix: tuple) -> tuple[list[int], list[
 class _SamplerTables:
     """Float transition tables, built lazily per reached prefix, one level per step."""
 
-    def __init__(self, model: LoadSharingModel):
+    def __init__(self, model: LoadSharingModel, times: bool = False):
         self.m = model.m
         self.levels = [_Level(self.m - r) for r in range(self.m)]
-        self.read = _row_reader(model, _float_row)  # holds no reference back to the tables
+        # holds no reference back to the tables
+        self.read = _row_reader(model, functools.partial(_float_row, times))
         self._extend(0, [()])
 
     def _extend(self, r: int, prefixes: list[tuple[int, ...]]) -> None:
@@ -161,21 +172,16 @@ class _SamplerTables:
 
         Returns each sample's row in the last level, whose prefix and lone
         survivor spell its failure order, and the failure times when
-        ``exponentials`` are given.
+        ``exponentials`` are given, which needs tables built with ``times``.
         """
         import numpy as np
 
         node = np.zeros(len(uniforms), np.intp)
         sojourns = []
         for r, level in enumerate(self.levels):
-            if exponentials is not None:
-                totals = level.total[node]
-                if not totals.all():  # only a lone last survivor can have rate 0
-                    prefix = level.prefixes[int(node[np.argmin(totals)])]
-                    raise SimulationError(
-                        f"zero total rate at reached prefix {prefix}; no failure time exists"
-                    )
-                sojourns.append(exponentials[:, r] / totals)
+            if exponentials is not None:  # a total of 0.0 is a positive M: its sojourns are inf
+                with np.errstate(divide="ignore"):
+                    sojourns.append(exponentials[:, r] / level.total[node])
             if r == self.m - 1:
                 break
             # the count of CDF entries <= u is searchsorted(side="right"): it
@@ -206,6 +212,9 @@ def _blocks(
     n_samples: int, seed: int, m: int, times: bool
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
     """The uniforms, then the exponentials if ``times``, of each sample block."""
+    for name, value in (("n_samples", n_samples), ("seed", seed)):
+        if type(value) is not int:  # a bool, a float or a numpy int is refused, not coerced
+            raise DomainError(f"{name} must be an int, got {value!r}")
     if n_samples < 1:
         raise DomainError(f"need at least one sample, got {n_samples}")
     if seed < 0:
@@ -228,7 +237,7 @@ def sample_trajectories(
 ) -> Iterator[Trajectory]:
     """The exact trajectory stream :func:`estimate_alphas` consumes."""
     blocks = _blocks(n_samples, seed, model.m, times=True)
-    tables = _SamplerTables(model)
+    tables = _SamplerTables(model, times=True)
     return (
         Trajectory(tables.order(leaf), tuple(row))
         for leaves, times in (tables.walk(*block) for block in blocks)

@@ -18,12 +18,12 @@ sums h[(S, j)] over the subsets S of [m] \\ A: one subset-sum (zeta)
 transform per j (:func:`winner_sums`), run with Python int adds on a plain
 list, so no exact route needs numpy. The table holds ints only: counts
 as they are, and probabilities as the integer numerators over one scale
-that both value classes, a law and a family, store and every reader takes:
-a value built from Fractions lifts them to the lcm of their denominators
-(:func:`integer_weights`), one built from numerators keeps them. So every
-exact route (:func:`alpha_family` and ``loadsharing.alpha_family_ls``)
-runs on ints from a law's numerators to its family's
-(:func:`family_from_table`). ``alpha_family_bruteforce`` instead scans
+that both value classes, a law and a family, store in one form and every
+reader takes: a value built from fractions lifts them to the lcm of their
+reduced denominators (``_over_one_scale``), one from numerators keeps them.
+So every exact route (:func:`alpha_family` and
+``loadsharing.alpha_family_ls``) runs on ints from a law's numerators to its
+family's (:func:`family_from_table`). ``alpha_family_bruteforce`` instead scans
 every support permutation through a position map, adding integer
 numerators, and shares no code with the table. The two take genuinely
 different routes and must agree bit-for-bit; the brute-force scanner is
@@ -31,9 +31,9 @@ kept as the cross-checking oracle (CLI ``oracle``).
 
 The value classes check numerators: signs, 0 <= n <= scale for an alpha,
 and each sum to the scale. A law read from a document checks ``m``
-against the cap first, then each permutation once, and parses each weight
-once into lowest-terms integers; it keeps their numerators over the lcm
-of the denominators, the scale of the law built from the same Fractions.
+against the cap first, then each permutation once, and reads each weight
+once into the integers it spells; the same lift keeps their numerators
+over the scale of the law built from the same Fractions.
 """
 
 from __future__ import annotations
@@ -50,13 +50,13 @@ from .core import (
     ZERO,
     Checked,
     SubsetMask,
+    _literal_ints,
     as_fraction,
     check_dimension,
     int_format,
     json_dimension,
     json_entries,
     rational_format,
-    rational_terms,
     subset_members,
     subsets_of_size_at_least,
     validate_permutation,
@@ -71,9 +71,9 @@ class PermutationDistribution:
     Zero-weight permutations are not stored; a missing permutation means
     weight 0. Instances are immutable and safe to share. Readers take
     integer ``numerators`` over one ``scale``, kept as a family keeps its
-    own (see :class:`WinningProbabilityFamily`): ``weights`` is the caller's
-    Fractions, or a law from numerators (a :class:`~precedence.core.Checked`
-    ``_OverScale``) builds each one when it is read.
+    own (see :class:`WinningProbabilityFamily`): ``weights`` is their
+    ``_OverScale`` view, lifted from the caller's Fractions or handed over
+    checked, and builds each Fraction when it is read.
     """
 
     m: int
@@ -85,19 +85,18 @@ class PermutationDistribution:
         check_dimension(self.m)
         if type(self.weights) is Checked:  # over a scale: keys permutations, numerators positive
             view = self.weights.entries
-            numerators, scale = view.numerators, view.scale
-            object.__setattr__(self, "weights", view)
         else:
-            clean: dict[tuple[int, ...], Fraction] = {}
+            clean: dict[tuple[int, ...], tuple[int, int]] = {}
             for perm, value in self.weights.items():
                 perm = validate_permutation(self.m, perm)
                 q = value if type(value) is Fraction else as_fraction(value, f"weight of {perm}")
                 if q.numerator < 0:
                     raise DomainError(f"negative weight {q} for permutation {perm}")
                 if q.numerator:
-                    clean[perm] = q
-            numerators, scale = integer_weights(clean)
-            object.__setattr__(self, "weights", clean)
+                    clean[perm] = q.as_integer_ratio()
+            view = _OverScale(*_over_one_scale(clean))
+        object.__setattr__(self, "weights", view)
+        numerators, scale = view.numerators, view.scale
         total = sum(numerators.values())
         if total != scale:
             raise DomainError(f"weights sum to {Fraction(total, scale)}, expected exactly 1")
@@ -156,24 +155,23 @@ class PermutationDistribution:
         m = json_dimension(doc)
 
         def entry(e: dict) -> tuple[tuple[int, ...], tuple[int, int]]:
-            perm, terms = validate_permutation(m, e["perm"]), rational_terms(e["p"])
+            perm, terms = validate_permutation(m, e["perm"]), _literal_ints(e["p"])
             if terms[0] < 0:
                 raise DomainError(f"negative weight {Fraction(*terms)} for permutation {perm}")
             return perm, terms
 
         terms = json_entries(doc, "weights", {"perm", "p"}, entry)
-        scale = math.lcm(*(d for _, d in terms.values()))
-        numerators = {perm: n * (scale // d) for perm, (n, d) in terms.items() if n}
+        weights = _over_one_scale({perm: t for perm, t in terms.items() if t[0]})
         try:
-            return cls(m, Checked(_OverScale(numerators, scale)))
+            return cls(m, Checked(_OverScale(*weights)))
         except DomainError as ex:
             raise InputFormatError(str(ex)) from ex
 
 
 class _OverScale(Mapping):
     """The Fractions ``n / scale`` of a dict of integer numerators, each built
-    when it is read: the ``weights`` of a law or the ``alphas`` of a family
-    made from numerators, and a law's prefix marginals."""
+    when it is read: the ``weights`` of every law, the ``alphas`` of every
+    family, and a law's prefix marginals."""
 
     def __init__(self, numerators: dict, scale: int):
         self.numerators, self.scale = numerators, scale
@@ -197,10 +195,10 @@ class WinningProbabilityFamily:
     members must be present and their alphas must sum exactly to 1.
 
     Comparisons and printing read integer ``numerators`` over one ``scale``.
-    A hand-built family keeps the caller's Fractions as ``alphas`` and lifts
-    them to the lcm of their denominators; one from :func:`family_from_table`
-    builds each Fraction of ``alphas`` when it is read. Equal alphas make
-    equal families, whatever the scales; laws compare the same way.
+    ``alphas`` is their ``_OverScale`` view, as a law's ``weights`` is: a
+    hand-built family lifts the caller's Fractions to the lcm of their
+    denominators, one from :func:`family_from_table` keeps the table's
+    numerators. Equal alphas make equal families, whatever the scales.
     """
 
     m: int
@@ -212,10 +210,8 @@ class WinningProbabilityFamily:
         check_dimension(self.m)
         if type(self.alphas) is Checked:  # over a scale: keys from the cached subset order
             view = self.alphas.entries
-            numerators, scale = view.numerators, view.scale
-            object.__setattr__(self, "alphas", view)
         else:
-            clean: dict[tuple[tuple[int, ...], int], Fraction] = {}
+            clean: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}
             raw = members = None
             for (subset, j), value in self.alphas.items():
                 if subset is not raw:  # the entries of one subset object are checked once
@@ -227,9 +223,10 @@ class WinningProbabilityFamily:
                 q = value if type(value) is Fraction else as_fraction(value, f"alpha_{j}({members})")
                 if (members, j) in clean:  # two orders of one subset
                     raise DomainError(f"duplicate entry {(members, j)}")
-                clean[(members, j)] = q
-            numerators, scale = integer_weights(clean)
-            object.__setattr__(self, "alphas", clean)
+                clean[(members, j)] = q.as_integer_ratio()
+            view = _OverScale(*_over_one_scale(clean))
+        object.__setattr__(self, "alphas", view)
+        numerators, scale = view.numerators, view.scale
         groups: dict[tuple[int, ...], list[int]] = {}
         for (members, j), n in numerators.items():
             if not 0 <= n <= scale:
@@ -292,10 +289,18 @@ class MajorityDigraph:
         return {"m": self.m, "edges": [list(e) for e in sorted(self.edges)]}
 
 
-def integer_weights(weights: Mapping[object, Fraction]) -> tuple[dict[object, int], int]:
-    """Numerators of ``weights`` over the lcm of their denominators, and that lcm."""
-    scale = math.lcm(*(w.denominator for w in weights.values()))
-    return {k: w.numerator * (scale // w.denominator) for k, w in weights.items()}, scale
+def _over_one_scale(fractions: Mapping[object, tuple[int, int]]) -> tuple[dict[object, int], int]:
+    """Numerators of the fractions ``n / d`` over the lcm of their reduced denominators.
+
+    The reduced denominators of the fractions sharing one d have the lcm
+    d // g, g the gcd of d and their numerators: one gcd chain per distinct d.
+    """
+    cut: dict[int, int] = {}
+    for n, d in fractions.values():
+        cut[d] = math.gcd(cut.get(d, d), n)
+    scale = math.lcm(*(d // g for d, g in cut.items()))
+    lift = {d: scale // (d // g) for d, g in cut.items()}
+    return {key: n // cut[d] * lift[d] for key, (n, d) in fractions.items()}, scale
 
 
 def failed_set_table(

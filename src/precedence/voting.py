@@ -151,4 +151,4 @@ def synthesize_voting_situation(sigma: RankingPattern) -> VotingSituation:
     those numerators, coprime with that scale, are the counts.
     """
     model = build_ls_epsilon(sigma, epsilon_schedule(sigma.m))
-    return VotingSituation(sigma.m, distribution_of(model).numerators)
+    return VotingSituation(sigma.m, Checked(distribution_of(model).numerators))

@@ -17,12 +17,12 @@ from precedence import (
 )
 from precedence.core import (
     RATIONAL_RE,
+    _literal_ints,
     check_dimension,
     decimal_int,
     json_entries,
     json_dimension,
     max_dimension,
-    rational_terms,
     validate_permutation,
     validate_prefix,
 )
@@ -43,8 +43,9 @@ class TestRationalParsing:
          "1_000", " 5", "5\n", "\u0663", "1/\u0662"],
     )
     def test_rejects(self, bad):
-        with pytest.raises(RationalParseError):
-            rational_parse(bad)
+        for parse in (rational_parse, _literal_ints):
+            with pytest.raises(RationalParseError):
+                parse(bad)
 
     def test_rejects_more_digits_than_int_converts(self):
         with pytest.raises(RationalParseError, match="too long"):
@@ -73,7 +74,8 @@ class TestRationalParsing:
             return
         q = rational_parse(text)
         assert type(q) is Fraction and q == Fraction(text)
-        assert rational_terms(text) == (q.numerator, q.denominator)
+        num, _, den = text.partition("/")
+        assert _literal_ints(text) == (int(num), int(den or "1"))
 
     @pytest.mark.parametrize(
         "text, message",
@@ -86,7 +88,7 @@ class TestRationalParsing:
         ids=["zero-denominator", "not-a-literal", "numerator", "denominator"],
     )
     def test_refusals_keep_their_order(self, text, message):
-        for parse in (rational_parse, rational_terms):
+        for parse in (rational_parse, _literal_ints):
             with pytest.raises(RationalParseError) as info:
                 parse(text)
             assert str(info.value).startswith(message)

@@ -34,6 +34,7 @@ from precedence import (
     ls_for_target_signature,
     pattern_cyclic,
     signature_from_ls,
+    synthesize_voting_situation,
 )
 from precedence import loadsharing, permdist, ranking, voting
 from precedence.cli import _write_json
@@ -126,6 +127,11 @@ class TestEachEntryIsCheckedOnce:
         assert OrderDependentLSModel(4, dict(model.rates)) == model
         prefixes = {prefix for prefix, _ in model.rates}
         assert calls["validate_prefix"] == len(prefixes) == 1 + 4 + 12 + 24
+
+    def test_synthesis_hands_its_counts_over_checked(self, monkeypatch):
+        calls = counting(monkeypatch, voting, "validate_permutation", validate_permutation)
+        vs = synthesize_voting_situation(pattern_cyclic(5))
+        assert len(vs.counts) == 120 and calls["validate_permutation"] == 0
 
     @pytest.mark.parametrize(
         "build",
@@ -361,6 +367,7 @@ def test_a_loaded_law_equals_and_prints_as_the_law_built_by_hand(case):
     loaded = PermutationDistribution.from_json_dict(doc)
     by_hand = PermutationDistribution(doc["m"], fractions)
     assert loaded == by_hand
+    assert type(loaded.weights) is type(by_hand.weights) is permdist._OverScale
     assert (loaded.numerators, loaded.scale) == (by_hand.numerators, by_hand.scale)
     assert dict(loaded.weights) == by_hand.weights
     assert printed(loaded.to_json_dict()) == printed(by_hand.to_json_dict())
@@ -379,6 +386,30 @@ def test_a_loaded_inversion_equals_and_prints_as_the_inversion(case):
     assert loaded == model
     assert printed(loaded.to_json_dict()) == text
     assert OrderDependentLSModel(rho.m, dict(loaded.rates), loaded.default) == loaded
+
+
+def test_a_value_built_by_hand_stores_the_form_of_a_loaded_or_computed_one():
+    doc = {"m": 2, "weights": [{"perm": [1, 2], "p": "1/3"}, {"perm": [2, 1], "p": "2/3"}]}
+    loaded = PermutationDistribution.from_json_dict(doc)
+    by_hand = PermutationDistribution(2, {(1, 2): Fraction(1, 3), (2, 1): Fraction(2, 3)})
+    for law in (loaded, by_hand):
+        assert type(law.weights) is permdist._OverScale
+        assert (law.weights.numerators, law.weights.scale) == ({(1, 2): 1, (2, 1): 2}, 3)
+    law = distribution_of(build_ls_epsilon(pattern_cyclic(3), epsilon_schedule(3)))
+    computed = alpha_family(law)
+    by_hand = WinningProbabilityFamily(3, {key: computed.alpha(*key) for key in computed.numerators})
+    assert type(by_hand.alphas) is type(computed.alphas) is permdist._OverScale
+    assert (by_hand.alphas.numerators, by_hand.alphas.scale) == (computed.numerators, computed.scale)
+
+
+def test_weights_over_one_denominator_load_over_the_lcm_of_their_reduced_forms():
+    weights = {(1, 2, 3): "2/6", (2, 3, 1): "1/6", (3, 1, 2): "3/6"}
+    doc = {"m": 3, "weights": [{"perm": list(perm), "p": p} for perm, p in weights.items()]}
+    loaded = PermutationDistribution.from_json_dict(doc)
+    by_hand = PermutationDistribution(3, {perm: Fraction(p) for perm, p in weights.items()})
+    assert loaded.scale == by_hand.scale == 6
+    assert loaded.numerators == by_hand.numerators == {(1, 2, 3): 2, (2, 3, 1): 1, (3, 1, 2): 3}
+    assert loaded == by_hand
 
 
 def test_a_negative_weight_keeps_its_text():

@@ -171,6 +171,22 @@ class TestSamplerRows:
             assert trajectory.times[0] == 0.0
             assert list(trajectory.times) == sorted(trajectory.times)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["order-dependent", "set-invariant"])
+    def test_positive_totals_below_the_float_range_give_infinite_sojourns(self, kind):
+        tiny = Fraction(1, 10**400)
+        if kind == "order-dependent":
+            model = OrderDependentLSModel(3, {((), 1): 2 * tiny, ((1,), 3): 5 * tiny}, default=tiny)
+        else:
+            rates = {((1,), 1): tiny, ((2,), 2): tiny, ((1, 2), 1): tiny, ((1, 2), 2): 3 * tiny}
+            model = SetInvariantLSModel(2, rates)
+        read = _SamplerTables(model).read
+        assert read(())[2] == 0.0  # the float of a positive total
+        trajectories = list(sample_trajectories(model, 500, seed=2))
+        counts = estimate_alphas(model, 500, seed=2).order_counts
+        assert Counter(t.order for t in trajectories) == counts
+        assert all(time == math.inf for t in trajectories for time in t.times)
+
 
 class TestEstimateAlphas:
     def test_reproducible_for_fixed_seed(self, example_model):
@@ -211,6 +227,24 @@ class TestEstimateAlphas:
             estimate_alphas(example_model, 10, seed=-1)
         with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
             sample_trajectories(example_model, 10, seed=-1)
+
+    @pytest.mark.parametrize(
+        "n, seed, message",
+        [
+            (True, 0, "n_samples must be an int, got True"),
+            (2.5, 0, "n_samples must be an int, got 2.5"),
+            (10, True, "seed must be an int, got True"),
+            (10, 1.5, "seed must be an int, got 1.5"),
+        ],
+        ids=["bool-count", "float-count", "bool-seed", "float-seed"],
+    )
+    def test_a_count_or_seed_that_is_not_an_int_is_domain_error(self, example_model, n, seed, message):
+        with pytest.raises(DomainError) as info:
+            estimate_alphas(example_model, n, seed=seed)
+        assert str(info.value) == message
+        with pytest.raises(DomainError) as info:
+            sample_trajectories(example_model, n, seed=seed)
+        assert str(info.value) == message
 
     def test_zero_total_rate_at_a_reached_prefix_raises(self):
         # every sample fails 1 first, and nothing survives prefix (1,)

@@ -1,9 +1,10 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from precedence import (
@@ -18,7 +19,7 @@ from precedence import (
 )
 from precedence import permdist
 from precedence.core import ZERO, Checked, rational_format, subsets_of_size_at_least
-from precedence.permdist import _OverScale, winner_sums
+from precedence.permdist import _OverScale, _over_one_scale, winner_sums
 from tests.conftest import EXAMPLE_LAW_ALPHAS, random_distribution
 
 
@@ -149,6 +150,27 @@ class TestWinningProbabilityFamily:
             fam.alpha_text(members, j) == rational_format(fam.alpha(members, j))
             for members, j in fam.alphas
         )
+
+
+class TestOverOneScale:
+    # unreduced pairs: few distinct denominators, so many pairs share one,
+    # numerators with common factors, and zeros
+    PAIRS = st.dictionaries(
+        st.integers(0, 30),
+        st.tuples(st.integers(-60, 60) | st.just(0), st.sampled_from([1, 2, 4, 6, 12, 30, 2**70])),
+        max_size=12,
+    )
+
+    @example({"a": (2, 6), "b": (1, 6), "c": (3, 6)})
+    @example({"a": (0, 12), "b": (4, 12), "c": (0, 5)})
+    @example({})
+    @given(PAIRS)
+    def test_lifts_to_the_lcm_of_the_reduced_denominators(self, pairs):
+        numerators, scale = _over_one_scale(pairs)
+        assert list(numerators) == list(pairs)
+        for key, (n, d) in pairs.items():
+            assert Fraction(numerators[key], scale) == Fraction(n, d)
+        assert scale == math.lcm(*(Fraction(n, d).denominator for n, d in pairs.values()))
 
 
 def direct_winner_sums(m, h):

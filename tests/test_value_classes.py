@@ -63,13 +63,18 @@ def test_equal_data_compares_equal_and_is_unhashable(build, _):
 
 
 @pytest.mark.parametrize(
-    "build, stored",
-    [pair for pair in VALUE_CLASSES.values() if pair[1] is not None],
+    "name, build, stored",
+    [(name, *pair) for name, pair in VALUE_CLASSES.items() if pair[1] is not None],
     ids=[name for name, pair in VALUE_CLASSES.items() if pair[1] is not None],
 )
-def test_a_fraction_value_is_kept_not_copied(build, stored):
+def test_a_fraction_value_is_kept_not_copied(name, build, stored):
     x = Fraction(1, 3)
-    assert stored(build(x)) is x
+    if name in ("PermutationDistribution", "WinningProbabilityFamily"):
+        # stored as numerators over a scale: a read builds an equal Fraction
+        value = stored(build(x))
+        assert type(value) is Fraction and value == x
+    else:
+        assert stored(build(x)) is x
 
 
 def test_a_law_from_numerators_compares_by_value_whatever_its_scale():

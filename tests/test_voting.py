@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,6 @@ from precedence import (
     synthesize_voting_situation,
     tally,
 )
-from precedence.permdist import integer_weights
 from tests.conftest import EXAMPLE_LAW_WEIGHTS
 
 
@@ -173,7 +173,10 @@ class TestSynthesis:
     def test_counts_are_the_cleared_law(self, m, seed):
         sigma = next(enumerate_patterns(m, True, seed=seed, limit=1))
         law = distribution_of(build_ls_epsilon(sigma, epsilon_schedule(m)))
-        assert synthesize_voting_situation(sigma).counts == integer_weights(law.weights)[0]
+        weights = {perm: law.weight(perm) for perm in law.support()}
+        scale = math.lcm(*(w.denominator for w in weights.values()))
+        cleared = {perm: w.numerator * (scale // w.denominator) for perm, w in weights.items()}
+        assert synthesize_voting_situation(sigma).counts == cleared
 
     def test_sampled_patterns_all_concordant(self):
         for sigma in enumerate_patterns(3, non_weak_only=True, seed=2, limit=6):
