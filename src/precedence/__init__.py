@@ -53,12 +53,10 @@ from .montecarlo import (
     sample_trajectories,
 )
 from .permdist import (
-    MajorityDigraph,
     PermutationDistribution,
     WinningProbabilityFamily,
     alpha_family,
     alpha_family_bruteforce,
-    majority_digraph,
 )
 from .ranking import (
     ConcordanceReport,
@@ -83,7 +81,6 @@ from .voting import (
     TallyTable,
     VotingSituation,
     check_n_concordance,
-    rho_from_voting,
     synthesize_voting_situation,
     tally,
 )

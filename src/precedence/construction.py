@@ -173,7 +173,7 @@ def build_ls_epsilon(sigma: RankingPattern, eps: EpsilonSchedule) -> SetInvarian
     if sigma.is_weak:
         raise DomainError(
             f"pattern has tied ranks on subset {sigma.weak_subsets()[0]}; "
-            "only tie-free patterns can be realized"
+            "the schedule construction needs a tie-free pattern"
         )
     m = sigma.m
     mu: dict[tuple[tuple[int, ...], int], Fraction] = {((i,), i): ONE for i in range(1, m + 1)}

@@ -317,6 +317,12 @@ def subsets_of_size_at_least(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(c for n in range(k, m + 1) for c in itertools.combinations(ground, n)))
 
 
+def subset_rows(sets: Iterable[tuple[int, ...]], field: str, text: Callable) -> list[dict]:
+    """The printed form of a per-subset table: one ``{"set": [...], field: {"j":
+    text((members, j))}}`` object per subset of ``sets``, in that order."""
+    return [{"set": list(s), field: {str(j): text((s, j)) for j in s}} for s in sets]
+
+
 _INT_ONLY = frozenset([int])
 
 

@@ -189,7 +189,7 @@ class OrderDependentLSModel:
     @classmethod
     def constant(cls, m: int, rate: Fraction | int = 1) -> "OrderDependentLSModel":
         """All rates equal; induces the uniform failure-order law."""
-        return cls(m, {}, Fraction(rate))
+        return cls(m, {}, rate)
 
     def to_json_dict(self) -> dict:
         return plain_json(self._json_doc())

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from itertools import accumulate, count
 from typing import TYPE_CHECKING, Iterator, Mapping
 
+from .core import subset_rows
 from .errors import DomainError, SimulationError
 from .loadsharing import LoadSharingModel, _integer_row, _row_reader
 from .permdist import WinningProbabilityFamily, failed_set_table, winner_sums
@@ -73,19 +74,13 @@ class SimulationSummary:
     empirical_alpha: Mapping[tuple[tuple[int, ...], int], float]
 
     def to_json_dict(self, exact: WinningProbabilityFamily | None = None) -> dict:
-        if exact is not None:  # the family's own rows, taken by set
+        sets = sorted({members for members, _ in self.empirical_alpha})
+        alpha_rows = subset_rows(sets, "empirical", self.empirical_alpha.__getitem__)
+        if exact is not None:  # the family's own rows, paired in subset order
             if exact.m != self.m or not exact.is_complete():
                 raise DomainError(f"exact targets need a complete family over [{self.m}]")
-            exact_rows = {tuple(r["set"]): r["alpha"] for r in exact.to_json_list()}
-        alpha_rows = []
-        sets = sorted({members for members, _ in self.empirical_alpha})
-        for members in sets:
-            row: dict = {"set": list(members), "empirical": {}}
-            for j in members:
-                row["empirical"][str(j)] = self.empirical_alpha[(members, j)]
-            if exact is not None:
-                row["exact"] = exact_rows[members]
-            alpha_rows.append(row)
+            for row, exact_row in zip(alpha_rows, exact.to_json_list(), strict=True):
+                row["exact"] = exact_row["alpha"]
         return {
             "m": self.m,
             "samples": self.samples,

@@ -8,8 +8,7 @@ component i is the r-th to fail. From it everything else follows exactly:
   conditional next-failure probabilities are ratios of two of them, and
   they are the rates ``construction.invert_to_ls`` returns,
 * the family of winning probabilities  alpha_j(A) = P(component j fails
-  first among A), for every subset A with |A| >= 2,
-* the majority digraph of pairwise precedence.
+  first among A), for every subset A with |A| >= 2.
 
 Every winner count in the package (laws, voter counts, Monte Carlo counts,
 load-sharing rates) sums one failed-set table: h[(S, j)] is the weight of
@@ -58,6 +57,7 @@ from .core import (
     json_entries,
     rational_format,
     subset_members,
+    subset_rows,
     subsets_of_size_at_least,
     validate_permutation,
 )
@@ -272,21 +272,7 @@ class WinningProbabilityFamily:
         return len(self.numerators) == sum(map(len, subsets_of_size_at_least(self.m, 2)))
 
     def to_json_list(self) -> list[dict]:
-        return [
-            {"set": list(members), "alpha": {str(j): self._text((members, j)) for j in members}}
-            for members in self.sets()
-        ]
-
-
-@dataclass(frozen=True)
-class MajorityDigraph:
-    """Digraph on [m] with arc (i, j) when i beats-or-ties j pairwise."""
-
-    m: int
-    edges: frozenset[tuple[int, int]]
-
-    def to_json_dict(self) -> dict:
-        return {"m": self.m, "edges": [list(e) for e in sorted(self.edges)]}
+        return subset_rows(self.sets(), "alpha", self._text)
 
 
 def _over_one_scale(fractions: Mapping[object, tuple[int, int]]) -> tuple[dict[object, int], int]:
@@ -393,17 +379,3 @@ def alpha_family_bruteforce(rho: PermutationDistribution) -> WinningProbabilityF
         for members in subsets:
             sums[(members, min(members, key=position))] += n
     return WinningProbabilityFamily(m, Checked(_OverScale(sums, rho.scale)))
-
-
-def majority_digraph(fam: WinningProbabilityFamily) -> MajorityDigraph:
-    """Arcs (i, j) with alpha_i({i,j}) >= alpha_j({i,j}); ties keep both arcs."""
-    edges = set()
-    for i in range(1, fam.m + 1):
-        for j in range(i + 1, fam.m + 1):
-            ai = fam.alpha((i, j), i)
-            aj = fam.alpha((i, j), j)
-            if ai >= aj:
-                edges.add((i, j))
-            if aj >= ai:
-                edges.add((j, i))
-    return MajorityDigraph(fam.m, frozenset(edges))

@@ -5,7 +5,8 @@ image is exactly {1, ..., w} for some w <= |A| (dense ranks: ties share a
 rank and the next rank is consecutive). A ranking pattern assigns one
 ranking function to every subset with at least two members; it is *weak*
 when any of its functions has a tie. Patterns generalize majority graphs:
-the pair functions are exactly the arcs.
+the pair functions are exactly the arcs ((i, j) iff i's rank on {i, j} is
+at most j's, so a tie keeps both), and :func:`induced_pattern` carries them.
 
 This module derives patterns from winning probabilities, checks
 concordance (ranks must strictly mirror the probability order, ties
@@ -223,19 +224,19 @@ _OPPOSITE = {"<": ">", ">": "<", "=": "="}
 
 
 def score_concordance(
-    sigma: RankingPattern, score: Callable[[tuple[int, ...], int], object]
+    sigma: RankingPattern, score: Mapping[tuple[tuple[int, ...], int], object]
 ) -> ConcordanceReport:
     """Check that lower rank means strictly higher score, ties matching ties.
 
-    ``score(members, j)`` may return any totally ordered value (integer
-    numerators over one scale for winning probabilities, vote tallies); it
-    is called once per member of each subset.
+    ``score`` is a per-subset table keyed by ``(members, j)`` of totally
+    ordered values (a family's numerators over one scale, a tally's votes),
+    read once per member of each subset.
     """
     violations = []
     for fn in sigma.functions:
         members = fn.members
         rank = dict(fn.ranks)
-        value = {j: score(members, j) for j in members}
+        value = {j: score[(members, j)] for j in members}
         for i, j in itertools.combinations(members, 2):
             rank_rel = _relation(rank[i], rank[j])
             score_rel = _relation(value[i], value[j])
@@ -270,7 +271,7 @@ def check_p_concordance(
         raise DomainError(f"pattern has m={sigma.m} but family has m={fam.m}")
     if not fam.is_complete():
         raise DomainError("winning-probability family does not cover every subset")
-    return score_concordance(sigma, lambda members, j: fam.numerators[(members, j)])
+    return score_concordance(sigma, fam.numerators)
 
 
 def _pattern(m: int, ranks_of: Callable[[tuple[int, ...]], Mapping[int, int]]) -> RankingPattern:
@@ -381,6 +382,8 @@ def enumerate_patterns(
         raise DomainError("patterns need m >= 2")
     if limit is not None and (type(limit) is not int or limit < 0):
         raise DomainError(f"limit must be a non-negative integer, got {limit!r}")
+    if seed is not None and type(seed) is not int:
+        raise DomainError(f"seed must be an int, got {seed!r}")
 
     if seed is None:
         if m > 3:

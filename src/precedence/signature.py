@@ -50,13 +50,14 @@ class StructureFunction:
             raise DomainError("at least one path set is required")
         covered: set[int] = set()
         for raw, ps in zip(given, sets):
+            # each raw member before the repeat check: frozenset({1, True}) has one member
+            for x in raw:
+                if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= self.r:
+                    raise DomainError(f"component {x!r} outside [{self.r}]")
             if not ps:
                 raise DomainError("path sets must be non-empty")
             if len(ps) != len(raw):
                 raise DomainError(f"path set {list(raw)} repeats a component")
-            for x in ps:
-                if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= self.r:
-                    raise DomainError(f"component {x!r} outside [{self.r}]")
             covered |= ps
         # before the pairwise loop, which would be quadratic in the copies
         if len(set(sets)) != len(sets):
@@ -82,6 +83,8 @@ class StructureFunction:
     @classmethod
     def k_out_of_n(cls, r: int, k: int) -> "StructureFunction":
         """Works while at least k of the r components work."""
+        if type(k) is not int:
+            raise DomainError(f"k must be an int, got {k!r}")
         if not 1 <= k <= r:
             raise DomainError(f"need 1 <= k <= r, got k={k}, r={r}")
         return cls(r, tuple(frozenset(c) for c in itertools.combinations(range(1, r + 1), k)))

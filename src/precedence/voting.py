@@ -29,10 +29,10 @@ from typing import Iterable, Mapping
 
 from .construction import build_ls_epsilon, epsilon_schedule
 from .core import Checked, JsonRows, check_dimension, decimal_int, int_format, json_dimension
-from .core import json_entries, plain_json, subset_members, validate_permutation
+from .core import json_entries, plain_json, subset_members, subset_rows, validate_permutation
 from .errors import DomainError, InputFormatError
 from .loadsharing import distribution_of
-from .permdist import PermutationDistribution, _OverScale, failed_set_table, winner_sums
+from .permdist import failed_set_table, winner_sums
 from .ranking import ConcordanceReport, RankingPattern, score_concordance
 
 
@@ -103,25 +103,8 @@ class TallyTable:
 
     def to_json_dict(self) -> dict:
         sets = sorted({members for members, _ in self.tallies})
-        return {
-            "m": self.m,
-            "n": int_format(self.n, "n"),
-            "tallies": [
-                {
-                    "set": list(members),
-                    "votes": {
-                        str(i): int_format(self.tallies[(members, i)], "tallies")
-                        for i in members
-                    },
-                }
-                for members in sets
-            ],
-        }
-
-
-def rho_from_voting(vs: VotingSituation) -> PermutationDistribution:
-    """The permutation distribution N(perm) / n: the counts as numerators over n."""
-    return PermutationDistribution(vs.m, Checked(_OverScale(vs.counts, vs.n)))
+        votes = subset_rows(sets, "votes", lambda key: int_format(self.tallies[key], "tallies"))
+        return {"m": self.m, "n": int_format(self.n, "n"), "tallies": votes}
 
 
 def tally(vs: VotingSituation) -> TallyTable:
@@ -139,8 +122,7 @@ def check_n_concordance(tau: RankingPattern, vs: VotingSituation) -> Concordance
     """PASS iff lower rank means strictly more votes, ties matching, every subset."""
     if tau.m != vs.m:
         raise DomainError(f"pattern has m={tau.m} but situation has m={vs.m}")
-    table = tally(vs)
-    return score_concordance(tau, lambda members, j: table.tallies[(members, j)])
+    return score_concordance(tau, tally(vs).tallies)
 
 
 def synthesize_voting_situation(sigma: RankingPattern) -> VotingSituation:

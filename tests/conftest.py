@@ -73,6 +73,19 @@ def example_pattern() -> RankingPattern:
     )
 
 
+def majority_arcs(pattern: RankingPattern) -> set[tuple[int, int]]:
+    """The majority graph carried by a pattern's pair functions: (i, j) is an
+    arc iff i's rank on {i, j} is at most j's, so a tie keeps both arcs."""
+    return {
+        (i, j)
+        for fn in pattern.functions
+        if len(fn.members) == 2
+        for i in fn.members
+        for j in fn.members
+        if i != j and fn.rank(i) <= fn.rank(j)
+    }
+
+
 def random_distribution(m: int, rng: random.Random, sparse: bool = True):
     """A random exact rational distribution over the permutations of [m]."""
     import itertools

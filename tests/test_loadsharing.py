@@ -123,6 +123,13 @@ class TestRateTables:
     def test_constant_model_total(self):
         assert total_rate(OrderDependentLSModel.constant(4), ()) == 4
 
+    @pytest.mark.parametrize("rate", [True, 0.5, "1/2", 1e-400])
+    def test_constant_refuses_a_rate_that_is_not_exact(self, rate):
+        # Fraction(rate) would read these as 1, 1/2, 1/2 and 0
+        with pytest.raises(DomainError) as info:
+            OrderDependentLSModel.constant(3, rate)
+        assert str(info.value) == f"default rate = {rate!r} is not an int or a Fraction"
+
     @pytest.mark.parametrize(
         "rates, default, message",
         [

@@ -14,13 +14,13 @@ from precedence import (
     WinningProbabilityFamily,
     alpha_family,
     alpha_family_bruteforce,
+    induced_pattern,
     invert_to_ls,
-    majority_digraph,
 )
 from precedence import permdist
 from precedence.core import ZERO, Checked, rational_format, subsets_of_size_at_least
 from precedence.permdist import _OverScale, _over_one_scale, winner_sums
-from tests.conftest import EXAMPLE_LAW_ALPHAS, random_distribution
+from tests.conftest import EXAMPLE_LAW_ALPHAS, majority_arcs, random_distribution
 
 
 def _refuse(*args, **kwargs):
@@ -381,24 +381,25 @@ class TestAlphaFamily:
 
 
 class TestMajorityDigraph:
+    """The majority graph is read off the induced pattern's pair functions."""
+
     def test_worked_example(self, example_law):
-        graph = majority_digraph(alpha_family(example_law))
-        assert set(graph.edges) == {(1, 2), (2, 1), (3, 1), (3, 2)}
+        arcs = majority_arcs(induced_pattern(alpha_family(example_law)))
+        assert arcs == {(1, 2), (2, 1), (3, 1), (3, 2)}
 
     def test_uniform_keeps_all_arcs(self):
-        graph = majority_digraph(alpha_family(PermutationDistribution.uniform(3)))
-        assert len(graph.edges) == 6
+        arcs = majority_arcs(induced_pattern(alpha_family(PermutationDistribution.uniform(3))))
+        assert len(arcs) == 6
 
     def test_strict_inequality_single_arc(self):
         fam = WinningProbabilityFamily(
             2, {((1, 2), 1): Fraction(3, 5), ((1, 2), 2): Fraction(2, 5)}
         )
-        graph = majority_digraph(fam)
-        assert (1, 2) in graph.edges and (2, 1) not in graph.edges
+        assert majority_arcs(induced_pattern(fam)) == {(1, 2)}
 
     def test_missing_pair_is_an_error(self):
         fam = WinningProbabilityFamily(
             3, {((1, 2), 1): Fraction(1, 2), ((1, 2), 2): Fraction(1, 2)}
         )
         with pytest.raises(DomainError):
-            majority_digraph(fam)
+            induced_pattern(fam)

@@ -163,8 +163,8 @@ class TestPConcordance:
     @pytest.mark.parametrize("sign, verdict", [(-1, "PASS"), (1, "FAIL")])
     def test_verdict_is_read_off_the_violations(self, example_pattern, sign, verdict):
         # a score falling with the rank is concordant; one rising with it is not
-        ranks = {fn.members: dict(fn.ranks) for fn in example_pattern.functions}
-        report = score_concordance(example_pattern, lambda members, j: sign * ranks[members][j])
+        scores = {(fn.members, j): sign * r for fn in example_pattern.functions for j, r in fn.ranks}
+        report = score_concordance(example_pattern, scores)
         assert report.verdict == verdict
         assert report.passed is (verdict == "PASS") is (not report.violations)
 
@@ -253,6 +253,13 @@ class TestEnumeration:
         with pytest.raises(DomainError) as err:
             list(enumerate_patterns(3, True, seed=seed, limit=limit))
         assert str(err.value) == f"limit must be a non-negative integer, got {limit!r}"
+
+    @pytest.mark.parametrize("seed", [True, 1.5, "x", [1]])
+    def test_bad_seed_is_domain_error(self, seed):
+        # random.Random would take every one of these but the list
+        with pytest.raises(DomainError) as err:
+            list(enumerate_patterns(3, True, seed=seed, limit=1))
+        assert str(err.value) == f"seed must be an int, got {seed!r}"
 
     def test_zero_limit_yields_nothing(self):
         assert list(enumerate_patterns(3, seed=4, limit=0)) == []

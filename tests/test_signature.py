@@ -317,6 +317,24 @@ class TestNoSilentCoercion:
         assert result.exit_code == 2
         assert result.diagnostics == ["path_sets: path set [1, 1, 2] repeats a component"]
 
+    @pytest.mark.parametrize("path_sets", [[[1, True]], [[True, 1]]])
+    def test_bool_component_is_named_not_called_a_repeat(self, tmp_path, path_sets):
+        # {1, True} has one member, so a repeat check run first would report a repeat
+        with pytest.raises(DomainError) as info:
+            StructureFunction(2, path_sets)
+        assert str(info.value) == "component True outside [2]"
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps({"r": 2, "path_sets": path_sets}))
+        result = run(["signature", "invert", "--structure", str(path), "--target", "0,1"])
+        assert result.exit_code == 2
+        assert result.diagnostics == ["path_sets: component True outside [2]"]
+
+    @pytest.mark.parametrize("k", [True, 1.0, "1"])
+    def test_k_out_of_n_refuses_a_k_that_is_not_an_int(self, k):
+        with pytest.raises(DomainError) as info:
+            StructureFunction.k_out_of_n(3, k)
+        assert str(info.value) == f"k must be an int, got {k!r}"
+
     def test_loader_errors_name_the_field(self):
         with pytest.raises(InputFormatError) as info:
             StructureFunction.from_json_dict({"r": 3, "path_sets": [["1"], [2, 3]]})

@@ -22,11 +22,15 @@ from precedence import (
     induced_pattern,
     pattern_cyclic,
     pattern_very_paradox,
-    rho_from_voting,
     synthesize_voting_situation,
     tally,
 )
 from tests.conftest import EXAMPLE_LAW_WEIGHTS
+
+
+def rho_from_voting(vs: VotingSituation) -> PermutationDistribution:
+    """The law N(perm) / n of a situation, built by hand from its counts."""
+    return PermutationDistribution(vs.m, {perm: Fraction(c, vs.n) for perm, c in vs.counts.items()})
 
 
 @pytest.fixture
