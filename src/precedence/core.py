@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 import re
 import sys
@@ -111,32 +112,47 @@ def json_dimension(doc: object, field: str = "m") -> int:
         raise InputFormatError(f"{field}: {ex}") from None
 
 
-def json_entries(doc: dict, field: str, required: set[str], parse: Callable) -> dict:
-    """Parse the list ``doc[field]`` of objects into a dict, one entry per key.
+def checked_entries(pairs: Iterable[tuple], check: Callable) -> dict:
+    """The dict of ``check(key, value)`` over ``pairs``, for every value class, by
+    hand or loaded: a checked key seen twice, as (2, 1) after (1, 2), is refused."""
+    out: dict = {}
+    for key, value in pairs:
+        key, value = check(key, value)
+        if key in out:
+            raise DomainError(f"duplicate entry {key}")
+        out[key] = value
+    return out
+
+
+def json_entries(doc: dict, field: str, names: tuple[str, ...], check: Callable) -> dict:
+    """The list ``doc[field]`` of objects run through :func:`checked_entries`.
 
     ``doc`` is a JSON object, as :func:`json_dimension` checks first. Each entry
-    must be an object holding the ``required`` keys; ``parse`` turns it into
-    a ``(key, value)`` pair, and a key seen before is refused. Errors name
-    the entry: ``field[i]: ...``, or ``field[i].sub: ...`` when ``parse``
-    raises ``InputFormatError("sub: ...")``.
+    must be an object holding the fields ``names``; ``check`` gets its key, the
+    first field or a tuple of all but the last, and its value, the last field.
+    Errors name the entry: ``field[i]: ...``, or ``field[i].sub: ...`` when
+    ``check`` raises ``InputFormatError("sub: ...")``.
     """
     entries = doc.get(field)
     if not isinstance(entries, list):
         raise InputFormatError(f"{field}: must be a list")
-    out: dict = {}
-    try:
-        for idx, entry in enumerate(entries):
+    *keys, value = names
+    key_of, required = operator.itemgetter(*keys), set(names)
+    at = 0
+
+    def pairs() -> Iterator[tuple]:
+        nonlocal at
+        for at, entry in enumerate(entries):
             if not isinstance(entry, dict) or not entry.keys() >= required:
                 raise DomainError(f"needs the fields {', '.join(sorted(required))}")
-            key, value = parse(entry)
-            if key in out:
-                raise DomainError(f"duplicate entry {key}")
-            out[key] = value
+            yield key_of(entry), entry[value]
+
+    try:
+        return checked_entries(pairs(), check)
     except InputFormatError as ex:
-        raise InputFormatError(f"{field}[{idx}].{ex}") from ex
+        raise InputFormatError(f"{field}[{at}].{ex}") from ex
     except (PrecedenceError, TypeError, ValueError) as ex:
-        raise InputFormatError(f"{field}[{idx}]: {ex}") from ex
-    return out
+        raise InputFormatError(f"{field}[{at}]: {ex}") from ex
 
 
 @dataclass(frozen=True)

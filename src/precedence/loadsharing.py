@@ -67,6 +67,7 @@ from .core import (
     SubsetMask,
     as_fraction,
     check_dimension,
+    checked_entries,
     json_dimension,
     json_entries,
     plain_json,
@@ -148,8 +149,8 @@ class OrderDependentLSModel:
     rationals; prefixes run up to length m-1. Rates handed over as
     :class:`~precedence.core.Checked` (by the loader, or by
     :func:`~precedence.construction.invert_to_ls`) are stored as they come,
-    and only the dimension and the default rate are checked; a mapping
-    built by hand, even another model's ``rates``, has every entry checked.
+    and only the dimension and the default rate are checked; a mapping built
+    by hand runs the loader's check on each entry and refuses a repeated one.
     """
 
     m: int
@@ -163,19 +164,18 @@ class OrderDependentLSModel:
             raise DomainError(f"negative default rate {default}")
         object.__setattr__(self, "default", default)
         if type(self.rates) is Checked:  # each entry checked where it entered
-            object.__setattr__(self, "rates", self.rates.entries)
-            return
-        clean: dict[tuple[tuple[int, ...], int], Fraction] = {}
-        raw = prefix = None
-        for (key, j), value in self.rates.items():
-            if key is not raw:  # the entries of one prefix object are checked once
-                raw, prefix = key, validate_prefix(self.m, key)
-            entry, q = _rate_entry(self.m, prefix, j, value)
-            clean[entry] = q
-        object.__setattr__(self, "rates", clean)
+            rates = self.rates.entries
+        else:
+            rates = checked_entries(self.rates.items(), functools.partial(_rate_entry, self.m, None))
+        object.__setattr__(self, "rates", rates)
 
-    def rate(self, prefix: tuple[int, ...], j: int) -> Fraction:
-        return self.rates.get((prefix, j), self.default)
+    def rate(self, prefix: Iterable[int], j: int) -> Fraction:
+        """mu_j after ``prefix``, a failure prefix of [m], if ``j`` is an int survivor."""
+        prefix = validate_prefix(self.m, prefix)
+        row = self.rates_after(prefix)
+        if type(j) is not int or j not in row:  # True == 1, but not a component
+            raise DomainError(f"{j!r} is not a survivor after prefix {prefix}")
+        return row[j]
 
     def rates_after(self, prefix: tuple[int, ...]) -> dict[int, Fraction]:
         """Each survivor's rate after the failure order ``prefix``, ascending."""
@@ -206,13 +206,8 @@ class OrderDependentLSModel:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "OrderDependentLSModel":
         m = json_dimension(doc)
-        mu = _literal_reader()
-        rates = json_entries(
-            doc,
-            "rates",
-            {"prefix", "j", "mu"},
-            lambda e: _rate_entry(m, validate_prefix(m, e["prefix"]), e["j"], mu(e["mu"])),
-        )
+        check = functools.partial(_rate_entry, m, _literal_reader())
+        rates = json_entries(doc, "rates", ("prefix", "j", "mu"), check)
         try:
             return cls(m, Checked(rates), rational_parse(doc.get("default", "0")))
         except RationalParseError as ex:
@@ -229,12 +224,13 @@ def _literal_reader() -> Callable[[object], Fraction]:
     return lambda text: parsed(text) if type(text) is str else rational_parse(text)
 
 
-def _rate_entry(
-    m: int, prefix: tuple[int, ...], j: object, value: object
-) -> tuple[tuple[tuple[int, ...], int], Fraction]:
-    """The entry ``((prefix, j), mu_j(prefix))`` after a checked ``prefix``. Refused:
-    a prefix longer than m-1, a ``j`` that is not an int of [m] outside it, and a
-    rate that is not an int or a Fraction, or is negative."""
+def _rate_entry(m: int, read: Callable | None, key: tuple, value: object) -> tuple:
+    """``((prefix, j), mu)``: a failure prefix shorter than m, an int of [m] outside
+    it, and a rate mu >= 0, exact or ``read`` (read once the prefix is checked)."""
+    prefix, j = key
+    prefix = validate_prefix(m, prefix)
+    if read is not None:
+        value = read(value)
     if len(prefix) >= m:
         raise DomainError(f"prefix {prefix} too long for m={m}")
     if type(j) is not int or not 1 <= j <= m or j in prefix:
@@ -254,7 +250,7 @@ class SetInvariantLSModel:
     so that bound checks and certificates read it; equality ignores it.
     Rates handed over as :class:`~precedence.core.Checked` are stored as they
     come, and only completeness and the zero totals are checked; a mapping
-    built by hand has every entry checked.
+    built by hand runs the loader's check on each entry and refuses a repeated one.
     """
 
     m: int
@@ -268,15 +264,8 @@ class SetInvariantLSModel:
         if type(self.mu_by_survivors) is Checked:  # each entry checked where it entered
             clean = self.mu_by_survivors.entries
         else:
-            clean = {}
-            raw = members = None
-            for (survivors, j), value in self.mu_by_survivors.items():
-                if survivors is not raw:  # the entries of one subset object are checked once
-                    raw, members = survivors, subset_members(self.m, survivors)
-                entry, q = _survivor_rate_entry(members, j, value)
-                if entry in clean:  # two orders of one subset
-                    raise DomainError(f"duplicate entry {entry}")
-                clean[entry] = q
+            check = functools.partial(_survivor_rate_entry, self.m, None)
+            clean = checked_entries(self.mu_by_survivors.items(), check)
         for members in subsets_of_size_at_least(self.m, 1):
             for j in members:
                 if (members, j) not in clean:
@@ -285,11 +274,7 @@ class SetInvariantLSModel:
                 raise DomainError(f"survivor set {members} has zero total rate")
         object.__setattr__(self, "mu_by_survivors", clean)
 
-    def rate(self, prefix: tuple[int, ...], j: int) -> Fraction:
-        row = self.rates_after(prefix)
-        if j not in row:
-            raise DomainError(f"{j} is not a survivor after prefix {prefix}")
-        return row[j]
+    rate = OrderDependentLSModel.rate
 
     def rates_after(self, prefix: tuple[int, ...]) -> dict[int, Fraction]:
         """Each survivor's rate after the failure order ``prefix``, ascending."""
@@ -311,13 +296,8 @@ class SetInvariantLSModel:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SetInvariantLSModel":
         m = json_dimension(doc)
-        read = _literal_reader()
-        mu = json_entries(
-            doc,
-            "rates",
-            {"survivors", "j", "mu"},
-            lambda e: _survivor_rate_entry(subset_members(m, e["survivors"]), e["j"], read(e["mu"])),
-        )
+        check = functools.partial(_survivor_rate_entry, m, _literal_reader())
+        mu = json_entries(doc, "rates", ("survivors", "j", "mu"), check)
         eps = None
         if "epsilon" in doc:
             if not isinstance(doc["epsilon"], list):
@@ -332,12 +312,13 @@ class SetInvariantLSModel:
             raise InputFormatError(f"rates: {ex}") from ex
 
 
-def _survivor_rate_entry(
-    members: tuple[int, ...], j: object, value: object
-) -> tuple[tuple[tuple[int, ...], int], Fraction]:
-    """The entry ``((members, j), mu_j)`` after a checked survivor set. Refused: a
-    ``j`` that is not an int of ``members``, and a rate that is not an int or a
-    Fraction, or is negative."""
+def _survivor_rate_entry(m: int, read: Callable | None, key: tuple, value: object) -> tuple:
+    """``((members, j), mu)``: a subset of [m], an int of it, and a rate mu >= 0, exact
+    or ``read`` (read once the set is checked)."""
+    survivors, j = key
+    members = subset_members(m, survivors)
+    if read is not None:
+        value = read(value)
     if type(j) is not int or j not in members:
         raise DomainError(f"survivor {j!r} not in survivor set {members}")
     q = value if type(value) is Fraction else as_fraction(value, f"mu_{j} of {members}")

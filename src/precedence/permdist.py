@@ -29,19 +29,22 @@ different routes and must agree bit-for-bit; the brute-force scanner is
 kept as the cross-checking oracle (CLI ``oracle``).
 
 The value classes check numerators: signs, 0 <= n <= scale for an alpha,
-and each sum to the scale. A law read from a document checks ``m``
-against the cap first, then each permutation once, and reads each weight
-once into the integers it spells; the same lift keeps their numerators
-over the scale of the law built from the same Fractions.
+and each sum to the scale. Each runs its one entry check on every entry,
+built by hand or loaded (``core.checked_entries``), and refuses two keys
+that name one entry. A law read from a document checks ``m`` against the
+cap first, then each permutation once, and reads each weight once into the
+integers it spells; the same lift keeps their numerators over the scale of
+the law built from the same Fractions.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from operator import add
 
 from .core import (
@@ -52,6 +55,7 @@ from .core import (
     _literal_ints,
     as_fraction,
     check_dimension,
+    checked_entries,
     int_format,
     json_dimension,
     json_entries,
@@ -86,15 +90,7 @@ class PermutationDistribution:
         if type(self.weights) is Checked:  # over a scale: keys permutations, numerators positive
             view = self.weights.entries
         else:
-            clean: dict[tuple[int, ...], tuple[int, int]] = {}
-            for perm, value in self.weights.items():
-                perm = validate_permutation(self.m, perm)
-                q = value if type(value) is Fraction else as_fraction(value, f"weight of {perm}")
-                if q.numerator < 0:
-                    raise DomainError(f"negative weight {q} for permutation {perm}")
-                if q.numerator:
-                    clean[perm] = q.as_integer_ratio()
-            view = _OverScale(*_over_one_scale(clean))
+            view = _law_view(checked_entries(self.weights.items(), partial(_weight_entry, self.m, None)))
         object.__setattr__(self, "weights", view)
         numerators, scale = view.numerators, view.scale
         total = sum(numerators.values())
@@ -153,19 +149,27 @@ class PermutationDistribution:
         """The law of a document, as numerators over one scale: no Fraction is
         built, and nothing is checked twice (see the module docstring)."""
         m = json_dimension(doc)
-
-        def entry(e: dict) -> tuple[tuple[int, ...], tuple[int, int]]:
-            perm, terms = validate_permutation(m, e["perm"]), _literal_ints(e["p"])
-            if terms[0] < 0:
-                raise DomainError(f"negative weight {Fraction(*terms)} for permutation {perm}")
-            return perm, terms
-
-        terms = json_entries(doc, "weights", {"perm", "p"}, entry)
-        weights = _over_one_scale({perm: t for perm, t in terms.items() if t[0]})
+        check = partial(_weight_entry, m, _literal_ints)
+        terms = json_entries(doc, "weights", ("perm", "p"), check)
         try:
-            return cls(m, Checked(_OverScale(*weights)))
+            return cls(m, Checked(_law_view(terms)))
         except DomainError as ex:
             raise InputFormatError(str(ex)) from ex
+
+
+def _weight_entry(m: int, read: Callable | None, perm: object, value: object) -> tuple:
+    """``(perm, (n, d))``: a permutation of [m], then a weight n/d >= 0, exact or ``read``."""
+    perm = validate_permutation(m, perm)
+    q = value if read or type(value) is Fraction else as_fraction(value, f"weight of {perm}")
+    n, d = read(q) if read else q.as_integer_ratio()
+    if n < 0:
+        raise DomainError(f"negative weight {Fraction(n, d)} for permutation {perm}")
+    return perm, (n, d)
+
+
+def _law_view(terms: Mapping[tuple[int, ...], tuple[int, int]]) -> _OverScale:
+    """The weights ``n / d`` of ``terms`` but the zeros, over one scale."""
+    return _OverScale(*_over_one_scale({perm: t for perm, t in terms.items() if t[0]}))
 
 
 class _OverScale(Mapping):
@@ -211,20 +215,8 @@ class WinningProbabilityFamily:
         if type(self.alphas) is Checked:  # over a scale: keys from the cached subset order
             view = self.alphas.entries
         else:
-            clean: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}
-            raw = members = None
-            for (subset, j), value in self.alphas.items():
-                if subset is not raw:  # the entries of one subset object are checked once
-                    raw, members = subset, subset_members(self.m, subset)
-                    if len(members) < 2:
-                        raise DomainError(f"subset {members} has fewer than two members")
-                if type(j) is not int or j not in members:
-                    raise DomainError(f"index {j!r} not in subset {members}")
-                q = value if type(value) is Fraction else as_fraction(value, f"alpha_{j}({members})")
-                if (members, j) in clean:  # two orders of one subset
-                    raise DomainError(f"duplicate entry {(members, j)}")
-                clean[(members, j)] = q.as_integer_ratio()
-            view = _OverScale(*_over_one_scale(clean))
+            terms = checked_entries(self.alphas.items(), partial(_alpha_entry, self.m))
+            view = _OverScale(*_over_one_scale(terms))
         object.__setattr__(self, "alphas", view)
         numerators, scale = view.numerators, view.scale
         groups: dict[tuple[int, ...], list[int]] = {}
@@ -245,8 +237,8 @@ class WinningProbabilityFamily:
 
     def _key(self, subset: SubsetMask | Iterable[int], j: int) -> tuple[tuple[int, ...], int]:
         key = (subset_members(self.m, subset), j)
-        if key not in self.numerators:
-            raise DomainError(f"no entry for alpha_{j}({key[0]})")
+        if type(j) is not int or key not in self.numerators:  # True == 1, but not an index
+            raise DomainError(f"no entry for alpha_{j!r}({key[0]})")
         return key
 
     def alpha(self, subset: SubsetMask | Iterable[int], j: int) -> Fraction:
@@ -273,6 +265,18 @@ class WinningProbabilityFamily:
 
     def to_json_list(self) -> list[dict]:
         return subset_rows(self.sets(), "alpha", self._text)
+
+
+def _alpha_entry(m: int, key: tuple, value: object) -> tuple:
+    """``((members, j), (n, d))``: a subset of [m] of size >= 2, an int of it, an exact n/d."""
+    subset, j = key
+    members = subset_members(m, subset)
+    if len(members) < 2:
+        raise DomainError(f"subset {members} has fewer than two members")
+    if type(j) is not int or j not in members:
+        raise DomainError(f"index {j!r} not in subset {members}")
+    q = value if type(value) is Fraction else as_fraction(value, f"alpha_{j}({members})")
+    return (members, j), q.as_integer_ratio()
 
 
 def _over_one_scale(fractions: Mapping[object, tuple[int, int]]) -> tuple[dict[object, int], int]:

@@ -16,7 +16,8 @@ samples pattern space for exhaustive testing.
 Every generator is one per-subset rule: given the members of a subset, it
 returns their ranks, and one builder applies it to each subset in order.
 The subsets a paradox leaves unconstrained get one filler rule, ascending
-by element index, which keeps the output non-weak and deterministic.
+by element index, which keeps the output non-weak and deterministic. A
+pattern, built by hand or loaded, refuses a second function for one set.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .core import Checked, SubsetMask, check_dimension, subset_members, subsets_of_size_at_least
-from .core import decimal_int, json_dimension, json_entries
+from .core import Checked, SubsetMask, check_dimension, checked_entries, subset_members
+from .core import decimal_int, json_dimension, json_entries, subsets_of_size_at_least
 from .errors import DomainError, InputFormatError
 from .permdist import WinningProbabilityFamily
 
@@ -80,9 +81,9 @@ class RankingFunction:
 
     def rank(self, j: int) -> int:
         for e, r in self.ranks:
-            if e == j:
+            if e == j and type(j) is int:  # True == 1, but not an element
                 return r
-        raise DomainError(f"element {j} not in subset {self.members}")
+        raise DomainError(f"element {j!r} not in subset {self.members}")
 
     @property
     def is_weak(self) -> bool:
@@ -102,17 +103,11 @@ class RankingPattern:
     def __post_init__(self) -> None:
         check_dimension(self.m)
         expected = subsets_of_size_at_least(self.m, 2)
-        if type(self.functions) is Checked:  # from the loader: one function per set, checked
+        if type(self.functions) is Checked:  # one function per set of [m], checked
             by_set = self.functions.entries
         else:
-            by_set = {}
-            for fn in self.functions:
-                if fn.members in by_set:
-                    raise DomainError(f"duplicate ranking function for subset {fn.members}")
-                for x in fn.members:
-                    if not 1 <= x <= self.m:
-                        raise DomainError(f"element {x} outside [{self.m}]")
-                by_set[fn.members] = fn
+            pairs = ((fn.members, fn) for fn in self.functions)
+            by_set = checked_entries(pairs, functools.partial(_function_entry, self.m))
         # every key is a subset of [m] with >= 2 members, so none can be extra
         missing = [s for s in expected if s not in by_set]
         if missing:
@@ -156,21 +151,22 @@ class RankingPattern:
         """The pattern of a document: ``m`` checked against the cap first, then
         each entry's members and ranks once, where they enter."""
         m = json_dimension(doc)
-        entry = functools.partial(_function_entry, m)
-        fns = json_entries(doc, "functions", {"set", "ranks"}, entry)
+        check = functools.partial(_function_entry, m)
+        fns = json_entries(doc, "functions", ("set", "ranks"), check)
         try:
             return cls(m, Checked(fns))
         except DomainError as ex:
             raise InputFormatError(str(ex)) from ex
 
 
-def _function_entry(m: int, entry: dict) -> tuple[tuple[int, ...], RankingFunction]:
-    """One ``functions[i]`` entry: its set, a sorted subset of [m] with at least
-    two members, and the ranking function on it."""
-    members = subset_members(m, entry["set"])
+def _function_entry(m: int, subset: object, ranks: object) -> tuple:
+    """``(members, fn)``: a subset of [m] of size >= 2, then a :class:`RankingFunction`
+    on it, or a loaded object of integer ranks keyed by the members as decimals."""
+    members = subset_members(m, subset)
     if len(members) < 2:
         raise DomainError(f"invalid subset {members} for a ranking function")
-    ranks = entry["ranks"]
+    if type(ranks) is RankingFunction:  # built by hand: its members are ``subset``
+        return members, ranks
     if not isinstance(ranks, dict) or any(type(r) is not int for r in ranks.values()):
         raise InputFormatError(f"ranks: {ranks!r} is not an object of integers")
     keys = [decimal_int(k, "ranks") for k in ranks]
@@ -277,15 +273,11 @@ def check_p_concordance(
 def _pattern(m: int, ranks_of: Callable[[tuple[int, ...]], Mapping[int, int]]) -> RankingPattern:
     """The pattern ranking every subset of [m] with >= 2 members by ``ranks_of``.
 
-    ``ranks_of`` is called once per subset, in the cached subset order.
+    ``ranks_of`` is called once per subset, in the cached subset order, and
+    the functions are handed over ``Checked``, keyed by those subsets.
     """
-    return RankingPattern(
-        m,
-        tuple(
-            RankingFunction.of(members, ranks_of(members))
-            for members in subsets_of_size_at_least(m, 2)
-        ),
-    )
+    subsets = subsets_of_size_at_least(m, 2)
+    return RankingPattern(m, Checked({s: RankingFunction.of(s, ranks_of(s)) for s in subsets}))
 
 
 def _ascending_ranks(order: Iterable) -> dict:
@@ -384,6 +376,8 @@ def enumerate_patterns(
         raise DomainError(f"limit must be a non-negative integer, got {limit!r}")
     if seed is not None and type(seed) is not int:
         raise DomainError(f"seed must be an int, got {seed!r}")
+    if seed is not None and seed < 0:  # random.Random would seed from its absolute value
+        raise DomainError(f"seed must be non-negative, got {seed}")
 
     if seed is None:
         if m > 3:

@@ -74,20 +74,21 @@ class StructureFunction:
 
     @classmethod
     def series(cls, r: int) -> "StructureFunction":
-        return cls(r, (frozenset(range(1, r + 1)),))
+        return cls(r, (frozenset(range(1, check_dimension(r, warn=False) + 1)),))
 
     @classmethod
     def parallel(cls, r: int) -> "StructureFunction":
-        return cls(r, tuple(frozenset({i}) for i in range(1, r + 1)))
+        return cls(r, tuple(frozenset({i}) for i in range(1, check_dimension(r, warn=False) + 1)))
 
     @classmethod
     def k_out_of_n(cls, r: int, k: int) -> "StructureFunction":
         """Works while at least k of the r components work."""
+        components = range(1, check_dimension(r, warn=False) + 1)  # r first, as series does
         if type(k) is not int:
             raise DomainError(f"k must be an int, got {k!r}")
         if not 1 <= k <= r:
             raise DomainError(f"need 1 <= k <= r, got k={k}, r={r}")
-        return cls(r, tuple(frozenset(c) for c in itertools.combinations(range(1, r + 1), k)))
+        return cls(r, tuple(frozenset(c) for c in itertools.combinations(components, k)))
 
     def to_json_dict(self) -> dict:
         return {"r": self.r, "path_sets": [sorted(ps) for ps in self.path_sets]}

@@ -19,17 +19,20 @@ astronomically with m, and minimizing the electorate is out of scope.
 
 A situation read from a document checks ``m`` against the cap first, then
 each row once, where it enters: its ranking, and its count, a
-non-negative JSON integer or ASCII decimal string.
+non-negative JSON integer or ASCII decimal string. One built by hand runs
+the same row check; two keys that name one ranking are refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import partial
+from typing import Callable, Iterable, Mapping
 
 from .construction import build_ls_epsilon, epsilon_schedule
-from .core import Checked, JsonRows, check_dimension, decimal_int, int_format, json_dimension
-from .core import json_entries, plain_json, subset_members, subset_rows, validate_permutation
+from .core import Checked, JsonRows, check_dimension, checked_entries, decimal_int, int_format
+from .core import json_dimension, json_entries, plain_json, subset_members, subset_rows
+from .core import validate_permutation
 from .errors import DomainError, InputFormatError
 from .loadsharing import distribution_of
 from .permdist import failed_set_table, winner_sums
@@ -45,16 +48,11 @@ class VotingSituation:
 
     def __post_init__(self) -> None:
         check_dimension(self.m)
-        if type(self.counts) is Checked:  # from the loader: rows and counts checked
-            clean = {perm: count for perm, count in self.counts.entries.items() if count}
+        if type(self.counts) is Checked:  # from the loader or a law: rows and counts checked
+            counts = self.counts.entries
         else:
-            clean = {}
-            for perm, count in self.counts.items():
-                perm = validate_permutation(self.m, perm)
-                if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-                    raise DomainError(f"count for {perm} must be a non-negative integer")
-                if count:
-                    clean[perm] = count
+            counts = checked_entries(self.counts.items(), partial(_count_entry, self.m, None))
+        clean = {perm: count for perm, count in counts.items() if count}
         if not clean:
             raise DomainError("a voting situation needs at least one voter")
         object.__setattr__(self, "counts", clean)
@@ -74,16 +72,22 @@ class VotingSituation:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "VotingSituation":
         m = json_dimension(doc)
-        counts = json_entries(
-            doc,
-            "counts",
-            {"perm", "n"},
-            lambda e: (validate_permutation(m, e["perm"]), decimal_int(e["n"], "n")),
-        )
+        read = partial(decimal_int, where="n")  # a JSON integer or an ASCII decimal string
+        counts = json_entries(doc, "counts", ("perm", "n"), partial(_count_entry, m, read))
         try:
             return cls(m, Checked(counts))
         except DomainError as ex:
             raise InputFormatError(str(ex)) from ex
+
+
+def _count_entry(m: int, read: Callable | None, perm: object, count: object) -> tuple:
+    """``(perm, count)``: a permutation of [m], then an int >= 0, not a bool, or ``read``."""
+    perm = validate_permutation(m, perm)
+    if read is not None:
+        count = read(count)
+    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+        raise DomainError(f"count for {perm} must be a non-negative integer")
+    return perm, count
 
 
 @dataclass(frozen=True)
@@ -96,10 +100,9 @@ class TallyTable:
 
     def votes(self, subset: Iterable[int], i: int) -> int:
         members = subset_members(self.m, subset)
-        try:
-            return self.tallies[(members, i)]
-        except KeyError:
-            raise DomainError(f"no tally for candidate {i} in election {members}") from None
+        if type(i) is not int or (members, i) not in self.tallies:  # True == 1, but no candidate
+            raise DomainError(f"no tally for candidate {i!r} in election {members}")
+        return self.tallies[(members, i)]
 
     def to_json_dict(self) -> dict:
         sets = sorted({members for members, _ in self.tallies})

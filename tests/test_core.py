@@ -130,8 +130,8 @@ class TestJsonLoading:
             json_dimension(doc, "m")
 
     @staticmethod
-    def entry(e):
-        return e["k"], decimal_int(e["v"], "v")
+    def entry(k, v):
+        return k, decimal_int(v, "v")
 
     @pytest.mark.parametrize(
         "entries, message",
@@ -146,12 +146,12 @@ class TestJsonLoading:
     )
     def test_entry_errors_name_the_path(self, entries, message):
         with pytest.raises(InputFormatError) as info:
-            json_entries({"xs": entries}, "xs", {"k", "v"}, self.entry)
+            json_entries({"xs": entries}, "xs", ("k", "v"), self.entry)
         assert str(info.value).startswith(message)
 
     def test_entries_keep_document_order(self):
         doc = {"xs": [{"k": 2, "v": "5", "extra": None}, {"k": 1, "v": 7}]}
-        assert list(json_entries(doc, "xs", {"k", "v"}, self.entry).items()) == [(2, 5), (1, 7)]
+        assert list(json_entries(doc, "xs", ("k", "v"), self.entry).items()) == [(2, 5), (1, 7)]
 
     def test_permutation_length_is_checked_before_the_range_is_built(self):
         with pytest.raises(DomainError):

@@ -84,7 +84,7 @@ class TestRankingPattern:
         fn = RankingFunction.of((1, 2), {1: 1, 2: 2})
         with pytest.raises(DomainError) as info:
             RankingPattern(2, (fn, fn))
-        assert str(info.value) == "duplicate ranking function for subset (1, 2)"
+        assert str(info.value) == "duplicate entry (1, 2)"
 
     def test_rejects_an_element_outside_m(self):
         fn = RankingFunction.of((1, 3), {1: 1, 3: 2})
@@ -260,6 +260,12 @@ class TestEnumeration:
         with pytest.raises(DomainError) as err:
             list(enumerate_patterns(3, True, seed=seed, limit=1))
         assert str(err.value) == f"seed must be an int, got {seed!r}"
+
+    def test_negative_seed_is_domain_error(self):
+        # random.Random(-5) would draw the stream of random.Random(5)
+        with pytest.raises(DomainError) as err:
+            list(enumerate_patterns(4, True, seed=-5, limit=1))
+        assert str(err.value) == "seed must be non-negative, got -5"
 
     def test_zero_limit_yields_nothing(self):
         assert list(enumerate_patterns(3, seed=4, limit=0)) == []

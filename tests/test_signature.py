@@ -335,6 +335,21 @@ class TestNoSilentCoercion:
             StructureFunction.k_out_of_n(3, k)
         assert str(info.value) == f"k must be an int, got {k!r}"
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda r: StructureFunction.series(r),
+            lambda r: StructureFunction.parallel(r),
+            lambda r: StructureFunction.k_out_of_n(r, 1),
+        ],
+        ids=["series", "parallel", "k-out-of-n"],
+    )
+    @pytest.mark.parametrize("r", [2.0, 2.5, "2", True, 0])
+    def test_a_named_system_refuses_a_dimension_that_is_not_one(self, build, r):
+        with pytest.raises(DomainError) as info:
+            build(r)
+        assert str(info.value) == f"dimension must be a positive integer, got {r!r}"
+
     def test_loader_errors_name_the_field(self):
         with pytest.raises(InputFormatError) as info:
             StructureFunction.from_json_dict({"r": 3, "path_sets": [["1"], [2, 3]]})

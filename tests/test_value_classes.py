@@ -1,4 +1,5 @@
-"""Value semantics of the data classes: equality by content, never hashable."""
+"""Value semantics of the data classes: equality by content, never hashable;
+one entry per key, and lookups by int index only."""
 
 import re
 from fractions import Fraction
@@ -10,9 +11,14 @@ from precedence import (
     OrderDependentLSModel,
     PermutationDistribution,
     ProbabilitySignature,
+    RankingFunction,
+    RankingPattern,
     SetInvariantLSModel,
     VotingSituation,
     WinningProbabilityFamily,
+    build_ls_epsilon,
+    epsilon_schedule,
+    pattern_cyclic,
     tally,
 )
 from precedence.core import Checked
@@ -126,3 +132,84 @@ INEXACT_VALUES = {
 def test_a_float_or_bool_value_is_refused_by_name(build, name):
     with pytest.raises(DomainError, match=re.escape(f"{name} is not an int or a Fraction")):
         build()
+
+
+ONE_TWO = RankingFunction.of((1, 2), {1: 1, 2: 2})
+
+# each builds a value by hand from two keys that name one entry, and the entry they name
+TWO_KEYS_FOR_ONE_ENTRY = {
+    "PermutationDistribution": (
+        lambda: PermutationDistribution(2, {(1, 2): HALF, range(1, 3): HALF}),
+        "(1, 2)",
+    ),
+    "WinningProbabilityFamily": (
+        lambda: WinningProbabilityFamily(2, {((1, 2), 1): 1, ((2, 1), 1): 0, ((1, 2), 2): 0}),
+        "((1, 2), 1)",
+    ),
+    "OrderDependentLSModel": (
+        lambda: OrderDependentLSModel(2, {((1,), 2): 3, (range(1, 2), 2): 5}, default=1),
+        "((1,), 2)",
+    ),
+    "SetInvariantLSModel": (
+        lambda: SetInvariantLSModel(2, {((1, 2), 1): 1, ((2, 1), 1): 2, ((1, 2), 2): 1}),
+        "((1, 2), 1)",
+    ),
+    "VotingSituation": (lambda: VotingSituation(2, {(1, 2): 3, range(1, 3): 4}), "(1, 2)"),
+    "RankingPattern": (
+        lambda: RankingPattern(2, (ONE_TWO, RankingFunction.of([2, 1], {1: 2, 2: 1}))),
+        "(1, 2)",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "build, key", TWO_KEYS_FOR_ONE_ENTRY.values(), ids=TWO_KEYS_FOR_ONE_ENTRY.keys()
+)
+def test_two_keys_for_one_entry_are_refused_not_merged(build, key):
+    with pytest.raises(DomainError) as info:
+        build()
+    assert str(info.value) == f"duplicate entry {key}"
+
+
+FAMILY = WinningProbabilityFamily(2, {((1, 2), 1): HALF, ((1, 2), 2): HALF})
+
+# each reads the entry of index j, 1 or 2, through a public lookup
+LOOKUPS = {
+    "WinningProbabilityFamily.alpha": lambda j: FAMILY.alpha((1, 2), j),
+    "WinningProbabilityFamily.alpha_text": lambda j: FAMILY.alpha_text((1, 2), j),
+    "TallyTable.votes": lambda j: tally(VotingSituation(2, {(1, 2): 1})).votes((1, 2), j),
+    "RankingFunction.rank": lambda j: ONE_TWO.rank(j),
+    "RankingPattern.rank": lambda j: RankingPattern(2, (ONE_TWO,)).rank((1, 2), j),
+    "OrderDependentLSModel.rate": lambda j: OrderDependentLSModel.constant(2).rate((), j),
+    "SetInvariantLSModel.rate": lambda j: set_invariant(HALF).rate((), j),
+}
+
+
+@pytest.mark.parametrize("lookup", LOOKUPS.values(), ids=LOOKUPS.keys())
+@pytest.mark.parametrize("index", [True, 1.0])
+def test_a_lookup_refuses_an_index_that_is_not_an_int(lookup, index):
+    lookup(1)
+    with pytest.raises(DomainError, match=re.escape(repr(index))):
+        lookup(index)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [OrderDependentLSModel.constant(3), build_ls_epsilon(pattern_cyclic(3), epsilon_schedule(3))],
+    ids=["order-dependent", "set-invariant"],
+)
+@pytest.mark.parametrize(
+    "prefix, j, message",
+    [
+        ((), 99, "99 is not a survivor after prefix ()"),
+        ((1,), 1, "1 is not a survivor after prefix (1,)"),
+        ((1, 2, 3), 1, "1 is not a survivor after prefix (1, 2, 3)"),
+        ((5,), 1, "prefix element 5 outside [3]"),
+        ((5, 5), 1, "prefix element 5 outside [3]"),
+        ((2, 2), 1, "repeated element 2 in prefix (2, 2)"),
+    ],
+)
+def test_a_rate_lookup_refuses_a_prefix_or_survivor_outside_the_model(model, prefix, j, message):
+    with pytest.raises(DomainError) as info:
+        model.rate(prefix, j)
+    assert str(info.value) == message
