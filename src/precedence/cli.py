@@ -12,9 +12,10 @@ replacing the exact field. Output ordering is deterministic
 (lexicographic by subset, then by index) so certificates diff cleanly.
 
 The rate tables of ``ls invert``, ``ls build``, ``signature invert`` and of
-the model in ``concord certify``, and the count table of ``vote synth``, are
-written from row tuples (``core.JsonRows``), one block of rows at a time,
-never as one dict per row; ``--decimal`` turns them into dicts first.
+the model in ``concord certify``, the count table of ``vote synth`` and the
+order table of ``simulate`` are written from row tuples (``core.JsonRows``),
+one block of rows at a time, never as one dict per row; ``--decimal`` turns
+them into dicts first.
 
 Integer options take ASCII decimal digits only. They are read first; then
 the document of every file option given loads before the handler runs, in
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -190,7 +192,7 @@ def _cmd_simulate(args) -> CommandResult:
         raise DomainError(f"--reference model has m={reference.m} but --model has m={model.m}")
     summary = montecarlo.estimate_alphas(model, n_samples=args.samples, seed=args.seed)
     exact = None if reference is None else loadsharing.alpha_family_ls(reference)
-    return CommandResult(0, summary.to_json_dict(exact))
+    return CommandResult(0, summary._json_doc(exact))
 
 
 @functools.cache
@@ -335,6 +337,17 @@ def _row_layout(keys: tuple[str, ...], pad: str) -> tuple[str, str, str, str, st
     return row, ",\n" + inner, "[\n" + field + "  ", ",\n" + field + "  ", "\n" + field + "]"
 
 
+def _float_text(x: float) -> str:
+    """A float as ``json.dump`` writes it."""
+    if x != x:
+        return "NaN"
+    if x == INFINITY:
+        return "Infinity"
+    if x == -INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
 def _write_json(doc, out) -> None:
     """Write ``doc`` and a newline to ``out``, byte for byte as
     ``json.dump(doc, out, indent=2)`` followed by ``print()`` would, with each
@@ -348,10 +361,11 @@ def _write_json(doc, out) -> None:
     A ``JsonRows`` is written from its row tuples, with no dict per row: the
     rate tables of the models (``ls invert``, ``ls build``, ``signature
     invert``, the model in ``concord certify``) and the count table of ``vote
-    synth``. Its rows go out in blocks of _FLUSH_PIECES values, one join of
-    each column's texts into a row template per block, and each full block is
-    written out. A value that is not an int, a str or a tuple of ints raises
-    TypeError.
+    synth``, and the order table of ``simulate``. Its rows go out in blocks
+    of _FLUSH_PIECES values, one join of each column's texts into a row
+    template per block, and each full block is written out; a tuple of ints
+    goes through one ``%d`` template per tuple length. A value that is not an
+    int, a str, a float or a tuple of ints raises TypeError.
     """
     pieces: list[str] = []
     append = pieces.append
@@ -374,13 +388,7 @@ def _write_json(doc, out) -> None:
         if isinstance(node, int):
             return integer(node)
         if isinstance(node, float):
-            if node != node:
-                return "NaN"
-            if node == INFINITY:
-                return "Infinity"
-            if node == -INFINITY:
-                return "-Infinity"
-            return float.__repr__(node)
+            return _float_text(node)
         raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
 
     def table(node: JsonRows, pad: str) -> None:
@@ -389,24 +397,34 @@ def _write_json(doc, out) -> None:
             append("[]")
             return
         row, sep, opening, comma, close = _row_layout(node.keys, pad)
+        templates: dict[int, str] = {}  # by tuple length: one "%d" per int
 
-        def numbers(values: tuple) -> str:
-            return opening + comma.join(map(integer, values)) + close if values else "[]"
+        def numbers(column: tuple) -> list[str]:
+            kinds = set(map(type, itertools.chain.from_iterable(column)))
+            if not all(issubclass(kind, int) for kind in kinds):  # a bare %d would print 1.5 as 1
+                raise TypeError("a tuple in a JsonRows holds ints only")
+            for size in set(map(len, column)) - templates.keys():
+                templates[size] = opening + comma.join(["%d"] * size) + close if size else "[]"
+            return [templates[len(values)] % values for values in column]
 
         def value(item) -> str:
             if isinstance(item, str):
                 return text(item)
             if isinstance(item, tuple):
-                return numbers(item)
+                return numbers((item,))[0]
+            if isinstance(item, float):
+                return _float_text(item)
             if isinstance(item, int) and not isinstance(item, bool):
                 return integer(item)
             kind = type(item).__name__
-            raise TypeError(f"a JsonRows value is an int, a str or a tuple, not {kind}")
+            raise TypeError(f"a JsonRows value is an int, a str, a float or a tuple, not {kind}")
 
-        formats = {str: text, int: integer, tuple: numbers}
+        formats = {str: text, int: integer, float: _float_text}
 
         def column_texts(column: tuple):
             kind, *more = set(map(type, column))
+            if not more and kind is tuple:
+                return numbers(column)
             return map(value if more else formats.get(kind, value), column)
 
         size = max(_FLUSH_PIECES // (len(node.keys) or 1), 1)  # rows per block

@@ -61,25 +61,29 @@ from .ranking import ConcordanceReport, RankingPattern, check_p_concordance
 def invert_to_ls(rho: PermutationDistribution) -> OrderDependentLSModel:
     """Order-dependent model whose failure-order law is exactly ``rho``.
 
-    The rates are handed over as ``Checked``: each key is a prefix of one of
-    the law's checked permutations, or an (m-1)-permutation, and each rate is
-    a non-negative Fraction by construction, so the model checks none again.
+    The rates are handed over as ``Checked`` rows: each key is a prefix of
+    one of the law's checked permutations, or an (m-1)-permutation, and each
+    row is complete, its numerators w(prefix + j) over the scale w(prefix),
+    which is also their total. No Fraction or gcd is computed, and the
+    model checks no entry again. The m! last-level rows share one row per
+    last survivor.
     """
     m = rho.m
     if m < 2:
         raise DomainError(f"inversion needs m >= 2, got m={m}")
     w = rho.prefix_marginals()
-    rates: dict[tuple[tuple[int, ...], int], Fraction] = {}
+    marginal = w.numerators.get
+    rows = {}
     # integer marginals over the law's scale, all of it at the empty prefix
     for prefix, mass in itertools.chain([((), w.scale)], w.numerators.items()):
         if len(prefix) <= m - 2:
-            for j in range(1, m + 1):
-                if j not in prefix:
-                    rates[(prefix, j)] = Fraction(w.numerators.get(prefix + (j,), 0), mass)
+            survivors = (j for j in range(1, m + 1) if j not in prefix)
+            rows[prefix] = ({j: marginal(prefix + (j,), 0) for j in survivors}, mass, mass)
+    last = {j: ({j: 1}, 1, 1) for j in range(1, m + 1)}
     ground_sum = m * (m + 1) // 2
     for prefix in itertools.permutations(range(1, m + 1), m - 1):
-        rates[(prefix, ground_sum - sum(prefix))] = ONE
-    return OrderDependentLSModel(m, Checked(rates), default=ZERO)
+        rows[prefix] = last[ground_sum - sum(prefix)]
+    return OrderDependentLSModel(m, Checked(rows), default=ZERO)
 
 
 def epsilon_schedule(m: int) -> EpsilonSchedule:
@@ -176,15 +180,19 @@ def build_ls_epsilon(sigma: RankingPattern, eps: EpsilonSchedule) -> SetInvarian
             "the schedule construction needs a tie-free pattern"
         )
     m = sigma.m
-    mu: dict[tuple[tuple[int, ...], int], Fraction] = {((i,), i): ONE for i in range(1, m + 1)}
-    # rows[l][r - 1]: the rate of rank r in a set of l survivors, positive by the schedule's check
-    rows = {level: [1 - r * eps.value(level) for r in range(level)] for level in range(2, m + 1)}
+    rows = {(i,): ({i: 1}, 1, 1) for i in range(1, m + 1)}
+    # by size l: the numerators of the ranks r = 1..l, q - (r - 1) p over the scale q of
+    # eps(l) = p / q, positive by the schedule's check, and their total
+    sizes = {}
+    for level in range(2, m + 1):
+        p, q = eps.value(level).as_integer_ratio()
+        numerators = [q - r * p for r in range(level)]
+        sizes[level] = numerators, sum(numerators), q
     # sigma.functions follows the lexicographic order of the subsets with |A| >= 2
     for members, fn in zip(subsets_of_size_at_least(m, 2), sigma.functions):
-        row = rows[len(members)]
-        for i, rank in fn.ranks:
-            mu[(members, i)] = row[rank - 1]
-    return SetInvariantLSModel(m, Checked(mu), epsilon=eps)  # keys: the cached subset tuples
+        numerators, total, scale = sizes[len(members)]
+        rows[members] = ({i: numerators[rank - 1] for i, rank in fn.ranks}, total, scale)
+    return SetInvariantLSModel(m, Checked(rows), epsilon=eps)  # keys: the cached subset tuples
 
 
 @dataclass(frozen=True)

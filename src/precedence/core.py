@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import os
 import re
@@ -175,9 +176,9 @@ class JsonRows:
     """A JSON list of objects that share one key order, kept as row tuples.
 
     ``rows`` is a sequence of tuples, one value per key of ``keys``: an int,
-    a str or a tuple of ints, which JSON writes as a list. The ints of a
-    tuple are not bools, as in the checked keys of every value class: the
-    writer takes them as ints unchecked. A document holding one is written by
+    a str, a float or a tuple of ints, which JSON writes as a list. The ints
+    of a tuple are not bools, as in the checked keys of every value class:
+    the writer takes them as ints unchecked. A document holding one is written by
     the CLI straight from the tuples, with no dict per row
     (``cli._write_json``); :meth:`dicts` is the same list as plain JSON, and
     :func:`plain_json` puts it in place in a document.
@@ -220,6 +221,14 @@ def int_format(value: int, field: str) -> str:
 def _too_many_digits(field: str) -> DomainError:
     limit = sys.get_int_max_str_digits()
     return DomainError(f"{field}: integer has more than {limit} digits to print")
+
+
+def ratio_format(n: int, d: int, field: str = "rational") -> str:
+    """Canonical text of ``n / d``, d > 0, reduced by one gcd; DomainError
+    naming ``field`` if too long to print."""
+    g = math.gcd(n, d)
+    text = int_format(n // g, field)
+    return text if g == d else f"{text}/{int_format(d // g, field)}"
 
 
 def rational_format(value: Fraction | int) -> str:
@@ -298,7 +307,7 @@ class SubsetMask:
         return SubsetMask(self.m, self.mask ^ ((1 << self.m) - 1))
 
     def __contains__(self, x: int) -> bool:
-        return isinstance(x, int) and 1 <= x <= self.m and bool(self.mask >> (x - 1) & 1)
+        return type(x) is int and 1 <= x <= self.m and bool(self.mask >> (x - 1) & 1)
 
     def __len__(self) -> int:
         return self.mask.bit_count()

@@ -23,16 +23,19 @@ Two representations are provided:
 * :class:`SetInvariantLSModel`: rates keyed by the *survivor set*, i.e.
   order-independent by construction.
 
-Both answer ``rates_after(prefix)``: the row of every survivor's rate
-after a failure prefix, ascending by survivor. Every reader of more than
-one rate (:func:`total_rate`, :func:`prefix_probability`, the walker and
-the sampler) takes whole rows; ``rate(prefix, j)`` is the single-entry
-lookup. The walker and the sampler read rows through :func:`_row_reader`,
-which builds a set-invariant row once per failed set, not once per order.
+Both store their rates as integer rows, built once where the rates enter:
+a row is its survivors' numerators, ascending by survivor, their total and
+their scale, mu_j = numerators[j] / scale. An order-dependent model keeps
+one row per prefix over the survivors it lists; a set-invariant one keeps
+one complete row per failed set. ``rates`` and ``mu_by_survivors`` are
+read-only views that build a Fraction when an entry is read. The walker,
+the set DP and the sampler read the stored rows (``_row``); an
+order-dependent row that omits survivors is merged with the default rate
+as it is read. ``rates_after(prefix)`` is the Fraction row behind
+``rate(prefix, j)``, :func:`total_rate` and :func:`prefix_probability`.
 
-The exact kernels run on ints, each row as integer numerators over its
-lcm, and build a Fraction only for a value they return.
-:func:`distribution_of`, :func:`alpha_family_ls` and :func:`beta_gamma_split`
+The exact kernels run on ints and build a Fraction only for a value they
+return. :func:`distribution_of`, :func:`alpha_family_ls` and :func:`beta_gamma_split`
 reduce one walker of the reachable failure prefixes, which carries each
 prefix's probability as an unreduced numerator and denominator; the law
 keeps the orders' numerators over one scale, as its readers take them. Winning
@@ -65,12 +68,14 @@ from .core import (
     Checked,
     JsonRows,
     SubsetMask,
+    _literal_ints,
     as_fraction,
     check_dimension,
     checked_entries,
     json_dimension,
     json_entries,
     plain_json,
+    ratio_format,
     rational_format,
     rational_parse,
     subset_members,
@@ -118,8 +123,8 @@ class EpsilonSchedule:
         object.__setattr__(self, "eps", values)
 
     def value(self, level: int) -> Fraction:
-        if not 1 <= level <= self.m:
-            raise DomainError(f"level {level} outside [1, {self.m}]")
+        if type(level) is not int or not 1 <= level <= self.m:  # True == 1, but not a level
+            raise DomainError(f"level {level!r} is not an int in [1, {self.m}]")
         return self.eps[level - 1]
 
     def rho(self, level: int) -> Fraction:
@@ -140,22 +145,29 @@ class EpsilonSchedule:
         return [rational_format(e) for e in self.eps]
 
 
-@dataclass(frozen=True)
+Row = tuple[dict[int, int], int, int]  # (numerator by survivor, ascending; their total; scale)
+
+
+@dataclass(frozen=True, eq=False)
 class OrderDependentLSModel:
     """Sparse rate table ``(prefix, j) -> mu`` plus a default rate.
 
     The table is complete by construction: any (prefix, j) pair not stored
     explicitly has the default rate. All rates are non-negative exact
-    rationals; prefixes run up to length m-1. Rates handed over as
-    :class:`~precedence.core.Checked` (by the loader, or by
-    :func:`~precedence.construction.invert_to_ls`) are stored as they come,
-    and only the dimension and the default rate are checked; a mapping built
-    by hand runs the loader's check on each entry and refuses a repeated one.
+    rationals; prefixes run up to length m-1. ``rows`` holds one integer row
+    per prefix, over the survivors it lists; ``rates`` is their read-only
+    view. Rows handed over as :class:`~precedence.core.Checked` (by the
+    loader, or by :func:`~precedence.construction.invert_to_ls`) are stored
+    as they come, and only the dimension and the default rate are checked; a
+    mapping built by hand runs the loader's check on each entry, refuses a
+    repeated one, and is lifted to rows once. Equal rates make equal models,
+    whatever the scales of their rows.
     """
 
     m: int
     rates: Mapping[tuple[tuple[int, ...], int], Fraction]
     default: Fraction = ZERO
+    rows: Mapping[tuple[int, ...], Row] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_dimension(self.m)
@@ -163,11 +175,19 @@ class OrderDependentLSModel:
         if default < 0:
             raise DomainError(f"negative default rate {default}")
         object.__setattr__(self, "default", default)
-        if type(self.rates) is Checked:  # each entry checked where it entered
-            rates = self.rates.entries
+        if type(self.rates) is Checked:  # each row built from checked entries
+            rows = self.rates.entries
         else:
-            rates = checked_entries(self.rates.items(), functools.partial(_rate_entry, self.m, None))
-        object.__setattr__(self, "rates", rates)
+            check = functools.partial(_rate_entry, self.m, None)
+            rows = _rows_of(checked_entries(self.rates.items(), check))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rates", _RateView(rows))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        same = self.m == other.m and self.default == other.default
+        return same and _same_rows(self.rows, other.rows)
 
     def rate(self, prefix: Iterable[int], j: int) -> Fraction:
         """mu_j after ``prefix``, a failure prefix of [m], if ``j`` is an int survivor."""
@@ -179,12 +199,25 @@ class OrderDependentLSModel:
 
     def rates_after(self, prefix: tuple[int, ...]) -> dict[int, Fraction]:
         """Each survivor's rate after the failure order ``prefix``, ascending."""
+        numerators, _, scale = self._row(prefix)
+        return {j: Fraction(n, scale) for j, n in numerators.items()}
+
+    def _row(self, prefix: tuple[int, ...]) -> Row:
+        """The integer row of every survivor after ``prefix``: the stored row,
+        or the stored survivors' and the default's rates over one scale."""
+        row = self.rows.get(prefix)
+        if row is not None and len(row[0]) + len(prefix) == self.m:
+            return row
         failed = set(prefix)
-        return {
-            j: self.rates.get((prefix, j), self.default)
-            for j in range(1, self.m + 1)
-            if j not in failed
-        }
+        survivors = [j for j in range(1, self.m + 1) if j not in failed]
+        p, q = self.default.as_integer_ratio()
+        if row is None:
+            return dict.fromkeys(survivors, p), p * len(survivors), q
+        stored, _, scale = row
+        common = math.lcm(scale, q)
+        lift, fill = common // scale, p * (common // q)
+        numerators = {j: stored[j] * lift if j in stored else fill for j in survivors}
+        return numerators, sum(numerators.values()), common
 
     @classmethod
     def constant(cls, m: int, rate: Fraction | int = 1) -> "OrderDependentLSModel":
@@ -196,10 +229,9 @@ class OrderDependentLSModel:
 
     def _json_doc(self) -> dict:
         """The document, its rate table as :class:`~precedence.core.JsonRows`."""
-        rows = [(p, j, rational_format(mu)) for (p, j), mu in sorted(self.rates.items())]
         return {
             "m": self.m,
-            "rates": JsonRows(("prefix", "j", "mu"), rows),
+            "rates": _rate_table(("prefix", "j", "mu"), sorted(self.rows), self.rows),
             "default": rational_format(self.default),
         }
 
@@ -209,24 +241,96 @@ class OrderDependentLSModel:
         check = functools.partial(_rate_entry, m, _literal_reader())
         rates = json_entries(doc, "rates", ("prefix", "j", "mu"), check)
         try:
-            return cls(m, Checked(rates), rational_parse(doc.get("default", "0")))
+            return cls(m, Checked(_rows_of(rates)), rational_parse(doc.get("default", "0")))
         except RationalParseError as ex:
             raise InputFormatError(f"default: {ex}") from ex
         except DomainError as ex:
             raise InputFormatError(str(ex)) from ex
 
 
-def _literal_reader() -> Callable[[object], Fraction]:
-    """:func:`~precedence.core.rational_parse` for the entries of one document,
-    parsing each distinct str once; a bad one, or a value that is not a str,
-    is refused again at each entry that holds it."""
-    parsed = functools.cache(rational_parse)
-    return lambda text: parsed(text) if type(text) is str else rational_parse(text)
+class _RateView(Mapping):
+    """The rates of integer rows keyed ``(k, j)``, k a row's prefix or survivor
+    set and j one of its survivors: each Fraction is built when it is read."""
+
+    def __init__(self, rows: Mapping[tuple[int, ...], Row]):
+        self.rows = rows
+
+    def __getitem__(self, key: object) -> Fraction:
+        try:
+            k, j = key
+            numerators, _, scale = self.rows[k]
+            return Fraction(numerators[j], scale)
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+
+    def __iter__(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        return ((k, j) for k, (numerators, _, _) in self.rows.items() for j in numerators)
+
+    def __len__(self) -> int:
+        return sum(len(numerators) for numerators, _, _ in self.rows.values())
+
+
+def _same_rows(mine: Mapping[object, Row], theirs: Mapping[object, Row]) -> bool:
+    """Whether two row tables hold the same rates: cross-multiplied, whatever the scales."""
+    if mine.keys() != theirs.keys():
+        return False
+    for k, (numerators, _, scale) in mine.items():
+        other, _, other_scale = theirs[k]
+        if numerators.keys() != other.keys() or any(
+            n * other_scale != other[j] * scale for j, n in numerators.items()
+        ):
+            return False
+    return True
+
+
+def _row_of(terms: list[tuple[int, tuple[int, int]]]) -> Row:
+    """The row of the rates ``n / d`` of survivors j, from (j, (n, d)) ascending
+    by j, over the lcm of the d."""
+    if len(terms) == 1:  # a lone survivor, as after most prefixes of an inversion
+        [(j, (n, d))] = terms
+        return {j: n}, n, d
+    scale = math.lcm(*[d for _, (_, d) in terms])
+    numerators = {j: n * (scale // d) for j, (n, d) in terms}
+    return numerators, sum(numerators.values()), scale
+
+
+def _rows_of(entries: Mapping[tuple, tuple[int, int]]) -> dict[tuple[int, ...], Row]:
+    """One row per k of checked rates ``(k, j) -> (n, d)``: a mapping lifted once."""
+    grouped: dict[tuple[int, ...], list] = {}
+    for (k, j), term in entries.items():
+        grouped.setdefault(k, []).append((j, term))
+    return {k: _row_of(sorted(terms)) for k, terms in grouped.items()}
+
+
+def _rate_table(names: tuple[str, ...], keys: Iterable[tuple[int, ...]], rows: Mapping) -> JsonRows:
+    """The printed rate table of the rows of ``keys``, in that order: each entry
+    reduced by one gcd, each distinct (numerator, scale) formatted once."""
+    text = functools.cache(ratio_format)
+    return JsonRows(names, [
+        (k, j, text(n, scale)) for k in keys for numerators, _, scale in (rows[k],)
+        for j, n in numerators.items()
+    ])
+
+
+def _literal_reader() -> Callable[[object], tuple[int, int]]:
+    """The lowest terms (n, d) of a rational literal, for the entries of one
+    document: each distinct str is read once by :func:`~precedence.core._literal_ints`
+    and reduced by one gcd, so a row is over the scale of the same rates built
+    by hand; a bad one, or a value that is not a str, is refused again at
+    each entry that holds it."""
+
+    @functools.cache
+    def read(text: str) -> tuple[int, int]:
+        n, d = _literal_ints(text)
+        g = math.gcd(n, d)
+        return n // g, d // g
+
+    return lambda text: read(text) if type(text) is str else _literal_ints(text)
 
 
 def _rate_entry(m: int, read: Callable | None, key: tuple, value: object) -> tuple:
-    """``((prefix, j), mu)``: a failure prefix shorter than m, an int of [m] outside
-    it, and a rate mu >= 0, exact or ``read`` (read once the prefix is checked)."""
+    """``((prefix, j), (n, d))``: a failure prefix shorter than m, an int of [m]
+    outside it, and a rate n/d >= 0, exact or ``read`` (read once the prefix is checked)."""
     prefix, j = key
     prefix = validate_prefix(m, prefix)
     if read is not None:
@@ -235,60 +339,80 @@ def _rate_entry(m: int, read: Callable | None, key: tuple, value: object) -> tup
         raise DomainError(f"prefix {prefix} too long for m={m}")
     if type(j) is not int or not 1 <= j <= m or j in prefix:
         raise DomainError(f"invalid survivor {j} for prefix {prefix}")
-    q = value if type(value) is Fraction else as_fraction(value, f"mu_{j}{prefix}")
-    if q.numerator < 0:
-        raise DomainError(f"negative rate {q} for mu_{j}{prefix}")
-    return (prefix, j), q
+    if read is None:
+        q = value if type(value) is Fraction else as_fraction(value, f"mu_{j}{prefix}")
+        value = q.as_integer_ratio()
+    if value[0] < 0:
+        raise DomainError(f"negative rate {Fraction(*value)} for mu_{j}{prefix}")
+    return (prefix, j), value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SetInvariantLSModel:
     """Rates keyed by survivor set: ``mu_j([m] \\ A)`` stored under (A, j).
 
     Order-independence is structural. When built from an epsilon schedule
     the schedule travels with the model (``epsilon``, over the model's m)
     so that bound checks and certificates read it; equality ignores it.
-    Rates handed over as :class:`~precedence.core.Checked` are stored as they
+    ``rows[S]`` is the complete integer row of the survivors of the failed
+    set S, a bit mask (bit i-1 for component i); ``mu_by_survivors`` is the
+    read-only view of the rows by survivor set. Rows handed over as
+    :class:`~precedence.core.Checked`, by survivor set, are stored as they
     come, and only completeness and the zero totals are checked; a mapping
-    built by hand runs the loader's check on each entry and refuses a repeated one.
+    built by hand runs the loader's check on each entry, refuses a repeated
+    one, and is lifted to rows once.
     """
 
     m: int
     mu_by_survivors: Mapping[tuple[tuple[int, ...], int], Fraction]
-    epsilon: EpsilonSchedule | None = field(default=None, compare=False)
+    epsilon: EpsilonSchedule | None = None
+    rows: list[Row] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_dimension(self.m)
         if self.epsilon is not None and self.epsilon.m != self.m:
             raise DomainError(f"schedule has m={self.epsilon.m} but model has m={self.m}")
-        if type(self.mu_by_survivors) is Checked:  # each entry checked where it entered
-            clean = self.mu_by_survivors.entries
+        if type(self.mu_by_survivors) is Checked:  # each row built from checked entries
+            by_set = self.mu_by_survivors.entries
         else:
             check = functools.partial(_survivor_rate_entry, self.m, None)
-            clean = checked_entries(self.mu_by_survivors.items(), check)
+            by_set = _rows_of(checked_entries(self.mu_by_survivors.items(), check))
+        full = (1 << self.m) - 1
+        rows: list[Row] = [({}, 0, 1)] * (full + 1)  # the full set leaves no survivor
         for members in subsets_of_size_at_least(self.m, 1):
-            for j in members:
-                if (members, j) not in clean:
-                    raise DomainError(f"missing rate for survivor {j} of set {members}")
-            if not any(clean[(members, j)].numerator for j in members):  # all rates are >= 0
+            row = by_set.get(members)
+            if row is None or len(row[0]) < len(members):
+                j = next(j for j in members if row is None or j not in row[0])
+                raise DomainError(f"missing rate for survivor {j} of set {members}")
+            if not row[1]:  # all rates are >= 0
                 raise DomainError(f"survivor set {members} has zero total rate")
-        object.__setattr__(self, "mu_by_survivors", clean)
+            rows[full ^ sum(1 << (j - 1) for j in members)] = row
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "mu_by_survivors", _RateView(by_set))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = self.mu_by_survivors.rows, other.mu_by_survivors.rows
+        return self.m == other.m and _same_rows(mine, theirs)
 
     rate = OrderDependentLSModel.rate
+    rates_after = OrderDependentLSModel.rates_after
 
-    def rates_after(self, prefix: tuple[int, ...]) -> dict[int, Fraction]:
-        """Each survivor's rate after the failure order ``prefix``, ascending."""
-        failed = set(prefix)
-        survivors = tuple(i for i in range(1, self.m + 1) if i not in failed)
-        return {j: self.mu_by_survivors[(survivors, j)] for j in survivors}
+    def _row(self, prefix: tuple[int, ...]) -> Row:
+        """The stored row of the survivors after ``prefix``."""
+        failed = 0
+        for i in prefix:
+            failed |= 1 << (i - 1)
+        return self.rows[failed]
 
     def to_json_dict(self) -> dict:
         return plain_json(self._json_doc())
 
     def _json_doc(self) -> dict:
         """The document, its rate table as :class:`~precedence.core.JsonRows`."""
-        rows = [(s, j, rational_format(mu)) for (s, j), mu in sorted(self.mu_by_survivors.items())]
-        doc = {"m": self.m, "rates": JsonRows(("survivors", "j", "mu"), rows)}
+        sets, rows = subsets_of_size_at_least(self.m, 1), self.mu_by_survivors.rows
+        doc = {"m": self.m, "rates": _rate_table(("survivors", "j", "mu"), sets, rows)}
         if self.epsilon is not None:
             doc["epsilon"] = self.epsilon.to_json_list()
         return doc
@@ -307,24 +431,26 @@ class SetInvariantLSModel:
             except (RationalParseError, ScheduleError, TypeError) as ex:
                 raise InputFormatError(f"epsilon: {ex}") from ex
         try:
-            return cls(m, Checked(mu), eps)
+            return cls(m, Checked(_rows_of(mu)), eps)
         except DomainError as ex:  # completeness or a zero total
             raise InputFormatError(f"rates: {ex}") from ex
 
 
 def _survivor_rate_entry(m: int, read: Callable | None, key: tuple, value: object) -> tuple:
-    """``((members, j), mu)``: a subset of [m], an int of it, and a rate mu >= 0, exact
-    or ``read`` (read once the set is checked)."""
+    """``((members, j), (n, d))``: a subset of [m], an int of it, and a rate n/d >= 0,
+    exact or ``read`` (read once the set is checked)."""
     survivors, j = key
     members = subset_members(m, survivors)
     if read is not None:
         value = read(value)
     if type(j) is not int or j not in members:
         raise DomainError(f"survivor {j!r} not in survivor set {members}")
-    q = value if type(value) is Fraction else as_fraction(value, f"mu_{j} of {members}")
-    if q.numerator < 0:
-        raise DomainError(f"negative rate {q} for mu_{j} with survivors {members}")
-    return (members, j), q
+    if read is None:
+        q = value if type(value) is Fraction else as_fraction(value, f"mu_{j} of {members}")
+        value = q.as_integer_ratio()
+    if value[0] < 0:
+        raise DomainError(f"negative rate {Fraction(*value)} for mu_{j} with survivors {members}")
+    return (members, j), value
 
 
 LoadSharingModel = OrderDependentLSModel | SetInvariantLSModel
@@ -359,41 +485,17 @@ def prefix_probability(model: LoadSharingModel, prefix: Iterable[int]) -> Fracti
     return prob
 
 
-def _integer_row(model: LoadSharingModel, prefix: tuple) -> tuple[dict[int, int], int, int]:
-    """``model.rates_after(prefix)`` as integer numerators over the lcm of its
-    denominators: (numerator by survivor, their total, that lcm)."""
-    row = model.rates_after(prefix)
-    scale = math.lcm(*(q.denominator for q in row.values()))
-    numerators = {j: q.numerator * (scale // q.denominator) for j, q in row.items()}
-    return numerators, sum(numerators.values()), scale
-
-
-def _row_reader(model: LoadSharingModel, build: Callable = _integer_row) -> Callable[[tuple], tuple]:
-    """``build(model, prefix)`` as a function of ``prefix``; a set-invariant model's row is
-    built once per failed set and kept while the reader lives."""
-    if not isinstance(model, SetInvariantLSModel):
-        return functools.partial(build, model)
-    rows: dict[frozenset[int], tuple] = {}
-
-    def read(prefix: tuple) -> tuple:
-        if (failed := frozenset(prefix)) not in rows:
-            rows[failed] = build(model, prefix)
-        return rows[failed]
-
-    return read
-
-
 def _walk(
     model: LoadSharingModel, pool: Iterable[int], depth: int
 ) -> Iterator[tuple[tuple[int, ...], int, int, dict[int, int]]]:
     """(prefix, num, den, row) of each reachable prefix drawn from ``pool``.
 
-    ``row`` holds the integer rates of :func:`_integer_row`, and survivor j
+    ``row`` holds the integer rates of the prefix's stored row, and survivor j
     fails next with probability ``num * row[j] / den``, unreduced. Depth
     first, up to length ``depth``; prefixes with total rate 0 are skipped.
     The stack holds ``depth`` levels of siblings, never the tree.
     """
-    pool, read = frozenset(pool), _row_reader(model)
+    pool, read = frozenset(pool), model._row
     stack = [((), 1, 1)]
     while stack:
         prefix, num, den = stack.pop()
@@ -441,21 +543,18 @@ def distribution_of(model: LoadSharingModel) -> PermutationDistribution:
 def _set_invariant_table(model: SetInvariantLSModel) -> tuple[dict[tuple[int, int], int], int]:
     """The failed-set table of a set-invariant model, expanding each failed set once.
 
-    h[(S, j)] = P(S fails first) * mu_j(S) / M(S), and P(S + j) sums them.
-    The sets of one size carry numerators over one scale, the last scale
-    times the lcm of their row totals (one total per size in a schedule
-    model); at the end every entry is lifted in place to the last scale.
+    h[(S, j)] = P(S fails first) * mu_j(S) / M(S), and P(S + j) sums them,
+    mu_j(S) / M(S) read from the stored row of S. The sets of one size carry
+    numerators over one scale, the last scale times the lcm of their row
+    totals (one total per size in a schedule model); at the end every entry
+    is lifted in place to the last scale.
     """
-    m = model.m
+    m, rows = model.m, model.rows
     h: dict[tuple[int, int], int] = {}
     scales = []  # scales[k]: the scale of the entries whose failed set has k members
     level, scale = {0: 1}, 1
     for _ in range(m - 1):
-        rows = {
-            mask: _integer_row(model, tuple(i for i in range(1, m + 1) if mask >> (i - 1) & 1))
-            for mask in level
-        }
-        step = math.lcm(*{total for _, total, _ in rows.values()})  # each total is positive
+        step = math.lcm(*{rows[mask][1] for mask in level})  # each total is positive
         scale *= step
         scales.append(scale)
         reached: dict[int, int] = {}

@@ -10,21 +10,21 @@ tolerances (exact targets are never replaced).
 
 Sampling is level-synchronous: each block of ``CHUNK_TRAJECTORIES``
 samples takes one numpy step per failure, every sample reading the float
-CDF row of its current prefix. Rows are built in plain Python when a
-sample first reaches their prefix, so a prefix with zero total rate raises
-only then: once per prefix for an order-dependent model, once per survivor
-set for a set-invariant one. A step's new rows join their level's arrays
-in one batch. A lone last survivor fails last whatever its rate, as in the
-exact law; its rate of 0 raises only when its row is built for a walk that
-draws failure times. A positive total below the float range rounds to 0.0,
+CDF row of its current prefix. Rows are built in plain Python from the
+model's stored integer rows when a sample first reaches their prefix, so a
+prefix with zero total rate raises only then. A step's new rows join their
+level's arrays in one batch. A lone last survivor fails last whatever its
+rate, as in the exact law; its rate of 0 raises only when its row is built
+for a walk that draws failure times. A positive total below the float range rounds to 0.0,
 and its sojourns to inf.
 
 Reproducibility: a counter-based generator (Philox) is keyed once from
 the seed, and block i always draws from counter i, its uniforms before
 its exponentials. Reductions sum integer counts only, so summaries are
 bit-identical for a fixed seed. A row turns the integer rate numerators
-of its prefix into floats, each rounded once: r / total is float(mu / M),
-and the CDF adds them left to right, as ``np.cumsum`` would.
+of its prefix's stored row into floats, each rounded once: r / total is
+float(mu / M), whatever the row's scale, and the CDF adds them left to
+right, as ``np.cumsum`` would.
 
 numpy is needed by the sampler alone: the functions that draw, build
 arrays or walk them import it when they run, so importing this module, as
@@ -36,12 +36,12 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, count
+from itertools import accumulate, chain, count
 from typing import TYPE_CHECKING, Iterator, Mapping
 
-from .core import subset_rows
+from .core import JsonRows, plain_json, subset_rows
 from .errors import DomainError, SimulationError
-from .loadsharing import LoadSharingModel, _integer_row, _row_reader
+from .loadsharing import LoadSharingModel
 from .permdist import WinningProbabilityFamily, failed_set_table, winner_sums
 
 if TYPE_CHECKING:
@@ -74,6 +74,10 @@ class SimulationSummary:
     empirical_alpha: Mapping[tuple[tuple[int, ...], int], float]
 
     def to_json_dict(self, exact: WinningProbabilityFamily | None = None) -> dict:
+        return plain_json(self._json_doc(exact))
+
+    def _json_doc(self, exact: WinningProbabilityFamily | None = None) -> dict:
+        """The document, its order table as :class:`~precedence.core.JsonRows`."""
         sets = sorted({members for members, _ in self.empirical_alpha})
         alpha_rows = subset_rows(sets, "empirical", self.empirical_alpha.__getitem__)
         if exact is not None:  # the family's own rows, paired in subset order
@@ -85,14 +89,10 @@ class SimulationSummary:
             "m": self.m,
             "samples": self.samples,
             "seed": self.seed,
-            "orders": [
-                {
-                    "perm": list(perm),
-                    "count": self.order_counts[perm],
-                    "frequency": self.empirical_rho[perm],
-                }
+            "orders": JsonRows(("perm", "count", "frequency"), [
+                (perm, self.order_counts[perm], self.empirical_rho[perm])
                 for perm in sorted(self.order_counts)
-            ],
+            ]),
             "alpha": alpha_rows,
         }
 
@@ -123,7 +123,7 @@ def _float_row(
     With ``times``, a lone survivor of rate 0 is refused: no failure time exists.
     ``times`` comes first, so that a partial binds it with no keyword to pass per call.
     """
-    row, total, scale = _integer_row(model, prefix)
+    row, total, scale = model._row(prefix)
     survivors = list(row)
     try:  # int true division rounds correctly: total / scale is float(M), r / total float(mu / M)
         float_total = total / scale  # an M below the float range rounds to 0.0: sojourns inf
@@ -146,19 +146,21 @@ class _SamplerTables:
         self.m = model.m
         self.levels = [_Level(self.m - r) for r in range(self.m)]
         # holds no reference back to the tables
-        self.read = _row_reader(model, functools.partial(_float_row, times))
+        self.read = functools.partial(_float_row, times, model)
         self._extend(0, [()])
 
     def _extend(self, r: int, prefixes: list[tuple[int, ...]]) -> None:
         import numpy as np
 
         survivors, cum, total = zip(*map(self.read, prefixes))
-        level = self.levels[r]
+        level, shape = self.levels[r], (len(prefixes), self.m - r)
         level.prefixes += prefixes
-        level.survivors = np.vstack([level.survivors, np.array(survivors, np.intp)])
-        level.cum = np.vstack([level.cum, np.array(cum)])
+        survivors = np.fromiter(chain.from_iterable(survivors), np.intp, shape[0] * shape[1])
+        cum = np.fromiter(chain.from_iterable(cum), float, shape[0] * shape[1])
+        level.survivors = np.vstack([level.survivors, survivors.reshape(shape)])
+        level.cum = np.vstack([level.cum, cum.reshape(shape)])
         level.total = np.concatenate([level.total, np.array(total)])
-        level.child = np.vstack([level.child, np.full((len(prefixes), self.m - r), -1)])
+        level.child = np.vstack([level.child, np.full(shape, -1)])
 
     def walk(
         self, uniforms: np.ndarray, exponentials: np.ndarray | None = None
@@ -189,9 +191,9 @@ class _SamplerTables:
                 branches = np.unique(node[new] * (self.m - r) + idx[new])
                 parents, picks = np.divmod(branches, self.m - r)
                 start = len(self.levels[r + 1].prefixes)
+                victims = level.survivors[parents, picks].tolist()
                 self._extend(r + 1, [
-                    level.prefixes[p] + (int(level.survivors[p, c]),)
-                    for p, c in zip(parents.tolist(), picks.tolist())
+                    level.prefixes[p] + (j,) for p, j in zip(parents.tolist(), victims)
                 ])
                 level.child[parents, picks] = np.arange(start, start + len(branches))
             node = level.child[node, idx]
@@ -233,10 +235,11 @@ def sample_trajectories(
     """The exact trajectory stream :func:`estimate_alphas` consumes."""
     blocks = _blocks(n_samples, seed, model.m, times=True)
     tables = _SamplerTables(model, times=True)
+    order = functools.cache(tables.order)  # one tuple per leaf, shared by its samples
     return (
-        Trajectory(tables.order(leaf), tuple(row))
+        trajectory
         for leaves, times in (tables.walk(*block) for block in blocks)
-        for leaf, row in zip(leaves.tolist(), times.tolist())
+        for trajectory in map(Trajectory, map(order, leaves.tolist()), map(tuple, times.tolist()))
     )
 
 

@@ -56,9 +56,9 @@ from .core import (
     as_fraction,
     check_dimension,
     checked_entries,
-    int_format,
     json_dimension,
     json_entries,
+    ratio_format,
     rational_format,
     subset_members,
     subset_rows,
@@ -251,10 +251,7 @@ class WinningProbabilityFamily:
     def _text(self, key: tuple[tuple[int, ...], int]) -> str:
         """The numerator of a stored key over the scale, in lowest terms by one
         gcd; DomainError if too long to print."""
-        n, d = self.numerators[key], self.scale
-        g = math.gcd(n, d)
-        text = int_format(n // g, "alpha")
-        return text if g == d else f"{text}/{int_format(d // g, 'alpha')}"
+        return ratio_format(self.numerators[key], self.scale, "alpha")
 
     def sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted({members for members, _ in self.numerators}))

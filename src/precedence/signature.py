@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Mapping
 from .core import ONE, ZERO, Checked, as_fraction, check_dimension, json_dimension
 from .core import rational_format, subsets_of_size_at_least, validate_permutation
 from .errors import DomainError, InfeasibleTargetError, InputFormatError
-from .loadsharing import LoadSharingModel, SetInvariantLSModel, _model_table
+from .loadsharing import LoadSharingModel, SetInvariantLSModel, _model_table, _row_of
 from .permdist import PermutationDistribution, failed_set_table
 
 
@@ -205,9 +205,11 @@ def ls_for_target_signature(
         for j in chain:
             flow[alive][j] += mass
             alive = tuple(x for x in alive if x != j)
-    rates = {
-        (alive, j): flow[alive].get(j, ZERO) if alive in flow else ONE
+    rows = {
+        alive: _row_of([
+            (j, (flow[alive].get(j, ZERO) if alive in flow else ONE).as_integer_ratio())
+            for j in alive
+        ])
         for alive in subsets_of_size_at_least(r, 1)
-        for j in alive
     }
-    return SetInvariantLSModel(r, Checked(rates))  # keys: the cached subset tuples
+    return SetInvariantLSModel(r, Checked(rows))  # keys: the cached subset tuples

@@ -195,6 +195,13 @@ class TestSubsetMask:
         with pytest.raises(DomainError):
             SubsetMask.of(3, [4])
 
+    @pytest.mark.parametrize("x", [True, 1.0, "1"])
+    def test_holds_no_value_that_is_not_an_int(self, x):
+        # True == 1 and hashes as 1, but it is not component 1
+        s = SubsetMask.of(2, [1])
+        assert 1 in s
+        assert x not in s
+
     def test_dimension_cap(self, monkeypatch):
         with pytest.raises(DomainError):
             check_dimension(9)

@@ -133,6 +133,7 @@ ROW_VALUES = {
     "int": ROW_INTS | st.builds(Count, st.integers()),
     "str": STRINGS | st.builds(Text, STRINGS),
     "tuple": st.lists(ROW_INTS | st.builds(Count, st.integers()), max_size=4).map(tuple),
+    "float": st.floats(),
 }
 ROW_VALUES["mixed"] = st.one_of(*ROW_VALUES.values())
 
@@ -191,8 +192,24 @@ def test_rows_must_fit_their_keys(keys, rows, error):
         JsonRows(keys, rows)
 
 
-@pytest.mark.parametrize("value", [1.5, None, True, [1], {"a": 1}, Fraction(1, 2), ("a",)])
-def test_a_value_that_is_not_an_int_a_str_or_a_tuple_of_ints_is_refused(value):
+@pytest.mark.parametrize(
+    "column",
+    [
+        [1.5],
+        [0.1, 1e300, -0.0, 5e-324, float("inf"), float("-inf"), float("nan")],
+        [2.5, 3, "x", (4,)],
+    ],
+    ids=["one", "edges", "mixed"],
+)
+def test_a_float_column_is_written_as_json_dump_writes_it(column):
+    rows = JsonRows(("frequency",), [(value,) for value in column])
+    assert written(rows) == json.dumps(rows.dicts(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value", [None, True, [1], {"a": 1}, Fraction(1, 2), ("a",), (1.5,), (1, Fraction(1, 2))]
+)
+def test_a_value_that_is_not_an_int_a_str_a_float_or_a_tuple_of_ints_is_refused(value):
     with pytest.raises(TypeError):
         written(JsonRows(("a",), [(value,)]))
     with pytest.raises(TypeError):

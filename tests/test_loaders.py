@@ -38,10 +38,11 @@ from precedence import (
 )
 from precedence import loadsharing, permdist, ranking, voting
 from precedence.cli import _write_json
-from precedence.core import rational_parse, subset_members, validate_permutation
+from precedence.core import _literal_ints, rational_parse, subset_members, validate_permutation
 from precedence.core import validate_prefix
 from precedence.errors import DomainError, InputFormatError
 from precedence.loadsharing import model_from_json_dict
+from tests.test_loadsharing import law_models, order_dependent_models, set_invariant_models
 
 LOADERS = {
     "law": PermutationDistribution.from_json_dict,
@@ -145,10 +146,12 @@ class TestEachEntryIsCheckedOnce:
         doc = model.to_json_dict()
         literals = Counter(entry["mu"] for entry in doc["rates"])
         calls = counting(monkeypatch, loadsharing, "rational_parse", rational_parse)
+        read = counting(monkeypatch, loadsharing, "_literal_ints", _literal_ints)
         assert model_from_json_dict(doc) == model
-        # the default rate and the schedule's entries are parsed on their own
-        others = ("default" in doc) + len(doc.get("epsilon", ()))
-        assert calls["rational_parse"] == len(literals) + others < len(doc["rates"])
+        # the rates are read into ints, with no Fraction; the default rate and
+        # the schedule's entries are parsed on their own
+        assert read["_literal_ints"] == len(literals) < len(doc["rates"])
+        assert calls["rational_parse"] == ("default" in doc) + len(doc.get("epsilon", ()))
 
     def test_a_pattern_checks_each_set_once(self, monkeypatch):
         pattern = pattern_cyclic(5)
@@ -385,6 +388,29 @@ def test_a_loaded_inversion_equals_and_prints_as_the_inversion(case):
     assert loaded == model
     assert printed(loaded.to_json_dict()) == text
     assert OrderDependentLSModel(rho.m, dict(loaded.rates), loaded.default) == loaded
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=st.one_of(law_models(), order_dependent_models(), set_invariant_models(min_m=1, max_m=4)),
+    k=st.integers(1, 3),
+)
+def test_a_model_by_hand_loaded_or_produced_is_one_value(model, k):
+    # produced by invert_to_ls or build_ls_epsilon, or built by hand from random rates
+    text = printed(model.to_json_dict())
+    if isinstance(model, OrderDependentLSModel):
+        by_hand = OrderDependentLSModel(model.m, dict(model.rates), model.default)
+    else:
+        by_hand = SetInvariantLSModel(model.m, dict(model.mu_by_survivors), model.epsilon)
+    doc = json.loads(text)
+    for entry in doc["rates"]:  # each literal times k/k: the loader reduces it
+        n, _, d = entry["mu"].partition("/")
+        entry["mu"] = f"{int(n) * k}/{int(d or 1) * k}"
+    loaded = model_from_json_dict(doc)
+    assert loaded.rows == by_hand.rows  # the lowest terms of the same rates, over one scale
+    for other in (by_hand, loaded):
+        assert other == model and model == other
+        assert printed(other.to_json_dict()) == text
 
 
 def test_a_value_built_by_hand_stores_the_form_of_a_loaded_or_computed_one():

@@ -26,7 +26,6 @@ from precedence import (
     epsilon_schedule,
     enumerate_patterns,
     invert_to_ls,
-    pattern_cyclic,
     prefix_probability,
     total_rate,
 )
@@ -271,24 +270,6 @@ class TestDistributionOf:
         assert alpha_family(rho) == alpha_family(by_hand)
         assert dict(rho.prefix_marginals()) == dict(by_hand.prefix_marginals())
 
-    def test_set_invariant_rows_are_built_once_per_failed_set(self, monkeypatch):
-        model = build_ls_epsilon(pattern_cyclic(6), epsilon_schedule(6))
-        calls = []
-        rates_after = SetInvariantLSModel.rates_after
-
-        def counted(self, prefix):
-            calls.append(frozenset(prefix))
-            return rates_after(self, prefix)
-
-        monkeypatch.setattr(SetInvariantLSModel, "rates_after", counted)
-        distribution_of(model)
-        # the 2^6 - 6 - 1 failed sets the walker reaches (up to m - 2 members)
-        assert len(calls) == len(set(calls)) == 57
-        calls.clear()
-        beta_gamma_split(model, (1, 2), 1)
-        # the failed subsets of {3, 4, 5, 6}
-        assert len(calls) == len(set(calls)) == 16
-
     def test_constant_rates_give_uniform(self):
         for m in (2, 3, 4):
             assert distribution_of(
@@ -530,6 +511,17 @@ class TestPrefixBounds:
         model = build_ls_epsilon(sigma, flat)
         with pytest.raises(ScheduleError):
             check_prefix_bounds(model, (1,))
+
+
+class TestEpsilonSchedule:
+    @pytest.mark.parametrize("level", [True, 1.5, 2.0, "2", 0, 4])
+    def test_a_level_that_is_not_an_int_of_the_range_is_refused_by_name(self, level):
+        eps = epsilon_schedule(3)
+        for read in (eps.value, eps.rho):
+            with pytest.raises(DomainError) as info:
+                read(level)
+            assert str(info.value) == f"level {level!r} is not an int in [1, 3]"
+        assert eps.value(1) == 0 and eps.value(2) == Fraction(1, 17 * 3 * 6)
 
 
 class TestSetInvariantModel:

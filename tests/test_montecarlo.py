@@ -20,6 +20,7 @@ from precedence import (
     Trajectory,
     WinningProbabilityFamily,
     alpha_family_ls,
+    beta_gamma_split,
     build_ls_epsilon,
     distribution_of,
     enumerate_patterns,
@@ -30,8 +31,7 @@ from precedence import (
     sample_trajectories,
     total_rate,
 )
-from precedence import montecarlo
-from precedence.loadsharing import _integer_row
+from precedence.loadsharing import model_from_json_dict
 from precedence.montecarlo import CHUNK_TRAJECTORIES, _SamplerTables
 from tests.conftest import random_distribution
 from tests.test_loadsharing import order_dependent_models, set_invariant_models
@@ -64,6 +64,20 @@ def loop_trajectories(model, n_samples, seed):
             yield Trajectory(prefix, tuple(times))
 
 
+def incomplete_rows(m: int, rng: random.Random) -> OrderDependentLSModel:
+    """Rates on some survivors of a few prefixes, and a positive default for every
+    other survivor; a rate is 0 only in a row the default completes."""
+    rates = {}
+    for k in range(m):
+        for prefix in itertools.permutations(range(1, m + 1), k):
+            if rng.random() < 0.3:
+                listed = rng.randint(1, m - k)
+                survivors = [j for j in range(1, m + 1) if j not in prefix]
+                for j in rng.sample(survivors, listed):
+                    rates[(prefix, j)] = Fraction(rng.randint(listed == m - k, 5), rng.randint(1, 4))
+    return OrderDependentLSModel(m, rates, Fraction(rng.randint(1, 3), rng.randint(1, 3)))
+
+
 class TestSampleTrajectory:
     def test_trajectory_shape(self, example_model):
         tr = next(sample_trajectories(example_model, 1, seed=1))
@@ -75,10 +89,13 @@ class TestSampleTrajectory:
     def test_block_walk_equals_the_per_sample_loop(self, m):
         rng = random.Random(m)
         models = [OrderDependentLSModel.constant(1)]
-        if m >= 2:  # dense and sparse order-dependent, and set-invariant
+        if m >= 2:  # dense and sparse order-dependent, set-invariant, and rows the default fills
             sigma = next(enumerate_patterns(m, non_weak_only=True, seed=m, limit=1))
             models = [invert_to_ls(random_distribution(m, rng, sparse=s)) for s in (False, True)]
             models.append(build_ls_epsilon(sigma, epsilon_schedule(m)))
+            models.append(incomplete_rows(m, rng))
+        # each model again, as its own document loads it
+        models += [model_from_json_dict(model.to_json_dict()) for model in models]
         n = CHUNK_TRAJECTORIES + 50 if m == 3 else 300  # m = 3 spans two blocks
         for model in models:
             expected = list(loop_trajectories(model, n, seed=m))
@@ -130,20 +147,45 @@ class TestSamplerRows:
                     expected[-1] = 1.0
                     assert cum == expected.tolist()
 
-    def test_set_invariant_rows_are_built_once_per_survivor_set(self, monkeypatch):
-        built = Counter()
+    def test_each_reached_prefix_reads_the_stored_row_of_its_failed_set_once(self, monkeypatch):
+        reads, by_set = Counter(), {}
+        stored = SetInvariantLSModel._row
 
         def counted(model, prefix):
-            built[frozenset(prefix)] += 1
-            return _integer_row(model, prefix)
+            reads[prefix] += 1
+            row = by_set.setdefault(frozenset(prefix), stored(model, prefix))
+            assert stored(model, prefix) is row  # prefixes of one failed set share its row
+            return row
 
-        monkeypatch.setattr(montecarlo, "_integer_row", counted)
+        monkeypatch.setattr(SetInvariantLSModel, "_row", counted)
         tables = _SamplerTables(build_ls_epsilon(pattern_cyclic(6), epsilon_schedule(6)))
         tables.walk(np.random.default_rng(0).random((CHUNK_TRAJECTORIES, 6)))
         reached = [prefix for level in tables.levels for prefix in level.prefixes]
-        assert len(reached) > len(built)  # prefixes of one failed set share its row
-        assert set(built) == {frozenset(prefix) for prefix in reached}
-        assert set(built.values()) == {1}
+        assert sorted(reads) == sorted(reached) and set(reads.values()) == {1}
+        assert len(reached) > len(by_set) == len({frozenset(prefix) for prefix in reached})
+
+    @pytest.mark.parametrize("kind", ["inversion", "schedule", "incomplete-rows"])
+    def test_the_walker_the_set_dp_and_the_sampler_read_no_fraction_row(self, monkeypatch, kind):
+        rng = random.Random(2)
+        model = {
+            "inversion": lambda: invert_to_ls(random_distribution(5, rng)),
+            "schedule": lambda: build_ls_epsilon(pattern_cyclic(5), epsilon_schedule(5)),
+            "incomplete-rows": lambda: incomplete_rows(5, rng),
+        }[kind]()
+        calls = []
+
+        def counted(self, prefix, rates_after=OrderDependentLSModel.rates_after):
+            calls.append(prefix)
+            return rates_after(self, prefix)
+
+        for cls in (OrderDependentLSModel, SetInvariantLSModel):
+            monkeypatch.setattr(cls, "rates_after", counted)
+        distribution_of(model)
+        alpha_family_ls(model)  # the set DP, for the schedule model
+        beta_gamma_split(model, (1, 2), 1)
+        estimate_alphas(model, 500, seed=1)
+        list(sample_trajectories(model, 500, seed=1))
+        assert calls == []
 
     @pytest.mark.parametrize("model", [
         OrderDependentLSModel.constant(4), build_ls_epsilon(pattern_cyclic(4), epsilon_schedule(4))

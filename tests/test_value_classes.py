@@ -73,14 +73,11 @@ def test_equal_data_compares_equal_and_is_unhashable(build, _):
     [(name, *pair) for name, pair in VALUE_CLASSES.items() if pair[1] is not None],
     ids=[name for name, pair in VALUE_CLASSES.items() if pair[1] is not None],
 )
-def test_a_fraction_value_is_kept_not_copied(name, build, stored):
+def test_a_fraction_value_reads_back_as_an_equal_fraction(name, build, stored):
+    # stored as integer numerators over a scale: a read builds an equal Fraction
     x = Fraction(1, 3)
-    if name in ("PermutationDistribution", "WinningProbabilityFamily"):
-        # stored as numerators over a scale: a read builds an equal Fraction
-        value = stored(build(x))
-        assert type(value) is Fraction and value == x
-    else:
-        assert stored(build(x)) is x
+    value = stored(build(x))
+    assert type(value) is Fraction and value == x
 
 
 def test_a_law_from_numerators_compares_by_value_whatever_its_scale():
