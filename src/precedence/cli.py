@@ -5,17 +5,22 @@ prints a single JSON document to stdout, followed by a newline: ASCII
 only, indented by two spaces, byte-identical to what
 ``json.dump(doc, sys.stdout, indent=2)`` writes. Diagnostics go to
 stderr. Exit codes: 0 success, 1 verification failure (a FAIL verdict),
-2 input error.
+2 input error, 141 (128 + SIGPIPE) when stdout closes before the document
+is written, with no traceback.
 All probabilities are exact rational strings; ``--decimal`` additionally
 annotates each rational leaf with a 12-significant-digit float, never
 replacing the exact field. Output ordering is deterministic
 (lexicographic by subset, then by index) so certificates diff cleanly.
 
-The rate tables of ``ls invert``, ``ls build``, ``signature invert`` and of
-the model in ``concord certify``, the count table of ``vote synth`` and the
-order table of ``simulate`` are written from row tuples (``core.JsonRows``),
-one block of rows at a time, never as one dict per row; ``--decimal`` turns
-them into dicts first.
+Every table is written from row tuples (``core.JsonRows``), one block of
+rows at a time, never as one dict per row: the rate tables of ``ls
+invert``, ``ls build``, ``signature invert`` and of the model in ``concord
+certify``; the alpha tables of ``alpha``, ``oracle`` and the certificate;
+the functions of each pattern of ``pattern gen``, ``pattern induce`` and the
+certificate; the count table of ``vote synth`` and the tally table of ``vote
+tally``; the order and alpha tables of ``simulate``. Each row shape has one
+row template per table (``_write_json``); ``--decimal`` turns the tables
+into dicts first.
 
 Integer options take ASCII decimal digits only. They are read first; then
 the document of every file option given loads before the handler runs, in
@@ -32,7 +37,10 @@ import argparse
 import functools
 import itertools
 import json
+import operator
+import os
 import sys
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from json.encoder import INFINITY, encode_basestring_ascii
 
@@ -139,7 +147,7 @@ def _cmd_alpha(args, brute: bool) -> CommandResult:
             raise InputFormatError(f"--set: needs at least two distinct members of [{m}]")
     fam = (permdist.alpha_family_bruteforce if brute else permdist.alpha_family)(args.dist)
     if args.set is None:
-        return CommandResult(0, {"m": m, "families": fam.to_json_list()})
+        return CommandResult(0, {"m": m, "families": fam._json_rows()})
     alpha = {str(j): fam.alpha_text(members, j) for j in members}
     return CommandResult(0, {"m": m, "set": list(members), "alpha": alpha})
 
@@ -153,7 +161,7 @@ def _cmd_pattern_gen(args) -> CommandResult:
     stream = ranking.enumerate_patterns(
         args.m, non_weak_only=not args.allow_weak, seed=args.seed, limit=args.count
     )
-    patterns = [sigma.to_json_dict() for sigma in stream]
+    patterns = [sigma._json_doc() for sigma in stream]
     return CommandResult(0, patterns[0] if args.count == 1 else {"m": args.m, "patterns": patterns})
 
 
@@ -326,17 +334,6 @@ def run(argv: list[str]) -> CommandResult:
 _FLUSH_PIECES = 4096
 
 
-def _row_layout(keys: tuple[str, ...], pad: str) -> tuple[str, str, str, str, str]:
-    """The text of a ``JsonRows`` written at indent ``pad``, built once per
-    table: one row object, with a ``%s`` per value; the separator of two
-    rows; and the lead, the separator and the close of a tuple value's list."""
-    inner, field = pad + "  ", pad + "    "
-    names = [encode_basestring_ascii(key).replace("%", "%%") for key in keys]
-    row = "{" + ",".join(f"\n{field}{name}: %s" for name in names) + "\n" + inner + "}"
-    row = row if keys else "{}"
-    return row, ",\n" + inner, "[\n" + field + "  ", ",\n" + field + "  ", "\n" + field + "]"
-
-
 def _float_text(x: float) -> str:
     """A float as ``json.dump`` writes it."""
     if x != x:
@@ -346,6 +343,107 @@ def _float_text(x: float) -> str:
     if x == -INFINITY:
         return "-Infinity"
     return float.__repr__(x)
+
+
+def _leaf_text(kind: type) -> Callable[[object], str]:
+    """The text function of the values of one JsonRows scalar type: a str, an
+    int that is not a bool, or a float; TypeError for any other type."""
+    for base, text in ((str, encode_basestring_ascii), (float, _float_text), (int, int.__repr__)):
+        if issubclass(kind, base) and not issubclass(kind, bool):
+            return text
+    raise TypeError(f"a JsonRows value is an int, a str, a float, a tuple or a dict, not {kind.__name__}")
+
+
+def _text(value: object) -> str:
+    """The text of a JsonRows scalar."""
+    return _leaf_text(type(value))(value)
+
+
+# the characters json.dump writes as they are: printable ASCII but " and \
+_UNESCAPED = bytes(range(32, 127)).translate(None, b'"\\')
+
+
+def _scalar_slot(values: Iterable, raw: bool) -> tuple[str, Callable | None]:
+    """The slot of a row template that writes each of ``values``, all scalars,
+    and the function that makes its fill, None if the value fills it as it is.
+
+    With ``raw``, strs that json.dump writes as they are fill a ``"%s"`` and
+    ints a ``%d``; otherwise each value's text fills a ``%s``.
+    """
+    kinds = set(map(type, values))
+    texts = set(map(_leaf_text, kinds))
+    if raw and kinds == {str}:
+        joined = "".join(values)
+        if joined.isascii() and not joined.encode("ascii").translate(None, _UNESCAPED):
+            return '"%s"', None
+    elif raw and texts == {int.__repr__}:
+        return "%d", None
+    return "%s", texts.pop() if len(texts) == 1 else _text
+
+
+def _cells(column: tuple, raw: bool = True) -> tuple[str | None, Iterable | None, Iterable]:
+    """The slot, the shapes and the fills of the values of a JsonRows column.
+
+    The slot writes a scalar, an int of a tuple (``%d``) or a member of an
+    object (key slot, ``": "``, value slot), as :func:`_scalar_slot` gives
+    them. A value's shape is n for a tuple of n ints and ~n for an object of
+    n members; a column of scalars has no shapes (None). A value's fills are
+    its one fill for a scalar, its ints for a tuple, and a key fill and a
+    value fill per member for an object. A column of several types is taken
+    one value at a time, each with the slot of its type (None), a scalar's
+    shape being None and its fill in a tuple.
+    """
+    kind, *more = set(map(type, column))
+    if more:
+        shapes, fills = [], []
+        for value in column:
+            _, shape, cells = _cells((value,), raw=False)
+            shapes.append(None if shape is None else next(iter(shape)))
+            fills.append(tuple(cells) if shape is None else next(iter(cells)))
+        return None, shapes, fills
+    if issubclass(kind, tuple):
+        if not all(issubclass(k, int) and not issubclass(k, bool)
+                   for k in set(map(type, itertools.chain.from_iterable(column)))):
+            raise TypeError("a tuple in a JsonRows holds ints only")  # %d would print 1.5 as 1
+        return "%d", map(len, column), column
+    if issubclass(kind, dict):
+        keys = list(itertools.chain.from_iterable(column))
+        if not all(issubclass(k, str) for k in set(map(type, keys))):
+            encode_basestring_ascii(next(k for k in keys if not isinstance(k, str)))  # its TypeError
+        key_slot, key = _scalar_slot(keys, raw)
+        value_slot, value = _scalar_slot(list(itertools.chain.from_iterable(map(dict.values, column))), raw)
+        key = iter if key is None else functools.partial(map, key)
+        value = iter if value is None else functools.partial(map, value)
+        pairs = map(zip, map(key, column), map(value, map(dict.values, column)))
+        fills = map(itertools.chain.from_iterable, pairs)
+        return f"{key_slot}: {value_slot}", map(operator.inv, map(len, column)), fills
+    slot, text = _scalar_slot(column, raw)
+    return slot, None, column if text is None else map(text, column)
+
+
+@functools.lru_cache(maxsize=1024)
+def _row_template(names: tuple[str, ...], pad: str, slots: tuple, shapes: tuple) -> str:
+    """The text of one row of a JsonRows written at indent ``pad``: each
+    column's slot (:func:`_cells`), once per int of a tuple and per member of
+    an object of the row's ``shapes``, (column, shape) pairs. A None slot is
+    the slot of its value's type: ``%s`` for a scalar's text, ``%d`` for an
+    int of a tuple, ``%s: %s`` for a member's texts. Cached: the tables of one
+    kind share their templates."""
+    if not names:
+        return "{}"
+    field = pad + "    "
+    item = ",\n" + field + "  "
+    parts = []
+    sizes = dict(shapes)
+    for column, (name, slot) in enumerate(zip(names, slots)):
+        size = sizes.get(column)
+        if size is None:
+            text = slot or "%s"
+        else:
+            count, slot, ends = (size, slot or "%d", "[]") if size >= 0 else (~size, slot or "%s: %s", "{}")
+            text = ends[0] + item[1:] + item.join([slot] * count) + "\n" + field + ends[1] if count else ends
+        parts.append(f"\n{field}{name}: {text}")
+    return "{" + ",".join(parts) + "\n" + pad + "  }"
 
 
 def _write_json(doc, out) -> None:
@@ -359,13 +457,15 @@ def _write_json(doc, out) -> None:
     value of any type ``json.dump`` cannot write, raises TypeError.
 
     A ``JsonRows`` is written from its row tuples, with no dict per row: the
-    rate tables of the models (``ls invert``, ``ls build``, ``signature
-    invert``, the model in ``concord certify``) and the count table of ``vote
-    synth``, and the order table of ``simulate``. Its rows go out in blocks
-    of _FLUSH_PIECES values, one join of each column's texts into a row
-    template per block, and each full block is written out; a tuple of ints
-    goes through one ``%d`` template per tuple length. A value that is not an
-    int, a str, a float or a tuple of ints raises TypeError.
+    rate tables of the models, the count table of ``vote synth``, the tally
+    table of ``vote tally``, the order and alpha tables of ``simulate``, the
+    alpha table of a family and the functions of a pattern. A row's shape is
+    the lengths of its tuples and objects, and each shape's row template is
+    built once per table; the rows go out in blocks of _FLUSH_PIECES values,
+    each row its template filled from its flattened values
+    (:func:`_cells`), and each full block is written out. A value that is
+    not an int, a str, a float, a tuple of ints or an object of those
+    scalars raises TypeError.
     """
     pieces: list[str] = []
     append = pieces.append
@@ -392,48 +492,31 @@ def _write_json(doc, out) -> None:
         raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
 
     def table(node: JsonRows, pad: str) -> None:
-        rows = node.rows
+        rows, keys = node.rows, node.keys
         if not rows:
             append("[]")
             return
-        row, sep, opening, comma, close = _row_layout(node.keys, pad)
-        templates: dict[int, str] = {}  # by tuple length: one "%d" per int
-
-        def numbers(column: tuple) -> list[str]:
-            kinds = set(map(type, itertools.chain.from_iterable(column)))
-            if not all(issubclass(kind, int) for kind in kinds):  # a bare %d would print 1.5 as 1
-                raise TypeError("a tuple in a JsonRows holds ints only")
-            for size in set(map(len, column)) - templates.keys():
-                templates[size] = opening + comma.join(["%d"] * size) + close if size else "[]"
-            return [templates[len(values)] % values for values in column]
-
-        def value(item) -> str:
-            if isinstance(item, str):
-                return text(item)
-            if isinstance(item, tuple):
-                return numbers((item,))[0]
-            if isinstance(item, float):
-                return _float_text(item)
-            if isinstance(item, int) and not isinstance(item, bool):
-                return integer(item)
-            kind = type(item).__name__
-            raise TypeError(f"a JsonRows value is an int, a str, a float or a tuple, not {kind}")
-
-        formats = {str: text, int: integer, float: _float_text}
-
-        def column_texts(column: tuple):
-            kind, *more = set(map(type, column))
-            if not more and kind is tuple:
-                return numbers(column)
-            return map(value if more else formats.get(kind, value), column)
-
-        size = max(_FLUSH_PIECES // (len(node.keys) or 1), 1)  # rows per block
-        lead = "[\n" + pad + "  "
+        names = tuple(text(key).replace("%", "%%") for key in keys)
+        # by the slots and the columns that have shapes, then by a row's shapes
+        templates: dict[tuple, dict[tuple, str]] = {}
+        size = max(_FLUSH_PIECES // (len(keys) or 1), 1)  # rows per block
+        lead, sep = "[\n" + pad + "  ", ",\n" + pad + "  "
         for first in range(0, len(rows), size):
             block = rows[first : first + size]
-            values = zip(*map(column_texts, zip(*block))) if node.keys else [()] * len(block)
+            slots, shapes, fills = zip(*map(_cells, zip(*block))) if keys else ((), (), ())
+            shaped = tuple(i for i, column in enumerate(shapes) if column is not None)
+            row_shapes = list(zip(*[shapes[i] for i in shaped])) if shaped else [()] * len(block)
+            known = templates.setdefault((slots, shaped), {})
+            for shape in set(row_shapes) - known.keys():
+                known[shape] = _row_template(names, pad, slots, tuple(zip(shaped, shape)))
+            # each row's fills, those of a run of scalar columns in one tuple
+            parts: list[Iterable] = []
+            for scalar, run in itertools.groupby(zip(shapes, fills), lambda column: column[0] is None):
+                cells = [cells for _, cells in run]
+                parts += [zip(*cells)] if scalar else cells
+            values = itertools.chain.from_iterable(itertools.chain.from_iterable(zip(*parts)))
             append(lead)
-            append(sep.join(map(row.__mod__, values)))
+            append(sep.join(map(known.__getitem__, row_shapes)) % tuple(values))
             lead = sep
             if len(block) == size:
                 flush()
@@ -474,12 +557,21 @@ def _write_json(doc, out) -> None:
     flush()
 
 
+# the exit code of a process whose stdout closed early: 128 + SIGPIPE
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: list[str] | None = None) -> int:
     result = run(sys.argv[1:] if argv is None else argv)
     for line in result.diagnostics:
         print(line, file=sys.stderr)
-    if result.payload is not None:
-        _write_json(result.payload, sys.stdout)
+    try:
+        if result.payload is not None:
+            _write_json(result.payload, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left: the rest, and the flush at exit, go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return result.exit_code
 
 

@@ -217,14 +217,14 @@ class ConcordanceCertificate:
         return plain_json(self._json_doc())
 
     def _json_doc(self) -> dict:
-        """The document, the model's rate table as :class:`~precedence.core.JsonRows`."""
+        """The document, its tables as :class:`~precedence.core.JsonRows`."""
         return {
             "m": self.sigma.m,
             "verdict": self.verdict,
-            "pattern": self.sigma.to_json_dict(),
+            "pattern": self.sigma._json_doc(),
             "epsilon": self.model.epsilon.to_json_list(),
             "model": self.model._json_doc(),
-            "alpha": self.alphas.to_json_list(),
+            "alpha": self.alphas._json_rows(),
             "violations": [v.to_json_dict() for v in self.report.violations],
         }
 

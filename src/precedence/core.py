@@ -175,13 +175,14 @@ _STR_ONLY = frozenset([str])
 class JsonRows:
     """A JSON list of objects that share one key order, kept as row tuples.
 
-    ``rows`` is a sequence of tuples, one value per key of ``keys``: an int,
-    a str, a float or a tuple of ints, which JSON writes as a list. The ints
-    of a tuple are not bools, as in the checked keys of every value class:
-    the writer takes them as ints unchecked. A document holding one is written by
-    the CLI straight from the tuples, with no dict per row
-    (``cli._write_json``); :meth:`dicts` is the same list as plain JSON, and
-    :func:`plain_json` puts it in place in a document.
+    ``rows`` is a sequence of tuples, one value per key of ``keys``. A value
+    is an int, a str, a float, a tuple of ints, which JSON writes as a list,
+    or a flat object: a dict of str keys to ints, strs or floats. No int is a
+    bool, as in the checked keys of every value class; the writer checks
+    each value's type, so a bool, or a float in a tuple, is a TypeError. A
+    document holding one is written by the CLI straight from the tuples,
+    with no dict per row (``cli._write_json``); :meth:`dicts` is the same
+    list as plain JSON, and :func:`plain_json` puts it in place in a document.
     """
 
     keys: tuple[str, ...]
@@ -201,13 +202,16 @@ class JsonRows:
         return [{k: list(v) if type(v) is tuple else v for k, v in zip(keys, row)} for row in self.rows]
 
 
-def plain_json(doc: dict) -> dict:
-    """``doc`` with each :class:`JsonRows` in it, at any depth of objects, as its dicts."""
-    return {
-        key: value.dicts() if type(value) is JsonRows
-        else plain_json(value) if type(value) is dict else value
-        for key, value in doc.items()
-    }
+def plain_json(node):
+    """``node`` with each :class:`JsonRows` in it, at any depth of objects and
+    lists, as its dicts."""
+    if type(node) is JsonRows:
+        return node.dicts()
+    if type(node) is dict:
+        return {key: plain_json(value) for key, value in node.items()}
+    if type(node) is list:
+        return list(map(plain_json, node))
+    return node
 
 
 def int_format(value: int, field: str) -> str:
@@ -342,10 +346,11 @@ def subsets_of_size_at_least(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(c for n in range(k, m + 1) for c in itertools.combinations(ground, n)))
 
 
-def subset_rows(sets: Iterable[tuple[int, ...]], field: str, text: Callable) -> list[dict]:
-    """The printed form of a per-subset table: one ``{"set": [...], field: {"j":
-    text((members, j))}}`` object per subset of ``sets``, in that order."""
-    return [{"set": list(s), field: {str(j): text((s, j)) for j in s}} for s in sets]
+def subset_rows(field: str, rows: Iterable[tuple[tuple[int, ...], Iterable]]) -> JsonRows:
+    """The printed form of a per-subset table: one row ``(members, {"j": value})``
+    per ``(members, values)`` of ``rows``, in that order, the values in member
+    order, under the keys ``"set"`` and ``field``."""
+    return JsonRows(("set", field), [(s, dict(zip(map(str, s), values))) for s, values in rows])
 
 
 _INT_ONLY = frozenset([int])

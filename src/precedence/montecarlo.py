@@ -12,8 +12,9 @@ Sampling is level-synchronous: each block of ``CHUNK_TRAJECTORIES``
 samples takes one numpy step per failure, every sample reading the float
 CDF row of its current prefix. Rows are built in plain Python from the
 model's stored integer rows when a sample first reaches their prefix, so a
-prefix with zero total rate raises only then. A step's new rows join their
-level's arrays in one batch. A lone last survivor fails last whatever its
+prefix with zero total rate raises only then; a set-invariant model's row
+is built once per failed set, and the prefixes of one set share it. A
+step's new rows join their level's arrays in one batch. A lone last survivor fails last whatever its
 rate, as in the exact law; its rate of 0 raises only when its row is built
 for a walk that draws failure times. A positive total below the float range rounds to 0.0,
 and its sojourns to inf.
@@ -37,11 +38,11 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, count
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 from .core import JsonRows, plain_json, subset_rows
 from .errors import DomainError, SimulationError
-from .loadsharing import LoadSharingModel
+from .loadsharing import LoadSharingModel, SetInvariantLSModel
 from .permdist import WinningProbabilityFamily, failed_set_table, winner_sums
 
 if TYPE_CHECKING:
@@ -77,14 +78,17 @@ class SimulationSummary:
         return plain_json(self._json_doc(exact))
 
     def _json_doc(self, exact: WinningProbabilityFamily | None = None) -> dict:
-        """The document, its order table as :class:`~precedence.core.JsonRows`."""
+        """The document, its order and alpha tables as :class:`~precedence.core.JsonRows`."""
         sets = sorted({members for members, _ in self.empirical_alpha})
-        alpha_rows = subset_rows(sets, "empirical", self.empirical_alpha.__getitem__)
+        alpha = self.empirical_alpha
+        alpha_rows = subset_rows("empirical", ((s, [alpha[s, j] for j in s]) for s in sets))
         if exact is not None:  # the family's own rows, paired in subset order
             if exact.m != self.m or not exact.is_complete():
                 raise DomainError(f"exact targets need a complete family over [{self.m}]")
-            for row, exact_row in zip(alpha_rows, exact.to_json_list(), strict=True):
-                row["exact"] = exact_row["alpha"]
+            alpha_rows = JsonRows(("set", "empirical", "exact"), [
+                (*row, exact_alphas)
+                for row, (_, exact_alphas) in zip(alpha_rows.rows, exact._json_rows().rows, strict=True)
+            ])
         return {
             "m": self.m,
             "samples": self.samples,
@@ -139,14 +143,31 @@ def _float_row(
     return survivors, cum, float_total
 
 
+def _row_reader(model: LoadSharingModel, times: bool) -> Callable[[tuple], tuple]:
+    """:func:`_float_row` of each prefix; a set-invariant model's rows are kept by
+    failed set for the life of the reader, which refers to no sampler table."""
+    read = functools.partial(_float_row, times, model)
+    if not isinstance(model, SetInvariantLSModel):
+        return read
+    rows: dict[frozenset[int], tuple] = {}
+
+    def by_failed_set(prefix: tuple) -> tuple:
+        failed = frozenset(prefix)
+        row = rows.get(failed)
+        if row is None:  # a row that raises is never kept: each prefix reports itself
+            row = rows[failed] = read(prefix)
+        return row
+
+    return by_failed_set
+
+
 class _SamplerTables:
     """Float transition tables, built lazily per reached prefix, one level per step."""
 
     def __init__(self, model: LoadSharingModel, times: bool = False):
         self.m = model.m
         self.levels = [_Level(self.m - r) for r in range(self.m)]
-        # holds no reference back to the tables
-        self.read = functools.partial(_float_row, times, model)
+        self.read = _row_reader(model, times)
         self._extend(0, [()])
 
     def _extend(self, r: int, prefixes: list[tuple[int, ...]]) -> None:

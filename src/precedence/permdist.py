@@ -51,14 +51,15 @@ from .core import (
     ONE,
     ZERO,
     Checked,
+    JsonRows,
     SubsetMask,
     _literal_ints,
+    _too_many_digits,
     as_fraction,
     check_dimension,
     checked_entries,
     json_dimension,
     json_entries,
-    ratio_format,
     rational_format,
     subset_members,
     subset_rows,
@@ -246,12 +247,28 @@ class WinningProbabilityFamily:
 
     def alpha_text(self, subset: SubsetMask | Iterable[int], j: int) -> str:
         """``rational_format(self.alpha(subset, j))``."""
-        return self._text(self._key(subset, j))
+        return self._texts()([self.numerators[self._key(subset, j)]])[0]
 
-    def _text(self, key: tuple[tuple[int, ...], int]) -> str:
-        """The numerator of a stored key over the scale, in lowest terms by one
-        gcd; DomainError if too long to print."""
-        return ratio_format(self.numerators[key], self.scale, "alpha")
+    def _texts(self) -> Callable[[Iterable[int]], list[str]]:
+        """The printed alphas of numerators over the scale, each in lowest terms by
+        one gcd g; ``scale // g`` is formatted once per distinct g of one call.
+        DomainError if one is too long to print."""
+        scale = self.scale
+        over: dict[int, str] = {}
+
+        def texts(numerators: Iterable[int]) -> list[str]:
+            out = []
+            try:
+                for n in numerators:
+                    g = math.gcd(n, scale)
+                    if g not in over:
+                        over[g] = "" if g == scale else f"/{scale // g}"
+                    out.append(f"{n // g}{over[g]}")
+            except ValueError:  # more digits than str() converts
+                raise _too_many_digits("alpha") from None
+            return out
+
+        return texts
 
     def sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted({members for members, _ in self.numerators}))
@@ -261,7 +278,12 @@ class WinningProbabilityFamily:
         return len(self.numerators) == sum(map(len, subsets_of_size_at_least(self.m, 2)))
 
     def to_json_list(self) -> list[dict]:
-        return subset_rows(self.sets(), "alpha", self._text)
+        return self._json_rows().dicts()
+
+    def _json_rows(self) -> JsonRows:
+        """The printed family, one row per subset, as :class:`~precedence.core.JsonRows`."""
+        texts, numerators = self._texts(), self.numerators
+        return subset_rows("alpha", ((s, texts([numerators[s, j] for j in s])) for s in self.sets()))
 
 
 def _alpha_entry(m: int, key: tuple, value: object) -> tuple:

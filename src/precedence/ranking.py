@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import Checked, SubsetMask, check_dimension, checked_entries, subset_members
-from .core import decimal_int, json_dimension, json_entries, subsets_of_size_at_least
+from .core import decimal_int, json_dimension, json_entries, plain_json, subset_rows
+from .core import subsets_of_size_at_least
 from .errors import DomainError, InputFormatError
 from .permdist import WinningProbabilityFamily
 
@@ -135,16 +136,12 @@ class RankingPattern:
     # --- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "functions": [
-                {
-                    "set": list(fn.members),
-                    "ranks": {str(e): r for e, r in fn.ranks},
-                }
-                for fn in self.functions
-            ],
-        }
+        return plain_json(self._json_doc())
+
+    def _json_doc(self) -> dict:
+        """The document, its functions as :class:`~precedence.core.JsonRows`."""
+        rows = ((fn.members, [r for _, r in fn.ranks]) for fn in self.functions)
+        return {"m": self.m, "functions": subset_rows("ranks", rows)}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RankingPattern":

@@ -105,8 +105,12 @@ class TallyTable:
         return self.tallies[(members, i)]
 
     def to_json_dict(self) -> dict:
-        sets = sorted({members for members, _ in self.tallies})
-        votes = subset_rows(sets, "votes", lambda key: int_format(self.tallies[key], "tallies"))
+        return plain_json(self._json_doc())
+
+    def _json_doc(self) -> dict:
+        """The document, its tallies as :class:`~precedence.core.JsonRows`."""
+        sets, tallies = sorted({members for members, _ in self.tallies}), self.tallies
+        votes = subset_rows("votes", ((s, [int_format(tallies[s, j], "tallies") for j in s]) for s in sets))
         return {"m": self.m, "n": int_format(self.n, "n"), "tallies": votes}
 
 

@@ -1,8 +1,10 @@
 import argparse
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -52,8 +54,8 @@ class TestAlphaCommands:
         assert result.payload["alpha"] == {"1": "4/9", "3": "5/9"}
 
     def test_alpha_full_family_is_deterministic(self, law_file):
-        a = run(["alpha", "--dist", law_file]).payload
-        b = run(["alpha", "--dist", law_file]).payload
+        a = printed(run(["alpha", "--dist", law_file]))
+        b = printed(run(["alpha", "--dist", law_file]))
         assert a == b
         assert [row["set"] for row in a["families"]] == [
             [1, 2], [1, 2, 3], [1, 3], [2, 3]
@@ -128,22 +130,22 @@ class TestDecimalize:
 
 class TestPatternCommands:
     def test_induce_roundtrips_through_loader(self, law_file):
-        payload = run(["pattern", "induce", "--dist", law_file]).payload
+        payload = printed(run(["pattern", "induce", "--dist", law_file]))
         sigma = RankingPattern.from_json_dict(payload)
         assert sigma.rank((1, 2, 3), 3) == 1
         assert sigma.rank((1, 2), 1) == sigma.rank((1, 2), 2) == 1
 
     def test_gen_kinds(self):
-        vp = run(["pattern", "gen", "--kind", "very-paradox", "--m", "4"]).payload
+        vp = printed(run(["pattern", "gen", "--kind", "very-paradox", "--m", "4"]))
         assert RankingPattern.from_json_dict(vp) == pattern_very_paradox(4)
-        cyc = run(["pattern", "gen", "--kind", "cyclic", "--m", "3"]).payload
+        cyc = printed(run(["pattern", "gen", "--kind", "cyclic", "--m", "3"]))
         assert RankingPattern.from_json_dict(cyc) == pattern_cyclic(3)
 
     def test_gen_random_is_seed_deterministic(self):
-        a = run(["pattern", "gen", "--kind", "random", "--m", "4", "--seed", "5",
-                 "--count", "3"]).payload
-        b = run(["pattern", "gen", "--kind", "random", "--m", "4", "--seed", "5",
-                 "--count", "3"]).payload
+        a = printed(run(["pattern", "gen", "--kind", "random", "--m", "4", "--seed", "5",
+                         "--count", "3"]))
+        b = printed(run(["pattern", "gen", "--kind", "random", "--m", "4", "--seed", "5",
+                         "--count", "3"]))
         assert a == b
         for doc in a["patterns"]:
             RankingPattern.from_json_dict(doc)
@@ -189,7 +191,7 @@ class TestCertifyCommand:
         assert result.exit_code == 0
         assert result.payload["verdict"] == "PASS"
         assert result.payload["violations"] == []
-        RankingPattern.from_json_dict(result.payload["pattern"])
+        RankingPattern.from_json_dict(printed(result)["pattern"])
         model_from_json_dict(printed(result)["model"])
 
     def test_weak_pattern_is_input_error(self, tmp_path, example_pattern):
@@ -208,13 +210,13 @@ class TestVoteCommands:
         return str(path)
 
     def test_tally(self, votes_file):
-        payload = run(["vote", "tally", "--votes", votes_file]).payload
+        payload = printed(run(["vote", "tally", "--votes", votes_file]))
         by_set = {tuple(row["set"]): row["votes"] for row in payload["tallies"]}
         assert by_set[(2, 3)] == {"2": "6", "3": "12"}
         assert payload["n"] == "18"
 
     def test_check_pass_and_fail(self, votes_file, law_file, cyclic_file):
-        induced = run(["pattern", "induce", "--dist", law_file]).payload
+        induced = printed(run(["pattern", "induce", "--dist", law_file]))
         ok_file = votes_file.replace("votes.json", "induced.json")
         with open(ok_file, "w") as fh:
             json.dump(induced, fh)
@@ -292,7 +294,7 @@ class TestSimulateCommand:
              "--seed", "3", "--reference", str(model_file)]
         )
         assert result.exit_code == 0
-        doc = result.payload
+        doc = printed(result)
         assert doc["samples"] == 2000 and doc["seed"] == 3
         assert set(doc) == {"m", "samples", "seed", "orders", "alpha"}
         by_set = {tuple(r["set"]): r for r in doc["alpha"]}
@@ -301,7 +303,7 @@ class TestSimulateCommand:
             ["simulate", "--model", str(model_file), "--samples", "2000",
              "--seed", "3", "--reference", str(model_file)]
         )
-        assert rerun.payload == doc
+        assert printed(rerun) == doc
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     @pytest.mark.parametrize("kind", ["set-invariant", "order-dependent"])
@@ -320,8 +322,9 @@ class TestSimulateCommand:
         )
         assert result.exit_code == 0
         expected = alpha_family_ls(reference).to_json_list()
-        assert [r["set"] for r in result.payload["alpha"]] == [r["set"] for r in expected]
-        for row, family_row in zip(result.payload["alpha"], expected):
+        alpha = printed(result)["alpha"]
+        assert [r["set"] for r in alpha] == [r["set"] for r in expected]
+        for row, family_row in zip(alpha, expected):
             assert row["exact"] == family_row["alpha"]
 
     @pytest.mark.parametrize("model_m, reference_m", [(3, 4), (4, 3)])
@@ -570,6 +573,25 @@ class TestErrorPaths:
             assert (result.exit_code, result.diagnostics) == (
                 2, ["alpha: integer has more than 4300 digits to print"]
             )
+
+
+class TestClosedStdout:
+    def test_a_reader_that_leaves_early_gets_exit_141_and_no_traceback(self, tmp_path):
+        # the inverted uniform law on [6]: 1,956 rates, past a 64 KiB pipe buffer
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(PermutationDistribution.uniform(6).to_json_dict()))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "precedence.cli", "ls", "invert", "--dist", str(path)]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            try:
+                assert proc.stdout.read(10) == b'{\n  "m": 6'  # as `head -c 10` reads it
+                proc.stdout.close()
+                err = proc.stderr.read().decode()
+                assert proc.wait(timeout=120) == 141
+            finally:
+                proc.kill()
+        assert err == ""
 
 
 class TestCachedParser:

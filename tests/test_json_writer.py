@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from precedence import EpsilonSchedule, OrderDependentLSModel, SetInvariantLSModel, VotingSituation
+from precedence import EpsilonSchedule, OrderDependentLSModel, PermutationDistribution, SetInvariantLSModel
+from precedence import VotingSituation, alpha_family, enumerate_patterns, tally
 from precedence.cli import _doc, _write_json
-from precedence.core import JsonRows
+from precedence.core import JsonRows, plain_json
 
 
 def written(doc) -> str:
@@ -80,10 +81,17 @@ def test_empty_containers_and_bare_leaves(doc):
 
 
 @pytest.mark.parametrize(
-    "doc", [{1: "a"}, {"a": {2: "b"}}, Fraction(1, 2), [Fraction(1, 2)], {"a": [1, {3}]}]
+    "doc, message",
+    [
+        ({1: "a"}, "must be a string, not int"),
+        ({"a": {2: "b"}}, "must be a string, not int"),
+        (Fraction(1, 2), "Object of type Fraction is not JSON serializable"),
+        ([Fraction(1, 2)], "Object of type Fraction is not JSON serializable"),
+        ({"a": [1, {3}]}, "Object of type set is not JSON serializable"),
+    ],
 )
-def test_refuses_what_json_cannot_write_as_given(doc):
-    with pytest.raises(TypeError):
+def test_refuses_what_json_cannot_write_as_given(doc, message):
+    with pytest.raises(TypeError, match=message):
         written(doc)
 
 
@@ -117,23 +125,16 @@ def test_a_large_document_is_written_in_bounded_pieces(doc):
 # --- tables written from row tuples ------------------------------------------
 
 
-def with_rows_as_dicts(node):
-    """``node`` with each JsonRows in it, in objects or lists, as its dicts."""
-    if type(node) is JsonRows:
-        return node.dicts()
-    if isinstance(node, dict):
-        return {key: with_rows_as_dicts(value) for key, value in node.items()}
-    if isinstance(node, (list, tuple)):
-        return [with_rows_as_dicts(value) for value in node]
-    return node
-
-
 ROW_INTS = st.integers() | st.integers(1, 4300).map(lambda digits: 10**digits - 1)
-ROW_VALUES = {
+SCALARS = {
     "int": ROW_INTS | st.builds(Count, st.integers()),
     "str": STRINGS | st.builds(Text, STRINGS),
+    "float": FLOATS | st.builds(Real, FLOATS),
+}
+ROW_VALUES = {
+    **SCALARS,
     "tuple": st.lists(ROW_INTS | st.builds(Count, st.integers()), max_size=4).map(tuple),
-    "float": st.floats(),
+    "object": st.dictionaries(STRINGS | st.builds(Text, STRINGS), st.one_of(*SCALARS.values()), max_size=4),
 }
 ROW_VALUES["mixed"] = st.one_of(*ROW_VALUES.values())
 
@@ -149,20 +150,39 @@ def json_rows(draw):
 
 @st.composite
 def documents_with_rows(draw):
-    """A JsonRows alone or inside objects and lists, next to other members."""
+    """A JsonRows alone or inside objects and lists, next to other members, up
+    to three levels deep."""
     doc = draw(json_rows())
     for _ in range(draw(st.integers(0, 3))):
         if draw(st.booleans()):
-            doc = {"before": draw(LEAVES), draw(STRINGS): doc}
+            doc = {"before": draw(LEAVES), draw(STRINGS): doc, "after": draw(json_rows())}
         else:
             doc = [draw(LEAVES), doc, (1, "x")]
     return doc
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(doc=documents_with_rows())
-def test_rows_are_written_as_json_dump_writes_their_dicts(doc):
-    assert written(doc) == json.dumps(with_rows_as_dicts(doc), indent=2) + "\n"
+def test_rows_are_written_as_json_dump_writes_their_plain_json(doc):
+    assert written(doc) == json.dumps(plain_json(doc), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [((),), ((1,),), ((1, 2, 3),), ((),)],
+        [({},), ({"1": "1/3"},), ({"a": 1, "b": 2.5, "c": "x"},), ({},)],
+        [((1, 2), {"1": 1, "2": 2}), ((1, 2, 3), {"1": 3, "2": 1, "3": 2})],
+        [(math.inf,), (-math.inf,), (math.nan,), ({"x": math.nan, "y": -math.inf},)],
+    ],
+    ids=["empty", "tuple-lengths", "object-sizes", "subset-rows", "non-finite"],
+)
+def test_tables_of_each_shape_are_written_as_json_dump_writes_them(rows):
+    keys = ("a", "b")[: len(rows[0])] if rows else ("a",)
+    table = JsonRows(keys, rows)
+    for doc in (table, {"t": table}, {"x": [{"y": table, "z": []}]}):
+        assert written(doc) == json.dumps(plain_json(doc), indent=2) + "\n"
 
 
 def test_dicts_hold_lists_where_the_rows_hold_tuples():
@@ -207,12 +227,30 @@ def test_a_float_column_is_written_as_json_dump_writes_it(column):
 
 
 @pytest.mark.parametrize(
-    "value", [None, True, [1], {"a": 1}, Fraction(1, 2), ("a",), (1.5,), (1, Fraction(1, 2))]
+    "value, message",
+    [
+        (None, "not NoneType"),
+        (True, "not bool"),
+        ([1], "not list"),
+        (Fraction(1, 2), "not Fraction"),
+        (("a",), "holds ints only"),
+        ((1.5,), "holds ints only"),
+        ((True,), "holds ints only"),
+        ((1, Fraction(1, 2)), "holds ints only"),
+        ({"a": None}, "not NoneType"),
+        ({"a": True}, "not bool"),
+        ({"a": [1]}, "not list"),
+        ({"a": (1,)}, "not tuple"),
+        ({"a": {"b": 1}}, "not dict"),
+        ({1: "a"}, "must be a string, not int"),
+    ],
 )
-def test_a_value_that_is_not_an_int_a_str_a_float_or_a_tuple_of_ints_is_refused(value):
-    with pytest.raises(TypeError):
+def test_a_value_that_is_not_a_scalar_a_tuple_of_ints_or_an_object_of_scalars_is_refused(
+    value, message
+):
+    with pytest.raises(TypeError, match=message):
         written(JsonRows(("a",), [(value,)]))
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=message):
         written(JsonRows(("a",), [("text",), (value,)]))
 
 
@@ -277,7 +315,30 @@ def voting_situations(draw):
     return VotingSituation(m, {tuple(p): n for p, n in zip(perms, counts)})
 
 
+@st.composite
+def ranking_patterns(draw):
+    """A sampled pattern, weak or tie-free."""
+    m, seed = draw(st.integers(2, 5)), draw(st.integers(0, 10**6))
+    return next(enumerate_patterns(m, non_weak_only=draw(st.booleans()), seed=seed, limit=1))
+
+
 @settings(max_examples=150, deadline=None)
-@given(value=order_dependent_models() | set_invariant_models() | voting_situations())
+@given(
+    value=order_dependent_models()
+    | set_invariant_models()
+    | voting_situations()
+    | voting_situations().map(tally)
+    | ranking_patterns()
+)
 def test_a_table_document_prints_as_json_dump_of_to_json_dict(value):
     assert written(_doc(value).payload) == json.dumps(value.to_json_dict(), indent=2) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(votes=voting_situations())
+def test_a_family_prints_as_json_dump_of_to_json_list(votes):
+    law = PermutationDistribution(votes.m, {p: Fraction(n, votes.n) for p, n in votes.counts.items()})
+    family = alpha_family(law)
+    assert written({"families": family._json_rows()}) == json.dumps(
+        {"families": family.to_json_list()}, indent=2
+    ) + "\n"

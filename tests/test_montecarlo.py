@@ -32,6 +32,7 @@ from precedence import (
     total_rate,
 )
 from precedence.loadsharing import model_from_json_dict
+from precedence import montecarlo
 from precedence.montecarlo import CHUNK_TRAJECTORIES, _SamplerTables
 from tests.conftest import random_distribution
 from tests.test_loadsharing import order_dependent_models, set_invariant_models
@@ -147,22 +148,36 @@ class TestSamplerRows:
                     expected[-1] = 1.0
                     assert cum == expected.tolist()
 
-    def test_each_reached_prefix_reads_the_stored_row_of_its_failed_set_once(self, monkeypatch):
-        reads, by_set = Counter(), {}
+    def test_each_reached_failed_set_reads_its_stored_row_once(self, monkeypatch):
+        reads = Counter()
         stored = SetInvariantLSModel._row
 
         def counted(model, prefix):
-            reads[prefix] += 1
-            row = by_set.setdefault(frozenset(prefix), stored(model, prefix))
-            assert stored(model, prefix) is row  # prefixes of one failed set share its row
-            return row
+            reads[frozenset(prefix)] += 1
+            return stored(model, prefix)
 
         monkeypatch.setattr(SetInvariantLSModel, "_row", counted)
         tables = _SamplerTables(build_ls_epsilon(pattern_cyclic(6), epsilon_schedule(6)))
         tables.walk(np.random.default_rng(0).random((CHUNK_TRAJECTORIES, 6)))
         reached = [prefix for level in tables.levels for prefix in level.prefixes]
-        assert sorted(reads) == sorted(reached) and set(reads.values()) == {1}
-        assert len(reached) > len(by_set) == len({frozenset(prefix) for prefix in reached})
+        assert set(reads) == {frozenset(prefix) for prefix in reached} and set(reads.values()) == {1}
+        assert len(reached) > len(reads)
+
+    def test_a_set_invariant_model_builds_one_float_row_per_failed_set(self, monkeypatch):
+        # the m = 6 schedule model: 3000 samples reach 1,227 prefixes over 63 failed sets
+        built = []
+
+        def counted(times, model, prefix, float_row=montecarlo._float_row):
+            built.append(prefix)
+            return float_row(times, model, prefix)
+
+        monkeypatch.setattr(montecarlo, "_float_row", counted)
+        tables = _SamplerTables(build_ls_epsilon(pattern_cyclic(6), epsilon_schedule(6)))
+        for uniforms, _ in montecarlo._blocks(3000, 0, 6, times=False):
+            tables.walk(uniforms)
+        reached = [prefix for level in tables.levels for prefix in level.prefixes]
+        assert (len(built), len(reached)) == (63, 1227)
+        assert len({frozenset(prefix) for prefix in built}) == 63
 
     @pytest.mark.parametrize("kind", ["inversion", "schedule", "incomplete-rows"])
     def test_the_walker_the_set_dp_and_the_sampler_read_no_fraction_row(self, monkeypatch, kind):

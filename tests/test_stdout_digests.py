@@ -18,9 +18,12 @@ import pytest
 from precedence import (
     OrderDependentLSModel,
     PermutationDistribution,
+    RankingPattern,
     SetInvariantLSModel,
     StructureFunction,
+    TallyTable,
     VotingSituation,
+    WinningProbabilityFamily,
     build_ls_epsilon,
     epsilon_schedule,
     pattern_cyclic,
@@ -166,7 +169,8 @@ def cases():
     yield "signature-invert", 5
 
 
-def run_case(name: str, m: int, tmp_path, capsys) -> tuple[int, str]:
+def case_argv(name: str, m: int, tmp_path) -> list[str]:
+    """The arguments of one case, its input documents written to ``tmp_path``."""
     argv = list(COMMANDS[name])
     if name.startswith("pattern-gen"):
         argv += ["--m", str(m)]
@@ -174,10 +178,18 @@ def run_case(name: str, m: int, tmp_path, capsys) -> tuple[int, str]:
         path = tmp_path / f"{flag.strip('-')}.json"
         path.write_text(json.dumps(doc))
         argv += [flag, str(path)]
+    return argv
+
+
+def run_argv(argv: list[str], capsys) -> tuple[int, str]:
     capsys.readouterr()
     code = main(argv)
     out = capsys.readouterr().out
     return code, hashlib.sha256(out.encode()).hexdigest()
+
+
+def run_case(name: str, m: int, tmp_path, capsys) -> tuple[int, str]:
+    return run_argv(case_argv(name, m, tmp_path), capsys)
 
 
 @pytest.mark.filterwarnings("ignore:dimension m=(9|10):RuntimeWarning")
@@ -188,16 +200,23 @@ def test_stdout_is_pinned(name, m, tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, m", [("ls-invert", 4), ("ls-invert", 7), ("vote-synth", 6), ("certify-cyclic", 5)]
+    "name, m",
+    [
+        ("ls-invert", 4), ("ls-invert", 7), ("vote-synth", 6), ("certify-cyclic", 5),
+        ("alpha", 6), ("oracle", 6), ("pattern-induce", 6), ("pattern-gen", 4), ("vote-tally", 6),
+    ],
 )
 def test_tables_are_printed_with_no_dict_per_row(name, m, tmp_path, capsys, monkeypatch):
-    """The model and vote tables go from row tuples to text: no ``to_json_dict``
-    of theirs runs, and no ``JsonRows`` is turned into dicts."""
+    """The model, vote, tally, family and pattern tables go from row tuples to
+    text: no ``to_json_dict`` or ``to_json_list`` of theirs runs, and no
+    ``JsonRows`` is turned into dicts."""
 
     def refuse(*args):
         raise AssertionError("a table was built as one dict per row")
 
-    for owner in (OrderDependentLSModel, SetInvariantLSModel, VotingSituation):
+    argv = case_argv(name, m, tmp_path)
+    for owner in (OrderDependentLSModel, SetInvariantLSModel, VotingSituation, TallyTable, RankingPattern):
         monkeypatch.setattr(owner, "to_json_dict", refuse)
+    monkeypatch.setattr(WinningProbabilityFamily, "to_json_list", refuse)
     monkeypatch.setattr(JsonRows, "dicts", refuse)
-    assert run_case(name, m, tmp_path, capsys) == DIGESTS[f"{name}-m{m}"]
+    assert run_argv(argv, capsys) == DIGESTS[f"{name}-m{m}"]
