@@ -354,70 +354,66 @@ def _leaf_text(kind: type) -> Callable[[object], str]:
     raise TypeError(f"a JsonRows value is an int, a str, a float, a tuple or a dict, not {kind.__name__}")
 
 
-def _text(value: object) -> str:
-    """The text of a JsonRows scalar."""
-    return _leaf_text(type(value))(value)
-
-
 # the characters json.dump writes as they are: printable ASCII but " and \
 _UNESCAPED = bytes(range(32, 127)).translate(None, b'"\\')
 
 
-def _scalar_slot(values: Iterable, raw: bool) -> tuple[str, Callable | None]:
-    """The slot of a row template that writes each of ``values``, all scalars,
-    and the function that makes its fill, None if the value fills it as it is.
+def _scalar_slot(values: Iterable) -> tuple[str, Callable | None]:
+    """The slot of a row template that writes each of ``values``, scalars of one
+    kind, and the function that makes its fill, None if the value fills it as it is.
 
-    With ``raw``, strs that json.dump writes as they are fill a ``"%s"`` and
-    ints a ``%d``; otherwise each value's text fills a ``%s``.
+    Strs that json.dump writes as they are fill a ``"%s"``, ints a ``%d``, and
+    any other value's text a ``%s``. Scalars of two kinds are a TypeError.
     """
     kinds = set(map(type, values))
     texts = set(map(_leaf_text, kinds))
-    if raw and kinds == {str}:
+    if len(texts) > 1:
+        raise TypeError("a JsonRows column, or the values of its objects, hold scalars of one kind")
+    if kinds == {str}:
         joined = "".join(values)
         if joined.isascii() and not joined.encode("ascii").translate(None, _UNESCAPED):
             return '"%s"', None
-    elif raw and texts == {int.__repr__}:
+    elif texts == {int.__repr__}:
         return "%d", None
-    return "%s", texts.pop() if len(texts) == 1 else _text
+    return "%s", texts.pop() if texts else None
 
 
-def _cells(column: tuple, raw: bool = True) -> tuple[str | None, Iterable | None, Iterable]:
+def _cells(column: tuple) -> tuple[str, Iterable | None, Iterable]:
     """The slot, the shapes and the fills of the values of a JsonRows column.
 
+    The values are of one kind: scalars, tuples of ints or objects of scalars;
+    a column of two kinds is a TypeError, after any value that is none of them.
     The slot writes a scalar, an int of a tuple (``%d``) or a member of an
     object (key slot, ``": "``, value slot), as :func:`_scalar_slot` gives
     them. A value's shape is n for a tuple of n ints and ~n for an object of
     n members; a column of scalars has no shapes (None). A value's fills are
     its one fill for a scalar, its ints for a tuple, and a key fill and a
-    value fill per member for an object. A column of several types is taken
-    one value at a time, each with the slot of its type (None), a scalar's
-    shape being None and its fill in a tuple.
+    value fill per member for an object.
     """
-    kind, *more = set(map(type, column))
-    if more:
-        shapes, fills = [], []
-        for value in column:
-            _, shape, cells = _cells((value,), raw=False)
-            shapes.append(None if shape is None else next(iter(shape)))
-            fills.append(tuple(cells) if shape is None else next(iter(cells)))
-        return None, shapes, fills
-    if issubclass(kind, tuple):
+    kinds = set(map(type, column))
+    tuples = {kind for kind in kinds if issubclass(kind, tuple)}
+    objects = {kind for kind in kinds if issubclass(kind, dict)}
+    if (tuples or objects) and kinds not in (tuples, objects):
+        for part in filter(None, (tuples, objects, kinds - tuples - objects)):
+            _cells(tuple(value for value in column if type(value) in part))
+        raise TypeError("a JsonRows column holds values of one kind: scalars, tuples or objects")
+    if tuples:
         if not all(issubclass(k, int) and not issubclass(k, bool)
                    for k in set(map(type, itertools.chain.from_iterable(column)))):
             raise TypeError("a tuple in a JsonRows holds ints only")  # %d would print 1.5 as 1
         return "%d", map(len, column), column
-    if issubclass(kind, dict):
+    if objects:
         keys = list(itertools.chain.from_iterable(column))
         if not all(issubclass(k, str) for k in set(map(type, keys))):
             encode_basestring_ascii(next(k for k in keys if not isinstance(k, str)))  # its TypeError
-        key_slot, key = _scalar_slot(keys, raw)
-        value_slot, value = _scalar_slot(list(itertools.chain.from_iterable(map(dict.values, column))), raw)
+        key_slot, key = _scalar_slot(keys)
+        value_slot, value = _scalar_slot(list(itertools.chain.from_iterable(map(dict.values, column))))
         key = iter if key is None else functools.partial(map, key)
         value = iter if value is None else functools.partial(map, value)
         pairs = map(zip, map(key, column), map(value, map(dict.values, column)))
         fills = map(itertools.chain.from_iterable, pairs)
         return f"{key_slot}: {value_slot}", map(operator.inv, map(len, column)), fills
-    slot, text = _scalar_slot(column, raw)
+    slot, text = _scalar_slot(column)
     return slot, None, column if text is None else map(text, column)
 
 
@@ -425,10 +421,8 @@ def _cells(column: tuple, raw: bool = True) -> tuple[str | None, Iterable | None
 def _row_template(names: tuple[str, ...], pad: str, slots: tuple, shapes: tuple) -> str:
     """The text of one row of a JsonRows written at indent ``pad``: each
     column's slot (:func:`_cells`), once per int of a tuple and per member of
-    an object of the row's ``shapes``, (column, shape) pairs. A None slot is
-    the slot of its value's type: ``%s`` for a scalar's text, ``%d`` for an
-    int of a tuple, ``%s: %s`` for a member's texts. Cached: the tables of one
-    kind share their templates."""
+    an object of the row's ``shapes``, (column, shape) pairs. Cached: the
+    tables of one kind share their templates."""
     if not names:
         return "{}"
     field = pad + "    "
@@ -437,12 +431,10 @@ def _row_template(names: tuple[str, ...], pad: str, slots: tuple, shapes: tuple)
     sizes = dict(shapes)
     for column, (name, slot) in enumerate(zip(names, slots)):
         size = sizes.get(column)
-        if size is None:
-            text = slot or "%s"
-        else:
-            count, slot, ends = (size, slot or "%d", "[]") if size >= 0 else (~size, slot or "%s: %s", "{}")
-            text = ends[0] + item[1:] + item.join([slot] * count) + "\n" + field + ends[1] if count else ends
-        parts.append(f"\n{field}{name}: {text}")
+        if size is not None:
+            count, ends = (size, "[]") if size >= 0 else (~size, "{}")
+            slot = ends[0] + item[1:] + item.join([slot] * count) + "\n" + field + ends[1] if count else ends
+        parts.append(f"\n{field}{name}: {slot}")
     return "{" + ",".join(parts) + "\n" + pad + "  }"
 
 
@@ -459,13 +451,13 @@ def _write_json(doc, out) -> None:
     A ``JsonRows`` is written from its row tuples, with no dict per row: the
     rate tables of the models, the count table of ``vote synth``, the tally
     table of ``vote tally``, the order and alpha tables of ``simulate``, the
-    alpha table of a family and the functions of a pattern. A row's shape is
-    the lengths of its tuples and objects, and each shape's row template is
-    built once per table; the rows go out in blocks of _FLUSH_PIECES values,
-    each row its template filled from its flattened values
-    (:func:`_cells`), and each full block is written out. A value that is
-    not an int, a str, a float, a tuple of ints or an object of those
-    scalars raises TypeError.
+    alpha table of a family and the functions of a pattern. Each row shape's
+    template (:func:`_row_template`) is built once per table, and is filled
+    from the row's flattened values (:func:`_cells`): a scalar, each int of a
+    tuple, a key and a value per member of an object. The rows go out in
+    blocks of at most _FLUSH_PIECES such values, as many rows as fit if each
+    were as wide as the widest, and each full block is written out. A value
+    of no JsonRows kind, or a column of two kinds, raises TypeError.
     """
     pieces: list[str] = []
     append = pieces.append
@@ -499,13 +491,20 @@ def _write_json(doc, out) -> None:
         names = tuple(text(key).replace("%", "%%") for key in keys)
         # by the slots and the columns that have shapes, then by a row's shapes
         templates: dict[tuple, dict[tuple, str]] = {}
-        size = max(_FLUSH_PIECES // (len(keys) or 1), 1)  # rows per block
+        columns = list(zip(*rows))
+        widest = sum(
+            max(map(operator.length_hint, column)) * (1 + isinstance(column[0], dict))
+            if isinstance(column[0], (tuple, dict)) else 1
+            for column in columns
+        )
+        size = max(_FLUSH_PIECES // (widest or 1), 1)  # rows per block
         lead, sep = "[\n" + pad + "  ", ",\n" + pad + "  "
         for first in range(0, len(rows), size):
-            block = rows[first : first + size]
-            slots, shapes, fills = zip(*map(_cells, zip(*block))) if keys else ((), (), ())
+            count = min(size, len(rows) - first)
+            block = [column[first : first + size] for column in columns]
+            slots, shapes, fills = zip(*map(_cells, block)) if keys else ((), (), ())
             shaped = tuple(i for i, column in enumerate(shapes) if column is not None)
-            row_shapes = list(zip(*[shapes[i] for i in shaped])) if shaped else [()] * len(block)
+            row_shapes = list(zip(*[shapes[i] for i in shaped])) if shaped else [()] * count
             known = templates.setdefault((slots, shaped), {})
             for shape in set(row_shapes) - known.keys():
                 known[shape] = _row_template(names, pad, slots, tuple(zip(shaped, shape)))
@@ -518,7 +517,7 @@ def _write_json(doc, out) -> None:
             append(lead)
             append(sep.join(map(known.__getitem__, row_shapes)) % tuple(values))
             lead = sep
-            if len(block) == size:
+            if count == size:
                 flush()
         append("\n" + pad + "]")
 

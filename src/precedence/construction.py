@@ -188,10 +188,10 @@ def build_ls_epsilon(sigma: RankingPattern, eps: EpsilonSchedule) -> SetInvarian
         p, q = eps.value(level).as_integer_ratio()
         numerators = [q - r * p for r in range(level)]
         sizes[level] = numerators, sum(numerators), q
-    # sigma.functions follows the lexicographic order of the subsets with |A| >= 2
-    for members, fn in zip(subsets_of_size_at_least(m, 2), sigma.functions):
+    # sigma.ranks follows the lexicographic order of the subsets with |A| >= 2
+    for members, ranks in zip(subsets_of_size_at_least(m, 2), sigma.ranks):
         numerators, total, scale = sizes[len(members)]
-        rows[members] = ({i: numerators[rank - 1] for i, rank in fn.ranks}, total, scale)
+        rows[members] = ({i: numerators[rank - 1] for i, rank in zip(members, ranks)}, total, scale)
     return SetInvariantLSModel(m, Checked(rows), epsilon=eps)  # keys: the cached subset tuples
 
 

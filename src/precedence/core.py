@@ -175,11 +175,12 @@ _STR_ONLY = frozenset([str])
 class JsonRows:
     """A JSON list of objects that share one key order, kept as row tuples.
 
-    ``rows`` is a sequence of tuples, one value per key of ``keys``. A value
-    is an int, a str, a float, a tuple of ints, which JSON writes as a list,
-    or a flat object: a dict of str keys to ints, strs or floats. No int is a
-    bool, as in the checked keys of every value class; the writer checks
-    each value's type, so a bool, or a float in a tuple, is a TypeError. A
+    ``rows`` is a sequence of tuples, one value per key of ``keys``. The
+    values of one column are of one kind: ints, strs, floats, tuples of ints,
+    which JSON writes as lists, or flat objects, dicts of str keys whose
+    values are together ints, strs or floats. No int is a bool, as in the
+    checked keys of every value class; the writer checks the types, so a
+    bool, a float in a tuple or a column of two kinds is a TypeError. A
     document holding one is written by the CLI straight from the tuples,
     with no dict per row (``cli._write_json``); :meth:`dicts` is the same
     list as plain JSON, and :func:`plain_json` puts it in place in a document.

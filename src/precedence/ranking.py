@@ -13,7 +13,10 @@ concordance (ranks must strictly mirror the probability order, ties
 included), generates the classic paradoxical patterns, and enumerates or
 samples pattern space for exhaustive testing.
 
-Every generator is one per-subset rule: given the members of a subset, it
+A pattern is stored as one rank table, a tuple of int ranks per subset in
+member order, which its builders make and its readers read; a
+:class:`RankingFunction` is built only for a caller who asks for one. Every
+generator is one per-subset rule: given the members of a subset, it
 returns their ranks, and one builder applies it to each subset in order.
 The subsets a paradox leaves unconstrained get one filler rule, ascending
 by element index, which keeps the output non-weak and deterministic. A
@@ -22,11 +25,12 @@ pattern, built by hand or loaded, refuses a second function for one set.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import Checked, SubsetMask, check_dimension, checked_entries, subset_members
@@ -48,27 +52,17 @@ class RankingFunction:
 
     def __post_init__(self) -> None:
         members = tuple(self.members)
-        if type(self.ranks) is Checked:  # from the loader: members and integer ranks checked
-            pairs = self.ranks.entries
-        else:
-            if any(type(x) is not int for x in members):
-                raise DomainError(f"subset {members} has a member that is not an integer")
-            if len(members) < 2 or list(members) != sorted(set(members)):
-                raise DomainError(f"invalid subset {members} for a ranking function")
-            pairs = tuple(sorted(self.ranks))
-            if tuple(e for e, _ in pairs) != members:
-                raise DomainError(f"ranks {pairs} do not cover subset {members} exactly")
-            for e, r in pairs:
-                if type(r) is not int:
-                    raise DomainError(
-                        f"rank {r!r} of member {e} in subset {members} is not an integer"
-                    )
-        image = {r for _, r in pairs}
-        w = max(image)
-        if image != set(range(1, w + 1)):
-            raise DomainError(
-                f"rank image {sorted(image)} over {members} is not dense {{1..w}}"
-            )
+        if any(type(x) is not int for x in members):
+            raise DomainError(f"subset {members} has a member that is not an integer")
+        if len(members) < 2 or list(members) != sorted(set(members)):
+            raise DomainError(f"invalid subset {members} for a ranking function")
+        pairs = tuple(sorted(self.ranks))
+        if tuple(e for e, _ in pairs) != members:
+            raise DomainError(f"ranks {pairs} do not cover subset {members} exactly")
+        for e, r in pairs:
+            if type(r) is not int:
+                raise DomainError(f"rank {r!r} of member {e} in subset {members} is not an integer")
+        _dense(members, tuple(r for _, r in pairs))
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "ranks", pairs)
 
@@ -91,47 +85,71 @@ class RankingFunction:
         return len({r for _, r in self.ranks}) < len(self.members)
 
 
+def _dense(members: tuple[int, ...], ranks: tuple[int, ...]) -> tuple[int, ...]:
+    """``ranks``, int ranks of ``members`` in member order, if their image is
+    {1, ..., w}: the one check of that, for hand-built functions and loaded
+    entries alike (the package's own rules make dense ranks)."""
+    image = set(ranks)
+    if min(image) != 1 or max(image) != len(image):
+        raise DomainError(f"rank image {sorted(image)} over {members} is not dense {{1..w}}")
+    return ranks
+
+
 @dataclass(frozen=True)
 class RankingPattern:
-    """One ranking function for every subset of [m] with >= 2 members."""
+    """One ranking function for every subset of [m] with >= 2 members.
+
+    ``ranks`` is one tuple of int ranks per subset, in member order, over the
+    cached subset order. It is given as :class:`RankingFunction` objects, each
+    checked, or handed over ``Checked``, as rank tuples keyed by subset.
+    """
 
     m: int
-    functions: tuple[RankingFunction, ...]
-    _by_set: Mapping[tuple[int, ...], RankingFunction] = field(
-        init=False, repr=False, compare=False
-    )
+    ranks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         check_dimension(self.m)
-        expected = subsets_of_size_at_least(self.m, 2)
-        if type(self.functions) is Checked:  # one function per set of [m], checked
-            by_set = self.functions.entries
+        if type(self.ranks) is Checked:  # rank tuples keyed by the subsets of [m], checked
+            by_set = self.ranks.entries
         else:
-            pairs = ((fn.members, fn) for fn in self.functions)
+            pairs = ((fn.members, fn) for fn in self.ranks)
             by_set = checked_entries(pairs, functools.partial(_function_entry, self.m))
-        # every key is a subset of [m] with >= 2 members, so none can be extra
-        missing = [s for s in expected if s not in by_set]
-        if missing:
-            raise DomainError(f"pattern is missing subsets, first: {missing[0]}")
-        object.__setattr__(self, "functions", tuple(by_set[s] for s in expected))
-        object.__setattr__(self, "_by_set", by_set)
+        expected = subsets_of_size_at_least(self.m, 2)
+        if len(by_set) < len(expected):  # every key is one of them, so one is missing
+            missing = next(s for s in expected if s not in by_set)
+            raise DomainError(f"pattern is missing subsets, first: {missing}")
+        object.__setattr__(self, "ranks", tuple(map(by_set.__getitem__, expected)))
+
+    @property
+    def functions(self) -> tuple[RankingFunction, ...]:
+        """The ranking functions, one per subset in the cached order, built on each read."""
+        return tuple(map(self.function, subsets_of_size_at_least(self.m, 2)))
+
+    def _ranks_of(self, subset: SubsetMask | Iterable[int]) -> tuple[tuple, tuple]:
+        members = subset_members(self.m, subset)
+        subsets = subsets_of_size_at_least(self.m, 2)  # sorted
+        at = bisect.bisect_left(subsets, members)
+        if at == len(subsets) or subsets[at] != members:
+            raise DomainError(f"no ranking function for subset {members}")
+        return members, self.ranks[at]
 
     def function(self, subset: SubsetMask | Iterable[int]) -> RankingFunction:
-        members = subset_members(self.m, subset)
-        try:
-            return self._by_set[members]
-        except KeyError:
-            raise DomainError(f"no ranking function for subset {members}") from None
+        members, ranks = self._ranks_of(subset)
+        return RankingFunction(members, tuple(zip(members, ranks)))
 
     def rank(self, subset: SubsetMask | Iterable[int], j: int) -> int:
-        return self.function(subset).rank(j)
+        members, ranks = self._ranks_of(subset)
+        if type(j) is int and j in members:  # True == 1, but not an element
+            return ranks[members.index(j)]
+        raise DomainError(f"element {j!r} not in subset {members}")
 
     @property
     def is_weak(self) -> bool:
-        return any(fn.is_weak for fn in self.functions)
+        return bool(self.weak_subsets())
 
     def weak_subsets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(fn.members for fn in self.functions if fn.is_weak)
+        subsets = subsets_of_size_at_least(self.m, 2)
+        return tuple(s for s, ranks in zip(subsets, self.ranks) if len(set(ranks)) < len(ranks))
 
     # --- serialization ----------------------------------------------------
 
@@ -140,7 +158,7 @@ class RankingPattern:
 
     def _json_doc(self) -> dict:
         """The document, its functions as :class:`~precedence.core.JsonRows`."""
-        rows = ((fn.members, [r for _, r in fn.ranks]) for fn in self.functions)
+        rows = zip(subsets_of_size_at_least(self.m, 2), self.ranks)
         return {"m": self.m, "functions": subset_rows("ranks", rows)}
 
     @classmethod
@@ -149,27 +167,28 @@ class RankingPattern:
         each entry's members and ranks once, where they enter."""
         m = json_dimension(doc)
         check = functools.partial(_function_entry, m)
-        fns = json_entries(doc, "functions", ("set", "ranks"), check)
+        by_set = json_entries(doc, "functions", ("set", "ranks"), check)
         try:
-            return cls(m, Checked(fns))
+            return cls(m, Checked(by_set))
         except DomainError as ex:
             raise InputFormatError(str(ex)) from ex
 
 
 def _function_entry(m: int, subset: object, ranks: object) -> tuple:
-    """``(members, fn)``: a subset of [m] of size >= 2, then a :class:`RankingFunction`
-    on it, or a loaded object of integer ranks keyed by the members as decimals."""
+    """``(members, ranks)``: a subset of [m] of size >= 2, then its dense int
+    ranks in member order, read off a :class:`RankingFunction` on it or a loaded
+    object of integer ranks keyed by the members as decimals."""
     members = subset_members(m, subset)
     if len(members) < 2:
         raise DomainError(f"invalid subset {members} for a ranking function")
-    if type(ranks) is RankingFunction:  # built by hand: its members are ``subset``
-        return members, ranks
+    if type(ranks) is RankingFunction:  # checked when built: its members are ``subset``
+        return members, tuple(r for _, r in ranks.ranks)
     if not isinstance(ranks, dict) or any(type(r) is not int for r in ranks.values()):
         raise InputFormatError(f"ranks: {ranks!r} is not an object of integers")
     keys = [decimal_int(k, "ranks") for k in ranks]
     if sorted(keys) != list(members):
         raise InputFormatError(f"ranks: keys {list(ranks)} are not the members {list(members)}")
-    return members, RankingFunction(members, Checked(tuple(sorted(zip(keys, ranks.values())))))
+    return members, _dense(members, tuple(r for _, r in sorted(zip(keys, ranks.values()))))
 
 
 @dataclass(frozen=True)
@@ -213,9 +232,6 @@ def _relation(a, b) -> str:
     return "<" if a < b else (">" if a > b else "=")
 
 
-_OPPOSITE = {"<": ">", ">": "<", "=": "="}
-
-
 def score_concordance(
     sigma: RankingPattern, score: Mapping[tuple[tuple[int, ...], int], object]
 ) -> ConcordanceReport:
@@ -223,20 +239,19 @@ def score_concordance(
 
     ``score`` is a per-subset table keyed by ``(members, j)`` of totally
     ordered values (a family's numerators over one scale, a tally's votes),
-    read once per member of each subset.
+    read once per member of each subset. One pass in rank order decides a
+    subset: tied neighbours need equal scores, and the lower-ranked of two a
+    strictly higher one. Only a failing subset lists its violating pairs.
     """
     violations = []
-    for fn in sigma.functions:
-        members = fn.members
-        rank = dict(fn.ranks)
-        value = {j: score[(members, j)] for j in members}
-        for i, j in itertools.combinations(members, 2):
-            rank_rel = _relation(rank[i], rank[j])
-            score_rel = _relation(value[i], value[j])
-            if score_rel != _OPPOSITE[rank_rel]:
-                violations.append(
-                    ConcordanceViolation(members, i, j, rank_rel, score_rel)
-                )
+    for members, ranks in zip(subsets_of_size_at_least(sigma.m, 2), sigma.ranks):
+        values = [score[(members, j)] for j in members]
+        ordered = sorted(zip(ranks, values))
+        if all(v == w if r == s else v > w for (r, v), (s, w) in itertools.pairwise(ordered)):
+            continue
+        for (i, r, v), (j, s, w) in itertools.combinations(zip(members, ranks, values), 2):
+            if _relation(r, s) != _relation(w, v):  # scores must order the pair the other way
+                violations.append(ConcordanceViolation(members, i, j, _relation(r, s), _relation(v, w)))
     return ConcordanceReport(tuple(violations))
 
 
@@ -248,12 +263,8 @@ def induced_pattern(fam: WinningProbabilityFamily) -> RankingPattern:
     """
     if not fam.is_complete():
         raise DomainError("winning-probability family does not cover every subset")
-    return _pattern(
-        fam.m,
-        lambda members: _dense_ranks(
-            {j: fam.numerators[(members, j)] for j in members}, best_first=True
-        ),
-    )
+    alpha = fam.numerators
+    return _pattern(fam.m, lambda a: _dense_ranks([alpha[(a, j)] for j in a], best_first=True))
 
 
 def check_p_concordance(
@@ -267,26 +278,24 @@ def check_p_concordance(
     return score_concordance(sigma, fam.numerators)
 
 
-def _pattern(m: int, ranks_of: Callable[[tuple[int, ...]], Mapping[int, int]]) -> RankingPattern:
-    """The pattern ranking every subset of [m] with >= 2 members by ``ranks_of``.
-
-    ``ranks_of`` is called once per subset, in the cached subset order, and
-    the functions are handed over ``Checked``, keyed by those subsets.
-    """
-    subsets = subsets_of_size_at_least(m, 2)
-    return RankingPattern(m, Checked({s: RankingFunction.of(s, ranks_of(s)) for s in subsets}))
+def _pattern(m: int, ranks_of: Callable[[tuple[int, ...]], tuple[int, ...]]) -> RankingPattern:
+    """The pattern ranking each subset of [m] with >= 2 members, in the cached
+    order, by ``ranks_of``: their ranks in member order, handed over ``Checked``."""
+    return RankingPattern(m, Checked({s: ranks_of(s) for s in subsets_of_size_at_least(m, 2)}))
 
 
-def _ascending_ranks(order: Iterable) -> dict:
-    """The rank of each element of ``order``: its position, counted from 1."""
-    return {x: pos for pos, x in enumerate(order, start=1)}
+def _ascending_ranks(members: tuple[int, ...], order: Iterable[int]) -> tuple[int, ...]:
+    """The ranks of ``members``, in member order: each one's position in
+    ``order``, a permutation of them, counted from 1."""
+    position = {x: pos for pos, x in enumerate(order, start=1)}
+    return tuple(map(position.__getitem__, members))
 
 
-def _dense_ranks(values: Mapping[int, object], best_first: bool) -> dict[int, int]:
-    """Dense ranks of the keys of ``values``: equal values share a rank, and
+def _dense_ranks(values: list, best_first: bool) -> tuple[int, ...]:
+    """Dense ranks of ``values``, in their order: equal values share a rank, and
     rank 1 goes to the largest value if ``best_first``, else the smallest."""
-    rank_of_value = _ascending_ranks(sorted(set(values.values()), reverse=best_first))
-    return {j: rank_of_value[v] for j, v in values.items()}
+    rank_of_value = {v: r for r, v in enumerate(sorted(set(values), reverse=best_first), start=1)}
+    return tuple(map(rank_of_value.__getitem__, values))
 
 
 def pattern_very_paradox(m: int) -> RankingPattern:
@@ -298,12 +307,7 @@ def pattern_very_paradox(m: int) -> RankingPattern:
     check_dimension(m)
     if m < 3:
         raise DomainError(f"the paradox needs m >= 3, got {m}")
-    return _pattern(
-        m,
-        lambda members: _ascending_ranks(
-            members[1:] + members[:1] if members[0] == 1 and len(members) > 2 else members
-        ),
-    )
+    return _pattern(m, lambda a: _ascending_ranks(a, a[1:] + a[:1] if a[0] == 1 and len(a) > 2 else a))
 
 
 def pattern_cyclic(m: int) -> RankingPattern:
@@ -315,9 +319,7 @@ def pattern_cyclic(m: int) -> RankingPattern:
     check_dimension(m)
     if m < 3:
         raise DomainError(f"a precedence cycle needs m >= 3, got {m}")
-    return _pattern(
-        m, lambda members: _ascending_ranks(members[::-1] if members == (1, m) else members)
-    )
+    return _pattern(m, lambda a: _ascending_ranks(a, a[::-1] if a == (1, m) else a))
 
 
 def fubini(n: int) -> int:
@@ -337,18 +339,13 @@ def pattern_count(m: int, non_weak_only: bool) -> int:
     return total
 
 
-def _ranking_functions_of(members: tuple[int, ...], non_weak_only: bool):
-    """All ranking functions on one subset, in lexicographic rank-tuple order.
-
-    A rank tuple is dense when it takes max(values) distinct values, and
-    strict when it takes len(members) of them.
-    """
-    size = len(members)
-    return [
-        RankingFunction(members, tuple(zip(members, values)))
-        for values in itertools.product(range(1, size + 1), repeat=size)
-        if len(set(values)) == (size if non_weak_only else max(values))
-    ]
+@functools.cache
+def _rank_tuples(size: int, non_weak_only: bool) -> tuple[tuple[int, ...], ...]:
+    """The rank tuples of every ranking function on ``size`` members, in
+    lexicographic order: dense ones take max(values) distinct values, strict
+    ones ``size``."""
+    values = itertools.product(range(1, size + 1), repeat=size)
+    return tuple(v for v in values if len(set(v)) == (size if non_weak_only else max(v)))
 
 
 def enumerate_patterns(
@@ -382,21 +379,18 @@ def enumerate_patterns(
                 f"exhaustive enumeration refused for m={m}: "
                 f"{pattern_count(m, non_weak_only)} patterns; use a sampling seed"
             )
-        choices = [
-            _ranking_functions_of(members, non_weak_only)
-            for members in subsets_of_size_at_least(m, 2)
-        ]
-        stream = (RankingPattern(m, combo) for combo in itertools.product(*choices))
+        subsets = subsets_of_size_at_least(m, 2)
+        tables = itertools.product(*[_rank_tuples(len(s), non_weak_only) for s in subsets])
+        stream = (RankingPattern(m, Checked(dict(zip(subsets, table)))) for table in tables)
     else:
         rng = random.Random(seed)
 
-        def ranks_of(members: tuple[int, ...]) -> dict[int, int]:
+        def ranks_of(members: tuple[int, ...]) -> tuple[int, ...]:
             if non_weak_only:
-                return _ascending_ranks(rng.sample(members, len(members)))
+                return _ascending_ranks(members, rng.sample(members, len(members)))
             # Dense-compressed random ranks: a valid, deterministic stream;
             # the distribution over weak patterns is unspecified.
-            draws = {x: rng.randint(1, len(members)) for x in members}
-            return _dense_ranks(draws, best_first=False)
+            return _dense_ranks([rng.randint(1, len(members)) for _ in members], best_first=False)
 
         stream = (_pattern(m, ranks_of) for _ in itertools.count())
     yield from itertools.islice(stream, limit)

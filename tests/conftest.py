@@ -1,6 +1,7 @@
 """Shared fixtures: the three-component worked example and random generators."""
 
 import io
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from precedence import (
     invert_to_ls,
 )
 from precedence.cli import _write_json
+from precedence.core import subsets_of_size_at_least
 
 # A three-component failure-order law exhibiting a reversal: component 3
 # wins every head-to-head involving it, 1 and 2 tie head-to-head, and yet
@@ -78,18 +80,15 @@ def majority_arcs(pattern: RankingPattern) -> set[tuple[int, int]]:
     arc iff i's rank on {i, j} is at most j's, so a tie keeps both arcs."""
     return {
         (i, j)
-        for fn in pattern.functions
-        if len(fn.members) == 2
-        for i in fn.members
-        for j in fn.members
-        if i != j and fn.rank(i) <= fn.rank(j)
+        for members, ranks in zip(subsets_of_size_at_least(pattern.m, 2), pattern.ranks)
+        if len(members) == 2
+        for (i, r), (j, s) in itertools.permutations(zip(members, ranks), 2)
+        if r <= s
     }
 
 
 def random_distribution(m: int, rng: random.Random, sparse: bool = True):
     """A random exact rational distribution over the permutations of [m]."""
-    import itertools
-
     perms = list(itertools.permutations(range(1, m + 1)))
     if sparse and len(perms) > 2 and rng.random() < 0.5:
         support = rng.sample(perms, rng.randint(1, len(perms)))

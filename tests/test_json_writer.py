@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from precedence import EpsilonSchedule, OrderDependentLSModel, PermutationDistribution, SetInvariantLSModel
 from precedence import VotingSituation, alpha_family, enumerate_patterns, tally
-from precedence.cli import _doc, _write_json
+from precedence.cli import _FLUSH_PIECES, _doc, _write_json
 from precedence.core import JsonRows, plain_json
 
 
@@ -131,17 +131,26 @@ SCALARS = {
     "str": STRINGS | st.builds(Text, STRINGS),
     "float": FLOATS | st.builds(Real, FLOATS),
 }
+OBJECT_KEYS = STRINGS | st.builds(Text, STRINGS)
 ROW_VALUES = {
     **SCALARS,
     "tuple": st.lists(ROW_INTS | st.builds(Count, st.integers()), max_size=4).map(tuple),
-    "object": st.dictionaries(STRINGS | st.builds(Text, STRINGS), st.one_of(*SCALARS.values()), max_size=4),
+    **{
+        f"object of {name}s": st.dictionaries(OBJECT_KEYS, scalar, max_size=4)
+        for name, scalar in SCALARS.items()
+    },
 }
-ROW_VALUES["mixed"] = st.one_of(*ROW_VALUES.values())
+# the kinds of value a column holds one of
+KINDS = {
+    **SCALARS,
+    "tuple": ROW_VALUES["tuple"],
+    "object": st.one_of(*(ROW_VALUES[f"object of {name}s"] for name in SCALARS)),
+}
 
 
 @st.composite
 def json_rows(draw):
-    """A JsonRows with keys that need escapes, each column of one kind of value or mixed."""
+    """A JsonRows with keys that need escapes, each column of one kind of value."""
     keys = STRINGS | st.sampled_from(["%", "%s", "a%%b"])
     keys = tuple(draw(st.lists(keys, max_size=4, unique=True)))
     kinds = [ROW_VALUES[draw(st.sampled_from(sorted(ROW_VALUES)))] for _ in keys]
@@ -167,14 +176,35 @@ def test_rows_are_written_as_json_dump_writes_their_plain_json(doc):
     assert written(doc) == json.dumps(plain_json(doc), indent=2) + "\n"
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_column_of_two_kinds_of_value_is_refused(data):
+    # no producer writes one: its values are scalars of one kind, tuples or objects
+    first, second = data.draw(st.lists(st.sampled_from(sorted(KINDS)), min_size=2, max_size=2, unique=True))
+    column = data.draw(st.permutations([data.draw(KINDS[first]), data.draw(KINDS[second])]))
+    column += data.draw(st.lists(KINDS[first] | KINDS[second], max_size=4))
+    with pytest.raises(TypeError):
+        written(JsonRows(("a",), [(value,) for value in column]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_an_object_column_of_two_kinds_of_member_value_is_refused(data):
+    first, second = data.draw(st.lists(st.sampled_from(sorted(SCALARS)), min_size=2, max_size=2, unique=True))
+    values = data.draw(st.permutations([data.draw(SCALARS[first]), data.draw(SCALARS[second])]))
+    rows = [({"x": values[0]},), ({"y": values[1]},)] if data.draw(st.booleans()) else [(dict(zip("xy", values)),)]
+    with pytest.raises(TypeError):
+        written(JsonRows(("a",), rows))
+
+
 @pytest.mark.parametrize(
     "rows",
     [
         [],
         [((),), ((1,),), ((1, 2, 3),), ((),)],
-        [({},), ({"1": "1/3"},), ({"a": 1, "b": 2.5, "c": "x"},), ({},)],
+        [({},), ({"1": "1/3"},), ({"a": "1", "b": "2.5", "c": "x"},), ({},)],
         [((1, 2), {"1": 1, "2": 2}), ((1, 2, 3), {"1": 3, "2": 1, "3": 2})],
-        [(math.inf,), (-math.inf,), (math.nan,), ({"x": math.nan, "y": -math.inf},)],
+        [(math.inf, {"x": math.nan, "y": -math.inf}), (-math.inf, {}), (math.nan, {"z": math.inf})],
     ],
     ids=["empty", "tuple-lengths", "object-sizes", "subset-rows", "non-finite"],
 )
@@ -217,13 +247,23 @@ def test_rows_must_fit_their_keys(keys, rows, error):
     [
         [1.5],
         [0.1, 1e300, -0.0, 5e-324, float("inf"), float("-inf"), float("nan")],
-        [2.5, 3, "x", (4,)],
     ],
-    ids=["one", "edges", "mixed"],
+    ids=["one", "edges"],
 )
 def test_a_float_column_is_written_as_json_dump_writes_it(column):
     rows = JsonRows(("frequency",), [(value,) for value in column])
     assert written(rows) == json.dumps(rows.dicts(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "column",
+    [[2.5, 3, "x", (4,)], [(4,), 2.5], [{"a": 1, "b": 2.5, "c": "x"}], [2.5, 3]],
+    ids=["kinds", "tuple-and-float", "object-values", "float-and-int"],
+)
+def test_a_float_column_mixed_with_other_kinds_is_refused(column):
+    rows = JsonRows(("frequency",), [(value,) for value in column])
+    with pytest.raises(TypeError, match="of one kind"):
+        written(rows)
 
 
 @pytest.mark.parametrize(
@@ -262,6 +302,19 @@ def test_a_large_table_is_written_in_bounded_pieces():
     assert len(out.chunks) > 10
     assert max(map(len, out.chunks)) < 100_000
     assert out.chunks[-1][-2:] == "]\n"  # the newline rides on the last write
+
+
+def test_a_table_of_wide_rows_is_written_in_blocks_of_bounded_values():
+    # 12 members of ~1 KB each per row, as in a certificate's alphas at m = 12:
+    # blocks sized by the number of keys alone hold 2,048 rows, ~25 MB a write
+    members = tuple(range(1, 13))
+    alphas = dict.fromkeys(map(str, members), "1" * 1000 + "/" + "7" * 100)
+    rows = JsonRows(("set", "alpha"), [(members, alphas)] * 2100)
+    out = Recorder()
+    _write_json(rows, out)
+    assert "".join(out.chunks) == json.dumps(rows.dicts(), indent=2) + "\n"
+    # each row flattens to 36 values: 12 ints, and a key and a value per member
+    assert max(chunk.count('"set"') for chunk in out.chunks) * 36 <= _FLUSH_PIECES
 
 
 BIG_PARTS = st.sampled_from([0, 1]) | st.integers(0, 2**1100)

@@ -37,7 +37,7 @@ from precedence import (
     synthesize_voting_situation,
 )
 from precedence import loadsharing, permdist, ranking, voting
-from precedence.cli import _write_json
+from precedence.cli import _write_json, run
 from precedence.core import _literal_ints, rational_parse, subset_members, validate_permutation
 from precedence.core import validate_prefix
 from precedence.errors import DomainError, InputFormatError
@@ -204,6 +204,44 @@ def test_true_after_an_equal_entry_is_refused(kind, doc, message):
     with pytest.raises(InputFormatError) as info:
         LOADERS[kind](doc)
     assert str(info.value) == message
+
+
+# Each refusal of a pattern document, with its text: the CLI exits 2 and prints it.
+PATTERN_REFUSALS = [
+    ({"1": 1.9, "2": 2}, "functions[0].ranks: {'1': 1.9, '2': 2} is not an object of integers"),
+    ({"1": True, "2": 2}, "functions[0].ranks: {'1': True, '2': 2} is not an object of integers"),
+    ([1, 2], "functions[0].ranks: [1, 2] is not an object of integers"),
+    ({"1": 1, "3": 2}, "functions[0].ranks: keys ['1', '3'] are not the members [1, 2]"),
+    ({"1": 1, "01": 2, "2": 2}, "functions[0].ranks: keys ['1', '01', '2'] are not the members [1, 2]"),
+    ({}, "functions[0].ranks: keys [] are not the members [1, 2]"),
+    ({" 1": 1, "2": 2}, "functions[0].ranks: ' 1' is not an integer or a decimal string"),
+    ({"1": 1, "2": 3}, "functions[0]: rank image [1, 3] over (1, 2) is not dense {1..w}"),
+    ({"1": 0, "2": 1}, "functions[0]: rank image [0, 1] over (1, 2) is not dense {1..w}"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        *(({"m": 2, "functions": [{"set": [1, 2], "ranks": ranks}]}, message)
+          for ranks, message in PATTERN_REFUSALS),
+        ({"m": 2, "functions": [{"set": [1, 2], "ranks": {"1": 1, "2": 2}},
+                                {"set": [2, 1], "ranks": {"1": 2, "2": 1}}]},
+         "functions[1]: duplicate entry (1, 2)"),
+        ({"m": 3, "functions": [{"set": [1, 2], "ranks": {"1": 1, "2": 2}}]},
+         "pattern is missing subsets, first: (1, 2, 3)"),
+        ({"m": 2, "functions": [{"set": [1], "ranks": {"1": 1}}]},
+         "functions[0]: invalid subset (1,) for a ranking function"),
+    ],
+    ids=["float-rank", "bool-rank", "ranks-a-list", "keys-not-the-members", "key-twice",
+         "no-keys", "key-not-decimal", "image-not-dense", "rank-zero", "repeated-set",
+         "missing-subset", "one-member-set"],
+)
+def test_a_pattern_refusal_exits_two_with_its_text(tmp_path, doc, message):
+    path = tmp_path / "pattern.json"
+    path.write_text(json.dumps(doc))
+    result = run(["concord", "certify", "--pattern", str(path)])
+    assert (result.exit_code, result.diagnostics) == (2, [message])
 
 
 SCHEDULE_MODEL_2 = [

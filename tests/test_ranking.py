@@ -20,8 +20,25 @@ from precedence import (
     pattern_cyclic,
     pattern_very_paradox,
 )
-from precedence.ranking import fubini, score_concordance
+from precedence.core import subsets_of_size_at_least
+from precedence.ranking import ConcordanceReport, ConcordanceViolation, fubini, score_concordance
 from tests.conftest import random_distribution
+
+
+def pairwise_concordance(sigma, score):
+    """The reference verdict: every pair of members of every subset compared,
+    in ``itertools.combinations`` order."""
+    def relation(a, b):
+        return "<" if a < b else (">" if a > b else "=")
+
+    violations = []
+    for members, ranks in zip(subsets_of_size_at_least(sigma.m, 2), sigma.ranks):
+        rank = dict(zip(members, ranks))
+        for i, j in itertools.combinations(members, 2):
+            rank_rel, score_rel = relation(rank[i], rank[j]), relation(score[members, i], score[members, j])
+            if {rank_rel, score_rel} not in ({"="}, {"<", ">"}):
+                violations.append(ConcordanceViolation(members, i, j, rank_rel, score_rel))
+    return ConcordanceReport(tuple(violations))
 
 
 class TestRankingFunction:
@@ -100,8 +117,7 @@ class TestInducedPattern:
     def test_uniform_all_ties(self):
         fam = alpha_family(PermutationDistribution.uniform(3))
         sigma = induced_pattern(fam)
-        for fn in sigma.functions:
-            assert all(r == 1 for _, r in fn.ranks)
+        assert all(set(ranks) == {1} for ranks in sigma.ranks)
 
     def test_strictly_sorted_alphas(self):
         fam = WinningProbabilityFamily(
@@ -163,10 +179,35 @@ class TestPConcordance:
     @pytest.mark.parametrize("sign, verdict", [(-1, "PASS"), (1, "FAIL")])
     def test_verdict_is_read_off_the_violations(self, example_pattern, sign, verdict):
         # a score falling with the rank is concordant; one rising with it is not
-        scores = {(fn.members, j): sign * r for fn in example_pattern.functions for j, r in fn.ranks}
+        subsets = subsets_of_size_at_least(3, 2)
+        scores = {
+            (members, j): sign * r
+            for members, ranks in zip(subsets, example_pattern.ranks)
+            for j, r in zip(members, ranks)
+        }
         report = score_concordance(example_pattern, scores)
         assert report.verdict == verdict
         assert report.passed is (verdict == "PASS") is (not report.violations)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_verdict_and_violations_equal_the_pairwise_reference(self, m):
+        # weak patterns tie ranks, and small random scores tie scores; most
+        # subsets get scores that follow their ranks, so both verdicts occur
+        rng = random.Random(m)
+        verdicts = set()
+        for seed in range(40):
+            sigma = next(enumerate_patterns(m, non_weak_only=seed % 4 == 0, seed=seed, limit=1))
+            wrong = rng.choice([0, 0.05, 0.5])
+            scores = {}
+            for members, ranks in zip(subsets_of_size_at_least(m, 2), sigma.ranks):
+                step = [rng.randint(1, 2) for _ in range(max(ranks) + 1)]
+                for j, r in zip(members, ranks):
+                    concordant = sum(step[r:])  # falls strictly as the rank rises
+                    scores[members, j] = rng.randint(0, 3) if rng.random() < wrong else concordant
+            report = score_concordance(sigma, scores)
+            assert report == pairwise_concordance(sigma, scores)
+            verdicts.add(report.verdict)
+        assert verdicts == {"PASS", "FAIL"}
 
     def test_dimension_mismatch(self, example_pattern):
         fam = alpha_family(PermutationDistribution.uniform(4))
@@ -295,4 +336,4 @@ class TestEnumeration:
 
     def test_sampled_weak_patterns_are_valid(self):
         for sigma in enumerate_patterns(3, non_weak_only=False, seed=3, limit=20):
-            RankingPattern(3, sigma.functions)  # revalidates dense images
+            assert RankingPattern(3, sigma.functions) == sigma  # revalidates dense images

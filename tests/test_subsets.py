@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from precedence import (
     DomainError,
     PermutationDistribution,
+    RankingFunction,
     SetInvariantLSModel,
     SubsetMask,
     WinningProbabilityFamily,
@@ -33,13 +34,13 @@ def test_subset_order_is_the_sorted_combinations(m, k):
 def test_pattern_lookups_take_every_subset_form(m, seed, data):
     sigma = next(enumerate_patterns(m, seed=seed, limit=1))
     members = data.draw(st.sampled_from(subsets_of_size_at_least(m, 2)))
-    fn = next(f for f in sigma.functions if f.members == members)
+    ranks = sigma.ranks[subsets_of_size_at_least(m, 2).index(members)]
     shuffled = data.draw(st.permutations(members))
     j = data.draw(st.sampled_from(members))
     for subset in (members, iter(shuffled), SubsetMask.of(m, shuffled)):
-        assert sigma.function(subset) is fn
+        assert sigma.function(subset) == RankingFunction(members, tuple(zip(members, ranks)))
     for subset in (members, iter(shuffled), SubsetMask.of(m, shuffled)):
-        assert sigma.rank(subset, j) == dict(fn.ranks)[j]
+        assert sigma.rank(subset, j) == ranks[members.index(j)]
     for bad in (SubsetMask.of(m + 1, members), members[:-1] + (m + 1,), members[:1]):
         with pytest.raises(DomainError):
             sigma.function(bad)
