@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, count
+from itertools import accumulate, chain, count, starmap
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 from .core import JsonRows, plain_json, subset_rows
@@ -257,10 +257,9 @@ def sample_trajectories(
     blocks = _blocks(n_samples, seed, model.m, times=True)
     tables = _SamplerTables(model, times=True)
     order = functools.cache(tables.order)  # one tuple per leaf, shared by its samples
-    return (
-        trajectory
-        for leaves, times in (tables.walk(*block) for block in blocks)
-        for trajectory in map(Trajectory, map(order, leaves.tolist()), map(tuple, times.tolist()))
+    return chain.from_iterable(  # one map per block: no generator frame resumed per sample
+        map(Trajectory, map(order, leaves.tolist()), map(tuple, times.tolist()))
+        for leaves, times in starmap(tables.walk, blocks)
     )
 
 

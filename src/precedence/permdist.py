@@ -22,11 +22,11 @@ reader takes: a value built from fractions lifts them to the lcm of their
 reduced denominators (``_over_one_scale``), one from numerators keeps them.
 So every exact route (:func:`alpha_family` and
 ``loadsharing.alpha_family_ls``) runs on ints from a law's numerators to its
-family's (:func:`family_from_table`). ``alpha_family_bruteforce`` instead scans
-every support permutation through a position map, adding integer
-numerators, and shares no code with the table. The two take genuinely
-different routes and must agree bit-for-bit; the brute-force scanner is
-kept as the cross-checking oracle (CLI ``oracle``).
+family's (:func:`family_from_table`). The cross-checking oracle (CLI
+``oracle``), ``alpha_family_bruteforce``, shares no code with the table: an
+order credits each member x with its integer numerator in every subset
+{x} | T, T a non-empty bit submask of the members failing after x. The two
+routes must agree bit-for-bit.
 
 The value classes check numerators: signs, 0 <= n <= scale for an alpha,
 and each sum to the scale. Each runs its one entry check on every entry,
@@ -390,15 +390,26 @@ def alpha_family(rho: PermutationDistribution) -> WinningProbabilityFamily:
 def alpha_family_bruteforce(rho: PermutationDistribution) -> WinningProbabilityFamily:
     """Winning probabilities by scanning every support permutation directly.
 
-    Independent oracle for :func:`alpha_family`: for each permutation the
-    winner in A is the member of A at the earliest position. It adds the
-    weights' integer numerators and shares no code with the failed-set table.
+    Independent oracle for :func:`alpha_family`, sharing no code with the
+    failed-set table: walked from its last failure back to its first, an order
+    credits each member x with its integer numerator in every subset {x} | T,
+    T a non-empty bit submask of the members that fail after x.
     """
     m = rho.m
-    subsets = subsets_of_size_at_least(m, 2)
-    sums = {(members, j): 0 for members in subsets for j in members}
+    sums = [0] * (m << m)  # mask * m + x - 1: the weight of the orders in which x wins mask
+    cells: list = [None] * (m << m)  # later * m + x - 1: the cells x wins, listed once a call
     for perm, n in rho.numerators.items():
-        position = {x: r for r, x in enumerate(perm)}.__getitem__
-        for members in subsets:
-            sums[(members, min(members, key=position))] += n
-    return WinningProbabilityFamily(m, Checked(_OverScale(sums, rho.scale)))
+        later = 0
+        for x in reversed(perm):
+            key = later * m + x - 1
+            if cells[key] is None:  # the cell of {x} | T for each non-empty submask T of later
+                cells[key], t = [], later
+                while t:
+                    cells[key].append((t | 1 << (x - 1)) * m + x - 1)
+                    t = (t - 1) & later
+            for i in cells[key]:
+                sums[i] += n
+            later |= 1 << (x - 1)
+    subsets = subsets_of_size_at_least(m, 2)
+    numerators = {(s, j): sums[sum(1 << (i - 1) for i in s) * m + j - 1] for s in subsets for j in s}
+    return WinningProbabilityFamily(m, Checked(_OverScale(numerators, rho.scale)))

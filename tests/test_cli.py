@@ -74,6 +74,16 @@ class TestAlphaCommands:
         brute = run(["oracle", "--dist", law_file]).payload
         assert fast == brute
 
+    def test_oracle_stdout_is_alpha_stdout_on_a_dense_m7_law(self, tmp_path, capsys):
+        path = tmp_path / "dense7.json"
+        rho = random_distribution(7, random.Random(7), sparse=False)
+        path.write_text(json.dumps(rho.to_json_dict()))
+        outs = []
+        for command in ("alpha", "oracle"):
+            assert main([command, "--dist", str(path)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0].count('"set"') == 120
+
     def test_decimal_flag_annotates_without_replacing(self, law_file):
         payload = run(["alpha", "--dist", law_file, "--set", "1,3", "--decimal"]).payload
         assert payload["alpha"]["1"] == {"exact": "4/9", "decimal": 0.444444444444}

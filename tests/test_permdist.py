@@ -14,8 +14,12 @@ from precedence import (
     WinningProbabilityFamily,
     alpha_family,
     alpha_family_bruteforce,
+    build_ls_epsilon,
+    distribution_of,
+    epsilon_schedule,
     induced_pattern,
     invert_to_ls,
+    pattern_cyclic,
 )
 from precedence import permdist
 from precedence.core import ZERO, Checked, rational_format, subsets_of_size_at_least
@@ -25,6 +29,31 @@ from tests.conftest import EXAMPLE_LAW_ALPHAS, majority_arcs, random_distributio
 
 def _refuse(*args, **kwargs):
     raise AssertionError("the oracle must not call the failed-set table code")
+
+
+def reference_oracle(rho: PermutationDistribution) -> dict:
+    """The oracle's numerators by a literal scan: per (order, subset), the
+    winner is ``min(members, key=position)``."""
+    subsets = subsets_of_size_at_least(rho.m, 2)
+    sums = {(members, j): 0 for members in subsets for j in members}
+    for perm, n in rho.numerators.items():
+        position = {x: r for r, x in enumerate(perm)}.__getitem__
+        for members in subsets:
+            sums[(members, min(members, key=position))] += n
+    return sums
+
+
+def seeded_law(m: int, seed: int, kind: str) -> PermutationDistribution:
+    """A law on [m]: dense or sparse small weights, zero weights kept in the
+    caller's dict, or weights of ~640 bits over their total."""
+    rng = random.Random(seed)
+    perms = list(itertools.permutations(range(1, m + 1)))
+    if kind == "sparse":
+        perms = rng.sample(perms, rng.randint(1, len(perms)))
+    raw = {perm: rng.getrandbits(640) if kind == "wide" else rng.randint(0, 3) for perm in perms}
+    raw[perms[0]] += 1  # a positive total
+    total = sum(raw.values())
+    return PermutationDistribution(m, {perm: Fraction(v, total) for perm, v in raw.items()})
 
 
 @st.composite
@@ -347,6 +376,24 @@ class TestAlphaFamily:
                     if perm.index(i) < perm.index(j)
                 )
                 assert fam.alpha((i, j), i) == direct
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "wide"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_oracle_equals_the_literal_scan(self, m, kind):
+        for seed in range(3 if m < 6 else 1):
+            rho = seeded_law(m, 10 * m + seed, kind)
+            fam = alpha_family_bruteforce(rho)
+            assert list(fam.numerators.items()) == list(reference_oracle(rho).items())
+            assert fam.scale == rho.scale
+        if kind == "wide" and m > 1:  # a law on [1] is a point mass, whatever its weight
+            assert max(fam.numerators.values()).bit_length() > 600
+
+    def test_oracle_at_m7_matches_alpha_family(self):
+        dense = random_distribution(7, random.Random(7), sparse=False)
+        cyclic = distribution_of(build_ls_epsilon(pattern_cyclic(7), epsilon_schedule(7)))
+        assert len(cyclic.numerators) == 5040
+        for rho in (dense, cyclic):
+            assert alpha_family(rho) == alpha_family_bruteforce(rho)
 
     @settings(max_examples=30)
     @given(rho=distributions(max_m=5))
