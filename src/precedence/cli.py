@@ -19,7 +19,7 @@ certify``; the alpha tables of ``alpha``, ``oracle`` and the certificate;
 the functions of each pattern of ``pattern gen``, ``pattern induce`` and the
 certificate; the count table of ``vote synth`` and the tally table of ``vote
 tally``; the order and alpha tables of ``simulate``. Each row shape has one
-row template per table (``_write_json``); ``--decimal`` turns the tables
+cached row template (``_write_json``); ``--decimal`` turns the tables
 into dicts first.
 
 Integer options take ASCII decimal digits only. They are read first; then
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from json.encoder import INFINITY, encode_basestring_ascii
 
 from . import construction, loadsharing, montecarlo, permdist, ranking, signature, voting
-from .core import JsonRows, decimal_int, rational_parse, subset_members
+from .core import JsonRows, decimal_int, ratio_format, rational_parse, subset_members
 from .errors import DomainError, InputFormatError, PrecedenceError, RationalParseError
 
 
@@ -148,7 +148,7 @@ def _cmd_alpha(args, brute: bool) -> CommandResult:
     fam = (permdist.alpha_family_bruteforce if brute else permdist.alpha_family)(args.dist)
     if args.set is None:
         return CommandResult(0, {"m": m, "families": fam._json_rows()})
-    alpha = {str(j): fam.alpha_text(members, j) for j in members}
+    alpha = {str(j): ratio_format(fam.numerators[members, j], fam.scale, "alpha") for j in members}
     return CommandResult(0, {"m": m, "set": list(members), "alpha": alpha})
 
 
@@ -452,9 +452,9 @@ def _write_json(doc, out) -> None:
     rate tables of the models, the count table of ``vote synth``, the tally
     table of ``vote tally``, the order and alpha tables of ``simulate``, the
     alpha table of a family and the functions of a pattern. Each row shape's
-    template (:func:`_row_template`) is built once per table, and is filled
-    from the row's flattened values (:func:`_cells`): a scalar, each int of a
-    tuple, a key and a value per member of an object. The rows go out in
+    cached template (:func:`_row_template`) is filled from the row's
+    flattened values (:func:`_cells`): a scalar, each int of a tuple, a key
+    and a value per member of an object. The rows go out in
     blocks of at most _FLUSH_PIECES such values, as many rows as fit if each
     were as wide as the widest, and each full block is written out. A value
     of no JsonRows kind, or a column of two kinds, raises TypeError.
@@ -489,8 +489,6 @@ def _write_json(doc, out) -> None:
             append("[]")
             return
         names = tuple(text(key).replace("%", "%%") for key in keys)
-        # by the slots and the columns that have shapes, then by a row's shapes
-        templates: dict[tuple, dict[tuple, str]] = {}
         columns = list(zip(*rows))
         widest = sum(
             max(map(operator.length_hint, column)) * (1 + isinstance(column[0], dict))
@@ -505,9 +503,8 @@ def _write_json(doc, out) -> None:
             slots, shapes, fills = zip(*map(_cells, block)) if keys else ((), (), ())
             shaped = tuple(i for i, column in enumerate(shapes) if column is not None)
             row_shapes = list(zip(*[shapes[i] for i in shaped])) if shaped else [()] * count
-            known = templates.setdefault((slots, shaped), {})
-            for shape in set(row_shapes) - known.keys():
-                known[shape] = _row_template(names, pad, slots, tuple(zip(shaped, shape)))
+            known = {shape: _row_template(names, pad, slots, tuple(zip(shaped, shape)))
+                     for shape in set(row_shapes)}
             # each row's fills, those of a run of scalar columns in one tuple
             parts: list[Iterable] = []
             for scalar, run in itertools.groupby(zip(shapes, fills), lambda column: column[0] is None):

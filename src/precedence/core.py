@@ -7,8 +7,9 @@ Everything downstream runs on arbitrary-precision rationals
 * permutations of [m] as tuples of ints,
 * ordered failure prefixes (i_1, ..., i_k) as tuples of distinct ints,
 * subsets of [m] as sorted member tuples, in one cached lexicographic
-  order (:func:`subsets_of_size_at_least`). Int bit masks appear only in
-  the failed-set table; a :class:`SubsetMask` is accepted where a public
+  order (:func:`subsets_of_size_at_least`). Int bit masks index the
+  package's own tables: the failed-set table, a set-invariant model's rows
+  and the oracle's cells; a :class:`SubsetMask` is accepted where a public
   function takes a subset from its caller (:func:`subset_members`).
 
 Indices are 1-based throughout, including every file format. Enumeration
@@ -238,11 +239,7 @@ def ratio_format(n: int, d: int, field: str = "rational") -> str:
 
 def rational_format(value: Fraction | int) -> str:
     """Canonical text form: lowest terms, ``"n/d"``, plain ``"n"`` for integers."""
-    n, d = (value if type(value) is Fraction else Fraction(value)).as_integer_ratio()
-    try:
-        return str(n) if d == 1 else f"{n}/{d}"
-    except ValueError:  # more digits than str() converts
-        raise _too_many_digits("rational") from None
+    return ratio_format(*value.as_integer_ratio())
 
 
 def max_dimension() -> int:

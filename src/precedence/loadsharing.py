@@ -29,10 +29,10 @@ their scale, mu_j = numerators[j] / scale. An order-dependent model keeps
 one row per prefix over the survivors it lists; a set-invariant one keeps
 one complete row per failed set. ``rates`` and ``mu_by_survivors`` are
 read-only views that build a Fraction when an entry is read. The walker,
-the set DP and the sampler read the stored rows (``_row``); an
-order-dependent row that omits survivors is merged with the default rate
-as it is read. ``rates_after(prefix)`` is the Fraction row behind
-``rate(prefix, j)``, :func:`total_rate` and :func:`prefix_probability`.
+the set DP, the sampler, ``rate(prefix, j)`` and :func:`total_rate` read
+the stored rows (``_row``); an order-dependent row that omits survivors is
+merged with the default rate as it is read. ``rates_after(prefix)`` is the
+Fraction row behind :func:`prefix_probability`, a reference route.
 
 The exact kernels run on ints and build a Fraction only for a value they
 return. :func:`distribution_of`, :func:`alpha_family_ls` and :func:`beta_gamma_split`
@@ -192,10 +192,10 @@ class OrderDependentLSModel:
     def rate(self, prefix: Iterable[int], j: int) -> Fraction:
         """mu_j after ``prefix``, a failure prefix of [m], if ``j`` is an int survivor."""
         prefix = validate_prefix(self.m, prefix)
-        row = self.rates_after(prefix)
-        if type(j) is not int or j not in row:  # True == 1, but not a component
+        numerators, _, scale = self._row(prefix)
+        if type(j) is not int or j not in numerators:  # True == 1, but not a component
             raise DomainError(f"{j!r} is not a survivor after prefix {prefix}")
-        return row[j]
+        return Fraction(numerators[j], scale)
 
     def rates_after(self, prefix: tuple[int, ...]) -> dict[int, Fraction]:
         """Each survivor's rate after the failure order ``prefix``, ascending."""
@@ -283,23 +283,24 @@ def _same_rows(mine: Mapping[object, Row], theirs: Mapping[object, Row]) -> bool
     return True
 
 
-def _row_of(terms: list[tuple[int, tuple[int, int]]]) -> Row:
-    """The row of the rates ``n / d`` of survivors j, from (j, (n, d)) ascending
-    by j, over the lcm of the d."""
-    if len(terms) == 1:  # a lone survivor, as after most prefixes of an inversion
-        [(j, (n, d))] = terms
-        return {j: n}, n, d
-    scale = math.lcm(*[d for _, (_, d) in terms])
-    numerators = {j: n * (scale // d) for j, (n, d) in terms}
-    return numerators, sum(numerators.values()), scale
-
-
 def _rows_of(entries: Mapping[tuple, tuple[int, int]]) -> dict[tuple[int, ...], Row]:
-    """One row per k of checked rates ``(k, j) -> (n, d)``: a mapping lifted once."""
+    """One row per k of checked rates ``(k, j) -> (n, d)``, ascending by j, over the
+    lcm of the d; a lone survivor's row, as after most prefixes of an inversion,
+    is shared per (j, (n, d)). A mapping is lifted once, where its rates enter."""
     grouped: dict[tuple[int, ...], list] = {}
     for (k, j), term in entries.items():
         grouped.setdefault(k, []).append((j, term))
-    return {k: _row_of(sorted(terms)) for k, terms in grouped.items()}
+    rows, lone = {}, {}
+    for k, terms in grouped.items():
+        if len(terms) == 1:
+            [(j, (n, d))] = terms
+            rows[k] = lone.setdefault(terms[0], ({j: n}, n, d))
+        else:
+            terms.sort()
+            scale = math.lcm(*[d for _, (_, d) in terms])
+            numerators = {j: n * (scale // d) for j, (n, d) in terms}
+            rows[k] = numerators, sum(numerators.values()), scale
+    return rows
 
 
 def _rate_table(names: tuple[str, ...], keys: Iterable[tuple[int, ...]], rows: Mapping) -> JsonRows:
@@ -467,7 +468,8 @@ def model_from_json_dict(doc: dict) -> LoadSharingModel:
 
 def total_rate(model: LoadSharingModel, prefix: Iterable[int]) -> Fraction:
     """M(prefix): total rate of the components still alive after ``prefix``."""
-    return sum(model.rates_after(validate_prefix(model.m, prefix)).values(), ZERO)
+    _, total, scale = model._row(validate_prefix(model.m, prefix))
+    return Fraction(total, scale)
 
 
 def prefix_probability(model: LoadSharingModel, prefix: Iterable[int]) -> Fraction:

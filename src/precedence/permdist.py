@@ -245,31 +245,6 @@ class WinningProbabilityFamily:
     def alpha(self, subset: SubsetMask | Iterable[int], j: int) -> Fraction:
         return self.alphas[self._key(subset, j)]
 
-    def alpha_text(self, subset: SubsetMask | Iterable[int], j: int) -> str:
-        """``rational_format(self.alpha(subset, j))``."""
-        return self._texts()([self.numerators[self._key(subset, j)]])[0]
-
-    def _texts(self) -> Callable[[Iterable[int]], list[str]]:
-        """The printed alphas of numerators over the scale, each in lowest terms by
-        one gcd g; ``scale // g`` is formatted once per distinct g of one call.
-        DomainError if one is too long to print."""
-        scale = self.scale
-        over: dict[int, str] = {}
-
-        def texts(numerators: Iterable[int]) -> list[str]:
-            out = []
-            try:
-                for n in numerators:
-                    g = math.gcd(n, scale)
-                    if g not in over:
-                        over[g] = "" if g == scale else f"/{scale // g}"
-                    out.append(f"{n // g}{over[g]}")
-            except ValueError:  # more digits than str() converts
-                raise _too_many_digits("alpha") from None
-            return out
-
-        return texts
-
     def sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted({members for members, _ in self.numerators}))
 
@@ -281,9 +256,22 @@ class WinningProbabilityFamily:
         return self._json_rows().dicts()
 
     def _json_rows(self) -> JsonRows:
-        """The printed family, one row per subset, as :class:`~precedence.core.JsonRows`."""
-        texts, numerators = self._texts(), self.numerators
-        return subset_rows("alpha", ((s, texts([numerators[s, j] for j in s])) for s in self.sets()))
+        """The printed family, one row per subset, as :class:`~precedence.core.JsonRows`:
+        each alpha in lowest terms by one gcd g, ``scale // g`` formatted once per
+        distinct g. DomainError if one is too long to print."""
+        numerators, scale = self.numerators, self.scale
+        over: dict[int, str] = {}
+
+        def text(n: int) -> str:
+            g = math.gcd(n, scale)
+            if g not in over:
+                over[g] = "" if g == scale else f"/{scale // g}"
+            return f"{n // g}{over[g]}"
+
+        try:
+            return subset_rows("alpha", [(s, [text(numerators[s, j]) for j in s]) for s in self.sets()])
+        except ValueError:  # more digits than str() converts
+            raise _too_many_digits("alpha") from None
 
 
 def _alpha_entry(m: int, key: tuple, value: object) -> tuple:

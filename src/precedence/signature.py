@@ -23,15 +23,15 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter, defaultdict
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .core import ONE, ZERO, Checked, as_fraction, check_dimension, json_dimension
+from .core import ZERO, Checked, as_fraction, check_dimension, json_dimension
 from .core import rational_format, subsets_of_size_at_least, validate_permutation
 from .errors import DomainError, InfeasibleTargetError, InputFormatError
-from .loadsharing import LoadSharingModel, SetInvariantLSModel, _model_table, _row_of
+from .loadsharing import LoadSharingModel, SetInvariantLSModel, _model_table
 from .permdist import PermutationDistribution, failed_set_table
 
 
@@ -183,13 +183,16 @@ def ls_for_target_signature(
     Sets that are not cut are closed under taking subsets, so the system can
     die at step k iff some such set W of k-1 members has a cut child W + c.
     Mass p_k flows along the first such W in the subset order, ascending,
-    then to its smallest such c. A survivor's rate is the flow out of its
-    failed set; a set no flow leaves gives every survivor rate 1.
+    then to its smallest such c. The flow is carried as int numerators over
+    the lcm of the target's denominators, and each row is built from them: a
+    survivor's rate is the flow out of its failed set, over that scale; a set
+    no flow leaves gives every survivor rate 1, over scale 1.
     """
     if target.r != phi.r:
         raise DomainError(f"target has r={target.r} but structure has r={phi.r}")
     r, cut = phi.r, _cut_test(phi)
-    flow = defaultdict(Counter)  # survivors -> next failure -> mass
+    scale = math.lcm(*(mass.denominator for mass in target.p))
+    flow: dict[tuple[int, ...], dict[int, int]] = {}  # survivors -> next failure -> numerator
     for k, mass in enumerate(target.p, start=1):
         if mass == 0:
             continue
@@ -201,15 +204,12 @@ def ls_for_target_signature(
                 f"target puts mass {mass} on step {k}, but no failure order "
                 f"kills this structure at step {k}"
             )
+        n = mass.numerator * (scale // mass.denominator)
         alive = tuple(range(1, r + 1))
         for j in chain:
-            flow[alive][j] += mass
+            flow.setdefault(alive, dict.fromkeys(alive, 0))[j] += n
             alive = tuple(x for x in alive if x != j)
-    rows = {
-        alive: _row_of([
-            (j, (flow[alive].get(j, ZERO) if alive in flow else ONE).as_integer_ratio())
-            for j in alive
-        ])
-        for alive in subsets_of_size_at_least(r, 1)
-    }
-    return SetInvariantLSModel(r, Checked(rows))  # keys: the cached subset tuples
+    # the rows' keys are the cached subset tuples
+    rows = {alive: (dict.fromkeys(alive, 1), len(alive), 1) for alive in subsets_of_size_at_least(r, 1)}
+    rows.update((alive, (out, sum(out.values()), scale)) for alive, out in flow.items())
+    return SetInvariantLSModel(r, Checked(rows))

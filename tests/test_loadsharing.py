@@ -202,6 +202,14 @@ class TestRateTables:
         assert loaded == si
         assert loaded.epsilon == si.epsilon
 
+    def test_a_loaded_inversion_shares_its_lone_survivor_rows(self):
+        # 720 prefixes of length 5 leave one survivor each, of rate 1, as invert_to_ls builds them
+        model = invert_to_ls(PermutationDistribution.uniform(6))
+        loaded = model_from_json_dict(model.to_json_dict())
+        lone = [row for row in loaded.rows.values() if len(row[0]) == 1]
+        assert len(lone) == 720 and len(set(map(id, lone))) == 6
+        assert loaded == model
+
     @pytest.mark.parametrize(
         "rates, message",
         [

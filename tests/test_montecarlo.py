@@ -200,6 +200,9 @@ class TestSamplerRows:
         beta_gamma_split(model, (1, 2), 1)
         estimate_alphas(model, 500, seed=1)
         list(sample_trajectories(model, 500, seed=1))
+        for prefix in [(), (1,), (2, 1), (3, 1, 2)]:
+            model.rate(prefix, 5)
+            total_rate(model, prefix)
         assert calls == []
 
     @pytest.mark.parametrize("model", [

@@ -22,7 +22,7 @@ from precedence import (
     pattern_cyclic,
 )
 from precedence import permdist
-from precedence.core import ZERO, Checked, rational_format, subsets_of_size_at_least
+from precedence.core import ZERO, Checked, subsets_of_size_at_least
 from precedence.permdist import _OverScale, _over_one_scale, winner_sums
 from tests.conftest import EXAMPLE_LAW_ALPHAS, majority_arcs, random_distribution
 
@@ -175,10 +175,6 @@ class TestWinningProbabilityFamily:
         by_hand = WinningProbabilityFamily(rho.m, dict(fam.alphas))
         assert fam == by_hand and by_hand == fam
         assert fam.to_json_list() == by_hand.to_json_list()
-        assert all(
-            fam.alpha_text(members, j) == rational_format(fam.alpha(members, j))
-            for members, j in fam.alphas
-        )
 
 
 class TestOverOneScale:

@@ -27,6 +27,7 @@ from precedence import (
     signature_from_ls,
 )
 from precedence.cli import run
+from precedence.loadsharing import model_from_json_dict
 from tests.conftest import random_distribution
 
 BRIDGE = StructureFunction(
@@ -294,6 +295,8 @@ class TestTargetInversion:
         model = ls_for_target_signature(phi, target)
         assert isinstance(model, SetInvariantLSModel)
         assert signature_from_ls(phi, model).p == target.p
+        assert model_from_json_dict(model.to_json_dict()) == model
+        assert SetInvariantLSModel(phi.r, dict(model.mu_by_survivors)) == model
         infeasible = [k for k in range(1, phi.r + 1) if k not in steps]
         if infeasible:
             k = rng.choice(infeasible)

@@ -173,7 +173,6 @@ FAMILY = WinningProbabilityFamily(2, {((1, 2), 1): HALF, ((1, 2), 2): HALF})
 # each reads the entry of index j, 1 or 2, through a public lookup
 LOOKUPS = {
     "WinningProbabilityFamily.alpha": lambda j: FAMILY.alpha((1, 2), j),
-    "WinningProbabilityFamily.alpha_text": lambda j: FAMILY.alpha_text((1, 2), j),
     "TallyTable.votes": lambda j: tally(VotingSituation(2, {(1, 2): 1})).votes((1, 2), j),
     "RankingFunction.rank": lambda j: ONE_TWO.rank(j),
     "RankingPattern.rank": lambda j: RankingPattern(2, (ONE_TWO,)).rank((1, 2), j),
