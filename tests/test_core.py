@@ -100,6 +100,15 @@ class TestRationalParsing:
         assert rational_format(7) == "7"
 
     @pytest.mark.parametrize(
+        "value, text",
+        [(Fraction(-6, 4), "-3/2"), (-3, "-3"), (True, "1"), (False, "0"), (0.375, "3/8"), (-2.0, "-2")],
+        ids=["fraction", "int", "true", "false", "float", "integral-float"],
+    )
+    def test_format_prints_every_kind_as_its_fraction(self, value, text):
+        # one text builder for all kinds: a bool prints as its int, a float as its exact ratio
+        assert rational_format(value) == text == rational_format(Fraction(value))
+
+    @pytest.mark.parametrize(
         "value",
         [Fraction(10**4300), Fraction(1, 10**4300), -(10**4300)],
         ids=["numerator", "denominator", "int"],
