@@ -9,8 +9,9 @@ Everything downstream runs on arbitrary-precision rationals
 * subsets of [m] as sorted member tuples, in one cached lexicographic
   order (:func:`subsets_of_size_at_least`). Int bit masks index the
   package's own tables: the failed-set table, a set-invariant model's rows
-  and the oracle's cells; a :class:`SubsetMask` is accepted where a public
-  function takes a subset from its caller (:func:`subset_members`).
+  and the oracle's cells, each whole set's mask built by :func:`bit_mask`; a
+  :class:`SubsetMask` is accepted where a public function takes a subset
+  from its caller, and checked as every subset is (:func:`subset_members`).
 
 Indices are 1-based throughout, including every file format. Enumeration
 order is always lexicographic so that outputs are reproducible
@@ -276,6 +277,15 @@ def check_dimension(m: int, warn: bool = True) -> int:
     return m
 
 
+def bit_mask(members: Iterable[int]) -> int:
+    """The bit mask of checked members of [m], bit i-1 set iff i is one: the one
+    builder of a whole set's mask (a walk adding one member shifts its own bit)."""
+    mask = 0
+    for i in members:
+        mask |= 1 << (i - 1)
+    return mask
+
+
 @dataclass(frozen=True)
 class SubsetMask:
     """A subset of [m] encoded as an m-bit mask (bit i-1 set iff i is a member)."""
@@ -291,12 +301,7 @@ class SubsetMask:
 
     @classmethod
     def of(cls, m: int, members: Iterable[int]) -> "SubsetMask":
-        mask = 0
-        for x in members:
-            if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= m:
-                raise DomainError(f"element {x!r} outside [{m}]")
-            mask |= 1 << (x - 1)
-        return cls(m, mask)
+        return cls(m, bit_mask(subset_members(m, members)))
 
     @classmethod
     def empty(cls, m: int) -> "SubsetMask":

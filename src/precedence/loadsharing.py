@@ -70,6 +70,7 @@ from .core import (
     SubsetMask,
     _literal_ints,
     as_fraction,
+    bit_mask,
     check_dimension,
     checked_entries,
     json_dimension,
@@ -387,7 +388,7 @@ class SetInvariantLSModel:
                 raise DomainError(f"missing rate for survivor {j} of set {members}")
             if not row[1]:  # all rates are >= 0
                 raise DomainError(f"survivor set {members} has zero total rate")
-            rows[full ^ sum(1 << (j - 1) for j in members)] = row
+            rows[full ^ bit_mask(members)] = row
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "mu_by_survivors", _RateView(by_set))
 

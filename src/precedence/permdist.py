@@ -56,6 +56,7 @@ from .core import (
     _literal_ints,
     _too_many_digits,
     as_fraction,
+    bit_mask,
     check_dimension,
     checked_entries,
     json_dimension,
@@ -349,7 +350,7 @@ def winner_sums(
     full = (1 << m) - 1
     out: dict[tuple[tuple[int, ...], int], int] = {}
     for members in subsets_of_size_at_least(m, 2):
-        outside = full ^ sum(1 << (j - 1) for j in members)
+        outside = full ^ bit_mask(members)
         for j in members:
             low = lows[j - 1]
             out[(members, j)] = rows[j - 1][(outside & low) | (outside >> 1 & ~low)]
@@ -399,5 +400,5 @@ def alpha_family_bruteforce(rho: PermutationDistribution) -> WinningProbabilityF
                 sums[i] += n
             later |= 1 << (x - 1)
     subsets = subsets_of_size_at_least(m, 2)
-    numerators = {(s, j): sums[sum(1 << (i - 1) for i in s) * m + j - 1] for s in subsets for j in s}
+    numerators = {(s, j): sums[bit_mask(s) * m + j - 1] for s in subsets for j in s}
     return WinningProbabilityFamily(m, Checked(_OverScale(numerators, rho.scale)))

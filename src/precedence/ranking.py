@@ -14,8 +14,9 @@ included), generates the classic paradoxical patterns, and enumerates or
 samples pattern space for exhaustive testing.
 
 A pattern is stored as one rank table, a tuple of int ranks per subset in
-member order, which its builders make and its readers read; a
-:class:`RankingFunction` is built only for a caller who asks for one. Every
+member order, which its builders make and its readers (``ranks`` and
+:meth:`RankingPattern.rank`) read; a :class:`RankingFunction` only enters a
+pattern, as the checked type a hand-built pattern is given. Every
 generator is one per-subset rule: given the members of a subset, it
 returns their ranks, and one builder applies it to each subset in order.
 The subsets a paradox leaves unconstrained get one filler rule, ascending
@@ -120,27 +121,14 @@ class RankingPattern:
             raise DomainError(f"pattern is missing subsets, first: {missing}")
         object.__setattr__(self, "ranks", tuple(map(by_set.__getitem__, expected)))
 
-    @property
-    def functions(self) -> tuple[RankingFunction, ...]:
-        """The ranking functions, one per subset in the cached order, built on each read."""
-        return tuple(map(self.function, subsets_of_size_at_least(self.m, 2)))
-
-    def _ranks_of(self, subset: SubsetMask | Iterable[int]) -> tuple[tuple, tuple]:
+    def rank(self, subset: SubsetMask | Iterable[int], j: int) -> int:
         members = subset_members(self.m, subset)
         subsets = subsets_of_size_at_least(self.m, 2)  # sorted
         at = bisect.bisect_left(subsets, members)
         if at == len(subsets) or subsets[at] != members:
             raise DomainError(f"no ranking function for subset {members}")
-        return members, self.ranks[at]
-
-    def function(self, subset: SubsetMask | Iterable[int]) -> RankingFunction:
-        members, ranks = self._ranks_of(subset)
-        return RankingFunction(members, tuple(zip(members, ranks)))
-
-    def rank(self, subset: SubsetMask | Iterable[int], j: int) -> int:
-        members, ranks = self._ranks_of(subset)
         if type(j) is int and j in members:  # True == 1, but not an element
-            return ranks[members.index(j)]
+            return self.ranks[at][members.index(j)]
         raise DomainError(f"element {j!r} not in subset {members}")
 
     @property

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .core import ZERO, Checked, as_fraction, check_dimension, json_dimension
+from .core import ZERO, Checked, as_fraction, bit_mask, check_dimension, json_dimension
 from .core import rational_format, subsets_of_size_at_least, validate_permutation
 from .errors import DomainError, InfeasibleTargetError, InputFormatError
 from .loadsharing import LoadSharingModel, SetInvariantLSModel, _model_table
@@ -136,13 +136,9 @@ def failure_step(phi: StructureFunction, perm: Iterable[int]) -> int:
     return max(min(position[x] for x in ps) for ps in phi.path_sets)
 
 
-def _mask(members: Iterable[int]) -> int:
-    return sum(1 << (x - 1) for x in members)
-
-
 def _cut_test(phi: StructureFunction) -> Callable[[int], bool]:
     """``cut(S)``: the failed set S (a bit mask) meets every path set; cached per S."""
-    paths = [_mask(ps) for ps in phi.path_sets]
+    paths = [bit_mask(ps) for ps in phi.path_sets]
     return functools.cache(lambda failed: all(failed & ps for ps in paths))
 
 
@@ -196,9 +192,9 @@ def ls_for_target_signature(
     for k, mass in enumerate(target.p, start=1):
         if mass == 0:
             continue
-        sets = (w for w in itertools.combinations(range(1, r + 1), k - 1) if not cut(_mask(w)))
+        sets = (w for w in itertools.combinations(range(1, r + 1), k - 1) if not cut(bit_mask(w)))
         dying = (w + (c,) for w in sets for c in range(1, r + 1) if c not in w)
-        chain = next((w for w in dying if cut(_mask(w))), None)
+        chain = next((w for w in dying if cut(bit_mask(w))), None)
         if chain is None:
             raise InfeasibleTargetError(
                 f"target puts mass {mass} on step {k}, but no failure order "

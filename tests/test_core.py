@@ -204,6 +204,12 @@ class TestSubsetMask:
         with pytest.raises(DomainError):
             SubsetMask.of(3, [4])
 
+    def test_rejects_a_repeated_member(self):
+        # the text subset_members gives, which every other subset entry runs
+        with pytest.raises(DomainError) as info:
+            SubsetMask.of(3, [1, 1])
+        assert str(info.value) == "repeated elements in subset (1, 1)"
+
     @pytest.mark.parametrize("x", [True, 1.0, "1"])
     def test_holds_no_value_that_is_not_an_int(self, x):
         # True == 1 and hashes as 1, but it is not component 1

@@ -167,10 +167,9 @@ class TestPConcordance:
 
     def test_perturbed_rank_fails_at_the_right_subset(self, example_law, example_pattern):
         fns = [
-            RankingFunction.of((1, 2, 3), {3: 2, 1: 1, 2: 3})
-            if fn.members == (1, 2, 3)
-            else fn
-            for fn in example_pattern.functions
+            RankingFunction.of(s, {3: 2, 1: 1, 2: 3}) if s == (1, 2, 3)
+            else RankingFunction(s, tuple(zip(s, ranks)))
+            for s, ranks in zip(subsets_of_size_at_least(3, 2), example_pattern.ranks)
         ]
         report = check_p_concordance(RankingPattern(3, tuple(fns)), alpha_family(example_law))
         assert not report.passed
@@ -336,4 +335,6 @@ class TestEnumeration:
 
     def test_sampled_weak_patterns_are_valid(self):
         for sigma in enumerate_patterns(3, non_weak_only=False, seed=3, limit=20):
-            assert RankingPattern(3, sigma.functions) == sigma  # revalidates dense images
+            pairs = zip(subsets_of_size_at_least(3, 2), sigma.ranks)
+            fns = tuple(RankingFunction(s, tuple(zip(s, ranks))) for s, ranks in pairs)
+            assert RankingPattern(3, fns) == sigma  # revalidates dense images

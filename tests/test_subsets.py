@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from precedence import (
     DomainError,
     PermutationDistribution,
-    RankingFunction,
     SetInvariantLSModel,
     SubsetMask,
     WinningProbabilityFamily,
@@ -38,12 +37,8 @@ def test_pattern_lookups_take_every_subset_form(m, seed, data):
     shuffled = data.draw(st.permutations(members))
     j = data.draw(st.sampled_from(members))
     for subset in (members, iter(shuffled), SubsetMask.of(m, shuffled)):
-        assert sigma.function(subset) == RankingFunction(members, tuple(zip(members, ranks)))
-    for subset in (members, iter(shuffled), SubsetMask.of(m, shuffled)):
         assert sigma.rank(subset, j) == ranks[members.index(j)]
     for bad in (SubsetMask.of(m + 1, members), members[:-1] + (m + 1,), members[:1]):
-        with pytest.raises(DomainError):
-            sigma.function(bad)
         with pytest.raises(DomainError):
             sigma.rank(bad, j)
 
