@@ -271,8 +271,7 @@ def check_dimension(m: int, warn: bool = True) -> int:
         warnings.warn(
             f"dimension m={m} above {DEFAULT_MAX_M}: exhaustive operations "
             f"touch up to {m}! permutations",
-            RuntimeWarning,
-            stacklevel=2,
+            RuntimeWarning,  # reported from this line: the default filter shows it once
         )
     return m
 
@@ -294,6 +293,9 @@ class SubsetMask:
     mask: int
 
     def __post_init__(self) -> None:
+        for name, value in (("dimension", self.m), ("mask", self.mask)):
+            if type(value) is not int:  # True == 1, but not a dimension or a mask
+                raise DomainError(f"{name} must be an int, got {value!r}")
         if self.m < 1:
             raise DomainError(f"dimension must be >= 1, got {self.m}")
         if not 0 <= self.mask < (1 << self.m):

@@ -28,11 +28,12 @@ a row is its survivors' numerators, ascending by survivor, their total and
 their scale, mu_j = numerators[j] / scale. An order-dependent model keeps
 one row per prefix over the survivors it lists; a set-invariant one keeps
 one complete row per failed set. ``rates`` and ``mu_by_survivors`` are
-read-only views that build a Fraction when an entry is read. The walker,
-the set DP, the sampler, ``rate(prefix, j)`` and :func:`total_rate` read
-the stored rows (``_row``); an order-dependent row that omits survivors is
-merged with the default rate as it is read. ``rates_after(prefix)`` is the
-Fraction row behind :func:`prefix_probability`, a reference route.
+read-only views that build a Fraction when an entry is read, and compare by
+cross-multiplying their rows, so equal rates make equal models whatever the
+scales. The walker, the set DP, the sampler, ``rate(prefix, j)``,
+:func:`total_rate` and :func:`prefix_probability` read the stored rows
+(``_row``); an order-dependent row that omits survivors is merged with the
+default rate as it is read.
 
 The exact kernels run on ints and build a Fraction only for a value they
 return. :func:`distribution_of`, :func:`alpha_family_ls` and :func:`beta_gamma_split`
@@ -149,7 +150,7 @@ class EpsilonSchedule:
 Row = tuple[dict[int, int], int, int]  # (numerator by survivor, ascending; their total; scale)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class OrderDependentLSModel:
     """Sparse rate table ``(prefix, j) -> mu`` plus a default rate.
 
@@ -168,7 +169,8 @@ class OrderDependentLSModel:
     m: int
     rates: Mapping[tuple[tuple[int, ...], int], Fraction]
     default: Fraction = ZERO
-    rows: Mapping[tuple[int, ...], Row] = field(init=False, repr=False)
+    rows: Mapping[tuple[int, ...], Row] = field(init=False, repr=False, compare=False)
+    __hash__ = None  # not the hash a frozen dataclass adds: models stay unhashable
 
     def __post_init__(self) -> None:
         check_dimension(self.m)
@@ -184,12 +186,6 @@ class OrderDependentLSModel:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "rates", _RateView(rows))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        same = self.m == other.m and self.default == other.default
-        return same and _same_rows(self.rows, other.rows)
-
     def rate(self, prefix: Iterable[int], j: int) -> Fraction:
         """mu_j after ``prefix``, a failure prefix of [m], if ``j`` is an int survivor."""
         prefix = validate_prefix(self.m, prefix)
@@ -197,11 +193,6 @@ class OrderDependentLSModel:
         if type(j) is not int or j not in numerators:  # True == 1, but not a component
             raise DomainError(f"{j!r} is not a survivor after prefix {prefix}")
         return Fraction(numerators[j], scale)
-
-    def rates_after(self, prefix: tuple[int, ...]) -> dict[int, Fraction]:
-        """Each survivor's rate after the failure order ``prefix``, ascending."""
-        numerators, _, scale = self._row(prefix)
-        return {j: Fraction(n, scale) for j, n in numerators.items()}
 
     def _row(self, prefix: tuple[int, ...]) -> Row:
         """The integer row of every survivor after ``prefix``: the stored row,
@@ -251,7 +242,9 @@ class OrderDependentLSModel:
 
 class _RateView(Mapping):
     """The rates of integer rows keyed ``(k, j)``, k a row's prefix or survivor
-    set and j one of its survivors: each Fraction is built when it is read."""
+    set and j one of its survivors: each Fraction is built when it is read. Two
+    views are equal when their rows hold the same rates, cross-multiplied
+    whatever the scales; any other mapping is compared as a ``Mapping`` is."""
 
     def __init__(self, rows: Mapping[tuple[int, ...], Row]):
         self.rows = rows
@@ -270,18 +263,18 @@ class _RateView(Mapping):
     def __len__(self) -> int:
         return sum(len(numerators) for numerators, _, _ in self.rows.values())
 
-
-def _same_rows(mine: Mapping[object, Row], theirs: Mapping[object, Row]) -> bool:
-    """Whether two row tables hold the same rates: cross-multiplied, whatever the scales."""
-    if mine.keys() != theirs.keys():
-        return False
-    for k, (numerators, _, scale) in mine.items():
-        other, _, other_scale = theirs[k]
-        if numerators.keys() != other.keys() or any(
-            n * other_scale != other[j] * scale for j, n in numerators.items()
-        ):
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _RateView):
+            return super().__eq__(other)
+        if self.rows.keys() != other.rows.keys():
             return False
-    return True
+        for k, (numerators, _, scale) in self.rows.items():
+            theirs, _, their_scale = other.rows[k]
+            if numerators.keys() != theirs.keys() or any(
+                n * their_scale != theirs[j] * scale for j, n in numerators.items()
+            ):
+                return False
+        return True
 
 
 def _rows_of(entries: Mapping[tuple, tuple[int, int]]) -> dict[tuple[int, ...], Row]:
@@ -349,7 +342,7 @@ def _rate_entry(m: int, read: Callable | None, key: tuple, value: object) -> tup
     return (prefix, j), value
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SetInvariantLSModel:
     """Rates keyed by survivor set: ``mu_j([m] \\ A)`` stored under (A, j).
 
@@ -367,8 +360,9 @@ class SetInvariantLSModel:
 
     m: int
     mu_by_survivors: Mapping[tuple[tuple[int, ...], int], Fraction]
-    epsilon: EpsilonSchedule | None = None
-    rows: list[Row] = field(init=False, repr=False)
+    epsilon: EpsilonSchedule | None = field(default=None, compare=False)
+    rows: list[Row] = field(init=False, repr=False, compare=False)
+    __hash__ = None
 
     def __post_init__(self) -> None:
         check_dimension(self.m)
@@ -392,14 +386,7 @@ class SetInvariantLSModel:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "mu_by_survivors", _RateView(by_set))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        mine, theirs = self.mu_by_survivors.rows, other.mu_by_survivors.rows
-        return self.m == other.m and _same_rows(mine, theirs)
-
     rate = OrderDependentLSModel.rate
-    rates_after = OrderDependentLSModel.rates_after
 
     def _row(self, prefix: tuple[int, ...]) -> Row:
         """The stored row of the survivors after ``prefix``."""
@@ -478,13 +465,10 @@ def prefix_probability(model: LoadSharingModel, prefix: Iterable[int]) -> Fracti
     prefix = validate_prefix(model.m, prefix)
     prob = ONE
     for r, victim in enumerate(prefix):
-        row = model.rates_after(prefix[:r])
-        total = sum(row.values(), ZERO)
-        if total == 0:
+        row, total, _ = model._row(prefix[:r])
+        if not row[victim]:  # a total of 0 holds only rates of 0
             return ZERO
-        prob *= row[victim] / total
-        if prob == 0:
-            return ZERO
+        prob *= Fraction(row[victim], total)
     return prob
 
 

@@ -15,9 +15,9 @@ model's stored integer rows when a sample first reaches their prefix, so a
 prefix with zero total rate raises only then; a set-invariant model's row
 is built once per failed set, and the prefixes of one set share it. A
 step's new rows join their level's arrays in one batch. A lone last survivor fails last whatever its
-rate, as in the exact law; its rate of 0 raises only when its row is built
-for a walk that draws failure times. A positive total below the float range rounds to 0.0,
-and its sojourns to inf.
+rate, as in the exact law; :func:`sample_trajectories` refuses a rate of 0
+there when a sample first reaches it, since no failure time exists. A positive
+total below the float range rounds to 0.0, and its sojourns to inf.
 
 Reproducibility: a counter-based generator (Philox) is keyed once from
 the seed, and block i always draws from counter i, its uniforms before
@@ -37,8 +37,8 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, count, starmap
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping
+from itertools import accumulate, chain, count
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple
 
 from .core import JsonRows, plain_json, subset_rows
 from .errors import DomainError, SimulationError
@@ -51,8 +51,7 @@ if TYPE_CHECKING:
 CHUNK_TRAJECTORIES = 4096
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """One simulated failure history: identities in order, times ascending."""
 
     order: tuple[int, ...]
@@ -119,34 +118,27 @@ class _Level:
         self.child = np.empty((0, k), np.intp)
 
 
-def _float_row(
-    times: bool, model: LoadSharingModel, prefix: tuple
-) -> tuple[list[int], list[float], float]:
-    """The survivors, float CDF of the next victim and float total rate after ``prefix``.
-
-    With ``times``, a lone survivor of rate 0 is refused: no failure time exists.
-    ``times`` comes first, so that a partial binds it with no keyword to pass per call.
-    """
+def _float_row(model: LoadSharingModel, prefix: tuple) -> tuple[list[int], list[float], float]:
+    """The survivors, float CDF of the next victim and float total rate after ``prefix``."""
     row, total, scale = model._row(prefix)
     survivors = list(row)
     try:  # int true division rounds correctly: total / scale is float(M), r / total float(mu / M)
         float_total = total / scale  # an M below the float range rounds to 0.0: sojourns inf
     except OverflowError:  # an M past the float range rounds to inf: its sojourns are 0.0
         float_total = float("inf")
-    if len(survivors) == 1 and (total or not times):  # it fails last at any rate
+    if len(survivors) == 1:  # it fails last at any rate
         return survivors, [1.0], float_total
     if total == 0:
-        cause = "no failure time exists" if len(survivors) == 1 else "model invalid on support"
-        raise SimulationError(f"zero total rate at reached prefix {prefix}; {cause}")
+        raise SimulationError(f"zero total rate at reached prefix {prefix}; model invalid on support")
     cum = list(accumulate(r / total for r in row.values()))  # left to right, as np.cumsum
     cum[-1] = 1.0  # guard against float round-off in the last bin
     return survivors, cum, float_total
 
 
-def _row_reader(model: LoadSharingModel, times: bool) -> Callable[[tuple], tuple]:
+def _row_reader(model: LoadSharingModel) -> Callable[[tuple], tuple]:
     """:func:`_float_row` of each prefix; a set-invariant model's rows are kept by
     failed set for the life of the reader, which refers to no sampler table."""
-    read = functools.partial(_float_row, times, model)
+    read = functools.partial(_float_row, model)
     if not isinstance(model, SetInvariantLSModel):
         return read
     rows: dict[frozenset[int], tuple] = {}
@@ -164,10 +156,10 @@ def _row_reader(model: LoadSharingModel, times: bool) -> Callable[[tuple], tuple
 class _SamplerTables:
     """Float transition tables, built lazily per reached prefix, one level per step."""
 
-    def __init__(self, model: LoadSharingModel, times: bool = False):
+    def __init__(self, model: LoadSharingModel):
         self.m = model.m
         self.levels = [_Level(self.m - r) for r in range(self.m)]
-        self.read = _row_reader(model, times)
+        self.read = _row_reader(model)
         self._extend(0, [()])
 
     def _extend(self, r: int, prefixes: list[tuple[int, ...]]) -> None:
@@ -190,7 +182,7 @@ class _SamplerTables:
 
         Returns each sample's row in the last level, whose prefix and lone
         survivor spell its failure order, and the failure times when
-        ``exponentials`` are given, which needs tables built with ``times``.
+        ``exponentials`` are given.
         """
         import numpy as np
 
@@ -226,10 +218,9 @@ class _SamplerTables:
         return last.prefixes[leaf] + (int(last.survivors[leaf, 0]),)
 
 
-def _blocks(
-    n_samples: int, seed: int, m: int, times: bool
-) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """The uniforms, then the exponentials if ``times``, of each sample block."""
+def _blocks(n_samples: int, seed: int, m: int) -> Iterator[tuple[np.ndarray, np.random.Generator]]:
+    """The uniforms of each sample block, and the block's generator, which draws
+    its exponentials next."""
     for name, value in (("n_samples", n_samples), ("seed", seed)):
         if type(value) is not int:  # a bool, a float or a numpy int is refused, not coerced
             raise DomainError(f"{name} must be an int, got {value!r}")
@@ -244,22 +235,27 @@ def _blocks(
     starts = range(0, n_samples, CHUNK_TRAJECTORIES)
     rngs = (np.random.Generator(np.random.Philox(key=key, counter=i << 128)) for i in count())
     sizes = (min(CHUNK_TRAJECTORIES, n_samples - start) for start in starts)
-    return (
-        (rng.random((size, m)), rng.standard_exponential((size, m)) if times else None)
-        for size, rng in zip(sizes, rngs)
-    )
+    return ((rng.random((size, m)), rng) for size, rng in zip(sizes, rngs))
 
 
 def sample_trajectories(
     model: LoadSharingModel, n_samples: int, seed: int
 ) -> Iterator[Trajectory]:
     """The exact trajectory stream :func:`estimate_alphas` consumes."""
-    blocks = _blocks(n_samples, seed, model.m, times=True)
-    tables = _SamplerTables(model, times=True)
-    order = functools.cache(tables.order)  # one tuple per leaf, shared by its samples
+    blocks = _blocks(n_samples, seed, model.m)
+    tables = _SamplerTables(model)
+
+    @functools.cache  # one tuple per leaf, shared by its samples
+    def order(leaf: int) -> tuple[int, ...]:
+        prefix = tables.levels[-1].prefixes[leaf]
+        if not model._row(prefix)[1]:  # the last survivor's rate: no failure time exists
+            raise SimulationError(f"zero total rate at reached prefix {prefix}; no failure time exists")
+        return tables.order(leaf)
+
+    walks = (tables.walk(u, rng.standard_exponential(u.shape)) for u, rng in blocks)
     return chain.from_iterable(  # one map per block: no generator frame resumed per sample
         map(Trajectory, map(order, leaves.tolist()), map(tuple, times.tolist()))
-        for leaves, times in starmap(tables.walk, blocks)
+        for leaves, times in walks
     )
 
 
@@ -273,7 +269,7 @@ def estimate_alphas(
     the uniforms in each block, so the counts are those of
     :func:`sample_trajectories`.
     """
-    blocks = _blocks(n_samples, seed, model.m, times=False)
+    blocks = _blocks(n_samples, seed, model.m)
     tables = _SamplerTables(model)
     hits: Counter = Counter()  # samples per row of the last level
     for uniforms, _ in blocks:

@@ -210,6 +210,22 @@ class TestCertifyCommand:
         result = run(["concord", "certify", "--pattern", str(path)])
         assert result.exit_code == 2
 
+    def test_one_warning_per_command_above_eight(self, tmp_path, monkeypatch):
+        # the pattern, the schedule, the model and the family are each built at m = 9
+        monkeypatch.setenv("PRECEDENCE_MAX_M", "9")
+        path = tmp_path / "cyclic9.json"
+        with pytest.warns(RuntimeWarning):
+            path.write_text(json.dumps(pattern_cyclic(9).to_json_dict()))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-W", "default", "-m", "precedence.cli", "concord", "certify"]
+        result = subprocess.run(
+            [*argv, "--pattern", str(path)], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env
+        )
+        assert result.returncode == 0
+        warned = [line for line in result.stderr.decode().splitlines() if "RuntimeWarning" in line]
+        assert len(warned) == 1 and "RuntimeWarning: dimension m=9 above 8" in warned[0]
+
 
 class TestVoteCommands:
     @pytest.fixture

@@ -204,6 +204,21 @@ class TestSubsetMask:
         with pytest.raises(DomainError):
             SubsetMask.of(3, [4])
 
+    @pytest.mark.parametrize(
+        "m, mask, message",
+        [
+            (True, 1, "dimension must be an int, got True"),
+            (2.5, 1, "dimension must be an int, got 2.5"),
+            (3, True, "mask must be an int, got True"),
+            (3, 1.0, "mask must be an int, got 1.0"),
+        ],
+        ids=["bool-dimension", "float-dimension", "bool-mask", "float-mask"],
+    )
+    def test_rejects_a_dimension_or_mask_that_is_not_an_int(self, m, mask, message):
+        with pytest.raises(DomainError) as info:
+            SubsetMask(m, mask)
+        assert str(info.value) == message
+
     def test_rejects_a_repeated_member(self):
         # the text subset_members gives, which every other subset entry runs
         with pytest.raises(DomainError) as info:

@@ -29,7 +29,7 @@ from precedence import (
     prefix_probability,
     total_rate,
 )
-from precedence.loadsharing import _failure_law, model_from_json_dict
+from precedence.loadsharing import _failure_law, _RateView, model_from_json_dict
 from tests.conftest import random_distribution
 
 
@@ -188,10 +188,24 @@ class TestRateTables:
         ground = range(1, model.m + 1)
         for k in range(model.m):
             for prefix in itertools.permutations(ground, k):
-                row = model.rates_after(prefix)
-                assert list(row) == [j for j in ground if j not in prefix]
-                assert row == {j: model.rate(prefix, j) for j in row}
-                assert total_rate(model, prefix) == sum(row.values())
+                numerators, total, scale = model._row(prefix)
+                assert list(numerators) == [j for j in ground if j not in prefix]
+                assert total == sum(numerators.values())
+                for j, n in numerators.items():
+                    assert model.rate(prefix, j) == Fraction(n, scale)
+                assert total_rate(model, prefix) == sum(model.rate(prefix, j) for j in numerators)
+
+    def test_a_view_compares_rates_whatever_the_scale_and_as_a_mapping_with_a_dict(self):
+        halves = _RateView({(): ({1: 1, 2: 1}, 2, 2)})
+        assert halves == _RateView({(): ({1: 2, 2: 2}, 4, 4)})
+        assert halves != _RateView({(): ({1: 1, 2: 3}, 4, 4)})
+        assert halves != _RateView({(): ({1: 1, 3: 1}, 2, 2)})
+        assert halves != _RateView({(1,): ({1: 1, 2: 1}, 2, 2)})
+        as_dict = {((), 1): Fraction(1, 2), ((), 2): Fraction(1, 2)}
+        assert halves == as_dict and as_dict == halves
+        assert halves != {((), 1): Fraction(1, 2)}
+        assert halves != {((), 1): Fraction(1, 2), ((), 2): Fraction(1, 3)}
+        assert halves != list(as_dict)  # not a mapping
 
     def test_json_roundtrip_both_flavors(self, example_model):
         assert model_from_json_dict(example_model.to_json_dict()) == example_model

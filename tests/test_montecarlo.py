@@ -125,6 +125,14 @@ class TestSampleTrajectory:
         with pytest.raises(SimulationError):
             sample_trajectories(model, 1, seed=0)
 
+    def test_a_lone_component_of_rate_zero_has_an_order_but_no_failure_time(self):
+        model = OrderDependentLSModel.constant(1, 0)
+        assert estimate_alphas(model, 3, seed=0).order_counts == {(1,): 3}
+        trajectories = sample_trajectories(model, 3, seed=0)
+        with pytest.raises(SimulationError) as info:
+            list(trajectories)
+        assert str(info.value) == "zero total rate at reached prefix (); no failure time exists"
+
 
 class TestSamplerRows:
     @settings(max_examples=40, deadline=None)
@@ -139,14 +147,17 @@ class TestSamplerRows:
                         read(prefix)
                     continue
                 survivors, cum, float_total = read(prefix)
-                rates = model.rates_after(prefix)
-                total = sum(rates.values())
-                assert survivors == list(rates)
+                expected = [j for j in range(1, model.m + 1) if j not in prefix]
+                rates = [model.rate(prefix, j) for j in expected]
+                total = sum(rates)
+                assert survivors == expected
                 assert float_total == float(total)
                 if k < model.m - 1:
-                    expected = np.cumsum([float(mu / total) for mu in rates.values()])
-                    expected[-1] = 1.0
-                    assert cum == expected.tolist()
+                    expected_cum = np.cumsum([float(mu / total) for mu in rates])
+                    expected_cum[-1] = 1.0
+                    assert cum == expected_cum.tolist()
+                else:  # the last survivor fails last at any rate
+                    assert cum == [1.0]
 
     def test_each_reached_failed_set_reads_its_stored_row_once(self, monkeypatch):
         reads = Counter()
@@ -167,13 +178,13 @@ class TestSamplerRows:
         # the m = 6 schedule model: 3000 samples reach 1,227 prefixes over 63 failed sets
         built = []
 
-        def counted(times, model, prefix, float_row=montecarlo._float_row):
+        def counted(model, prefix, float_row=montecarlo._float_row):
             built.append(prefix)
-            return float_row(times, model, prefix)
+            return float_row(model, prefix)
 
         monkeypatch.setattr(montecarlo, "_float_row", counted)
         tables = _SamplerTables(build_ls_epsilon(pattern_cyclic(6), epsilon_schedule(6)))
-        for uniforms, _ in montecarlo._blocks(3000, 0, 6, times=False):
+        for uniforms, _ in montecarlo._blocks(3000, 0, 6):
             tables.walk(uniforms)
         reached = [prefix for level in tables.levels for prefix in level.prefixes]
         assert (len(built), len(reached)) == (63, 1227)
@@ -189,19 +200,18 @@ class TestSamplerRows:
         }[kind]()
         calls = []
 
-        def counted(self, prefix, rates_after=OrderDependentLSModel.rates_after):
-            calls.append(prefix)
-            return rates_after(self, prefix)
+        def counted(self, prefix, j, rate=OrderDependentLSModel.rate):
+            calls.append((prefix, j))
+            return rate(self, prefix, j)
 
         for cls in (OrderDependentLSModel, SetInvariantLSModel):
-            monkeypatch.setattr(cls, "rates_after", counted)
+            monkeypatch.setattr(cls, "rate", counted)
         distribution_of(model)
         alpha_family_ls(model)  # the set DP, for the schedule model
         beta_gamma_split(model, (1, 2), 1)
         estimate_alphas(model, 500, seed=1)
         list(sample_trajectories(model, 500, seed=1))
         for prefix in [(), (1,), (2, 1), (3, 1, 2)]:
-            model.rate(prefix, 5)
             total_rate(model, prefix)
         assert calls == []
 
