@@ -134,7 +134,8 @@ def json_entries(doc: dict, field: str, names: tuple[str, ...], check: Callable)
     must be an object holding the fields ``names``; ``check`` gets its key, the
     first field or a tuple of all but the last, and its value, the last field.
     Errors name the entry: ``field[i]: ...``, or ``field[i].sub: ...`` when
-    ``check`` raises ``InputFormatError("sub: ...")``.
+    ``check`` raises ``InputFormatError("sub: ...")``. A loader may first try
+    :func:`permutation_column`, which refuses nothing; this loop alone refuses.
     """
     entries = doc.get(field)
     if not isinstance(entries, list):
@@ -359,6 +360,8 @@ def subset_rows(field: str, rows: Iterable[tuple[tuple[int, ...], Iterable]]) ->
 
 
 _INT_ONLY = frozenset([int])
+_DICT_ONLY = frozenset([dict])
+_INT_OR_STR = frozenset([int, str])
 
 
 @functools.cache
@@ -371,6 +374,40 @@ def validate_permutation(m: int, seq: Iterable[int]) -> tuple[int, ...]:
     if len(perm) != m or not _INT_ONLY.issuperset(map(type, perm)) or _ground_set(m) != set(perm):
         raise DomainError(f"{perm} is not a permutation of [{m}]")
     return perm
+
+
+def permutation_column(m: int, read: Callable, entries: object, names: tuple[str, str]) -> dict | None:
+    """``{perm: value read}`` of the entries of a law or a vote file, in document
+    order, checked a column at a time, or None.
+
+    None unless ``entries`` is a list, each entry an object holding the fields
+    ``names``, each perm is a permutation of [m] of ints (not bools), no perm
+    repeats, each value is an int or a str, as JSON spells a scalar, and
+    ``read``, given the value column, returns what the entry check reads from
+    each value, in order, raising a ValueError where that check refuses one. On
+    None, the loader runs :func:`json_entries`, whose entry check names the
+    entry it refuses.
+    """
+    perm_field, value_field = names
+    if type(entries) is not list or not _DICT_ONLY.issuperset(map(type, entries)):
+        return None
+    try:
+        perms = list(map(tuple, map(operator.itemgetter(perm_field), entries)))
+        values = list(map(operator.itemgetter(value_field), entries))
+    except (KeyError, TypeError):  # a missing field, or a perm that is not iterable
+        return None
+    if not (
+        {m}.issuperset(map(len, perms))
+        and _INT_ONLY.issuperset(map(type, itertools.chain.from_iterable(perms)))
+        and {_ground_set(m)}.issuperset(map(frozenset, perms))
+        and len(set(perms)) == len(perms)
+        and _INT_OR_STR.issuperset(map(type, values))
+    ):
+        return None
+    try:
+        return dict(zip(perms, read(values)))
+    except ValueError:  # each refusal of a weight or a count, PrecedenceErrors included
+        return None
 
 
 def validate_prefix(m: int, seq: Iterable[int]) -> tuple[int, ...]:

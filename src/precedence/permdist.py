@@ -34,7 +34,9 @@ built by hand or loaded (``core.checked_entries``), and refuses two keys
 that name one entry. A law read from a document checks ``m`` against the
 cap first, then each permutation once, and reads each weight once into the
 integers it spells; the same lift keeps their numerators over the scale of
-the law built from the same Fractions.
+the law built from the same Fractions. A document in canonical form is
+checked a column at a time (``core.permutation_column``), each distinct
+literal read once; any other goes entry by entry, with the same result.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .core import (
     checked_entries,
     json_dimension,
     json_entries,
+    permutation_column,
     rational_format,
     subset_members,
     subset_rows,
@@ -151,8 +154,10 @@ class PermutationDistribution:
         """The law of a document, as numerators over one scale: no Fraction is
         built, and nothing is checked twice (see the module docstring)."""
         m = json_dimension(doc)
-        check = partial(_weight_entry, m, _literal_ints)
-        terms = json_entries(doc, "weights", ("perm", "p"), check)
+        names = ("perm", "p")
+        terms = permutation_column(m, _weight_literals, doc.get("weights"), names)
+        if terms is None:
+            terms = json_entries(doc, "weights", names, partial(_weight_entry, m, _literal_ints))
         try:
             return cls(m, Checked(_law_view(terms)))
         except DomainError as ex:
@@ -167,6 +172,18 @@ def _weight_entry(m: int, read: Callable | None, perm: object, value: object) ->
     if n < 0:
         raise DomainError(f"negative weight {Fraction(n, d)} for permutation {perm}")
     return perm, (n, d)
+
+
+def _weight_literals(texts: list) -> list[tuple[int, int]]:
+    """The (n, d) of each weight literal n/d, for :func:`~precedence.core.permutation_column`:
+    what :func:`_weight_entry` reads, and a ValueError where it refuses a negative one.
+    Each distinct literal is read once: a law whose weights repeat, as a law of
+    small integer weights over their sum does, reads few."""
+    distinct = dict.fromkeys(texts)
+    read = dict(zip(distinct, map(_literal_ints, distinct)))
+    if min(read.values(), default=(0, 1))[0] < 0:
+        raise ValueError("negative weight")
+    return list(map(read.__getitem__, texts))
 
 
 def _law_view(terms: Mapping[tuple[int, ...], tuple[int, int]]) -> _OverScale:

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import Checked, SubsetMask, check_dimension, checked_entries, subset_members
 from .core import decimal_int, json_dimension, json_entries, plain_json, subset_rows
-from .core import subsets_of_size_at_least
+from .core import _INT_ONLY, subsets_of_size_at_least
 from .errors import DomainError, InputFormatError
 from .permdist import WinningProbabilityFamily
 
@@ -114,7 +114,7 @@ class RankingPattern:
             by_set = self.ranks.entries
         else:
             pairs = ((fn.members, fn) for fn in self.ranks)
-            by_set = checked_entries(pairs, functools.partial(_function_entry, self.m))
+            by_set = checked_entries(pairs, functools.partial(_function_entry, self.m, {}))
         expected = subsets_of_size_at_least(self.m, 2)
         if len(by_set) < len(expected):  # every key is one of them, so one is missing
             missing = next(s for s in expected if s not in by_set)
@@ -152,9 +152,10 @@ class RankingPattern:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RankingPattern":
         """The pattern of a document: ``m`` checked against the cap first, then
-        each entry's members and ranks once, where they enter."""
+        each entry's members and ranks once, where they enter, an entry in
+        canonical form by a lookup of its set (see :func:`_function_entry`)."""
         m = json_dimension(doc)
-        check = functools.partial(_function_entry, m)
+        check = functools.partial(_function_entry, m, _canonical_names(m))
         by_set = json_entries(doc, "functions", ("set", "ranks"), check)
         try:
             return cls(m, Checked(by_set))
@@ -162,10 +163,23 @@ class RankingPattern:
             raise InputFormatError(str(ex)) from ex
 
 
-def _function_entry(m: int, subset: object, ranks: object) -> tuple:
+def _function_entry(m: int, names: dict, subset: object, ranks: object) -> tuple:
     """``(members, ranks)``: a subset of [m] of size >= 2, then its dense int
     ranks in member order, read off a :class:`RankingFunction` on it or a loaded
-    object of integer ranks keyed by the members as decimals."""
+    object of integer ranks keyed by the members as decimals.
+
+    A loaded entry in canonical form, a list of ints that is a key of ``names``
+    (see :func:`_canonical_names`) and ranks keyed by exactly its names, is read
+    by name; any other spelling, or a hand-built entry (``names`` is empty),
+    runs the checks below."""
+    try:
+        named = names.get(tuple(subset)) if type(subset) is list and type(ranks) is dict else None
+    except TypeError:  # an unhashable element
+        named = None
+    if named is not None and len(ranks) == len(named) and _INT_ONLY.issuperset(map(type, subset)):
+        values = tuple(map(ranks.get, named))  # None for a name it lacks
+        if _INT_ONLY.issuperset(map(type, values)):
+            return tuple(subset), _dense(tuple(subset), values)
     members = subset_members(m, subset)
     if len(members) < 2:
         raise DomainError(f"invalid subset {members} for a ranking function")
@@ -177,6 +191,16 @@ def _function_entry(m: int, subset: object, ranks: object) -> tuple:
     if sorted(keys) != list(members):
         raise InputFormatError(f"ranks: keys {list(ranks)} are not the members {list(members)}")
     return members, _dense(members, tuple(r for _, r in sorted(zip(keys, ranks.values()))))
+
+
+def _canonical_names(m: int) -> dict[tuple[int, ...], tuple[str, ...]]:
+    """Each subset of [m] with >= 2 members, as sorted ints, to its members'
+    decimal names, as a document in canonical form keys their ranks."""
+    ground, sizes = range(1, m + 1), range(2, m + 1)
+    names = tuple(map(str, ground))
+    chain, combinations = itertools.chain.from_iterable, itertools.combinations
+    sets = chain(combinations(ground, n) for n in sizes)
+    return dict(zip(sets, chain(combinations(names, n) for n in sizes)))  # in step, size by size
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,10 @@ astronomically with m, and minimizing the electorate is out of scope.
 
 A situation read from a document checks ``m`` against the cap first, then
 each row once, where it enters: its ranking, and its count, a
-non-negative JSON integer or ASCII decimal string. One built by hand runs
-the same row check; two keys that name one ranking are refused.
+non-negative JSON integer or ASCII decimal string. A document in canonical
+form is checked a column at a time (``core.permutation_column``), with the
+same result. One built by hand runs the same row check; two keys that name
+one ranking are refused.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Callable, Iterable, Mapping
 from .construction import build_ls_epsilon, epsilon_schedule
 from .core import Checked, JsonRows, check_dimension, checked_entries, decimal_int, int_format
 from .core import json_dimension, json_entries, plain_json, subset_members, subset_rows
-from .core import validate_permutation
+from .core import permutation_column, validate_permutation
 from .errors import DomainError, InputFormatError
 from .loadsharing import distribution_of
 from .permdist import failed_set_table, winner_sums
@@ -72,8 +74,11 @@ class VotingSituation:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "VotingSituation":
         m = json_dimension(doc)
-        read = partial(decimal_int, where="n")  # a JSON integer or an ASCII decimal string
-        counts = json_entries(doc, "counts", ("perm", "n"), partial(_count_entry, m, read))
+        names = ("perm", "n")
+        counts = permutation_column(m, _counts, doc.get("counts"), names)
+        if counts is None:
+            read = partial(decimal_int, where="n")  # a JSON integer or an ASCII decimal string
+            counts = json_entries(doc, "counts", names, partial(_count_entry, m, read))
         try:
             return cls(m, Checked(counts))
         except DomainError as ex:
@@ -88,6 +93,15 @@ def _count_entry(m: int, read: Callable | None, perm: object, count: object) -> 
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise DomainError(f"count for {perm} must be a non-negative integer")
     return perm, count
+
+
+def _counts(values: list) -> list[int]:
+    """The counts of ``values``, ints and strs, for :func:`~precedence.core.permutation_column`:
+    what ``decimal_int`` reads, all at once, and a ValueError where it refuses one."""
+    digits = "".join(map(str, values))  # a negative int puts in a "-"
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("not all non-negative integers or decimal strings")
+    return list(map(int, values))  # a ValueError for "", or past int()'s digit limit
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,8 @@ from precedence import (
 )
 from precedence import loadsharing, permdist, ranking, voting
 from precedence.cli import _write_json, run
-from precedence.core import _literal_ints, rational_parse, subset_members, validate_permutation
+from precedence.core import _literal_ints, permutation_column, rational_parse, subset_members
+from precedence.core import validate_permutation
 from precedence.core import validate_prefix
 from precedence.errors import DomainError, InputFormatError
 from precedence.loadsharing import model_from_json_dict
@@ -72,17 +73,32 @@ class TestEachEntryIsCheckedOnce:
     def test_a_law_checks_each_permutation_once(self, monkeypatch):
         law = PermutationDistribution.uniform(4)
         doc = law.to_json_dict()
+        column = counting(monkeypatch, permdist, "permutation_column", permutation_column)
         calls = counting(monkeypatch, permdist, "validate_permutation", validate_permutation)
+        # a document in canonical form: one column pass, no entry check
         assert PermutationDistribution.from_json_dict(doc) == law
-        assert calls["validate_permutation"] == len(doc["weights"]) == 24
+        assert (column["permutation_column"], calls["validate_permutation"]) == (1, 0)
+        # one bad entry: the column pass gives up, and each entry up to it is checked once
+        doc["weights"][5]["perm"] = [1, 2, 3, 3]
+        with pytest.raises(InputFormatError, match=r"^weights\[5\]: \(1, 2, 3, 3\) is not a permutation"):
+            PermutationDistribution.from_json_dict(doc)
+        assert (column["permutation_column"], calls["validate_permutation"]) == (2, 6)
 
     def test_a_vote_file_checks_each_row_once(self, monkeypatch):
         counts = {perm: n for n, perm in enumerate(itertools.permutations((1, 2, 3, 4)))}
         by_hand = VotingSituation(4, counts)
         doc = by_hand.to_json_dict()
+        assert len(doc["counts"]) == 23  # one count is 0
+        column = counting(monkeypatch, voting, "permutation_column", permutation_column)
         calls = counting(monkeypatch, voting, "validate_permutation", validate_permutation)
+        # a document in canonical form: one column pass, no entry check
         assert VotingSituation.from_json_dict(doc) == by_hand
-        assert calls["validate_permutation"] == len(doc["counts"]) == 23  # one count is 0
+        assert (column["permutation_column"], calls["validate_permutation"]) == (1, 0)
+        # one bad entry: the column pass gives up, and each entry up to it is checked once
+        doc["counts"][7]["n"] = "-1"
+        with pytest.raises(InputFormatError, match=r"^counts\[7\]\.n: '-1' is not an integer"):
+            VotingSituation.from_json_dict(doc)
+        assert (column["permutation_column"], calls["validate_permutation"]) == (2, 8)
 
     def test_a_set_invariant_model_checks_each_survivor_set_once(self, monkeypatch):
         model = build_ls_epsilon(pattern_cyclic(5), epsilon_schedule(5))
@@ -156,9 +172,21 @@ class TestEachEntryIsCheckedOnce:
     def test_a_pattern_checks_each_set_once(self, monkeypatch):
         pattern = pattern_cyclic(5)
         doc = pattern.to_json_dict()
+        assert len(doc["functions"]) == 2**5 - 5 - 1
+        entry = counting(monkeypatch, ranking, "_function_entry", ranking._function_entry)
         calls = counting(monkeypatch, ranking, "subset_members", subset_members)
+        # a document in canonical form: each set is looked up and its ranks read by name
         assert RankingPattern.from_json_dict(doc) == pattern
-        assert calls["subset_members"] == len(doc["functions"]) == 2**5 - 5 - 1
+        assert (entry["_function_entry"], calls["subset_members"]) == (26, 0)
+        # one entry in another spelling takes the checks of any other, once
+        doc["functions"][3]["ranks"] = {"0" + k: r for k, r in doc["functions"][3]["ranks"].items()}
+        assert RankingPattern.from_json_dict(doc) == pattern
+        assert (entry["_function_entry"], calls["subset_members"]) == (52, 1)
+        # one bad entry: each entry up to it is checked once
+        doc["functions"][9]["set"][0] = 1.0
+        with pytest.raises(InputFormatError, match=r"^functions\[9\]: element 1.0 outside \[5\]"):
+            RankingPattern.from_json_dict(doc)
+        assert (entry["_function_entry"], calls["subset_members"]) == (62, 3)
 
 
 # Each document repeats an all-int key with ``true`` in place of a 1, which
